@@ -21,7 +21,6 @@ from .controller import (
     integrate_brs,
     mpc_step_exact,
     mpc_step_taylor,
-    time_grid,
 )
 from .errors import CFLError, ConfigError, DivergenceError, NumericalError
 from .grids import (
@@ -31,6 +30,7 @@ from .grids import (
     grid_for_support,
     histogram,
     normalized_density,
+    time_grid,
 )
 from .harness import ExperimentConfig, parse_config, run_experiment, sample_initial
 from .kinetic import cfl_time_step, solve_kinetic, step_upwind, velocity_field

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, NumericalError
+from .grids import time_grid
 from .model import (
     FD_STEP,
     ControlProfile,
@@ -178,13 +179,3 @@ def integrate_brs(
                 f"|x| reached {worst:.3e} > bound {blow_up_bound:.3e} at step {step + 1} (t={t + dt:.6g})"
             )
     return ParticleTrajectory(times, positions), ControlProfile(controls, times)
-
-
-def time_grid(horizon: float, dt: float) -> tuple[int, np.ndarray]:
-    """Uniform grid t_l = l*dt reaching the horizon; dt must divide it to 1e-12."""
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    n_steps = int(round(horizon / dt))
-    if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-12 * max(1.0, horizon):
-        raise ValueError(f"dt={dt} does not divide the horizon {horizon}")
-    return n_steps, dt * np.arange(n_steps + 1)

@@ -1,8 +1,9 @@
-"""Spatial grids and cell-averaged densities for the 1D transport solvers.
+"""Spatial grids, cell-averaged densities and uniform time grids.
 
 A ``SpaceGrid`` covers ``[x_min, x_max]`` with ``cells`` uniform cells.
 Densities are stored as cell averages, so a probability density satisfies
-``sum(cell_averages) * dx == 1``.
+``sum(cell_averages) * dx == 1``. Every solver marches on the time grid
+``t_l = l * dt`` of ``time_grid`` and reads its step back with ``uniform_dt``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import numpy as np
 
 MASS_TOL = 1e-12
 NEGATIVE_TOL = 1e-15
+TIME_TOL = 1e-12  # slack for dt dividing the horizon and for uniform steps
 
 
 @dataclass(frozen=True)
@@ -129,3 +131,23 @@ class DensityTrajectory:
     @property
     def final(self) -> DensityGrid:
         return self.density(len(self) - 1)
+
+
+def time_grid(horizon: float, dt: float) -> tuple[int, np.ndarray]:
+    """Uniform grid t_l = l*dt reaching the horizon; dt must divide it to 1e-12."""
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    n_steps = int(round(horizon / dt))
+    if n_steps < 1 or abs(n_steps * dt - horizon) > TIME_TOL * max(1.0, horizon):
+        raise ValueError(f"dt={dt} does not divide the horizon {horizon}")
+    return n_steps, dt * np.arange(n_steps + 1)
+
+
+def uniform_dt(times: np.ndarray) -> float:
+    """The step of a uniform time grid; raises unless all steps agree to 1e-12."""
+    steps = np.diff(times)
+    if steps.size == 0:
+        raise ValueError("time grid needs at least two points")
+    if np.max(np.abs(steps - steps[0])) > TIME_TOL:
+        raise ValueError("time grid is not uniform")
+    return float(steps[0])

@@ -157,6 +157,15 @@ def parse_config(text: str) -> ExperimentConfig:
         n_particles_list=n_particles_list, grid_cells=grid_cells,
     )
 
+    if alpha_kind == "affine" and horizon is not None:
+        a, b = alpha_params["intercept"], alpha_params["slope"]
+        # affine: the smallest value on [0, horizon] sits at an end point
+        if not min(a, a + b * horizon) > 0:
+            errors.append(
+                f"model.alpha affine must stay positive on [0, {horizon}], "
+                f"got alpha(0) = {a} and alpha({horizon}) = {a + b * horizon}"
+            )
+
     if grid_bounds is not None and initial:
         lo, hi = _support_of(initial)
         if lo < grid_bounds[0] or hi > grid_bounds[1]:
@@ -588,15 +597,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str | None = None, job
     """Execute the configured experiment, writing CSV artifacts plus a manifest.
 
     Solver failures (divergence, CFL violation, non-convergence) produce exit
-    code 3 with the failing stage named; they are reported, not raised.
+    code 3 with the failing stage named; validation failures found while
+    running (``ConfigError``, e.g. a nonpositive control weight) produce exit
+    code 2. Both are reported, not raised, and every exit writes the manifest.
     """
     start = time.monotonic()
     out = Path(out_dir) if out_dir is not None else Path(cfg.output or "results")
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        _spot_check_kernels(cfg)
-    except ConfigError as exc:
-        return RunResult(EXIT_CONFIG, [], f"validation failed: {exc}")
     driver = {
         "particle_vs_kinetic": _run_particle_vs_kinetic,
         "mpc_vs_brs": _run_mpc_vs_brs,
@@ -605,8 +612,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str | None = None, job
         "nash_vs_brs": _run_nash_vs_brs,
     }[cfg.experiment]
     try:
+        _spot_check_kernels(cfg)
         artifacts, message = driver(cfg, out, jobs)
         code = EXIT_OK
+    except ConfigError as exc:
+        artifacts, message = [], f"validation failed: {exc}"
+        code = EXIT_CONFIG
     except (DivergenceError, CFLError, NumericalError) as exc:
         artifacts, message = [], f"stage {cfg.experiment!r} failed: {exc}"
         code = EXIT_SOLVER

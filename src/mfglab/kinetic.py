@@ -22,9 +22,16 @@ import math
 
 import numpy as np
 
-from .controller import time_grid
 from .errors import CFLError
-from .grids import DensityGrid, DensityTrajectory, SpaceGrid, grid_for_support, histogram, normalized_density
+from .grids import (
+    DensityGrid,
+    DensityTrajectory,
+    SpaceGrid,
+    grid_for_support,
+    histogram,
+    normalized_density,
+    time_grid,
+)
 from .model import ModelSpec, alpha_at, mean_field_cost_grad, mean_field_drift
 
 __all__ = [

@@ -113,7 +113,11 @@ def w1_sorted_atoms(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
 
 
 def moments(measure) -> tuple[float, float, float]:
-    """(mass, mean, variance) computed exactly on the representation."""
+    """(mass, mean, variance) computed exactly on the representation.
+
+    A density is constant on each cell, so its variance is the spread of the
+    cell centers plus the intra-cell variance dx^2 / 12.
+    """
     if isinstance(measure, EmpiricalMeasure):
         mean = float(np.mean(measure.atoms))
         var = float(np.mean((measure.atoms - mean) ** 2))
@@ -123,6 +127,6 @@ def moments(measure) -> tuple[float, float, float]:
         weights = measure.cell_averages * measure.grid.dx
         mass = float(np.sum(weights))
         mean = float(np.sum(centers * weights) / mass)
-        var = float(np.sum((centers - mean) ** 2 * weights) / mass)
+        var = float(np.sum((centers - mean) ** 2 * weights) / mass) + measure.grid.dx**2 / 12.0
         return mass, mean, var
     raise TypeError(f"unsupported measure type {type(measure).__name__}")

@@ -25,9 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .controller import time_grid
 from .errors import CFLError, NumericalError
-from .grids import DensityGrid, DensityTrajectory, SpaceGrid
+from .grids import DensityGrid, DensityTrajectory, SpaceGrid, time_grid, uniform_dt
 from .kinetic import CFL_NUMBER, solve_kinetic, step_upwind, velocity_field
 from .model import ModelSpec, alpha_at, mean_field_cost, mean_field_cost_grad, mean_field_drift
 
@@ -97,7 +96,7 @@ def hjb_backward(model: ModelSpec, m_path: DensityTrajectory) -> ValueGrid:
     The CFL restriction dt (max|F| + viscosity)/dx <= 0.9 is enforced per step.
     """
     times = m_path.times
-    dt = _uniform_dt(times)
+    dt = uniform_dt(times)
     grid = m_path.grid
     centers = grid.centers()
     n_slices = times.size
@@ -132,7 +131,7 @@ def fp_forward(model: ModelSpec, value: ValueGrid, m0: DensityGrid) -> DensityTr
     if m0.grid != value.grid:
         raise ValueError("density and value must share the grid")
     times = value.times
-    dt = _uniform_dt(times)
+    dt = uniform_dt(times)
     grid = value.grid
     faces = grid.faces()
     data = np.empty((times.size, grid.cells))
@@ -264,7 +263,7 @@ def total_running_cost(model: ModelSpec, m_path: DensityTrajectory, controls: np
     controls = np.asarray(controls, dtype=float)
     if controls.shape != m_path.data.shape:
         raise ValueError("controls must be given at every (time, cell) node")
-    dt = _uniform_dt(m_path.times)
+    dt = uniform_dt(m_path.times)
     centers = m_path.grid.centers()
     total = 0.0
     for step in range(m_path.times.size - 1):
@@ -273,12 +272,3 @@ def total_running_cost(model: ModelSpec, m_path: DensityTrajectory, controls: np
         running = 0.5 * weight * controls[step] ** 2 + np.asarray(mean_field_cost(model, centers, m_slice))
         total += dt * float(np.sum(running * m_slice.cell_averages) * m_path.grid.dx)
     return total
-
-
-def _uniform_dt(times: np.ndarray) -> float:
-    steps = np.diff(times)
-    if steps.size == 0:
-        raise ValueError("need at least two time points")
-    if np.max(np.abs(steps - steps[0])) > 1e-12:
-        raise ValueError("time grid is not uniform")
-    return float(steps[0])

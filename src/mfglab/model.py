@@ -11,23 +11,38 @@ Mean-field counterparts replace the sums by integrals against a density m:
     F(x, m)      = integral P(x, y) (y - x) m(y) dy
     dH/dx (x, m) = integral d_x phi(x, y) m(y) dy
 
-All sums and quadratures run in ascending index order so outputs are
-bit-reproducible.
+Reproducibility contract:
+
+* Every sum over particles or grid cells runs in ascending index order
+  (``_sum_ascending``), so a run repeats bit for bit.
+* A kernel that is a polynomial ``sum_ab C[a, b] x^a y^b`` may carry its
+  coefficient table (``ModelSpec.drift_poly``, ``ModelSpec.cost_poly``). Then
+  ``drift``, ``cost_grad``, ``cost_grad_vector`` and the three mean-field
+  quadratures take the structured path: power moments of the ensemble about
+  its mean, or of the density about the grid midpoint, reduce the O(N^2) pair
+  sums to O(N deg^2) and the quadratures to O(M deg^2) per call.
+* The structured and dense paths agree to round-off, not bitwise.
+  ``consensus_model`` and ``polynomial_model`` take the structured path;
+  ``bounded_confidence_model`` has no table and always takes the dense one.
+  ``cost``, ``cost_gradient_full`` and ``drift_jacobian`` are always dense.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError
-from .grids import DensityGrid
+from .grids import DensityGrid, uniform_dt
 
 Kernel = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 FD_STEP = 1e-6  # central-difference step for kernels without analytic derivatives
+TABLE_RTOL = 1e-12  # agreement a coefficient table must show with its kernels
+# the 4 x 4 mesh of sample points where a table must reproduce its kernels
+_SAMPLE_X, _SAMPLE_Y = (g.ravel() for g in np.meshgrid([-0.9, -0.35, 0.2, 0.75], [-0.9, -0.35, 0.2, 0.75]))
 
 
 @dataclass(frozen=True)
@@ -39,6 +54,13 @@ class ModelSpec:
     return a scalar). The optional ``*_dx`` / ``*_dy`` derivatives are used
     where available; missing ones fall back to central differences with step
     ``FD_STEP``.
+
+    ``drift_poly`` and ``cost_poly`` are optional coefficient tables,
+    ``K(x, y) = sum_ab C[a, b] x^a y^b``, of the drift and cost kernels. A
+    present table selects the moment-based evaluation (see the module
+    docstring). Construction checks once that each table reproduces its kernel
+    and the given derivative kernels at fixed sample points to ``TABLE_RTOL``,
+    so a table left stale by ``dataclasses.replace`` fails loudly.
     """
 
     drift_kernel: Kernel
@@ -50,12 +72,27 @@ class ModelSpec:
     drift_kernel_dx: Kernel | None = None
     drift_kernel_dy: Kernel | None = None
     cost_kernel_dy: Kernel | None = None
+    drift_poly: np.ndarray | None = field(default=None, compare=False)
+    cost_poly: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.n_particles < 1:
             raise ValueError(f"n_particles must be positive, got {self.n_particles}")
         if not self.horizon > 0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
+        for name, kernels in (
+            ("drift", (self.drift_kernel, self.drift_kernel_dx, self.drift_kernel_dy)),
+            ("cost", (self.cost_kernel, self.cost_kernel_dx, self.cost_kernel_dy)),
+        ):
+            table = getattr(self, f"{name}_poly")
+            if table is None:
+                continue
+            table = np.atleast_2d(np.array(table, dtype=float))
+            if table.ndim != 2 or table.size == 0:
+                raise ValueError(f"{name}_poly must be a nonempty 2D coefficient table, got shape {table.shape}")
+            table.setflags(write=False)
+            object.__setattr__(self, f"{name}_poly", table)
+            _check_table(name, table, kernels)
 
 
 @dataclass
@@ -107,10 +144,7 @@ class ControlProfile:
 
     @property
     def dt(self) -> float:
-        steps = np.diff(self.time_grid)
-        if np.max(np.abs(steps - steps[0])) > 1e-12:
-            raise ValueError("time grid is not uniform")
-        return float(steps[0])
+        return uniform_dt(self.time_grid)
 
 
 def alpha_at(model: ModelSpec, t: float) -> float:
@@ -166,6 +200,9 @@ def _kernel_dy(kernel: Kernel, analytic: Kernel | None) -> Kernel:
 def drift(model: ModelSpec, ensemble: ParticleEnsemble) -> np.ndarray:
     """Interaction drift f_i(X) = (1/N) sum_j P(x_i, x_j)(x_j - x_i), ascending j."""
     x = _require_ensemble(model, ensemble)
+    if model.drift_poly is not None:
+        centre, u = _centred(x)
+        return _pair_sums(_drift_terms(model.drift_poly, centre), u, u) / model.n_particles
     diff = x[None, :] - x[:, None]
     terms = np.multiply(_pair_eval(model.drift_kernel, x, x), diff, out=diff)
     return _sum_ascending(terms, axis=1, consume=True) / model.n_particles
@@ -184,6 +221,8 @@ def cost_grad(model: ModelSpec, ensemble: ParticleEnsemble, i: int) -> float:
     """Own-state cost slope d h_i / d x_i = (1/(N-1)) sum_{j != i} d_x phi(x_i, x_j)."""
     x = _require_ensemble(model, ensemble)
     _check_index(model, i)
+    if model.cost_poly is not None:
+        return float(_slope_sums(model.cost_poly, x, slice(i, i + 1))[0]) / (model.n_particles - 1)
     others = np.delete(x, i)
     vals = _row_eval(model.cost_kernel_dx, np.full(others.size, x[i]), others)
     return float(_sum_ascending(vals)) / (model.n_particles - 1)
@@ -207,13 +246,17 @@ def _check_index(model: ModelSpec, i: int) -> None:
 def cost_grad_vector(model: ModelSpec, ensemble: ParticleEnsemble) -> np.ndarray:
     """All own-state cost slopes (d h_i / d x_i)_i in one pass.
 
-    Matches ``cost_grad`` per component: the excluded diagonal enters the
-    ascending sum as an exact 0.0, which leaves every partial sum unchanged.
+    Matches ``cost_grad`` per component bitwise. On the dense path the excluded
+    diagonal enters the ascending sum as an exact 0.0, which leaves every
+    partial sum unchanged; on the structured path both evaluate the same
+    elementwise expressions from the same moments.
     """
     x = _require_ensemble(model, ensemble)
     if model.n_particles < 2:
         raise ValueError("pairwise cost needs at least two particles")
     n = model.n_particles
+    if model.cost_poly is not None:
+        return _slope_sums(model.cost_poly, x, slice(None)) / (n - 1)
     mat = _pair_eval(model.cost_kernel_dx, x, x)
     if mat.shape != (n, n):
         mat = np.broadcast_to(mat, (n, n))
@@ -264,19 +307,140 @@ def _quadrature(kernel: Kernel, x, m: DensityGrid, weight_shift: bool) -> np.nda
     return out if np.ndim(x) else float(out[0])
 
 
+def _moment_quadrature(terms, poly: np.ndarray, x, m: DensityGrid) -> np.ndarray | float:
+    """Midpoint rule from the weighted power sums of the cell centers about the grid midpoint.
+
+    ``terms(poly, centre)`` gives the integrand's table in powers of x - centre
+    and y - centre.
+    """
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    centre = 0.5 * (m.grid.x_min + m.grid.x_max)
+    table = terms(poly, centre)
+    sums = _power_sums(m.grid.centers() - centre, m.cell_averages * m.grid.dx, table.shape[1] - 1)
+    out = _moment_eval(table, xs - centre, sums)
+    return out if np.ndim(x) else float(out[0])
+
+
 def mean_field_drift(model: ModelSpec, x, m: DensityGrid) -> np.ndarray | float:
     """F(x, m) = integral P(x, y)(y - x) m(y) dy, midpoint rule in ascending cell order."""
+    if model.drift_poly is not None:
+        return _moment_quadrature(_drift_terms, model.drift_poly, x, m)
     return _quadrature(model.drift_kernel, x, m, weight_shift=True)
 
 
 def mean_field_cost_grad(model: ModelSpec, x, m: DensityGrid) -> np.ndarray | float:
     """d/dx of the mean-field cost: integral d_x phi(x, y) m(y) dy."""
+    if model.cost_poly is not None:
+        return _moment_quadrature(_slope_terms, model.cost_poly, x, m)
     return _quadrature(model.cost_kernel_dx, x, m, weight_shift=False)
 
 
 def mean_field_cost(model: ModelSpec, x, m: DensityGrid) -> np.ndarray | float:
     """Mean-field running cost H(x, m) = integral phi(x, y) m(y) dy."""
+    if model.cost_poly is not None:
+        return _moment_quadrature(_taylor_shift, model.cost_poly, x, m)
     return _quadrature(model.cost_kernel, x, m, weight_shift=False)
+
+
+# ---------------------------------------------------------------------------
+# structured path: polynomial kernels evaluated from power moments
+
+
+def _check_table(name: str, table: np.ndarray, kernels: tuple) -> None:
+    """Raise unless the table reproduces the kernel and its given derivatives at the samples."""
+    tables = (table, _poly_diff_rows(table), _poly_diff_cols(table))
+    for suffix, kernel, coeffs in zip(("", "_dx", "_dy"), kernels, tables):
+        if kernel is None:
+            continue
+        want = _row_eval(kernel, _SAMPLE_X, _SAMPLE_Y)
+        got = _poly_kernel(coeffs)(_SAMPLE_X, _SAMPLE_Y)
+        gap = np.max(np.abs(want - got))
+        if not gap <= TABLE_RTOL * max(np.max(np.abs(want)), np.max(np.abs(got))):
+            raise ValueError(
+                f"{name}_poly does not reproduce {name}_kernel{suffix} at the sample points "
+                f"(largest difference {gap:.3e})"
+            )
+
+
+def _taylor_shift(table: np.ndarray, centre: float) -> np.ndarray:
+    """Table of K(centre + u, centre + v) in powers of u and v.
+
+    Repeated synthetic division along each axis: O(deg^2) vector updates, with
+    products and sums only, in a fixed order.
+    """
+    out = np.array(table, dtype=float)
+    for view in (out, out.T):  # rows shift x, then columns shift y
+        n = view.shape[0]
+        for i in range(n - 1):
+            for j in range(n - 2, i - 1, -1):
+                view[j] += centre * view[j + 1]
+    return out
+
+
+def _drift_terms(drift_poly: np.ndarray, centre: float) -> np.ndarray:
+    """Table of P(x, y)(y - x) about ``centre``; the factor (v - u) is applied after the shift."""
+    shifted = _taylor_shift(drift_poly, centre)
+    rows, cols = shifted.shape
+    out = np.zeros((rows + 1, cols + 1))
+    out[:rows, 1:] += shifted
+    out[1:, :cols] -= shifted
+    return out
+
+
+def _slope_terms(cost_poly: np.ndarray, centre: float) -> np.ndarray:
+    """Table of d_x phi(x, y) about ``centre``."""
+    return _taylor_shift(_poly_diff_rows(cost_poly), centre)
+
+
+def _centred(x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Ensemble mean (ascending sum) and the positions relative to it."""
+    centre = float(_sum_ascending(x)) / x.size
+    return centre, x - centre
+
+
+def _power_sums(u: np.ndarray, weights, degree: int) -> np.ndarray:
+    """Ascending sums sum_j w_j u_j^b for b = 0..degree."""
+    powers = np.empty((degree + 1, u.size))
+    powers[0] = weights
+    for b in range(1, degree + 1):
+        np.multiply(powers[b - 1], u, out=powers[b])
+    return _sum_ascending(powers, axis=1, consume=True)
+
+
+def _horner(coeffs: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] at^k, elementwise, so every entry of ``at`` sees the same operations."""
+    out = np.full(at.shape, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        out *= at
+        out += c
+    return out
+
+
+def _moment_eval(table: np.ndarray, at: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """sum_a at^a sum_b table[a, b] sums[b], the inner sums ascending."""
+    return _horner(_sum_ascending(table * sums[None, :], axis=1), at)
+
+
+def _diagonal(table: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """K(at, at) for a table K: the anti-diagonal sums are the coefficients of at^k."""
+    rows, cols = table.shape
+    coeffs = np.zeros(rows + cols - 1)
+    for a in range(rows):
+        coeffs[a:a + cols] += table[a]
+    return _horner(coeffs, at)
+
+
+def _pair_sums(table: np.ndarray, u: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """sum_j K(at_i, u_j) over all particles j, for a centred table K."""
+    return _moment_eval(table, at, _power_sums(u, 1.0, table.shape[1] - 1))
+
+
+def _slope_sums(cost_poly: np.ndarray, x: np.ndarray, which: slice) -> np.ndarray:
+    """sum_{j != i} d_x phi(x_i, x_j) for the particles i in ``which``: all pairs minus the self pair."""
+    centre, u = _centred(x)
+    table = _slope_terms(cost_poly, centre)
+    at = u[which]
+    return _pair_sums(table, u, at) - _diagonal(table, at)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +457,7 @@ def _zeros(x, y):
 
 
 def consensus_model(n_particles: int, horizon: float, alpha: Callable[[float], float] | float = 1.0) -> ModelSpec:
-    """All-to-all attraction: P == 1, phi(x, y) = (x - y)^2 / 2."""
+    """All-to-all attraction: P == 1, phi(x, y) = (x - y)^2 / 2; both tables given (structured path)."""
     return ModelSpec(
         drift_kernel=_ones,
         cost_kernel=lambda x, y: 0.5 * (x - y) ** 2,
@@ -304,6 +468,8 @@ def consensus_model(n_particles: int, horizon: float, alpha: Callable[[float], f
         drift_kernel_dx=_zeros,
         drift_kernel_dy=_zeros,
         cost_kernel_dy=lambda x, y: y - x,
+        drift_poly=np.array([[1.0]]),
+        cost_poly=np.array([[0.0, 0.0, 0.5], [0.0, -1.0, 0.0], [0.5, 0.0, 0.0]]),
     )
 
 
@@ -313,7 +479,10 @@ def bounded_confidence_model(
     radius: float,
     alpha: Callable[[float], float] | float = 1.0,
 ) -> ModelSpec:
-    """Attraction only within |x - y| <= radius, C1-smoothed over a band of width 0.05*radius."""
+    """Attraction only within |x - y| <= radius, C1-smoothed over a band of width 0.05*radius.
+
+    The window is not a polynomial, so the model has no tables and takes the dense path.
+    """
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
     eps = 0.05 * radius
@@ -351,7 +520,10 @@ def polynomial_model(
     cost_coeffs: np.ndarray,
     alpha: Callable[[float], float] | float = 1.0,
 ) -> ModelSpec:
-    """Kernels from coefficient tables: P(x,y) = sum_ab C[a,b] x^a y^b, likewise phi."""
+    """Kernels from coefficient tables: P(x,y) = sum_ab C[a,b] x^a y^b, likewise phi.
+
+    The tables are kept as ``drift_poly`` and ``cost_poly``, so the model takes the structured path.
+    """
     drift_coeffs = np.atleast_2d(np.asarray(drift_coeffs, dtype=float))
     cost_coeffs = np.atleast_2d(np.asarray(cost_coeffs, dtype=float))
     return ModelSpec(
@@ -364,6 +536,8 @@ def polynomial_model(
         drift_kernel_dx=_poly_kernel(_poly_diff_rows(drift_coeffs)),
         drift_kernel_dy=_poly_kernel(_poly_diff_cols(drift_coeffs)),
         cost_kernel_dy=_poly_kernel(_poly_diff_cols(cost_coeffs)),
+        drift_poly=drift_coeffs,
+        cost_poly=cost_coeffs,
     )
 
 

@@ -26,8 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import ParticleTrajectory, euler_step, time_grid
+from .controller import ParticleTrajectory, euler_step
 from .errors import DivergenceError, NumericalError
+from .grids import time_grid, uniform_dt
 from .model import (
     ControlProfile,
     ModelSpec,
@@ -118,7 +119,7 @@ def simulate_state(
 def solve_adjoint(model: ModelSpec, trajectory: ParticleTrajectory, i: int) -> np.ndarray:
     """Backward costate solve for player i; returns phi^i_j(t_l) as an (N, N_T+1) array."""
     times = trajectory.times
-    dt = _uniform_dt(times)
+    dt = uniform_dt(times)
     n_steps = times.size - 1
     phi = np.zeros((model.n_particles, n_steps + 1))
     for step in range(n_steps - 1, -1, -1):
@@ -226,12 +227,3 @@ def nash_sweep(
         residual_history=np.asarray(history),
         control_history=control_history,
     )
-
-
-def _uniform_dt(times: np.ndarray) -> float:
-    steps = np.diff(times)
-    if steps.size == 0:
-        raise ValueError("trajectory needs at least two time points")
-    if np.max(np.abs(steps - steps[0])) > 1e-12:
-        raise ValueError("trajectory time grid is not uniform")
-    return float(steps[0])

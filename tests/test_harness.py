@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -86,6 +87,36 @@ class TestParseConfig:
             parse_config(json.dumps(bad))
         text = "\n".join(err.value.errors)
         assert "viscosity" in text and "skew" in text
+
+    def test_affine_alpha_must_stay_positive_on_horizon(self):
+        falling = {"kind": "affine", "intercept": 1.0, "slope": -2.0}  # alpha(0.5) = 0
+        for raw in (ALPHA_MPC, ALPHA_PARTICLES):
+            bad = dict(raw, model=dict(raw["model"], alpha=falling))
+            with pytest.raises(ConfigError, match="model.alpha affine must stay positive"):
+                parse_config(json.dumps(bad))
+        ok = dict(ALPHA_MPC, model={"kind": "consensus", "alpha": falling}, horizon=0.25, dt_list=[0.25])
+        assert parse_config(json.dumps(ok)).alpha_kind == "affine"
+
+
+# horizon 1 with alpha falling from 1 to -1 on it; used unvalidated in the run tests
+ALPHA_MPC = {
+    "experiment": "mpc_vs_brs",
+    "model": {"kind": "consensus"},
+    "horizon": 1.0,
+    "dt_list": [0.1, 0.5, 0.75],
+    "n_particles": 4,
+    "initial": {"kind": "uniform", "a": 0.0, "b": 1.0},
+}
+ALPHA_PARTICLES = {
+    "experiment": "particle_vs_kinetic",
+    # a flat cost keeps the velocity bounded as alpha falls, so the march reaches alpha <= 0
+    "model": {"kind": "polynomial", "drift_coeffs": [[1.0]], "cost_coeffs": [[0.0]]},
+    "horizon": 1.0,
+    "dt": 0.01,
+    "n_particles_list": [8],
+    "grid": {"cells": 32},
+    "initial": {"kind": "uniform", "a": 0.0, "b": 1.0},
+}
 
 
 class TestSampleInitial:
@@ -189,6 +220,25 @@ class TestRunExperiment:
         result = run_experiment(cfg, out_dir=tmp_path)
         assert result.exit_code == EXIT_SOLVER
         assert "failed" in result.message
+
+    @pytest.mark.parametrize("raw", [ALPHA_MPC, ALPHA_PARTICLES], ids=["mpc_vs_brs", "particle_vs_kinetic"])
+    def test_nonpositive_alpha_during_run_exit_two_with_manifest(self, tmp_path, raw):
+        # bypasses parse_config, as a programmatic caller can
+        cfg = dataclasses.replace(parse_config(json.dumps(raw)), alpha_kind="affine",
+                                  alpha_params={"intercept": 1.0, "slope": -2.0})
+        result = run_experiment(cfg, out_dir=tmp_path)
+        assert result.exit_code == EXIT_CONFIG
+        assert "alpha" in result.message
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["exit_code"] == EXIT_CONFIG
+        assert manifest["config"]["alpha_params"] == {"intercept": 1.0, "slope": -2.0}
+
+    def test_kernel_spot_check_failure_exit_two_with_manifest(self, tmp_path):
+        raw = dict(ALPHA_PARTICLES, model={"kind": "polynomial", "drift_coeffs": [[-1.0]], "cost_coeffs": [[0.0]]})
+        result = run_experiment(parse_config(json.dumps(raw)), out_dir=tmp_path)
+        assert result.exit_code == EXIT_CONFIG
+        assert "negative" in result.message
+        assert json.loads((tmp_path / "manifest.json").read_text())["exit_code"] == EXIT_CONFIG
 
 
 class TestCli:

@@ -108,9 +108,9 @@ class TestMoments:
         assert mean == pytest.approx(1.0, abs=1e-13)
 
     def test_uniform_variance(self):
-        grid = SpaceGrid(0.0, 1.0, 256)
-        d = normalized_density(grid, np.ones(256))
+        grid = SpaceGrid(0.0, 1.0, 8)
+        d = normalized_density(grid, np.ones(8))
         _, mean, var = moments(d)
         assert mean == pytest.approx(0.5, abs=1e-13)
-        # midpoint quadrature of the uniform variance is 1/12 - dx^2/12
-        assert abs(var - 1.0 / 12.0) <= grid.dx**2
+        # cell-center spread 1/12 - dx^2/12 plus the intra-cell variance dx^2/12
+        assert abs(var - 1.0 / 12.0) <= 1e-15

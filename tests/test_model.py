@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -263,3 +265,70 @@ class TestDensityGrid:
         values = values / (np.sum(values) / 16)
         d = DensityGrid(grid, values)
         assert d.cell_averages.min() >= 0.0
+
+
+def _dense(model):
+    """The same kernels without their coefficient tables: the pairwise and mesh path."""
+    return dataclasses.replace(model, drift_poly=None, cost_poly=None)
+
+
+def _random_polynomial_model(rng, n):
+    """Drift and cost tables of total degree <= 3 with standard normal coefficients."""
+    a, b = np.indices((4, 4))
+    low_degree = (a + b <= 3).astype(float)
+    return polynomial_model(n, 1.0, rng.normal(size=(4, 4)) * low_degree, rng.normal(size=(4, 4)) * low_degree)
+
+
+class TestStructuredPath:
+    @pytest.mark.parametrize("shift", [0.0, 1e3])
+    @pytest.mark.parametrize("kind", ["consensus", "polynomial"])
+    def test_moments_match_dense_path(self, kind, shift):
+        rng = np.random.Generator(np.random.Philox(key=31))
+        for _ in range(5):
+            n = int(rng.integers(2, 60))
+            model = consensus_model(n, 1.0) if kind == "consensus" else _random_polynomial_model(rng, n)
+            assert model.drift_poly is not None and model.cost_poly is not None
+            dense = _dense(model)
+            x = ParticleEnsemble(rng.random(n) + shift)
+            grid = SpaceGrid(shift, shift + 1.0, int(rng.integers(8, 80)))
+            dens = normalized_density(grid, rng.random(grid.cells))
+            cases = [
+                (drift(model, x), drift(dense, x)),
+                (cost_grad_vector(model, x), cost_grad_vector(dense, x)),
+                (mean_field_drift(model, grid.faces(), dens), mean_field_drift(dense, grid.faces(), dens)),
+                (mean_field_cost_grad(model, grid.faces(), dens), mean_field_cost_grad(dense, grid.faces(), dens)),
+                (mean_field_cost(model, grid.centers(), dens), mean_field_cost(dense, grid.centers(), dens)),
+            ]
+            for got, want in cases:
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_scalar_slope_matches_vector_on_structured_path(self):
+        rng = np.random.Generator(np.random.Philox(key=32))
+        model = _random_polynomial_model(rng, 9)
+        x = ParticleEnsemble(rng.normal(size=9))
+        vec = cost_grad_vector(model, x)
+        for i in range(9):
+            assert vec[i] == cost_grad(model, x, i)
+
+    def test_scalar_point_gives_float(self):
+        m = consensus_model(2, 1.0)
+        grid = SpaceGrid(0.0, 1.0, 16)
+        dens = normalized_density(grid, np.ones(16))
+        assert isinstance(mean_field_drift(m, 0.25, dens), float)
+        assert mean_field_drift(m, 0.25, dens) == pytest.approx(0.25, abs=1e-15)
+
+    def test_stale_table_rejected_at_construction(self):
+        m = consensus_model(3, 1.0)
+        with pytest.raises(ValueError, match="drift_poly does not reproduce drift_kernel"):
+            dataclasses.replace(m, drift_kernel=lambda x, y: 1.0 + 0.1 * x)
+        with pytest.raises(ValueError, match="cost_poly does not reproduce cost_kernel_dx"):
+            dataclasses.replace(m, cost_kernel_dx=lambda x, y: 2.0 * (x - y))
+        with pytest.raises(ValueError, match="cost_poly does not reproduce cost_kernel "):
+            dataclasses.replace(m, cost_poly=[[0.0, 0.0, 1.0], [0.0, -2.0, 0.0], [1.0, 0.0, 0.0]])
+
+    def test_equivalent_kernels_keep_the_table(self):
+        # wrapping a kernel (as a call counter does) leaves the model on the structured path
+        m = consensus_model(3, 1.0)
+        wrapped = dataclasses.replace(m, drift_kernel=lambda x, y: m.drift_kernel(x, y))
+        assert np.array_equal(wrapped.drift_poly, m.drift_poly)
+        assert bounded_confidence_model(3, 1.0, radius=0.5).drift_poly is None
