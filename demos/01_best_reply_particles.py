@@ -11,17 +11,17 @@ import numpy as np
 
 from mfglab import ParticleEnsemble, consensus_model, integrate_brs
 
-model = consensus_model(2, horizon=1.0)
+model = consensus_model()
 start = ParticleEnsemble(np.array([0.0, 1.0]))
 
 print("step size      gap(T=1)      closed form    error")
 for dt in (1 / 25, 1 / 50, 1 / 100, 1 / 200, 1 / 400):
-    trajectory, controls = integrate_brs(model, start, dt)
+    trajectory, controls = integrate_brs(model, start, 1.0, dt)
     gap = trajectory.positions[-1, 1] - trajectory.positions[-1, 0]
     print(f"{dt:10.5f}   {gap:.8f}   {np.exp(-3.0):.8f}   {abs(gap - np.exp(-3.0)):.2e}")
 
 # the pairwise forces are antisymmetric, so the ensemble mean never moves
-trajectory, controls = integrate_brs(model, start, 1 / 200)
+trajectory, controls = integrate_brs(model, start, 1.0, 1 / 200)
 means = trajectory.positions.mean(axis=1)
 print(f"\nmean drift over the run: {np.max(np.abs(means - 0.5)):.2e}")
 

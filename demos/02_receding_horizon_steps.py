@@ -14,14 +14,14 @@ from mfglab import ParticleEnsemble, brs_control, consensus_model, mpc_step_exac
 state = ParticleEnsemble(np.array([0.0, 1.0]))
 
 # constant weight: all three controls coincide
-model = consensus_model(2, horizon=1.0, alpha=1.0)
+model = consensus_model(alpha=1.0)
 exact, _ = mpc_step_exact(model, state, 0.0, 0.1)
 taylor, _ = mpc_step_taylor(model, state, 0.0, 0.1)
 myopic = brs_control(model, state, 0.0)
 print("constant weight: exact", exact, " expanded", taylor, " best reply", myopic)
 
 # growing weight alpha(t) = 1 + t: the exact step is more cautious
-model = consensus_model(2, horizon=1.0, alpha=lambda t: 1.0 + t)
+model = consensus_model(alpha=lambda t: 1.0 + t)
 print("\nwindow size    exact u_0     expanded u_0   gap        gap/dt")
 gaps = []
 for dt in (0.2, 0.1, 0.05, 0.025, 0.0125):

@@ -11,11 +11,11 @@ import numpy as np
 
 from mfglab import ParticleEnsemble, consensus_model, integrate_brs, nash_sweep, value
 
-model = consensus_model(4, horizon=1.0)
+model = consensus_model()
 start = ParticleEnsemble(np.array([-0.75, -0.25, 0.25, 0.75]))
-dt = 1 / 200
+horizon, dt = 1.0, 1 / 200
 
-result = nash_sweep(model, start, dt)
+result = nash_sweep(model, start, horizon, dt)
 print(f"converged: {result.converged} after {result.iterations} sweeps, residual {result.residual:.2e}")
 print("residual history:", " ".join(f"{r:.1e}" for r in result.residual_history[:8]), "...")
 
@@ -24,7 +24,7 @@ u = result.controls.values
 print(f"\nmirror antisymmetry |u_0 + u_3|: {np.max(np.abs(u[0] + u[3])):.2e}")
 
 # compare the anticipating controls with the myopic best reply, player by player
-_, myopic = integrate_brs(model, start, dt)
+_, myopic = integrate_brs(model, start, horizon, dt)
 print("\nplayer   u*(0)        u_brs(0)     V(game)     V(myopic)")
 for i in range(4):
     v_game = value(model, 0.0, start, result.controls, i)

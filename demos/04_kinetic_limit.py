@@ -21,20 +21,19 @@ horizon = 0.5
 
 grid = grid_for_support(BUMP["lo"], BUMP["hi"], 512)
 m0 = density_of(BUMP, grid)
-field_model = consensus_model(2, horizon)
-dt_kinetic = cfl_time_step(field_model, m0, horizon)
-kinetic = solve_kinetic(field_model, m0, dt_kinetic)
+model = consensus_model()  # one model for the kinetic march and every particle count
+dt_kinetic = cfl_time_step(model, m0, horizon)
+kinetic = solve_kinetic(model, m0, horizon, dt_kinetic)
 _, mean_t, var_t = moments(kinetic.final)
 print(f"kinetic march: {len(kinetic) - 1} steps of {dt_kinetic:.5f}")
 print(f"final mean {mean_t:.6f}, final variance {var_t:.6f} (continuum factor e^-2 = {np.exp(-2):.4f})")
 
 print("\n    N    mean W1      per-seed min/max (10 seeds)")
 for n in (64, 256, 1024):
-    model = consensus_model(n, horizon)
     vals = []
     for seed in range(10):
         start = sample_initial(1000 + seed, n, BUMP)
-        trajectory, _ = integrate_brs(model, start, 1 / 200, scheme="taylor")
+        trajectory, _ = integrate_brs(model, start, horizon, 1 / 200, scheme="taylor")
         vals.append(w1(empirical(trajectory.ensemble(len(trajectory) - 1)), kinetic.final))
     print(f"{n:5d}   {np.mean(vals):.6f}    [{np.min(vals):.6f}, {np.max(vals):.6f}]")
 

@@ -26,12 +26,12 @@ from mfglab.kinetic import cfl_time_step
 BUMP = {"kind": "gaussian", "mu": 0.5, "sigma": 0.12, "lo": 0.26, "hi": 0.74}
 horizon = 0.5
 
-model = consensus_model(2, horizon)
+model = consensus_model()
 grid = grid_for_support(BUMP["lo"], BUMP["hi"], 256)
 m0 = density_of(BUMP, grid)
 dt = cfl_time_step(model, m0, horizon, safety=0.4)
 
-result = mfg_fixed_point(model, m0, dt)
+result = mfg_fixed_point(model, m0, horizon, dt)
 print(f"Picard iteration: converged={result.converged} after {result.iterations} steps, "
       f"residual {result.residual:.2e}")
 print("history:", " ".join(f"{r:.1e}" for r in result.residual_history[:8]), "...")
@@ -41,7 +41,7 @@ print(f"\nterminal value slice max: {np.max(np.abs(result.value.data[-1])):.1e}"
 print(f"initial value slice range: [{result.value.data[0].min():.5f}, {result.value.data[0].max():.5f}]")
 
 # population cost: the anticipating feedback cannot lose to the myopic one
-kinetic = solve_kinetic(model, m0, dt)
+kinetic = solve_kinetic(model, m0, horizon, dt)
 cost_game = total_running_cost(model, result.densities, feedback_controls_from_value(model, result.value))
 cost_myopic = total_running_cost(model, kinetic, feedback_controls_best_reply(model, kinetic))
 print(f"\npopulation cost, game feedback:   {cost_game:.6f}")

@@ -19,13 +19,14 @@ from mfglab.kinetic import cfl_time_step
 
 BUMP = {"kind": "gaussian", "mu": 0.5, "sigma": 0.12, "lo": 0.26, "hi": 0.74}
 
-model = consensus_model(2, 0.5)
+model = consensus_model()
+horizon = 0.5
 grid = grid_for_support(BUMP["lo"], BUMP["hi"], 256)
 m0 = density_of(BUMP, grid)
 
-dt = cfl_time_step(model, m0, 0.5)
-closure = mpc_mfg_closure(model, m0, dt)
-kinetic = solve_kinetic(model, m0, dt)
+dt = cfl_time_step(model, m0, horizon)
+closure = mpc_mfg_closure(model, m0, horizon, dt)
+kinetic = solve_kinetic(model, m0, horizon, dt)
 print("closure march == kinetic march, bitwise:", np.array_equal(closure.data, kinetic.data))
 
 print("\nwindow dt     sup_x |v(0,x)/dt - H(x, m0)|")

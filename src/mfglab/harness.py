@@ -491,14 +491,14 @@ def _truncated_pdf(x: np.ndarray, mu: float, sigma: float, lo: float, hi: float)
 # model construction and CSV emission
 
 
-def build_model(cfg: ExperimentConfig, n_particles: int) -> ModelSpec:
+def build_model(cfg: ExperimentConfig) -> ModelSpec:
+    """The configured interaction model; raises ``ValueError`` when its kernels fail the construction checks."""
     alpha = _build_alpha(cfg.alpha_kind, cfg.alpha_params)
     if cfg.model_kind == "consensus":
-        return consensus_model(n_particles, cfg.horizon, alpha)
+        return consensus_model(alpha)
     if cfg.model_kind == "bounded_confidence":
-        return bounded_confidence_model(n_particles, cfg.horizon, cfg.model_params["radius"], alpha)
+        return bounded_confidence_model(cfg.model_params["radius"], alpha)
     return polynomial_model(
-        n_particles, cfg.horizon,
         np.asarray(cfg.model_params["drift_coeffs"], dtype=float),
         np.asarray(cfg.model_params["cost_coeffs"], dtype=float),
         alpha,
@@ -549,24 +549,15 @@ def write_trajectory_csv(path: Path, trajectory: ParticleTrajectory, controls: C
     return write_csv(path, ["t", "i", "x", "u"], rows)
 
 
-def write_density_csv(path: Path, densities: DensityTrajectory) -> Path:
-    centers = densities.grid.centers()
-    rows = [
-        (t, centers[k], densities.data[step, k])
-        for step, t in enumerate(densities.times)
-        for k in range(densities.grid.cells)
-    ]
-    return write_csv(path, ["t", "x_center", "m"], rows)
-
-
-def write_value_csv(path: Path, value_grid: ValueGrid) -> Path:
-    centers = value_grid.grid.centers()
-    rows = [
-        (t, centers[k], value_grid.data[step, k])
-        for step, t in enumerate(value_grid.times)
-        for k in range(value_grid.grid.cells)
-    ]
-    return write_csv(path, ["t", "x", "v"], rows)
+def write_grid_path_csv(path: Path, header: list[str], values: DensityTrajectory | ValueGrid) -> Path:
+    """Rows (t, x, value), one per time and cell center, of a density path or a value grid."""
+    centers = values.grid.centers()
+    rows = (
+        (t, centers[k], values.data[step, k])
+        for step, t in enumerate(values.times)
+        for k in range(values.grid.cells)
+    )
+    return write_csv(path, header, rows)
 
 
 def write_controls_csv(path: Path, controls: ControlProfile) -> Path:
@@ -598,8 +589,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str | None = None, job
 
     Solver failures (divergence, CFL violation, non-convergence) produce exit
     code 3 with the failing stage named; validation failures found while
-    running (``ConfigError``, e.g. a nonpositive control weight) produce exit
-    code 2. Both are reported, not raised, and every exit writes the manifest.
+    running (``ConfigError``, e.g. a nonpositive control weight, or a model
+    whose kernels fail the construction checks) produce exit code 2. Both are
+    reported, not raised, and every exit writes the manifest.
     """
     start = time.monotonic()
     out = Path(out_dir) if out_dir is not None else Path(cfg.output or "results")
@@ -612,8 +604,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str | None = None, job
         "nash_vs_brs": _run_nash_vs_brs,
     }[cfg.experiment]
     try:
-        _spot_check_kernels(cfg)
-        artifacts, message = driver(cfg, out, jobs)
+        try:
+            model = build_model(cfg)
+        except ValueError as exc:
+            raise ConfigError([f"model: {exc}"]) from None
+        _spot_check_kernels(cfg, model)
+        artifacts, message = driver(cfg, model, out, jobs)
         code = EXIT_OK
     except ConfigError as exc:
         artifacts, message = [], f"validation failed: {exc}"
@@ -635,9 +631,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str | None = None, job
     return RunResult(code, artifacts, message)
 
 
-def _spot_check_kernels(cfg: ExperimentConfig) -> None:
+def _spot_check_kernels(cfg: ExperimentConfig, model: ModelSpec) -> None:
     """Sample the drift kernel on the experiment domain: bounded and nonnegative."""
-    model = build_model(cfg, cfg.n_particles or 2)
     lo, hi = _support_of(cfg.initial)
     pts = np.linspace(lo, hi, 17)
     vals = np.asarray(model.drift_kernel(
@@ -649,20 +644,18 @@ def _spot_check_kernels(cfg: ExperimentConfig) -> None:
         raise ConfigError([f"drift kernel is negative on the experiment domain (min {np.min(vals):.3e})"])
 
 
-def _run_particle_vs_kinetic(cfg: ExperimentConfig, out: Path, jobs: int):
+def _run_particle_vs_kinetic(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: int):
     grid = build_grid(cfg)
     m0 = density_of(cfg.initial, grid)
-    field_model = build_model(cfg, cfg.n_particles_list[0])
-    dt_kin = cfl_time_step(field_model, m0, cfg.horizon)
-    kinetic_final = solve_kinetic(field_model, m0, dt_kin).final
+    dt_kin = cfl_time_step(model, m0, cfg.horizon)
+    kinetic_final = solve_kinetic(model, m0, cfg.horizon, dt_kin).final
 
     cells = [(n, cfg.seed + k) for n in cfg.n_particles_list for k in range(cfg.n_seeds)]
 
     def run_cell(cell):
         n, cell_seed = cell
-        model = build_model(cfg, n)
         start = sample_initial(cell_seed, n, cfg.initial)
-        trajectory, _ = integrate_brs(model, start, cfg.dt, scheme="taylor")
+        trajectory, _ = integrate_brs(model, start, cfg.horizon, cfg.dt, scheme="taylor")
         dist = w1(empirical(trajectory.ensemble(len(trajectory) - 1)), kinetic_final)
         return n, cell_seed, dist
 
@@ -682,8 +675,7 @@ def _run_particle_vs_kinetic(cfg: ExperimentConfig, out: Path, jobs: int):
     return artifacts, f"{len(cells)} cells against the kinetic solution (dt_kinetic={dt_kin:.6g})"
 
 
-def _run_mpc_vs_brs(cfg: ExperimentConfig, out: Path, jobs: int):
-    model = build_model(cfg, cfg.n_particles)
+def _run_mpc_vs_brs(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: int):
     start = sample_initial(cfg.seed, cfg.n_particles, cfg.initial)
     rows = []
     for dt in cfg.dt_list:
@@ -699,29 +691,30 @@ def _run_mpc_vs_brs(cfg: ExperimentConfig, out: Path, jobs: int):
     return artifacts, f"{len(rows)} step sizes compared"
 
 
-def _run_mfg_vs_brs(cfg: ExperimentConfig, out: Path, jobs: int):
-    model = build_model(cfg, cfg.n_particles or 2)
-    grid = build_grid(cfg)
-    m0 = density_of(cfg.initial, grid)
-    params = PicardParams(
+def _picard_params(cfg: ExperimentConfig) -> PicardParams:
+    return PicardParams(
         max_iterations=cfg.solver_max_iterations or 200,
         tolerance=cfg.solver_tolerance,
         damping=cfg.solver_damping,
     )
-    result = mfg_fixed_point(model, m0, cfg.dt, params)
+
+
+def _run_mfg_vs_brs(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: int):
+    m0 = density_of(cfg.initial, build_grid(cfg))
+    result = mfg_fixed_point(model, m0, cfg.horizon, cfg.dt, _picard_params(cfg))
     if not result.converged:
         raise NumericalError(
             f"coupled fixed point did not converge (residual {result.residual:.3e} "
             f"after {result.iterations} iterations)"
         )
-    kin = solve_kinetic(model, m0, cfg.dt)
+    kin = solve_kinetic(model, m0, cfg.horizon, cfg.dt)
     dist = w1(result.densities.final, kin.final)
     cost_game = total_running_cost(model, result.densities, feedback_controls_from_value(model, result.value))
     cost_myopic = total_running_cost(model, kin, feedback_controls_best_reply(model, kin))
     artifacts = [
-        write_value_csv(out / "value.csv", result.value),
-        write_density_csv(out / "density_mfg.csv", result.densities),
-        write_density_csv(out / "density_brs.csv", kin),
+        write_grid_path_csv(out / "value.csv", ["t", "x", "v"], result.value),
+        write_grid_path_csv(out / "density_mfg.csv", ["t", "x_center", "m"], result.densities),
+        write_grid_path_csv(out / "density_brs.csv", ["t", "x_center", "m"], kin),
         write_csv(out / "convergence.csv", ["iteration", "residual"],
                   list(enumerate(result.residual_history, start=1))),
         write_csv(out / "summary.csv", ["metric", "value"], [
@@ -736,35 +729,28 @@ def _run_mfg_vs_brs(cfg: ExperimentConfig, out: Path, jobs: int):
     return artifacts, f"fixed point in {result.iterations} iterations, W1(final) = {dist:.3e}"
 
 
-def _run_prop2_gap(cfg: ExperimentConfig, out: Path, jobs: int):
-    model = build_model(cfg, cfg.n_particles or 2)
-    grid = build_grid(cfg)
-    m0 = density_of(cfg.initial, grid)
-    params = PicardParams(
-        max_iterations=cfg.solver_max_iterations or 200,
-        tolerance=cfg.solver_tolerance,
-        damping=cfg.solver_damping,
-    )
+def _run_prop2_gap(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: int):
+    m0 = density_of(cfg.initial, build_grid(cfg))
+    params = _picard_params(cfg)
     rows = [(dt, proposition2_gap(model, m0, dt, params)) for dt in cfg.dt_list]
     artifacts = [write_csv(out / "gaps.csv", ["dt", "gap"], rows)]
     return artifacts, f"{len(rows)} window sizes"
 
 
-def _run_nash_vs_brs(cfg: ExperimentConfig, out: Path, jobs: int):
-    model = build_model(cfg, cfg.n_particles)
+def _run_nash_vs_brs(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: int):
     start = sample_initial(cfg.seed, cfg.n_particles, cfg.initial)
     params = SweepParams(
         max_iterations=cfg.solver_max_iterations or 500,
         tolerance=cfg.solver_tolerance,
         relaxation=cfg.solver_damping,
     )
-    result = nash_sweep(model, start, cfg.dt, params)
+    result = nash_sweep(model, start, cfg.horizon, cfg.dt, params)
     if not result.converged:
         raise NumericalError(
             f"sweep did not converge (residual {result.residual:.3e} "
             f"after {result.iterations} iterations)"
         )
-    _, brs_profile = integrate_brs(model, start, cfg.dt, scheme="taylor")
+    _, brs_profile = integrate_brs(model, start, cfg.horizon, cfg.dt, scheme="taylor")
     u_game = result.controls.values[:, 0]
     u_myopic = brs_profile.values[:, 0]
     rows = []

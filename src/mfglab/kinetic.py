@@ -23,30 +23,10 @@ import math
 import numpy as np
 
 from .errors import CFLError
-from .grids import (
-    DensityGrid,
-    DensityTrajectory,
-    SpaceGrid,
-    grid_for_support,
-    histogram,
-    normalized_density,
-    time_grid,
-)
+from .grids import DensityGrid, DensityTrajectory, time_grid
 from .model import ModelSpec, alpha_at, mean_field_cost_grad, mean_field_drift
 
-__all__ = [
-    "SpaceGrid",
-    "DensityGrid",
-    "DensityTrajectory",
-    "grid_for_support",
-    "histogram",
-    "normalized_density",
-    "velocity_field",
-    "step_upwind",
-    "solve_kinetic",
-    "cfl_time_step",
-    "CFL_NUMBER",
-]
+__all__ = ["velocity_field", "step_upwind", "solve_kinetic", "cfl_time_step", "CFL_NUMBER"]
 
 CFL_NUMBER = 0.9
 
@@ -90,14 +70,14 @@ def step_upwind(m: DensityGrid, face_velocity: np.ndarray, dt: float) -> Density
     return DensityGrid(grid, new_values)
 
 
-def solve_kinetic(model: ModelSpec, m0: DensityGrid, dt: float) -> DensityTrajectory:
-    """March the best-reply transport equation to the model horizon.
+def solve_kinetic(model: ModelSpec, m0: DensityGrid, horizon: float, dt: float) -> DensityTrajectory:
+    """March the best-reply transport equation on [0, horizon].
 
     The velocity is rebuilt from the current density before every step and the
     CFL restriction is re-checked; a violation raises ``CFLError`` carrying the
     step index so the caller can halve dt and retry.
     """
-    n_steps, times = time_grid(model.horizon, dt)
+    n_steps, times = time_grid(horizon, dt)
     data = np.empty((n_steps + 1, m0.grid.cells))
     data[0] = m0.cell_averages
     current = m0

@@ -21,7 +21,7 @@ equation; discretely the two marches coincide bitwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,10 +155,11 @@ def fp_forward(model: ModelSpec, value: ValueGrid, m0: DensityGrid) -> DensityTr
 def mfg_fixed_point(
     model: ModelSpec,
     m0: DensityGrid,
+    horizon: float,
     dt: float,
     params: PicardParams = PicardParams(),
 ) -> MFGResult:
-    """Damped Picard iteration on the density path of the coupled system.
+    """Damped Picard iteration on the density path of the coupled system on [0, horizon].
 
     Starts from the transport of m0 by F alone, then alternates a backward
     value solve and a forward density solve, mixing density paths slice-wise
@@ -166,7 +167,7 @@ def mfg_fixed_point(
     largest L1 distance between successive paths at any time slice.
     Non-convergence is reported through the flag, never raised.
     """
-    n_steps, times = time_grid(model.horizon, dt)
+    n_steps, times = time_grid(horizon, dt)
     grid = m0.grid
     zero_value = ValueGrid(grid, times, np.zeros((n_steps + 1, grid.cells)))
     current = fp_forward(model, zero_value, m0)
@@ -198,7 +199,7 @@ def mfg_fixed_point(
     )
 
 
-def mpc_mfg_closure(model: ModelSpec, m0: DensityGrid, dt: float) -> DensityTrajectory:
+def mpc_mfg_closure(model: ModelSpec, m0: DensityGrid, horizon: float, dt: float) -> DensityTrajectory:
     """Receding-horizon closure of the game system.
 
     On each step the freshly re-started backward value equation is replaced by
@@ -206,7 +207,7 @@ def mpc_mfg_closure(model: ModelSpec, m0: DensityGrid, dt: float) -> DensityTraj
     the density advances with velocity F - (1/alpha) dH/dx. That is exactly the
     best-reply transport march: the output matches ``solve_kinetic`` bitwise.
     """
-    return solve_kinetic(model, m0, dt)
+    return solve_kinetic(model, m0, horizon, dt)
 
 
 def proposition2_gap(
@@ -217,16 +218,16 @@ def proposition2_gap(
 ) -> float:
     """Distance between the one-window game value and its short-horizon surrogate.
 
-    Solves the full coupled system on the single window [0, dt] with terminal
-    value zero and returns sup_x | v(0, x)/dt - H(x, m0) |. The value is
-    normalized per unit of window time, the scale on which the short-horizon
-    expansion v(0, .) ~ dt * H(., m0) lives; the gap is O(dt) down to the
-    spatial discretization floor.
+    Solves the full coupled system of the same model on the single window
+    [0, dt], passed as the horizon, with terminal value zero and returns
+    sup_x | v(0, x)/dt - H(x, m0) |. The value is normalized per unit of
+    window time, the scale on which the short-horizon expansion
+    v(0, .) ~ dt * H(., m0) lives; the gap is O(dt) down to the spatial
+    discretization floor.
     """
-    window_model = replace(model, horizon=dt)
     vmax = float(np.max(np.abs(velocity_field(model, m0, 0.0))))
     n_sub = max(2, math.ceil(dt * vmax / (0.45 * m0.grid.dx))) if vmax > 0 else 2
-    result = mfg_fixed_point(window_model, m0, dt / n_sub, params)
+    result = mfg_fixed_point(model, m0, dt, dt / n_sub, params)
     if not result.converged:
         raise NumericalError(
             f"coupled solve on the window [0, {dt}] did not converge "

@@ -99,9 +99,9 @@ def simulate_state(
     times = controls.time_grid
     dt = controls.dt
     n_steps = controls.n_steps
-    if initial.n != model.n_particles:
-        raise ValueError(f"ensemble has {initial.n} particles, model expects {model.n_particles}")
-    positions = np.empty((n_steps + 1, model.n_particles))
+    if initial.n != controls.values.shape[0]:
+        raise ValueError(f"ensemble has {initial.n} particles, controls are for {controls.values.shape[0]}")
+    positions = np.empty((n_steps + 1, initial.n))
     positions[0] = initial.positions
     state = ParticleEnsemble(initial.positions.copy(), time=float(times[0]))
     for step in range(n_steps):
@@ -121,7 +121,7 @@ def solve_adjoint(model: ModelSpec, trajectory: ParticleTrajectory, i: int) -> n
     times = trajectory.times
     dt = uniform_dt(times)
     n_steps = times.size - 1
-    phi = np.zeros((model.n_particles, n_steps + 1))
+    phi = np.zeros((trajectory.n_particles, n_steps + 1))
     for step in range(n_steps - 1, -1, -1):
         state = trajectory.ensemble(step)
         jac = drift_jacobian(model, state)
@@ -172,23 +172,39 @@ def gradient_via_adjoint(
     return weights * controls.values[i, :] + phi[i, 1:]
 
 
+def _forward_backward(
+    model: ModelSpec, initial: ParticleEnsemble, controls: ControlProfile
+) -> tuple[ParticleTrajectory, np.ndarray]:
+    """One sweep: the state under ``controls`` and every player's costates along it."""
+    trajectory = simulate_state(model, initial, controls)
+    return trajectory, np.stack([solve_adjoint(model, trajectory, i) for i in range(initial.n)])
+
+
 def nash_sweep(
     model: ModelSpec,
     initial: ParticleEnsemble,
+    horizon: float,
     dt: float,
     params: SweepParams = SweepParams(),
     record_history: bool = False,
 ) -> NashResult:
-    """Damped fixed-point iteration on the stationarity system of all N players.
+    """Damped fixed-point iteration on the stationarity system of all N players on [0, horizon].
 
     Each sweep simulates the state forward, solves every player's costate
     backward, and relaxes the controls towards u_{i,l} = -phi^i_i(t_{l+1}) /
     alpha(t_l). The residual max |alpha u + phi^i_i| is the exact sup-norm of
     the discrete cost gradients, so it vanishes precisely at a stationary
-    (open-loop Nash) point. Non-convergence is reported, never raised.
+    (open-loop Nash) point.
+
+    Non-convergence is reported, never raised. When a sweep after the first
+    diverges (``DivergenceError`` from the state, ``NumericalError`` from a
+    costate), the iteration stops with ``converged=False`` and returns the last
+    finite iterate with its residual history. The first sweep runs the
+    uncontrolled system; if that diverges there is no iterate to report and
+    the error propagates.
     """
-    n_steps, times = time_grid(model.horizon, dt)
-    n = model.n_particles
+    n_steps, times = time_grid(horizon, dt)
+    n = initial.n
     weights = np.array([alpha_at(model, float(t)) for t in times[:-1]])
     controls = np.zeros((n, n_steps))
     history: list[float] = []
@@ -198,12 +214,15 @@ def nash_sweep(
     iterations = 0
 
     while iterations < params.max_iterations:
+        profile = ControlProfile(controls, times)
+        try:
+            trajectory, costates = _forward_backward(model, initial, profile)
+        except (DivergenceError, NumericalError):
+            if not history:
+                raise
+            break  # trajectory and costates still hold the last finite iterate
+        accepted = profile
         iterations += 1
-        profile = ControlProfile(controls.copy(), times)
-        trajectory = simulate_state(model, initial, profile)
-        costates = np.empty((n, n, n_steps + 1))
-        for i in range(n):
-            costates[i] = solve_adjoint(model, trajectory, i)
         own = np.stack([costates[i, i, 1:] for i in range(n)])  # phi^i_i(t_{l+1})
         residual = float(np.max(np.abs(weights[None, :] * controls + own)))
         history.append(residual)
@@ -218,7 +237,7 @@ def nash_sweep(
         controls = (1.0 - theta) * controls + theta * proposal
 
     return NashResult(
-        controls=ControlProfile(controls, times),
+        controls=accepted,
         trajectory=trajectory,
         adjoints=AdjointField(costates, times),
         residual=residual,

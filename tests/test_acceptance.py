@@ -49,7 +49,7 @@ def report(number, passed, elapsed, budget, detail):
 
 def test_criterion_01_mpc_equals_brs_for_constant_weight():
     start = time.monotonic()
-    model = consensus_model(4, 1.0)
+    model = consensus_model()
     state = ParticleEnsemble(np.array([-0.9, -0.1, 0.3, 1.2]))
     worst = 0.0
     for dt in (0.1, 0.02):
@@ -63,7 +63,7 @@ def test_criterion_01_mpc_equals_brs_for_constant_weight():
 
 def test_criterion_02_mpc_gap_first_order_in_dt():
     start = time.monotonic()
-    model = consensus_model(2, 1.0, alpha=lambda t: 1.0 + t)
+    model = consensus_model(alpha=lambda t: 1.0 + t)
     state = ParticleEnsemble(np.array([0.0, 1.0]))
     gaps = []
     for dt in (0.1, 0.05, 0.025):
@@ -79,7 +79,7 @@ def test_criterion_02_mpc_gap_first_order_in_dt():
 def test_criterion_03_adjoint_gradient_matches_finite_differences():
     start = time.monotonic()
     n, n_steps, horizon = 4, 50, 1.0
-    model = consensus_model(n, horizon)
+    model = consensus_model()
     rng = np.random.Generator(np.random.Philox(key=123))
     times = (horizon / n_steps) * np.arange(n_steps + 1)
     profile = ControlProfile(rng.normal(size=(n, n_steps)), times)
@@ -105,9 +105,9 @@ def test_criterion_03_adjoint_gradient_matches_finite_differences():
 
 def test_criterion_04_nash_sweep_reaches_stationarity():
     start = time.monotonic()
-    model = consensus_model(4, 1.0)
+    model = consensus_model()
     initial = ParticleEnsemble(np.array([-1.0, -0.2, 0.3, 1.1]))
-    result = nash_sweep(model, initial, 1.0 / 200)
+    result = nash_sweep(model, initial, 1.0, 1.0 / 200)
     elapsed = time.monotonic() - start
     ok = result.converged and result.residual <= 1e-8 and result.iterations <= 500
     report(4, ok, elapsed, 30.0,
@@ -123,15 +123,14 @@ def test_criterion_05_particles_converge_to_kinetic_solution():
     horizon, cells, dt_particle = 0.5, 512, 1.0 / 200
     grid = grid_for_support(BUMP["lo"], BUMP["hi"], cells)
     m0 = density_of(BUMP, grid)
-    field_model = consensus_model(2, horizon)
-    kinetic_final = solve_kinetic(field_model, m0, cfl_time_step(field_model, m0, horizon)).final
+    model = consensus_model()  # one model for the kinetic march and every N
+    kinetic_final = solve_kinetic(model, m0, horizon, cfl_time_step(model, m0, horizon)).final
     means = []
     for n in (128, 512, 2048):
-        model = consensus_model(n, horizon)
         vals = []
         for k in range(10):
             start_state = sample_initial(1000 + k, n, BUMP)
-            trajectory, _ = integrate_brs(model, start_state, dt_particle, scheme="taylor")
+            trajectory, _ = integrate_brs(model, start_state, horizon, dt_particle, scheme="taylor")
             vals.append(w1(empirical(trajectory.ensemble(len(trajectory) - 1)), kinetic_final))
         means.append(float(np.mean(vals)))
     exponent = -np.polyfit(np.log([128.0, 512.0, 2048.0]), np.log(means), 1)[0]
@@ -150,8 +149,8 @@ def test_criterion_06_conservation_suite():
     # kinetic march, 1000 steps
     grid = grid_for_support(BUMP["lo"], BUMP["hi"], 512)
     m0 = density_of(BUMP, grid)
-    model = consensus_model(2, horizon)
-    kin = solve_kinetic(model, m0, horizon / 1000)
+    model = consensus_model()
+    kin = solve_kinetic(model, m0, horizon, horizon / 1000)
     kin_mass_err = float(np.max(np.abs(np.sum(kin.data, axis=1) * grid.dx - 1.0)))
     # game-system forward march, 1000 steps, with a backward-solved value field
     grid2 = grid_for_support(BUMP["lo"], BUMP["hi"], 256)
@@ -162,10 +161,8 @@ def test_criterion_06_conservation_suite():
     fp = fp_forward(model, v, m02)
     fp_mass_err = float(np.max(np.abs(np.sum(fp.data, axis=1) * grid2.dx - 1.0)))
     # particle mean over the full controlled run
-    n = 64
-    pmodel = consensus_model(n, 1.0)
-    start_state = sample_initial(77, n, BUMP)
-    trajectory, _ = integrate_brs(pmodel, start_state, 1.0 / 1000)
+    start_state = sample_initial(77, 64, BUMP)
+    trajectory, _ = integrate_brs(model, start_state, 1.0, 1.0 / 1000)
     mean_drift = float(np.max(np.abs(trajectory.positions.mean(axis=1) - start_state.positions.mean())))
     ok = kin_mass_err <= 1e-12 and fp_mass_err <= 1e-12 and mean_drift <= 1e-10
     elapsed = time.monotonic() - start
@@ -176,12 +173,12 @@ def test_criterion_06_conservation_suite():
 
 def test_criterion_07_receding_horizon_closure_is_bitwise_kinetic():
     start = time.monotonic()
-    model = consensus_model(2, 0.5)
+    model = consensus_model()
     grid = grid_for_support(BUMP["lo"], BUMP["hi"], 256)
     m0 = density_of(BUMP, grid)
     dt = cfl_time_step(model, m0, 0.5)
-    a = mpc_mfg_closure(model, m0, dt)
-    b = solve_kinetic(model, m0, dt)
+    a = mpc_mfg_closure(model, m0, 0.5, dt)
+    b = solve_kinetic(model, m0, 0.5, dt)
     ok = np.array_equal(a.data, b.data) and np.array_equal(a.times, b.times)
     elapsed = time.monotonic() - start
     report(7, ok, elapsed, 1.0, "closure march bitwise identical to the kinetic march")
@@ -189,7 +186,7 @@ def test_criterion_07_receding_horizon_closure_is_bitwise_kinetic():
 
 def test_criterion_08_window_gap_first_order():
     start = time.monotonic()
-    model = consensus_model(2, 0.5)
+    model = consensus_model()
     grid = grid_for_support(BUMP["lo"], BUMP["hi"], 256)
     m0 = density_of(BUMP, grid)
     gaps = [proposition2_gap(model, m0, dt) for dt in (0.1, 0.05, 0.025)]
@@ -205,11 +202,11 @@ def test_criterion_09_game_controls_beat_myopic_on_own_cost():
     # exchangeable two-pair start: every player has the same role, so the
     # anticipating solution must not lose to the myopic one for any of them
     start = time.monotonic()
-    model = consensus_model(4, 1.0)
+    model = consensus_model()
     initial = ParticleEnsemble(np.array([0.0, 0.0, 1.0, 1.0]))
     dt = 1.0 / 200
-    game = nash_sweep(model, initial, dt)
-    _, myopic_profile = integrate_brs(model, initial, dt, scheme="taylor")
+    game = nash_sweep(model, initial, 1.0, dt)
+    _, myopic_profile = integrate_brs(model, initial, 1.0, dt, scheme="taylor")
     worst = -np.inf
     for i in range(4):
         v_game = value(model, 0.0, initial, game.controls, i)
@@ -222,11 +219,11 @@ def test_criterion_09_game_controls_beat_myopic_on_own_cost():
 
 def test_criterion_10_particle_march_is_first_order():
     start = time.monotonic()
-    model = consensus_model(2, 1.0)
+    model = consensus_model()
     initial = ParticleEnsemble(np.array([0.0, 1.0]))
     errors = []
     for dt in (1.0 / 50, 1.0 / 100, 1.0 / 200):
-        trajectory, _ = integrate_brs(model, initial, dt)
+        trajectory, _ = integrate_brs(model, initial, 1.0, dt)
         gap = trajectory.positions[-1, 1] - trajectory.positions[-1, 0]
         errors.append(abs(gap - np.exp(-3.0)))
     ratios = [errors[0] / errors[1], errors[1] / errors[2]]

@@ -241,6 +241,30 @@ class TestRunExperiment:
         assert json.loads((tmp_path / "manifest.json").read_text())["exit_code"] == EXIT_CONFIG
 
 
+    def test_model_construction_failure_exit_two_with_manifest(self, tmp_path, capsys):
+        # the cost table overflows at the sample points, so building the model raises
+        huge = [[0.0, 0.0, 1e308], [0.0, -1e308, 0.0], [1e308, 0.0, 0.0]]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(ALPHA_MPC, model={
+            "kind": "polynomial", "drift_coeffs": [[1.0]], "cost_coeffs": huge})))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["run", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "cost_poly" in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["exit_code"] == EXIT_CONFIG and "model" in manifest["message"]
+
+    def test_nash_divergence_exit_three_with_manifest(self, tmp_path):
+        # undamped sweeps diverge after the first; the sweep reports, the harness fails the stage
+        raw = dict(MINIMAL_NASH, model={"kind": "bounded_confidence", "radius": 0.1}, horizon=2.0,
+                   dt=0.02, n_particles=8, initial={"kind": "uniform", "a": 0.0, "b": 1.0},
+                   solver={"damping": 1.0})
+        result = run_experiment(parse_config(json.dumps(raw)), out_dir=tmp_path)
+        assert result.exit_code == EXIT_SOLVER
+        assert "did not converge" in result.message
+        assert json.loads((tmp_path / "manifest.json").read_text())["exit_code"] == EXIT_SOLVER
+
+
 class TestCli:
     def test_run_roundtrip(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -265,8 +289,8 @@ class TestCsvWriters:
     def test_trajectory_csv_layout(self, tmp_path):
         from mfglab import ParticleEnsemble, consensus_model, integrate_brs
 
-        model = consensus_model(2, 0.1)
-        traj, controls = integrate_brs(model, ParticleEnsemble(np.array([0.0, 1.0])), 0.05)
+        model = consensus_model()
+        traj, controls = integrate_brs(model, ParticleEnsemble(np.array([0.0, 1.0])), 0.1, 0.05)
         path = write_trajectory_csv(tmp_path / "traj.csv", traj, controls)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,i,x,u"

@@ -26,7 +26,7 @@ def bump_density(grid, center, width):
 class TestVelocityField:
     def test_consensus_identity(self):
         # c(x) = 2 (mu - x) when the weight is 1: drift and cost slope contribute equally
-        m = consensus_model(2, 1.0)
+        m = consensus_model()
         grid = SpaceGrid(-1.0, 2.0, 240)
         dens = bump_density(grid, 0.5, 0.2)
         _, mu, _ = moments(dens)
@@ -35,13 +35,13 @@ class TestVelocityField:
         assert np.allclose(c, 2.0 * (mu - faces), atol=1e-9)
 
     def test_zero_kernels(self):
-        m = polynomial_model(2, 1.0, [[0.0]], [[0.0]])
+        m = polynomial_model([[0.0]], [[0.0]])
         grid = SpaceGrid(0.0, 1.0, 64)
         dens = normalized_density(grid, np.ones(64))
         assert np.all(velocity_field(m, dens, 0.0) == 0.0)
 
     def test_odd_about_center_for_symmetric_density(self):
-        m = consensus_model(2, 1.0)
+        m = consensus_model()
         grid = SpaceGrid(-1.0, 1.0, 128)
         dens = bump_density(grid, 0.0, 0.3)
         c = velocity_field(m, dens, 0.0)
@@ -103,20 +103,21 @@ class TestStepUpwind:
 
 class TestSolveKinetic:
     def setup_method(self):
-        self.model = consensus_model(2, 0.5)
+        self.model = consensus_model()
         self.grid = grid_for_support(0.2, 0.8, 256)
         self.m0 = bump_density(self.grid, 0.5, 0.1)
-        self.dt = cfl_time_step(self.model, self.m0, 0.5)
+        self.horizon = 0.5
+        self.dt = cfl_time_step(self.model, self.m0, self.horizon)
 
     def test_mean_conserved_to_first_order(self):
-        path = solve_kinetic(self.model, self.m0, self.dt)
+        path = solve_kinetic(self.model, self.m0, self.horizon, self.dt)
         _, mean0, _ = moments(path.density(0))
         _, mean_t, _ = moments(path.final)
         drift = abs(mean_t - mean0)
         assert drift <= self.grid.dx + self.dt
 
     def test_variance_decays_monotonically(self):
-        path = solve_kinetic(self.model, self.m0, self.dt)
+        path = solve_kinetic(self.model, self.m0, self.horizon, self.dt)
         variances = np.array([moments(path.density(k))[2] for k in range(len(path))])
         assert np.all(np.diff(variances) < 0.0)
         # continuum rate for this model is -4 Var; first-order scheme tracks it loosely
@@ -124,23 +125,23 @@ class TestSolveKinetic:
         assert abs(ratio - np.exp(-2.0)) <= 0.05
 
     def test_symmetry_preserved(self):
-        path = solve_kinetic(self.model, self.m0, self.dt)
+        path = solve_kinetic(self.model, self.m0, self.horizon, self.dt)
         final = path.final.cell_averages
         assert np.max(np.abs(final - final[::-1])) <= 1e-12
 
     def test_mass_and_positivity_along_run(self):
-        path = solve_kinetic(self.model, self.m0, self.dt)
+        path = solve_kinetic(self.model, self.m0, self.horizon, self.dt)
         masses = np.sum(path.data, axis=1) * self.grid.dx
         assert np.max(np.abs(masses - 1.0)) <= 1e-12
         assert path.data.min() >= 0.0
 
     def test_mid_run_cfl_failure_reports_step(self):
         with pytest.raises(CFLError, match="step 0"):
-            solve_kinetic(self.model, self.m0, 0.05)
+            solve_kinetic(self.model, self.m0, self.horizon, 0.05)
 
     def test_dt_must_divide_horizon(self):
         with pytest.raises(ValueError, match="divide"):
-            solve_kinetic(self.model, self.m0, 0.5 / 100.5)
+            solve_kinetic(self.model, self.m0, self.horizon, 0.5 / 100.5)
 
 
 class TestCharacteristics:
@@ -155,7 +156,7 @@ class TestCharacteristics:
             sigma = 0.08
             m0_vals = np.exp(-(((x - 0.5) / sigma) ** 2) / 2)
             dens = normalized_density(grid, m0_vals)
-            model = consensus_model(2, horizon)
+            model = consensus_model()
             faces = velocity_field(model, dens, 0.0)
             dt = 0.45 * grid.dx / np.max(np.abs(faces))
             steps = int(round(horizon / dt))
@@ -196,9 +197,9 @@ class TestHistogram:
 class TestDensityGridStructure:
     def test_density_trajectory_accessors(self):
         grid = SpaceGrid(0.0, 1.0, 16)
-        model = polynomial_model(2, 0.1, [[0.0]], [[0.0]])
+        model = polynomial_model([[0.0]], [[0.0]])
         dens = normalized_density(grid, np.ones(16))
-        path = solve_kinetic(model, dens, 0.05)
+        path = solve_kinetic(model, dens, 0.1, 0.05)
         assert len(path) == 3
         assert isinstance(path.final, DensityGrid)
         assert np.array_equal(path.density(0).cell_averages, dens.cell_averages)

@@ -35,7 +35,7 @@ def constant_path(grid, density, horizon, steps):
 
 class TestHjbBackward:
     def test_zero_cost_zero_value(self):
-        model = polynomial_model(2, 0.5, [[1.0]], [[0.0]])
+        model = polynomial_model([[1.0]], [[0.0]])
         grid = grid_for_support(0.2, 0.8, 64)
         path = constant_path(grid, gaussian_density(grid), 0.5, 40)
         v = hjb_backward(model, path)
@@ -43,7 +43,7 @@ class TestHjbBackward:
 
     def test_constant_cost_linear_in_time(self):
         kappa = 0.8
-        model = polynomial_model(2, 0.5, [[0.0]], [[kappa]])
+        model = polynomial_model([[0.0]], [[kappa]])
         grid = grid_for_support(0.2, 0.8, 64)
         path = constant_path(grid, gaussian_density(grid), 0.5, 50)
         v = hjb_backward(model, path)
@@ -52,7 +52,7 @@ class TestHjbBackward:
 
     def test_short_horizon_second_order(self):
         # sup |v(T - delta) - delta H| = O(delta^2): halving delta -> ratio in [3, 5]
-        model = consensus_model(2, 0.5)
+        model = consensus_model()
         grid = grid_for_support(0.26, 0.74, 256)
         dens = gaussian_density(grid)
         h = np.asarray(mean_field_cost(model, grid.centers(), dens))
@@ -66,7 +66,7 @@ class TestHjbBackward:
         assert 3.0 <= e1 / e2 <= 5.0
 
     def test_terminal_slice_zero(self):
-        model = consensus_model(2, 0.5)
+        model = consensus_model()
         grid = grid_for_support(0.2, 0.8, 64)
         path = constant_path(grid, gaussian_density(grid), 0.5, 64)
         v = hjb_backward(model, path)
@@ -82,7 +82,7 @@ class TestHjbBackward:
 
 class TestFpForward:
     def setup_method(self):
-        self.model = consensus_model(2, 0.5)
+        self.model = consensus_model()
         self.grid = grid_for_support(0.26, 0.74, 128)
         self.m0 = gaussian_density(self.grid)
         steps = 200
@@ -112,32 +112,32 @@ class TestFpForward:
 
 class TestFixedPoint:
     def test_zero_cost_converges_in_one_iteration(self):
-        model = polynomial_model(2, 0.25, [[1.0]], [[0.0]])
+        model = polynomial_model([[1.0]], [[0.0]])
         grid = grid_for_support(0.26, 0.74, 64)
         m0 = gaussian_density(grid)
-        res = mfg_fixed_point(model, m0, 0.25 / 64)
+        res = mfg_fixed_point(model, m0, 0.25, 0.25 / 64)
         assert res.converged and res.iterations == 1
         assert np.all(res.value.data == 0.0)
 
     def test_fixture_converges(self):
         # regression fixture: consensus, unit weight, T = 0.5, 256 cells
-        model = consensus_model(2, 0.5)
+        model = consensus_model()
         grid = grid_for_support(0.26, 0.74, 256)
         m0 = gaussian_density(grid)
         dt = cfl_time_step(model, m0, 0.5, safety=0.4)
-        res = mfg_fixed_point(model, m0, dt)
+        res = mfg_fixed_point(model, m0, 0.5, dt)
         assert res.converged
         assert res.residual <= 1e-8
         assert res.iterations <= 200
 
     def test_damping_choices_reach_same_fixed_point(self):
-        model = consensus_model(2, 0.25)
+        model = consensus_model()
         grid = grid_for_support(0.26, 0.74, 128)
         m0 = gaussian_density(grid)
         dt = cfl_time_step(model, m0, 0.25, safety=0.4)
         paths = {}
         for theta in (1.0, 0.5, 0.25):
-            res = mfg_fixed_point(model, m0, dt, PicardParams(damping=theta))
+            res = mfg_fixed_point(model, m0, 0.25, dt, PicardParams(damping=theta))
             assert res.converged, f"theta={theta}"
             paths[theta] = res.densities.data
         for theta in (1.0, 0.25):
@@ -145,32 +145,32 @@ class TestFixedPoint:
             assert l1 <= 1e-6
 
     def test_nonconvergence_flagged(self):
-        model = consensus_model(2, 0.5)
+        model = consensus_model()
         grid = grid_for_support(0.26, 0.74, 64)
         m0 = gaussian_density(grid)
         dt = cfl_time_step(model, m0, 0.5, safety=0.4)
-        res = mfg_fixed_point(model, m0, dt, PicardParams(max_iterations=2))
+        res = mfg_fixed_point(model, m0, 0.5, dt, PicardParams(max_iterations=2))
         assert not res.converged
         assert res.residual > 1e-8
 
 
 class TestClosure:
     def test_bitwise_identical_to_kinetic(self):
-        model = consensus_model(2, 0.5)
+        model = consensus_model()
         grid = grid_for_support(0.26, 0.74, 256)
         m0 = gaussian_density(grid)
         dt = cfl_time_step(model, m0, 0.5)
-        a = mpc_mfg_closure(model, m0, dt)
-        b = solve_kinetic(model, m0, dt)
+        a = mpc_mfg_closure(model, m0, 0.5, dt)
+        b = solve_kinetic(model, m0, 0.5, dt)
         assert np.array_equal(a.data, b.data)
         assert np.array_equal(a.times, b.times)
 
     def test_constant_cost_reduces_to_pure_transport(self):
-        model = polynomial_model(2, 0.25, [[1.0]], [[2.0]])
+        model = polynomial_model([[1.0]], [[2.0]])
         grid = grid_for_support(0.26, 0.74, 64)
         m0 = gaussian_density(grid)
         dt = cfl_time_step(model, m0, 0.25, safety=0.4)
-        closure = mpc_mfg_closure(model, m0, dt)
+        closure = mpc_mfg_closure(model, m0, 0.25, dt)
         steps = round(0.25 / dt)
         times = dt * np.arange(steps + 1)
         zero_v = ValueGrid(grid, times, np.zeros((steps + 1, grid.cells)))
@@ -180,13 +180,13 @@ class TestClosure:
 
 class TestPropositionGap:
     def test_zero_cost_gap_vanishes(self):
-        model = polynomial_model(2, 0.5, [[1.0]], [[0.0]])
+        model = polynomial_model([[1.0]], [[0.0]])
         grid = grid_for_support(0.26, 0.74, 64)
         m0 = gaussian_density(grid)
         assert proposition2_gap(model, m0, 0.05) == 0.0
 
     def test_first_order_in_window_size(self):
-        model = consensus_model(2, 0.5)
+        model = consensus_model()
         grid = grid_for_support(0.26, 0.74, 128)
         m0 = gaussian_density(grid)
         gaps = [proposition2_gap(model, m0, dt) for dt in (0.1, 0.05, 0.025)]
@@ -194,7 +194,7 @@ class TestPropositionGap:
         assert 1.5 <= gaps[1] / gaps[2] <= 3.0
 
     def test_extrapolated_gap_below_grid_floor(self):
-        model = consensus_model(2, 0.5)
+        model = consensus_model()
         grid = grid_for_support(0.26, 0.74, 128)
         m0 = gaussian_density(grid)
         g1, g2 = (proposition2_gap(model, m0, dt) for dt in (0.05, 0.025))
@@ -204,13 +204,13 @@ class TestPropositionGap:
 
 class TestFeedbackCosts:
     def test_game_feedback_not_beaten_by_myopic(self):
-        model = consensus_model(2, 0.25)
+        model = consensus_model()
         grid = grid_for_support(0.26, 0.74, 128)
         m0 = gaussian_density(grid)
         dt = cfl_time_step(model, m0, 0.25, safety=0.4)
-        res = mfg_fixed_point(model, m0, dt)
+        res = mfg_fixed_point(model, m0, 0.25, dt)
         assert res.converged
-        kin = solve_kinetic(model, m0, dt)
+        kin = solve_kinetic(model, m0, 0.25, dt)
         cost_game = total_running_cost(model, res.densities, feedback_controls_from_value(model, res.value))
         cost_myopic = total_running_cost(model, kin, feedback_controls_best_reply(model, kin))
         assert cost_game <= cost_myopic + 1e-6

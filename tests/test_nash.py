@@ -3,8 +3,10 @@ import pytest
 
 from mfglab import (
     ControlProfile,
+    DivergenceError,
     ParticleEnsemble,
     SweepParams,
+    bounded_confidence_model,
     consensus_model,
     gradient_via_adjoint,
     integrate_brs,
@@ -28,22 +30,22 @@ def rng(key):
 
 class TestSimulateState:
     def test_no_forces_constant_trajectory(self):
-        m = polynomial_model(2, 1.0, [[0.0]], [[0.0]])
+        m = polynomial_model([[0.0]], [[0.0]])
         start = ParticleEnsemble(np.array([0.2, 0.9]))
         traj = simulate_state(m, start, grid_profile(2, 10, 1.0))
         assert np.all(traj.positions == start.positions[None, :])
 
     def test_uncontrolled_consensus_decay(self):
         # gap obeys dg/dt = -g without control: e^{-1} at T=1 up to O(dt)
-        m = consensus_model(2, 1.0)
+        m = consensus_model()
         traj = simulate_state(m, ParticleEnsemble(np.array([0.0, 1.0])), grid_profile(2, 400, 1.0))
         gap = traj.positions[-1, 1] - traj.positions[-1, 0]
         assert abs(gap - np.exp(-1.0)) <= 2e-3
 
     def test_reproduces_integrator_bitwise(self):
-        m = consensus_model(3, 1.0, alpha=lambda t: 1.0 + t)
+        m = consensus_model(alpha=lambda t: 1.0 + t)
         start = ParticleEnsemble(np.array([-0.4, 0.3, 1.0]))
-        traj, profile = integrate_brs(m, start, 0.02)
+        traj, profile = integrate_brs(m, start, 1.0, 0.02)
         replay = simulate_state(m, start, profile)
         assert np.array_equal(replay.positions, traj.positions)
 
@@ -52,7 +54,6 @@ class TestSolveAdjoint:
     def test_zero_drift_constant_state_closed_form(self):
         # with P == 0 and a frozen pair (0, 1): phi^i_j(t) = (T - t) * dh_i/dx_j
         m = polynomial_model(
-            2, 1.0,
             [[0.0]],
             np.array([[0.0, 0.0, 0.5], [0.0, -1.0, 0.0], [0.5, 0.0, 0.0]]),  # (x-y)^2/2
         )
@@ -66,13 +67,13 @@ class TestSolveAdjoint:
         assert np.all(phi[:, -1] == 0.0)
 
     def test_constant_cost_zero_adjoint(self):
-        m = polynomial_model(2, 1.0, [[1.0]], [[4.0]])
+        m = polynomial_model([[1.0]], [[4.0]])
         profile = grid_profile(2, 20, 1.0)
         traj = simulate_state(m, ParticleEnsemble(np.array([0.0, 1.0])), profile)
         assert np.all(solve_adjoint(m, traj, 1) == 0.0)
 
     def test_permuted_labels_give_permuted_adjoint(self):
-        m = consensus_model(4, 1.0)
+        m = consensus_model()
         x = np.array([-0.9, -0.1, 0.4, 1.2])
         perm = np.array([3, 0, 2, 1])
         profile = grid_profile(4, 30, 1.0)
@@ -87,14 +88,14 @@ class TestSolveAdjoint:
 
 class TestValue:
     def test_zero_cost_zero_value(self):
-        m = polynomial_model(2, 1.0, [[0.0]], [[0.0]])
+        m = polynomial_model([[0.0]], [[0.0]])
         start = ParticleEnsemble(np.array([0.0, 1.0]))
         assert value(m, 0.0, start, grid_profile(2, 10, 1.0), 0) == 0.0
 
     def test_constant_integrand(self):
         # constant control c and constant cost k: V = (T - t)(a c^2/2 + k)
         kappa = 0.7
-        m = polynomial_model(2, 1.0, [[0.0]], [[kappa]], alpha=2.0)
+        m = polynomial_model([[0.0]], [[kappa]], alpha=2.0)
         c = 0.3
         profile = grid_profile(2, 40, 1.0, values=np.full((2, 40), c))
         start = ParticleEnsemble(np.array([0.0, 1.0]))
@@ -104,13 +105,13 @@ class TestValue:
         assert value(m, 0.5, start, profile, 0) == pytest.approx(expected_half, rel=1e-12)
 
     def test_beyond_horizon_rejected(self):
-        m = consensus_model(2, 1.0)
+        m = consensus_model()
         start = ParticleEnsemble(np.array([0.0, 1.0]))
         with pytest.raises(ValueError, match="horizon"):
             value(m, 1.5, start, grid_profile(2, 10, 1.0), 0)
 
     def test_off_grid_time_rejected(self):
-        m = consensus_model(2, 1.0)
+        m = consensus_model()
         start = ParticleEnsemble(np.array([0.0, 1.0]))
         with pytest.raises(ValueError, match="grid"):
             value(m, 0.05, start, grid_profile(2, 10, 1.0), 0)
@@ -118,7 +119,7 @@ class TestValue:
     def test_newton_step_on_own_control_descends(self):
         # the map u_i -> V_i is quadratic for the consensus model, so one Newton
         # step (Hessian by differencing the exact gradient) reaches the best reply
-        m = consensus_model(2, 1.0)
+        m = consensus_model()
         start = ParticleEnsemble(np.array([0.0, 1.0]))
         n_steps = 20
         g = rng(17)
@@ -140,14 +141,14 @@ class TestValue:
 
 class TestGradientViaAdjoint:
     def test_zero_everything(self):
-        m = polynomial_model(2, 1.0, [[0.0]], [[0.0]])
+        m = polynomial_model([[0.0]], [[0.0]])
         start = ParticleEnsemble(np.array([0.0, 1.0]))
         assert np.all(gradient_via_adjoint(m, start, grid_profile(2, 10, 1.0), 0) == 0.0)
 
     def test_matches_central_differences(self):
         # the core correctness check: exact discrete gradient vs FD of the value
         n, n_steps, horizon = 4, 50, 1.0
-        m = consensus_model(n, horizon)
+        m = consensus_model()
         g = rng(123)
         profile = grid_profile(n, n_steps, horizon, values=g.normal(size=(n, n_steps)))
         start = ParticleEnsemble(g.normal(size=n))
@@ -167,9 +168,9 @@ class TestGradientViaAdjoint:
                 assert abs(grad[l] - fd) <= 1e-5 * max(abs(fd), 1e-8)
 
     def test_converged_sweep_has_small_gradient(self):
-        m = consensus_model(2, 1.0)
+        m = consensus_model()
         start = ParticleEnsemble(np.array([0.0, 1.0]))
-        res = nash_sweep(m, start, 1.0 / 100)
+        res = nash_sweep(m, start, 1.0, 1.0 / 100)
         assert res.converged
         for i in range(2):
             grad = gradient_via_adjoint(m, start, res.controls, i)
@@ -178,37 +179,37 @@ class TestGradientViaAdjoint:
 
 class TestNashSweep:
     def test_zero_cost_converges_immediately(self):
-        m = polynomial_model(3, 1.0, [[1.0]], [[0.0]])
+        m = polynomial_model([[1.0]], [[0.0]])
         start = ParticleEnsemble(np.array([-0.5, 0.0, 0.5]))
-        res = nash_sweep(m, start, 0.05)
+        res = nash_sweep(m, start, 1.0, 0.05)
         assert res.converged and res.iterations == 1
         assert res.residual == 0.0
         assert np.all(res.controls.values == 0.0)
 
     def test_mirror_symmetry(self):
-        m = consensus_model(4, 1.0)
+        m = consensus_model()
         start = ParticleEnsemble(np.array([-0.75, -0.25, 0.25, 0.75]))
-        res = nash_sweep(m, start, 1.0 / 100)
+        res = nash_sweep(m, start, 1.0, 1.0 / 100)
         assert res.converged
         u = res.controls.values
         assert np.max(np.abs(u[0] + u[3])) <= 1e-6
         assert np.max(np.abs(u[1] + u[2])) <= 1e-6
 
     def test_consensus_pair_fixture(self):
-        m = consensus_model(2, 1.0)
+        m = consensus_model()
         start = ParticleEnsemble(np.array([0.0, 1.0]))
-        res = nash_sweep(m, start, 1.0 / 200)
+        res = nash_sweep(m, start, 1.0, 1.0 / 200)
         assert res.converged and res.residual <= 1e-8
-        _, brs_profile = integrate_brs(m, start, 1.0 / 200)
+        _, brs_profile = integrate_brs(m, start, 1.0, 1.0 / 200)
         for i in range(2):
             v_game = value(m, 0.0, start, res.controls, i)
             v_myopic = value(m, 0.0, start, brs_profile, i)
             assert v_game <= v_myopic + 1e-6
 
     def test_merit_decreases_along_sweep(self):
-        m = consensus_model(2, 1.0)
+        m = consensus_model()
         start = ParticleEnsemble(np.array([0.0, 1.0]))
-        res = nash_sweep(m, start, 1.0 / 200, record_history=True)
+        res = nash_sweep(m, start, 1.0, 1.0 / 200, record_history=True)
         merits = []
         for controls in res.control_history:
             profile = ControlProfile(controls, res.controls.time_grid)
@@ -216,24 +217,45 @@ class TestNashSweep:
         assert all(b <= a + 1e-12 for a, b in zip(merits, merits[1:]))
 
     def test_relabeling_equivariance(self):
-        m = consensus_model(4, 1.0)
+        m = consensus_model()
         x = np.array([-0.8, -0.1, 0.4, 0.9])
         perm = np.array([2, 0, 3, 1])
-        r1 = nash_sweep(m, ParticleEnsemble(x), 1.0 / 100)
-        r2 = nash_sweep(m, ParticleEnsemble(x[perm]), 1.0 / 100)
+        r1 = nash_sweep(m, ParticleEnsemble(x), 1.0, 1.0 / 100)
+        r2 = nash_sweep(m, ParticleEnsemble(x[perm]), 1.0, 1.0 / 100)
         assert np.max(np.abs(r1.controls.values[perm] - r2.controls.values)) <= 1e-12
 
     def test_non_convergence_reported_not_raised(self):
-        m = consensus_model(2, 1.0)
+        m = consensus_model()
         start = ParticleEnsemble(np.array([0.0, 1.0]))
-        res = nash_sweep(m, start, 1.0 / 100, SweepParams(max_iterations=2))
+        res = nash_sweep(m, start, 1.0, 1.0 / 100, SweepParams(max_iterations=2))
         assert not res.converged
         assert res.iterations == 2
         assert res.residual > 1e-8
 
+    def test_divergence_after_first_sweep_reported_not_raised(self):
+        # undamped sweeps on a narrow window drive the state past the blow-up bound
+        from mfglab.harness import sample_initial
+
+        m = bounded_confidence_model(radius=0.1)
+        start = sample_initial(0, 8, {"kind": "uniform", "a": 0.0, "b": 1.0})
+        res = nash_sweep(m, start, 2.0, 0.02, SweepParams(relaxation=1.0))
+        assert not res.converged
+        assert 1 < res.iterations < SweepParams().max_iterations
+        assert res.residual_history.size == res.iterations
+        assert res.residual == res.residual_history[-1]
+        # the reported iterate is finite and consistent: its controls replay its trajectory
+        replay = simulate_state(m, start, res.controls)
+        assert np.array_equal(replay.positions, res.trajectory.positions)
+
+    def test_divergence_in_first_sweep_raises(self):
+        # repulsive drift: the uncontrolled first sweep already leaves the bound
+        m = polynomial_model([[-1.0]], [[0.0]])
+        with pytest.raises(DivergenceError, match="bound"):
+            nash_sweep(m, ParticleEnsemble(np.array([0.0, 1.0])), 40.0, 0.05)
+
     def test_adjoint_terminal_slice_zero(self):
-        m = consensus_model(3, 1.0)
-        res = nash_sweep(m, ParticleEnsemble(np.array([-0.3, 0.1, 0.6])), 0.025)
+        m = consensus_model()
+        res = nash_sweep(m, ParticleEnsemble(np.array([-0.3, 0.1, 0.6])), 1.0, 0.025)
         assert np.all(res.adjoints.values[:, :, -1] == 0.0)
 
     def test_sweep_params_validation(self):

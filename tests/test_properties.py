@@ -1,26 +1,37 @@
-"""Property-based checks of the particle evaluations on both paths.
+"""Property-based checks of the particle evaluations, the upwind step and W1.
 
 ``consensus_model`` carries coefficient tables and takes the structured
 (moment) path; ``bounded_confidence_model`` has none and takes the dense
 pairwise path. Both must be equivariant under relabeling the particles, and
 the consensus drift and cost slopes depend on differences only, so they are
-unchanged by a common translation.
+unchanged by a common translation. The upwind step conserves mass and keeps
+densities nonnegative under its CFL restriction, and the exact W1 distance
+is a metric that agrees with the order-statistics formula at equal N.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mfglab import ParticleEnsemble, bounded_confidence_model, consensus_model, cost_grad_vector, drift
+from mfglab import (
+    EmpiricalMeasure,
+    ParticleEnsemble,
+    SpaceGrid,
+    bounded_confidence_model,
+    consensus_model,
+    cost_grad_vector,
+    drift,
+    normalized_density,
+    step_upwind,
+    w1,
+    w1_sorted_atoms,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 positions = st.lists(st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False), min_size=2, max_size=40)
 shifts = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
-MODELS = {
-    "consensus": lambda n: consensus_model(n, 1.0),
-    "bounded_confidence": lambda n: bounded_confidence_model(n, 1.0, radius=0.5),
-}
+MODELS = {"consensus": consensus_model(), "bounded_confidence": bounded_confidence_model(radius=0.5)}
 
 
 def tolerance(x: np.ndarray, shift: float = 0.0) -> float:
@@ -32,7 +43,7 @@ def tolerance(x: np.ndarray, shift: float = 0.0) -> float:
 @given(xs=positions, shift=shifts)
 def test_consensus_translation_leaves_drift_and_slopes_unchanged(xs, shift):
     x = np.asarray(xs)
-    model = consensus_model(x.size, 1.0)
+    model = consensus_model()
     moved = x + shift
     for evaluate in (drift, cost_grad_vector):
         here = evaluate(model, ParticleEnsemble(x))
@@ -45,9 +56,61 @@ def test_consensus_translation_leaves_drift_and_slopes_unchanged(xs, shift):
 def test_relabeling_permutes_drift_and_slopes(data, xs, kind):
     x = np.asarray(xs)
     order = np.asarray(data.draw(st.permutations(range(x.size))))
-    model = MODELS[kind](x.size)
+    model = MODELS[kind]
     assert (model.drift_poly is not None) == (kind == "consensus")
     for evaluate in (drift, cost_grad_vector):
         plain = evaluate(model, ParticleEnsemble(x))
         relabeled = evaluate(model, ParticleEnsemble(x[order]))
         assert np.max(np.abs(relabeled - plain[order])) <= tolerance(x)
+
+
+cell_values = st.lists(st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False), min_size=8, max_size=64)
+atom_lists = st.lists(st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False), min_size=1, max_size=30)
+
+
+def density(values):
+    assume(sum(values) > 1e-3)
+    return normalized_density(SpaceGrid(-1.0, 2.0, len(values)), np.asarray(values))
+
+
+@st.composite
+def measures(draw):
+    """An empirical measure or a density on a grid that straddles the atoms' range."""
+    if draw(st.booleans()):
+        return EmpiricalMeasure(draw(atom_lists))
+    return density(draw(cell_values))
+
+
+@PROPERTY_SETTINGS
+@given(values=cell_values, data=st.data())
+def test_upwind_step_conserves_mass_and_positivity_under_cfl(values, data):
+    m = density(values)
+    cells, dx = m.grid.cells, m.grid.dx
+    faces = np.asarray(data.draw(st.lists(st.floats(-5.0, 5.0, allow_nan=False), min_size=cells + 1,
+                                          max_size=cells + 1)))
+    faces[[0, -1]] = 0.0  # boundary faces carry no flux in any case
+    # a cell loses mass through each face whose velocity points out of it;
+    # the step is monotone while that outflow stays below one cell per step
+    outflow = np.maximum(faces[1:], 0.0) - np.minimum(faces[:-1], 0.0)
+    assume(np.max(outflow) > 0.0)
+    fraction = data.draw(st.floats(0.05, 1.0))
+    dt = fraction * min(dx / np.max(outflow), 0.9 * dx / np.max(np.abs(faces)))
+    out = step_upwind(m, faces, dt)  # a negative cell beyond round-off raises here
+    assert out.clipped_mass <= 1e-15
+    assert abs(out.mass - m.mass) <= 1e-14
+
+
+@PROPERTY_SETTINGS
+@given(a=measures(), b=measures(), c=measures())
+def test_w1_is_a_metric(a, b, c):
+    assert w1(a, a) == 0.0
+    assert w1(a, b) == w1(b, a)
+    assert w1(a, c) <= w1(a, b) + w1(b, c) + 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), n=st.integers(1, 30))
+def test_w1_matches_order_statistics_at_equal_n(data, n):
+    atoms = st.lists(st.floats(-5.0, 5.0, allow_nan=False), min_size=n, max_size=n)
+    a, b = EmpiricalMeasure(data.draw(atoms)), EmpiricalMeasure(data.draw(atoms))
+    assert abs(w1(a, b) - w1_sorted_atoms(a, b)) <= 1e-12
