@@ -4,7 +4,12 @@
 Every player anticipates the others' optimal controls. The stationarity
 system (forward states, backward costates, pointwise control law) is solved
 by a damped fixed-point sweep; the residual is the exact sup-norm of the
-discrete cost gradients.
+discrete cost gradients. Each sweep marches the costates of all players
+backward at once, as one N x N matrix recursion
+
+    Phi(l) = Phi(l+1) + dt * (Phi(l+1) J(X_l) + G(X_l)),   Phi(N_T) = 0,
+
+with J the drift Jacobian and G[i, j] = dh_i/dx_j the cost sensitivities.
 """
 
 import numpy as np
@@ -23,13 +28,14 @@ print("residual history:", " ".join(f"{r:.1e}" for r in result.residual_history[
 u = result.controls.values
 print(f"\nmirror antisymmetry |u_0 + u_3|: {np.max(np.abs(u[0] + u[3])):.2e}")
 
-# compare the anticipating controls with the myopic best reply, player by player
+# compare the anticipating controls with the myopic best reply; value gives
+# every player's cost-to-go at once
 _, myopic = integrate_brs(model, start, horizon, dt)
+v_game = value(model, start, result.controls)
+v_myopic = value(model, start, myopic)
 print("\nplayer   u*(0)        u_brs(0)     V(game)     V(myopic)")
 for i in range(4):
-    v_game = value(model, 0.0, start, result.controls, i)
-    v_myopic = value(model, 0.0, start, myopic, i)
-    print(f"{i:4d}   {u[i, 0]:10.6f}  {myopic.values[i, 0]:10.6f}  {v_game:.6f}    {v_myopic:.6f}")
+    print(f"{i:4d}   {u[i, 0]:10.6f}  {myopic.values[i, 0]:10.6f}  {v_game[i]:.6f}    {v_myopic[i]:.6f}")
 
 print(
     "\nnote: the outer players gain from anticipation while the inner ones lose the\n"

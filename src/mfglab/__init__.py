@@ -55,7 +55,6 @@ from .model import (
     bounded_confidence_model,
     consensus_model,
     cost,
-    cost_grad,
     cost_grad_vector,
     drift,
     mean_field_cost,
@@ -99,7 +98,6 @@ __all__ = [
     "cfl_time_step",
     "consensus_model",
     "cost",
-    "cost_grad",
     "cost_grad_vector",
     "drift",
     "empirical",

@@ -25,7 +25,6 @@ from scipy.special import ndtr, ndtri
 
 from . import __version__ as _version
 from .controller import (
-    ParticleTrajectory,
     brs_control,
     integrate_brs,
     mpc_step_exact,
@@ -538,17 +537,6 @@ def write_csv(path: Path, header: list[str], rows) -> Path:
     return path
 
 
-def write_trajectory_csv(path: Path, trajectory: ParticleTrajectory, controls: ControlProfile) -> Path:
-    """Rows (t, i, x, u), one per step and particle; u is empty on the final slice."""
-    rows = []
-    n_steps = controls.n_steps
-    for step, t in enumerate(trajectory.times):
-        for i in range(trajectory.n_particles):
-            u = _fmt(controls.values[i, step]) if step < n_steps else ""
-            rows.append((t, i, trajectory.positions[step, i], u))
-    return write_csv(path, ["t", "i", "x", "u"], rows)
-
-
 def write_grid_path_csv(path: Path, header: list[str], values: DensityTrajectory | ValueGrid) -> Path:
     """Rows (t, x, value), one per time and cell center, of a density path or a value grid."""
     centers = values.grid.centers()
@@ -753,11 +741,8 @@ def _run_nash_vs_brs(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: i
     _, brs_profile = integrate_brs(model, start, cfg.horizon, cfg.dt, scheme="taylor")
     u_game = result.controls.values[:, 0]
     u_myopic = brs_profile.values[:, 0]
-    rows = []
-    for i in range(cfg.n_particles):
-        v_game = value(model, 0.0, start, result.controls, i)
-        v_myopic = value(model, 0.0, start, brs_profile, i)
-        rows.append((i, u_game[i], u_myopic[i], abs(u_game[i] - u_myopic[i]), v_game, v_myopic))
+    v_game, v_myopic = value(model, start, result.controls), value(model, start, brs_profile)
+    rows = list(zip(range(cfg.n_particles), u_game, u_myopic, np.abs(u_game - u_myopic), v_game, v_myopic))
     artifacts = [
         write_csv(out / "particles.csv",
                   ["i", "u_nash", "u_brs", "abs_gap", "v_nash", "v_brs"], rows),

@@ -14,7 +14,11 @@ Mean-field counterparts replace the sums by integrals against a density m:
 A ``ModelSpec`` holds only the interaction (kernels and control weight): the
 particle functions read N from the ensemble, and the solvers take the horizon
 as an argument, so one model serves the game, every receding window and the
-best-reply limit.
+best-reply limit. Every particle function evaluates all N players at once:
+``drift``, ``cost`` and ``cost_grad_vector`` return length-N vectors, and
+``drift_jacobian`` and ``cost_gradient_full`` the N x N matrices
+J[k, j] = d f_k / d x_j and G[i, j] = d h_i / d x_j, whose diagonal is
+``cost_grad_vector``.
 
 Reproducibility contract:
 
@@ -22,7 +26,7 @@ Reproducibility contract:
   (``_sum_ascending``), so a run repeats bit for bit.
 * A kernel that is a polynomial ``sum_ab C[a, b] x^a y^b`` may carry its
   coefficient table (``ModelSpec.drift_poly``, ``ModelSpec.cost_poly``). Then
-  ``drift``, ``cost_grad``, ``cost_grad_vector`` and the three mean-field
+  ``drift``, ``cost_grad_vector`` and the three mean-field
   quadratures take the structured path: power moments of the ensemble about
   its mean, or of the density about the grid midpoint, reduce the O(N^2) pair
   sums to O(N deg^2) and the quadratures to O(M deg^2) per call.
@@ -180,15 +184,18 @@ def _sum_ascending(values: np.ndarray, axis: int = -1, consume: bool = False) ->
 
 
 def _pair_eval(kernel: Kernel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Evaluate kernel on the full (len(x), len(y)) mesh."""
+    """Evaluate kernel on the full (len(x), len(y)) mesh, as a new array the caller owns."""
     shape = (x.size, y.size)
     xg = np.broadcast_to(x[:, None], shape)
     yg = np.broadcast_to(y[None, :], shape)
-    return np.asarray(kernel(xg, yg), dtype=float)
+    vals = np.asarray(kernel(xg, yg), dtype=float)
+    if vals.shape != shape or vals.base is not None or not vals.flags.writeable:
+        vals = np.array(np.broadcast_to(vals, shape))
+    return vals
 
 
 # ---------------------------------------------------------------------------
-# particle-level evaluations; N is the ensemble size
+# particle-level evaluations; N is the ensemble size, every function returns all players
 
 
 def drift(model: ModelSpec, ensemble: ParticleEnsemble) -> np.ndarray:
@@ -202,71 +209,44 @@ def drift(model: ModelSpec, ensemble: ParticleEnsemble) -> np.ndarray:
     return _sum_ascending(terms, axis=1, consume=True) / x.size
 
 
-def cost(model: ModelSpec, ensemble: ParticleEnsemble, i: int) -> float:
-    """Running cost h_i(X) = (1/(N-1)) sum_{j != i} phi(x_i, x_j)."""
-    x = ensemble.positions
-    _check_index(x.size, i)
-    others = np.delete(x, i)
-    vals = _row_eval(model.cost_kernel, np.full(others.size, x[i]), others)
-    return float(_sum_ascending(vals)) / (x.size - 1)
-
-
-def cost_grad(model: ModelSpec, ensemble: ParticleEnsemble, i: int) -> float:
-    """Own-state cost slope d h_i / d x_i = (1/(N-1)) sum_{j != i} d_x phi(x_i, x_j)."""
-    x = ensemble.positions
-    _check_index(x.size, i)
-    if model.cost_poly is not None:
-        return float(_slope_sums(model.cost_poly, x, slice(i, i + 1))[0]) / (x.size - 1)
-    others = np.delete(x, i)
-    vals = _row_eval(model.cost_kernel_dx, np.full(others.size, x[i]), others)
-    return float(_sum_ascending(vals)) / (x.size - 1)
-
-
-def _row_eval(kernel: Kernel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Elementwise kernel values as a 1D array, stretching scalar results."""
-    vals = np.asarray(kernel(x, y), dtype=float)
-    if vals.shape != y.shape:
-        vals = np.broadcast_to(vals, y.shape)
-    return vals
-
-
-def _check_index(n: int, i: int) -> None:
-    if n < 2:
+def _peers(x: np.ndarray) -> int:
+    """N - 1, the number of peers each player's pairwise cost averages over."""
+    if x.size < 2:
         raise ValueError("pairwise cost needs at least two particles")
-    if not 0 <= i < n:
-        raise ValueError(f"particle index {i} out of range [0, {n})")
+    return x.size - 1
+
+
+def _peer_mean(kernel: Kernel, x: np.ndarray) -> np.ndarray:
+    """(1/(N-1)) sum_{j != i} K(x_i, x_j) for every i, ascending j.
+
+    The excluded diagonal enters the sum as an exact 0.0, which leaves every
+    partial sum unchanged.
+    """
+    peers = _peers(x)
+    mat = _pair_eval(kernel, x, x)
+    np.fill_diagonal(mat, 0.0)
+    return _sum_ascending(mat, axis=1, consume=True) / peers
+
+
+def cost(model: ModelSpec, ensemble: ParticleEnsemble) -> np.ndarray:
+    """Running costs h_i(X) = (1/(N-1)) sum_{j != i} phi(x_i, x_j) of all players."""
+    return _peer_mean(model.cost_kernel, ensemble.positions)
 
 
 def cost_grad_vector(model: ModelSpec, ensemble: ParticleEnsemble) -> np.ndarray:
-    """All own-state cost slopes (d h_i / d x_i)_i in one pass.
-
-    Matches ``cost_grad`` per component bitwise. On the dense path the excluded
-    diagonal enters the ascending sum as an exact 0.0, which leaves every
-    partial sum unchanged; on the structured path both evaluate the same
-    elementwise expressions from the same moments.
-    """
+    """Own-state cost slopes d h_i / d x_i = (1/(N-1)) sum_{j != i} d_x phi(x_i, x_j) of all players."""
     x = ensemble.positions
-    n = x.size
-    if n < 2:
-        raise ValueError("pairwise cost needs at least two particles")
     if model.cost_poly is not None:
-        return _slope_sums(model.cost_poly, x, slice(None)) / (n - 1)
-    mat = _pair_eval(model.cost_kernel_dx, x, x)
-    if mat.shape != (n, n):
-        mat = np.broadcast_to(mat, (n, n))
-    if mat.base is not None or not mat.flags.writeable:
-        mat = mat.copy()
-    np.fill_diagonal(mat, 0.0)
-    return _sum_ascending(mat, axis=1, consume=True) / (n - 1)
+        return _slope_sums(model.cost_poly, x) / _peers(x)
+    return _peer_mean(model.cost_kernel_dx, x)
 
 
-def cost_gradient_full(model: ModelSpec, ensemble: ParticleEnsemble, i: int) -> np.ndarray:
-    """All cost sensitivities d h_i / d x_j; the adjoint source vector for particle i."""
+def cost_gradient_full(model: ModelSpec, ensemble: ParticleEnsemble) -> np.ndarray:
+    """Cost sensitivities G[i, j] = d h_i / d x_j; the diagonal is ``cost_grad_vector``."""
     x = ensemble.positions
-    _check_index(x.size, i)
-    out = _row_eval(model.cost_kernel_dy, np.full(x.size, x[i]), x) / (x.size - 1)
-    out[i] = cost_grad(model, ensemble, i)
-    return out
+    grad = _pair_eval(model.cost_kernel_dy, x, x) / _peers(x)
+    np.fill_diagonal(grad, cost_grad_vector(model, ensemble))
+    return grad
 
 
 def drift_jacobian(model: ModelSpec, ensemble: ParticleEnsemble) -> np.ndarray:
@@ -293,8 +273,7 @@ def _quadrature(kernel: Kernel, x, m: DensityGrid, weight_shift: bool) -> np.nda
     centers = m.grid.centers()
     vals = _pair_eval(kernel, xs, centers)
     if weight_shift:
-        vals = vals * (centers[None, :] - xs[:, None])
-    vals = np.broadcast_to(vals, (xs.size, centers.size))
+        vals *= centers[None, :] - xs[:, None]
     integrand = vals * (m.cell_averages[None, :] * m.grid.dx)
     out = _sum_ascending(integrand, axis=1, consume=True)
     return out if np.ndim(x) else float(out[0])
@@ -339,18 +318,35 @@ def mean_field_cost(model: ModelSpec, x, m: DensityGrid) -> np.ndarray | float:
 # structured path: polynomial kernels evaluated from power moments
 
 
+def _row_eval(kernel: Kernel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Elementwise kernel values as a 1D array, stretching scalar results."""
+    vals = np.asarray(kernel(x, y), dtype=float)
+    if vals.shape != y.shape:
+        vals = np.broadcast_to(vals, y.shape)
+    return vals
+
+
 def _check_table(name: str, table: np.ndarray, kernels: tuple) -> None:
-    """Raise unless the table reproduces the kernel and its derivatives at the samples."""
-    tables = (table, _poly_diff_rows(table), _poly_diff_cols(table))
-    for suffix, kernel, coeffs in zip(("", "_dx", "_dy"), kernels, tables):
-        want = _row_eval(kernel, _SAMPLE_X, _SAMPLE_Y)
-        got = _poly_kernel(coeffs)(_SAMPLE_X, _SAMPLE_Y)
-        gap = np.max(np.abs(want - got))
-        if not gap <= TABLE_RTOL * max(np.max(np.abs(want)), np.max(np.abs(got))):
-            raise ValueError(
-                f"{name}_poly does not reproduce {name}_kernel{suffix} at the sample points "
-                f"(largest difference {gap:.3e})"
-            )
+    """Raise unless the table reproduces the kernel and its derivatives at the samples.
+
+    Runs with numpy's overflow and invalid-value warnings silenced: a table
+    whose derivative or values overflow is named in the ``ValueError`` instead.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        tables = (table, _poly_diff_rows(table), _poly_diff_cols(table))
+        for suffix, kernel, coeffs in zip(("", "_dx", "_dy"), kernels, tables):
+            got = _poly_kernel(coeffs)(_SAMPLE_X, _SAMPLE_Y)
+            if not np.all(np.isfinite(got)):
+                raise ValueError(
+                    f"{name}_poly overflows: its {name}_kernel{suffix} is not finite at the sample points"
+                )
+            want = _row_eval(kernel, _SAMPLE_X, _SAMPLE_Y)
+            gap = np.max(np.abs(want - got))
+            if not gap <= TABLE_RTOL * max(np.max(np.abs(want)), np.max(np.abs(got))):
+                raise ValueError(
+                    f"{name}_poly does not reproduce {name}_kernel{suffix} at the sample points "
+                    f"(largest difference {gap:.3e})"
+                )
 
 
 def _check_derivatives(name: str, kernel: Kernel, kernel_dx: Kernel, kernel_dy: Kernel) -> None:
@@ -442,12 +438,11 @@ def _pair_sums(table: np.ndarray, u: np.ndarray, at: np.ndarray) -> np.ndarray:
     return _moment_eval(table, at, _power_sums(u, 1.0, table.shape[1] - 1))
 
 
-def _slope_sums(cost_poly: np.ndarray, x: np.ndarray, which: slice) -> np.ndarray:
-    """sum_{j != i} d_x phi(x_i, x_j) for the particles i in ``which``: all pairs minus the self pair."""
+def _slope_sums(cost_poly: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_{j != i} d_x phi(x_i, x_j) for every particle i: all pairs minus the self pair."""
     centre, u = _centred(x)
     table = _slope_terms(cost_poly, centre)
-    at = u[which]
-    return _pair_sums(table, u, at) - _diagonal(table, at)
+    return _pair_sums(table, u, u) - _diagonal(table, u)
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +557,8 @@ def _poly_diff_rows(coeffs: np.ndarray) -> np.ndarray:
     if coeffs.shape[0] == 1:
         return np.zeros((1, coeffs.shape[1]))
     rows = np.arange(1, coeffs.shape[0])
-    return coeffs[1:, :] * rows[:, None]
+    with np.errstate(over="ignore"):  # an overflow leaves inf, which the construction check names
+        return coeffs[1:, :] * rows[:, None]
 
 
 def _poly_diff_cols(coeffs: np.ndarray) -> np.ndarray:
@@ -570,4 +566,5 @@ def _poly_diff_cols(coeffs: np.ndarray) -> np.ndarray:
     if coeffs.shape[1] == 1:
         return np.zeros((coeffs.shape[0], 1))
     cols = np.arange(1, coeffs.shape[1])
-    return coeffs[:, 1:] * cols[None, :]
+    with np.errstate(over="ignore"):  # an overflow leaves inf, which the construction check names
+        return coeffs[:, 1:] * cols[None, :]

@@ -5,14 +5,19 @@ Player i minimizes the cost-to-go
     V_i = sum_l dt * ( (alpha(t_l)/2) u_{i,l}^2 + h_i(X_l) )
 
 subject to the explicit Euler dynamics x_{l+1} = x_l + dt (f(X_l) + u_l).
-The costates are the exact discrete sensitivities phi^i_j(l) = dV_i / dx_{l,j},
-obtained by the backward recursion
+The costates are the exact discrete sensitivities phi^i_j(l) = dV_i / dx_{l,j}.
+Stacked as the N x N matrix Phi(l)[i, j] = phi^i_j(l), all players' costates
+solve one backward recursion
 
-    phi^i(l) = phi^i(l+1) + dt * ( J(X_l)^T phi^i(l+1) + grad_x h_i(X_l) ),
-    phi^i(N_T) = 0,
+    Phi(l) = Phi(l+1) + dt * ( Phi(l+1) J(X_l) + G(X_l) ),
+    Phi(N_T) = 0,
 
-with J the drift Jacobian. Because the adjoint runs on the same grid as the
-state, the per-step gradient of the discrete cost is exact up to round-off:
+with J[k, j] = d f_k / d x_j the drift Jacobian and G[i, j] = d h_i / d x_j
+the cost sensitivities; row i is player i's recursion
+phi^i(l) = phi^i(l+1) + dt * ( J^T phi^i(l+1) + grad_x h_i ). One Jacobian and
+one G per step serve every player. Because the adjoint runs on the same grid
+as the state, the per-step gradient of the discrete cost is exact up to
+round-off:
 
     dV_i / du_{i,l} = dt * ( alpha(t_l) u_{i,l} + phi^i_i(l+1) ).
 
@@ -26,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import ParticleTrajectory, euler_step
+from .controller import DEFAULT_BLOW_UP_BOUND, ParticleTrajectory, euler_step
 from .errors import DivergenceError, NumericalError
 from .grids import time_grid, uniform_dt
 from .model import (
@@ -39,8 +44,6 @@ from .model import (
     drift,
     drift_jacobian,
 )
-
-DEFAULT_BLOW_UP_BOUND = 1e6
 
 
 @dataclass
@@ -116,68 +119,54 @@ def simulate_state(
     return ParticleTrajectory(times.copy(), positions)
 
 
-def solve_adjoint(model: ModelSpec, trajectory: ParticleTrajectory, i: int) -> np.ndarray:
-    """Backward costate solve for player i; returns phi^i_j(t_l) as an (N, N_T+1) array."""
+def solve_adjoint(model: ModelSpec, trajectory: ParticleTrajectory) -> np.ndarray:
+    """Backward costate march of all players at once; returns phi^i_j(t_l) as an (N, N, N_T+1) array.
+
+    One ``drift_jacobian`` and one ``cost_gradient_full`` per step serve every player.
+    """
     times = trajectory.times
     dt = uniform_dt(times)
     n_steps = times.size - 1
-    phi = np.zeros((trajectory.n_particles, n_steps + 1))
+    n = trajectory.n_particles
+    phi = np.zeros((n, n, n_steps + 1))
     for step in range(n_steps - 1, -1, -1):
         state = trajectory.ensemble(step)
-        jac = drift_jacobian(model, state)
-        source = cost_gradient_full(model, state, i)
-        phi[:, step] = phi[:, step + 1] + dt * (jac.T @ phi[:, step + 1] + source)
-        if not np.all(np.isfinite(phi[:, step])):
-            raise NumericalError(f"non-finite costate for player {i} at step {step}")
+        later = phi[:, :, step + 1]
+        phi[:, :, step] = later + dt * (later @ drift_jacobian(model, state) + cost_gradient_full(model, state))
+        if not np.all(np.isfinite(phi[:, :, step])):
+            raise NumericalError(f"non-finite costate at step {step}")
     return phi
 
 
-def value(model: ModelSpec, t: float, start: ParticleEnsemble, controls: ControlProfile, i: int) -> float:
-    """Cost-to-go of player i from state ``start`` at grid time t: left Riemann sum."""
-    times = controls.time_grid
+def value(model: ModelSpec, start: ParticleEnsemble, controls: ControlProfile) -> np.ndarray:
+    """Every player's cost-to-go from ``start`` at time 0: left Riemann sum along ``simulate_state``."""
+    trajectory = simulate_state(model, start, controls)
     dt = controls.dt
-    horizon = float(times[-1])
-    if t > horizon + 1e-12 * max(1.0, horizon):
-        raise ValueError(f"start time {t} exceeds the horizon {horizon}")
-    first = int(round(t / dt))
-    if abs(first * dt - t) > 1e-12 * max(1.0, horizon):
-        raise ValueError(f"start time {t} is not on the control grid")
-    state = ParticleEnsemble(start.positions.copy(), time=t)
-    total = 0.0
-    for step in range(first, controls.n_steps):
-        t_step = float(times[step])
-        u_i = controls.values[i, step]
-        total += dt * (0.5 * alpha_at(model, t_step) * u_i * u_i + cost(model, state, i))
-        new_positions = euler_step(state.positions, drift(model, state), controls.values[:, step], dt)
-        state = ParticleEnsemble(new_positions, time=float(times[step + 1]))
+    total = np.zeros(start.n)
+    for step, (weight, u) in enumerate(zip(_weights(model, controls.time_grid), controls.values.T)):
+        total += dt * (0.5 * weight * u * u + cost(model, trajectory.ensemble(step)))
     return total
 
 
-def gradient_via_adjoint(
-    model: ModelSpec,
-    initial: ParticleEnsemble,
-    controls: ControlProfile,
-    i: int,
-) -> np.ndarray:
-    """Per-step gradient of player i's discrete cost in its own control.
+def gradient_via_adjoint(model: ModelSpec, initial: ParticleEnsemble, controls: ControlProfile) -> np.ndarray:
+    """Per-step gradient of every player's discrete cost in its own control, as an (N, N_T) array.
 
-    Returns g_l = alpha(t_l) u_{i,l} + phi^i_i(t_{l+1}), l = 0..N_T-1. Pairing
-    the step-l control with the costate at the step's right endpoint is what
-    makes g exactly (1/dt) dV_i/du_{i,l} for the Euler-discretized cost.
+    Returns g[i, l] = alpha(t_l) u_{i,l} + phi^i_i(t_{l+1}). Pairing the step-l
+    control with the costate at the step's right endpoint is what makes g
+    exactly (1/dt) dV_i/du_{i,l} for the Euler-discretized cost.
     """
-    trajectory = simulate_state(model, initial, controls)
-    phi = solve_adjoint(model, trajectory, i)
-    times = controls.time_grid
-    weights = np.array([alpha_at(model, float(t)) for t in times[:-1]])
-    return weights * controls.values[i, :] + phi[i, 1:]
+    costates = solve_adjoint(model, simulate_state(model, initial, controls))
+    return _weights(model, controls.time_grid)[None, :] * controls.values + _own(costates)
 
 
-def _forward_backward(
-    model: ModelSpec, initial: ParticleEnsemble, controls: ControlProfile
-) -> tuple[ParticleTrajectory, np.ndarray]:
-    """One sweep: the state under ``controls`` and every player's costates along it."""
-    trajectory = simulate_state(model, initial, controls)
-    return trajectory, np.stack([solve_adjoint(model, trajectory, i) for i in range(initial.n)])
+def _weights(model: ModelSpec, times: np.ndarray) -> np.ndarray:
+    """alpha(t_l) at the left end of every step."""
+    return np.array([alpha_at(model, float(t)) for t in times[:-1]])
+
+
+def _own(costates: np.ndarray) -> np.ndarray:
+    """phi^i_i(t_{l+1}) as an (N, N_T) array: each player's costate of its own state."""
+    return np.diagonal(costates)[1:].T
 
 
 def nash_sweep(
@@ -204,9 +193,8 @@ def nash_sweep(
     the error propagates.
     """
     n_steps, times = time_grid(horizon, dt)
-    n = initial.n
-    weights = np.array([alpha_at(model, float(t)) for t in times[:-1]])
-    controls = np.zeros((n, n_steps))
+    weights = _weights(model, times)
+    controls = np.zeros((initial.n, n_steps))
     history: list[float] = []
     control_history: list[np.ndarray] = []
     theta = params.relaxation
@@ -216,14 +204,15 @@ def nash_sweep(
     while iterations < params.max_iterations:
         profile = ControlProfile(controls, times)
         try:
-            trajectory, costates = _forward_backward(model, initial, profile)
+            candidate = simulate_state(model, initial, profile)
+            costates = solve_adjoint(model, candidate)
         except (DivergenceError, NumericalError):
             if not history:
                 raise
             break  # trajectory and costates still hold the last finite iterate
-        accepted = profile
+        trajectory, accepted = candidate, profile
         iterations += 1
-        own = np.stack([costates[i, i, 1:] for i in range(n)])  # phi^i_i(t_{l+1})
+        own = _own(costates)
         residual = float(np.max(np.abs(weights[None, :] * controls + own)))
         history.append(residual)
         if record_history:

@@ -87,18 +87,18 @@ def test_criterion_03_adjoint_gradient_matches_finite_differences():
     dt = horizon / n_steps
     delta = 1e-5
     worst = 0.0
+    grad = gradient_via_adjoint(model, initial, profile)
     for i in range(n):
-        grad = gradient_via_adjoint(model, initial, profile, i)
         for step in range(n_steps):
             hi = profile.values.copy()
             hi[i, step] += delta
             lo = profile.values.copy()
             lo[i, step] -= delta
             fd = (
-                value(model, 0.0, initial, ControlProfile(hi, times), i)
-                - value(model, 0.0, initial, ControlProfile(lo, times), i)
+                value(model, initial, ControlProfile(hi, times))[i]
+                - value(model, initial, ControlProfile(lo, times))[i]
             ) / (2 * delta * dt)
-            worst = max(worst, abs(grad[step] - fd) / max(abs(fd), 1e-8))
+            worst = max(worst, abs(grad[i, step] - fd) / max(abs(fd), 1e-8))
     elapsed = time.monotonic() - start
     report(3, worst <= 1e-5, elapsed, 5.0, f"max relative gradient error {worst:.2e} <= 1e-5")
 
@@ -207,11 +207,7 @@ def test_criterion_09_game_controls_beat_myopic_on_own_cost():
     dt = 1.0 / 200
     game = nash_sweep(model, initial, 1.0, dt)
     _, myopic_profile = integrate_brs(model, initial, 1.0, dt, scheme="taylor")
-    worst = -np.inf
-    for i in range(4):
-        v_game = value(model, 0.0, initial, game.controls, i)
-        v_myopic = value(model, 0.0, initial, myopic_profile, i)
-        worst = max(worst, v_game - v_myopic)
+    worst = float(np.max(value(model, initial, game.controls) - value(model, initial, myopic_profile)))
     ok = game.converged and worst <= 1e-6
     elapsed = time.monotonic() - start
     report(9, ok, elapsed, 60.0, f"max V_game - V_myopic = {worst:.2e} <= 1e-6")

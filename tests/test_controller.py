@@ -6,7 +6,7 @@ from mfglab import (
     ParticleEnsemble,
     brs_control,
     consensus_model,
-    cost_grad,
+    cost_grad_vector,
     integrate_brs,
     mpc_step_exact,
     mpc_step_taylor,
@@ -106,16 +106,15 @@ class TestIntegrateBrs:
         assert np.all(profile.values == 0.0)
 
     def test_taylor_controls_follow_best_reply_exactly(self):
-        # piecewise-constant controls equal -cost_grad/alpha at every grid time
+        # piecewise-constant controls equal -cost_grad_vector/alpha at every grid time
         m = consensus_model(alpha=lambda t: 1.0 + 0.5 * t)
         start = ParticleEnsemble(np.array([-1.0, 0.2, 0.9]))
         traj, profile = integrate_brs(m, start, 0.5, 0.025)
         for step in range(profile.n_steps):
             state = traj.ensemble(step)
             t = profile.time_grid[step]
-            for i in range(3):
-                expected = -cost_grad(m, state, i) / alpha_at(m, float(t))
-                assert profile.values[i, step] == expected
+            expected = -cost_grad_vector(m, state) / alpha_at(m, float(t))
+            assert np.array_equal(profile.values[:, step], expected)
 
     def test_divergence_guard(self):
         # repulsive quadratic cost pushes particles apart exponentially

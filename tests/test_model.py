@@ -9,7 +9,6 @@ from mfglab import (
     bounded_confidence_model,
     consensus_model,
     cost,
-    cost_grad,
     cost_grad_vector,
     drift,
     mean_field_cost,
@@ -51,38 +50,30 @@ class TestDrift:
 class TestCost:
     def test_pair(self):
         m = consensus_model()
-        assert cost(m, ensemble(0.0, 1.0), 0) == 0.5
+        assert cost(m, ensemble(0.0, 1.0))[0] == 0.5
 
     def test_diagonal_vanishes(self):
         m = consensus_model()
-        assert cost(m, ensemble(*([0.7] * 4)), 2) == 0.0
+        assert cost(m, ensemble(*([0.7] * 4)))[2] == 0.0
 
     def test_three_particles(self):
         m = consensus_model()
-        assert cost(m, ensemble(0.0, 1.0, 2.0), 1) == 0.5
+        assert cost(m, ensemble(0.0, 1.0, 2.0))[1] == 0.5
 
     def test_single_particle_is_domain_error(self):
         m = consensus_model()
         with pytest.raises(ValueError, match="two particles"):
-            cost(m, ensemble(0.0), 0)
+            cost(m, ensemble(0.0))
 
 
 class TestCostGrad:
     def test_pair(self):
         m = consensus_model()
-        assert cost_grad(m, ensemble(0.0, 1.0), 0) == -1.0
+        assert cost_grad_vector(m, ensemble(0.0, 1.0))[0] == -1.0
 
     def test_symmetry_center_cancels(self):
         m = consensus_model()
-        assert cost_grad(m, ensemble(0.0, 1.0, 2.0), 1) == 0.0
-
-    def test_vector_matches_scalar_exactly(self):
-        m = consensus_model()
-        rng = np.random.Generator(np.random.Philox(key=5))
-        x = ensemble(*rng.normal(size=6))
-        vec = cost_grad_vector(m, x)
-        for i in range(6):
-            assert vec[i] == cost_grad(m, x, i)
+        assert cost_grad_vector(m, ensemble(0.0, 1.0, 2.0))[1] == 0.0
 
     def test_matches_finite_differences(self):
         # relative error <= 1e-6 with central differences of step 1e-6
@@ -99,8 +90,8 @@ class TestCostGrad:
                 hi[i] += step
                 lo = x.copy()
                 lo[i] -= step
-                fd = (cost(m, ParticleEnsemble(hi), i) - cost(m, ParticleEnsemble(lo), i)) / (2 * step)
-                got = cost_grad(m, ParticleEnsemble(x), i)
+                fd = (cost(m, ParticleEnsemble(hi))[i] - cost(m, ParticleEnsemble(lo))[i]) / (2 * step)
+                got = cost_grad_vector(m, ParticleEnsemble(x))[i]
                 assert abs(got - fd) <= 1e-6 * max(1.0, abs(fd))
 
 
@@ -111,11 +102,11 @@ class TestPermutationSymmetry:
         m = bounded_confidence_model(radius=0.8)
         x = rng.normal(size=7)
         peers = np.delete(x, 3)
-        ref_cost = cost(m, ParticleEnsemble(np.concatenate([[x[3]], np.sort(peers)])), 0)
+        ref_cost = cost(m, ParticleEnsemble(np.concatenate([[x[3]], np.sort(peers)])))[0]
         ref_drift = drift(m, ParticleEnsemble(np.concatenate([[x[3]], np.sort(peers)])))[0]
         for _ in range(10):
             shuffled = np.concatenate([[x[3]], peers[rng.permutation(6)]])
-            assert cost(m, ParticleEnsemble(shuffled), 0) == pytest.approx(ref_cost, abs=1e-13)
+            assert cost(m, ParticleEnsemble(shuffled))[0] == pytest.approx(ref_cost, abs=1e-13)
             assert drift(m, ParticleEnsemble(shuffled))[0] == pytest.approx(ref_drift, abs=1e-13)
 
 
@@ -247,14 +238,14 @@ class TestAdjointInputs:
         rng = np.random.Generator(np.random.Philox(key=3))
         x = rng.normal(size=4)
         i = 1
-        grad = cost_gradient_full(m, ParticleEnsemble(x), i)
+        grad = cost_gradient_full(m, ParticleEnsemble(x))[i]
         for j in range(4):
             step = 1e-6
             hi = x.copy()
             hi[j] += step
             lo = x.copy()
             lo[j] -= step
-            fd = (cost(m, ParticleEnsemble(hi), i) - cost(m, ParticleEnsemble(lo), i)) / (2 * step)
+            fd = (cost(m, ParticleEnsemble(hi))[i] - cost(m, ParticleEnsemble(lo))[i]) / (2 * step)
             assert grad[j] == pytest.approx(fd, abs=1e-8)
 
     def test_drift_jacobian_matches_fd(self):
@@ -328,14 +319,6 @@ class TestStructuredPath:
             ]
             for got, want in cases:
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-    def test_scalar_slope_matches_vector_on_structured_path(self):
-        rng = np.random.Generator(np.random.Philox(key=32))
-        model = _random_polynomial_model(rng)
-        x = ParticleEnsemble(rng.normal(size=9))
-        vec = cost_grad_vector(model, x)
-        for i in range(9):
-            assert vec[i] == cost_grad(model, x, i)
 
     def test_scalar_point_gives_float(self):
         m = consensus_model()

@@ -16,6 +16,7 @@ from mfglab import (
     solve_adjoint,
     value,
 )
+from mfglab.model import cost_gradient_full, drift_jacobian
 
 
 def grid_profile(n, n_steps, horizon, values=None):
@@ -60,7 +61,7 @@ class TestSolveAdjoint:
         n_steps = 50
         profile = grid_profile(2, n_steps, 1.0)
         traj = simulate_state(m, ParticleEnsemble(np.array([0.0, 1.0])), profile)
-        phi = solve_adjoint(m, traj, 0)
+        phi = solve_adjoint(m, traj)[0]
         times = profile.time_grid
         assert np.allclose(phi[0], -(1.0 - times), atol=1e-12)
         assert np.allclose(phi[1], +(1.0 - times), atol=1e-12)
@@ -70,7 +71,23 @@ class TestSolveAdjoint:
         m = polynomial_model([[1.0]], [[4.0]])
         profile = grid_profile(2, 20, 1.0)
         traj = simulate_state(m, ParticleEnsemble(np.array([0.0, 1.0])), profile)
-        assert np.all(solve_adjoint(m, traj, 1) == 0.0)
+        assert np.all(solve_adjoint(m, traj) == 0.0)
+
+    def test_matches_per_player_recursion(self):
+        # reference: player i alone, phi^i(l) = phi^i(l+1) + dt (J^T phi^i(l+1) + G[i]);
+        # the joint march reorders the matrix products, so agreement is to round-off
+        m = bounded_confidence_model(radius=0.5)
+        profile = grid_profile(5, 20, 1.0, values=rng(7).normal(size=(5, 20)))
+        traj = simulate_state(m, ParticleEnsemble(rng(8).random(5)), profile)
+        phi = solve_adjoint(m, traj)
+        dt = 1.0 / 20
+        for i in range(5):
+            ref = np.zeros((5, 21))
+            for step in range(19, -1, -1):
+                state = traj.ensemble(step)
+                jac, sources = drift_jacobian(m, state), cost_gradient_full(m, state)
+                ref[:, step] = ref[:, step + 1] + dt * (jac.T @ ref[:, step + 1] + sources[i])
+            assert np.max(np.abs(phi[i] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_permuted_labels_give_permuted_adjoint(self):
         m = consensus_model()
@@ -81,8 +98,8 @@ class TestSolveAdjoint:
         t2 = simulate_state(m, ParticleEnsemble(x[perm]), profile)
         i = 2
         i_permuted = int(np.where(perm == i)[0][0])
-        phi = solve_adjoint(m, t1, i)
-        phi_relabelled = solve_adjoint(m, t2, i_permuted)
+        phi = solve_adjoint(m, t1)[i]
+        phi_relabelled = solve_adjoint(m, t2)[i_permuted]
         assert np.allclose(phi[perm], phi_relabelled, atol=1e-12)
 
 
@@ -90,31 +107,20 @@ class TestValue:
     def test_zero_cost_zero_value(self):
         m = polynomial_model([[0.0]], [[0.0]])
         start = ParticleEnsemble(np.array([0.0, 1.0]))
-        assert value(m, 0.0, start, grid_profile(2, 10, 1.0), 0) == 0.0
+        assert np.all(value(m, start, grid_profile(2, 10, 1.0)) == 0.0)
 
     def test_constant_integrand(self):
-        # constant control c and constant cost k: V = (T - t)(a c^2/2 + k)
+        # constant control c and constant cost k: V = T (a c^2/2 + k) for every player
         kappa = 0.7
         m = polynomial_model([[0.0]], [[kappa]], alpha=2.0)
         c = 0.3
         profile = grid_profile(2, 40, 1.0, values=np.full((2, 40), c))
         start = ParticleEnsemble(np.array([0.0, 1.0]))
         expected = 1.0 * (2.0 * c * c / 2.0 + kappa)
-        assert value(m, 0.0, start, profile, 0) == pytest.approx(expected, rel=1e-12)
+        assert value(m, start, profile) == pytest.approx([expected, expected], rel=1e-12)
         expected_half = 0.5 * (2.0 * c * c / 2.0 + kappa)
-        assert value(m, 0.5, start, profile, 0) == pytest.approx(expected_half, rel=1e-12)
-
-    def test_beyond_horizon_rejected(self):
-        m = consensus_model()
-        start = ParticleEnsemble(np.array([0.0, 1.0]))
-        with pytest.raises(ValueError, match="horizon"):
-            value(m, 1.5, start, grid_profile(2, 10, 1.0), 0)
-
-    def test_off_grid_time_rejected(self):
-        m = consensus_model()
-        start = ParticleEnsemble(np.array([0.0, 1.0]))
-        with pytest.raises(ValueError, match="grid"):
-            value(m, 0.05, start, grid_profile(2, 10, 1.0), 0)
+        half = grid_profile(2, 20, 0.5, values=np.full((2, 20), c))
+        assert value(m, start, half) == pytest.approx([expected_half, expected_half], rel=1e-12)
 
     def test_newton_step_on_own_control_descends(self):
         # the map u_i -> V_i is quadratic for the consensus model, so one Newton
@@ -125,17 +131,17 @@ class TestValue:
         g = rng(17)
         profile = grid_profile(2, n_steps, 1.0, values=g.normal(size=(2, n_steps)))
         i, dt = 0, 1.0 / n_steps
-        grad = gradient_via_adjoint(m, start, profile, i) * dt
+        grad = gradient_via_adjoint(m, start, profile)[i] * dt
         hess = np.empty((n_steps, n_steps))
         for l in range(n_steps):
             bumped = profile.values.copy()
             bumped[i, l] += 1.0
             bumped_profile = ControlProfile(bumped, profile.time_grid)
-            hess[:, l] = gradient_via_adjoint(m, start, bumped_profile, i) * dt - grad
+            hess[:, l] = gradient_via_adjoint(m, start, bumped_profile)[i] * dt - grad
         newton = profile.values.copy()
         newton[i] -= np.linalg.solve(hess, grad)
-        before = value(m, 0.0, start, profile, i)
-        after = value(m, 0.0, start, ControlProfile(newton, profile.time_grid), i)
+        before = value(m, start, profile)[i]
+        after = value(m, start, ControlProfile(newton, profile.time_grid))[i]
         assert after < before
 
 
@@ -143,7 +149,7 @@ class TestGradientViaAdjoint:
     def test_zero_everything(self):
         m = polynomial_model([[0.0]], [[0.0]])
         start = ParticleEnsemble(np.array([0.0, 1.0]))
-        assert np.all(gradient_via_adjoint(m, start, grid_profile(2, 10, 1.0), 0) == 0.0)
+        assert np.all(gradient_via_adjoint(m, start, grid_profile(2, 10, 1.0)) == 0.0)
 
     def test_matches_central_differences(self):
         # the core correctness check: exact discrete gradient vs FD of the value
@@ -154,27 +160,26 @@ class TestGradientViaAdjoint:
         start = ParticleEnsemble(g.normal(size=n))
         dt = horizon / n_steps
         delta = 1e-5
+        grad = gradient_via_adjoint(m, start, profile)
         for i in range(n):
-            grad = gradient_via_adjoint(m, start, profile, i)
             for l in range(0, n_steps, 7):
                 hi = profile.values.copy()
                 hi[i, l] += delta
                 lo = profile.values.copy()
                 lo[i, l] -= delta
                 fd = (
-                    value(m, 0.0, start, ControlProfile(hi, profile.time_grid), i)
-                    - value(m, 0.0, start, ControlProfile(lo, profile.time_grid), i)
+                    value(m, start, ControlProfile(hi, profile.time_grid))[i]
+                    - value(m, start, ControlProfile(lo, profile.time_grid))[i]
                 ) / (2 * delta * dt)
-                assert abs(grad[l] - fd) <= 1e-5 * max(abs(fd), 1e-8)
+                assert abs(grad[i, l] - fd) <= 1e-5 * max(abs(fd), 1e-8)
 
     def test_converged_sweep_has_small_gradient(self):
         m = consensus_model()
         start = ParticleEnsemble(np.array([0.0, 1.0]))
         res = nash_sweep(m, start, 1.0, 1.0 / 100)
         assert res.converged
-        for i in range(2):
-            grad = gradient_via_adjoint(m, start, res.controls, i)
-            assert np.max(np.abs(grad)) <= res.residual + 1e-15
+        grad = gradient_via_adjoint(m, start, res.controls)
+        assert np.max(np.abs(grad)) <= res.residual + 1e-15
 
 
 class TestNashSweep:
@@ -201,10 +206,9 @@ class TestNashSweep:
         res = nash_sweep(m, start, 1.0, 1.0 / 200)
         assert res.converged and res.residual <= 1e-8
         _, brs_profile = integrate_brs(m, start, 1.0, 1.0 / 200)
-        for i in range(2):
-            v_game = value(m, 0.0, start, res.controls, i)
-            v_myopic = value(m, 0.0, start, brs_profile, i)
-            assert v_game <= v_myopic + 1e-6
+        v_game = value(m, start, res.controls)
+        v_myopic = value(m, start, brs_profile)
+        assert np.all(v_game <= v_myopic + 1e-6)
 
     def test_merit_decreases_along_sweep(self):
         m = consensus_model()
@@ -213,7 +217,7 @@ class TestNashSweep:
         merits = []
         for controls in res.control_history:
             profile = ControlProfile(controls, res.controls.time_grid)
-            merits.append(sum(value(m, 0.0, start, profile, i) for i in range(2)))
+            merits.append(sum(value(m, start, profile)))
         assert all(b <= a + 1e-12 for a, b in zip(merits, merits[1:]))
 
     def test_relabeling_equivariance(self):

@@ -1,9 +1,11 @@
-"""Property-based checks of the particle evaluations, the upwind step and W1.
+"""Property-based checks of the particle evaluations, the costates, the upwind step and W1.
 
 ``consensus_model`` carries coefficient tables and takes the structured
 (moment) path; ``bounded_confidence_model`` has none and takes the dense
-pairwise path. Both must be equivariant under relabeling the particles, and
-the consensus drift and cost slopes depend on differences only, so they are
+pairwise path. Both must be equivariant under relabeling the particles: the
+player vectors, the cost sensitivities G (as P G P^T) and the costates (on
+their player and state axes) are permuted to round-off. The consensus drift
+and cost slopes depend on differences only, so they are
 unchanged by a common translation. The upwind step conserves mass and keeps
 densities nonnegative under its CFL restriction, and the exact W1 distance
 is a metric that agrees with the order-statistics formula at equal N.
@@ -16,16 +18,20 @@ from hypothesis import strategies as st
 from mfglab import (
     EmpiricalMeasure,
     ParticleEnsemble,
+    ParticleTrajectory,
     SpaceGrid,
     bounded_confidence_model,
     consensus_model,
+    cost,
     cost_grad_vector,
     drift,
     normalized_density,
+    solve_adjoint,
     step_upwind,
     w1,
     w1_sorted_atoms,
 )
+from mfglab.model import cost_gradient_full
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -62,6 +68,27 @@ def test_relabeling_permutes_drift_and_slopes(data, xs, kind):
         plain = evaluate(model, ParticleEnsemble(x))
         relabeled = evaluate(model, ParticleEnsemble(x[order]))
         assert np.max(np.abs(relabeled - plain[order])) <= tolerance(x)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), n=st.integers(2, 8), steps=st.integers(1, 4), kind=st.sampled_from(sorted(MODELS)))
+def test_relabeling_permutes_costs_sensitivities_and_costates(data, n, steps, kind):
+    coordinates = st.lists(st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
+                           min_size=n * (steps + 1), max_size=n * (steps + 1))
+    path = np.asarray(data.draw(coordinates)).reshape(steps + 1, n)
+    order = np.asarray(data.draw(st.permutations(range(n))))
+    model = MODELS[kind]
+
+    def close(relabeled, permuted):
+        return np.max(np.abs(relabeled - permuted)) <= tolerance(path) * (1.0 + np.max(np.abs(permuted)))
+
+    plain, relabeled = ParticleEnsemble(path[0]), ParticleEnsemble(path[0, order])
+    assert close(cost(model, relabeled), cost(model, plain)[order])
+    assert close(cost_gradient_full(model, relabeled), cost_gradient_full(model, plain)[np.ix_(order, order)])
+    times = np.arange(steps + 1) / steps
+    costates = solve_adjoint(model, ParticleTrajectory(times, path))
+    relabeled_costates = solve_adjoint(model, ParticleTrajectory(times, path[:, order]))
+    assert close(relabeled_costates, costates[np.ix_(order, order)])
 
 
 cell_values = st.lists(st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False), min_size=8, max_size=64)
