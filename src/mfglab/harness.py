@@ -520,6 +520,8 @@ def build_grid(cfg: ExperimentConfig) -> SpaceGrid:
 
 
 def _fmt(v) -> str:
+    if type(v) is float:  # the bulk of every file, so tested first
+        return f"{v:.17g}"
     if isinstance(v, (bool, np.bool_)):
         return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
@@ -533,17 +535,17 @@ def write_csv(path: Path, header: list[str], rows) -> Path:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(map(_fmt, row)) + "\n")
     return path
 
 
 def write_grid_path_csv(path: Path, header: list[str], values: DensityTrajectory | ValueGrid) -> Path:
     """Rows (t, x, value), one per time and cell center, of a density path or a value grid."""
-    centers = values.grid.centers()
+    centers = values.grid.centers().tolist()
     rows = (
-        (t, centers[k], values.data[step, k])
-        for step, t in enumerate(values.times)
-        for k in range(values.grid.cells)
+        (t, x, v)
+        for t, row in zip(values.times.tolist(), values.data.tolist())
+        for x, v in zip(centers, row)
     )
     return write_csv(path, header, rows)
 

@@ -34,6 +34,12 @@ Reproducibility contract:
   ``consensus_model`` and ``polynomial_model`` take the structured path;
   ``bounded_confidence_model`` has no table and always takes the dense one.
   ``cost``, ``cost_gradient_full`` and ``drift_jacobian`` are always dense.
+* On the dense path each mean-field quadrature at a grid's own cell centers
+  or faces uses a kernel matrix built once per model, grid and point set and
+  kept read-only in the model (at most six per grid). The result is bitwise
+  identical to an uncached evaluation; queries at other points are evaluated
+  afresh. The cache is not part of the model's equality, hash or repr, and
+  ``dataclasses.replace`` starts an empty one.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .grids import DensityGrid, uniform_dt
+from .grids import DensityGrid, SpaceGrid, uniform_dt
 
 Kernel = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -94,6 +100,8 @@ class ModelSpec:
     cost_kernel_dy: Kernel
     drift_poly: np.ndarray | None = field(default=None, compare=False)
     cost_poly: np.ndarray | None = field(default=None, compare=False)
+    # (kernel field name, SpaceGrid, query point bytes) -> read-only quadrature matrix; see ``_quadrature``
+    _quadrature_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, kernels in (
@@ -268,12 +276,32 @@ def drift_jacobian(model: ModelSpec, ensemble: ParticleEnsemble) -> np.ndarray:
 # mean-field evaluations (midpoint quadrature on the grid cells)
 
 
-def _quadrature(kernel: Kernel, x, m: DensityGrid, weight_shift: bool) -> np.ndarray | float:
+def _on_grid(xs: np.ndarray, grid: SpaceGrid) -> bool:
+    """Whether ``xs`` are the grid's cell centers or its faces, bit for bit."""
+    data = xs.tobytes()
+    return any(data == points.tobytes() for points in (grid.centers(), grid.faces()))
+
+
+def _quadrature(model: ModelSpec, kernel_name: str, x, m: DensityGrid, weight_shift: bool) -> np.ndarray | float:
+    """Midpoint rule sum_k K(x, y_k) m_k dx over the cell centers y_k, ascending k.
+
+    With ``weight_shift`` the kernel is weighted by (y_k - x). When the query
+    points are the grid's own centers or faces, the weighted kernel matrix is
+    built once and kept read-only in the model's cache; any other query is
+    evaluated afresh. Threads that miss the cache together each build the
+    same matrix, and either copy may stay: they are equal bit for bit.
+    """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    centers = m.grid.centers()
-    vals = _pair_eval(kernel, xs, centers)
-    if weight_shift:
-        vals *= centers[None, :] - xs[:, None]
+    key = (kernel_name, m.grid, xs.tobytes())
+    vals = model._quadrature_cache.get(key)
+    if vals is None:
+        centers = m.grid.centers()
+        vals = _pair_eval(getattr(model, kernel_name), xs, centers)
+        if weight_shift:
+            vals *= centers[None, :] - xs[:, None]
+        if _on_grid(xs, m.grid):
+            vals.setflags(write=False)
+            model._quadrature_cache[key] = vals
     integrand = vals * (m.cell_averages[None, :] * m.grid.dx)
     out = _sum_ascending(integrand, axis=1, consume=True)
     return out if np.ndim(x) else float(out[0])
@@ -297,21 +325,21 @@ def mean_field_drift(model: ModelSpec, x, m: DensityGrid) -> np.ndarray | float:
     """F(x, m) = integral P(x, y)(y - x) m(y) dy, midpoint rule in ascending cell order."""
     if model.drift_poly is not None:
         return _moment_quadrature(_drift_terms, model.drift_poly, x, m)
-    return _quadrature(model.drift_kernel, x, m, weight_shift=True)
+    return _quadrature(model, "drift_kernel", x, m, weight_shift=True)
 
 
 def mean_field_cost_grad(model: ModelSpec, x, m: DensityGrid) -> np.ndarray | float:
     """d/dx of the mean-field cost: integral d_x phi(x, y) m(y) dy."""
     if model.cost_poly is not None:
         return _moment_quadrature(_slope_terms, model.cost_poly, x, m)
-    return _quadrature(model.cost_kernel_dx, x, m, weight_shift=False)
+    return _quadrature(model, "cost_kernel_dx", x, m, weight_shift=False)
 
 
 def mean_field_cost(model: ModelSpec, x, m: DensityGrid) -> np.ndarray | float:
     """Mean-field running cost H(x, m) = integral phi(x, y) m(y) dy."""
     if model.cost_poly is not None:
         return _moment_quadrature(_taylor_shift, model.cost_poly, x, m)
-    return _quadrature(model.cost_kernel, x, m, weight_shift=False)
+    return _quadrature(model, "cost_kernel", x, m, weight_shift=False)
 
 
 # ---------------------------------------------------------------------------
@@ -350,19 +378,29 @@ def _check_table(name: str, table: np.ndarray, kernels: tuple) -> None:
 
 
 def _check_derivatives(name: str, kernel: Kernel, kernel_dx: Kernel, kernel_dy: Kernel) -> None:
-    """Raise unless both derivative kernels match central differences of the kernel at the samples."""
+    """Raise unless both derivative kernels match central differences of the kernel at the samples.
+
+    Runs with numpy's divide, overflow and invalid-value warnings silenced: a
+    kernel or derivative that is not finite at the samples is named in the
+    ``ValueError`` instead, since an infinite value would make any gap pass.
+    """
     x, y, h = _SAMPLE_X, _SAMPLE_Y, FD_STEP
-    values = [_row_eval(kernel, x + dx, y + dy) for dx, dy in ((h, 0), (-h, 0), (0, h), (0, -h))]
-    for suffix, derivative, (hi, lo) in (("_dx", kernel_dx, values[:2]), ("_dy", kernel_dy, values[2:])):
-        want = (hi - lo) / (2 * h)
-        got = _row_eval(derivative, x, y)
-        gap = np.max(np.abs(got - want))
-        scale = max(1.0, *(np.max(np.abs(v)) for v in (*values, got)))
-        if not gap <= DERIVATIVE_RTOL * scale:
-            raise ValueError(
-                f"{name}_kernel{suffix} does not match central differences of {name}_kernel "
-                f"at the sample points (largest difference {gap:.3e})"
-            )
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        values = [_row_eval(kernel, x + dx, y + dy) for dx, dy in ((h, 0), (-h, 0), (0, h), (0, -h))]
+        if not all(np.all(np.isfinite(v)) for v in values):
+            raise ValueError(f"{name}_kernel is not finite at the sample points")
+        for suffix, derivative, (hi, lo) in (("_dx", kernel_dx, values[:2]), ("_dy", kernel_dy, values[2:])):
+            got = _row_eval(derivative, x, y)
+            if not np.all(np.isfinite(got)):
+                raise ValueError(f"{name}_kernel{suffix} is not finite at the sample points")
+            want = (hi - lo) / (2 * h)
+            gap = np.max(np.abs(got - want))
+            scale = max(1.0, *(np.max(np.abs(v)) for v in (*values, got)))
+            if not gap <= DERIVATIVE_RTOL * scale:
+                raise ValueError(
+                    f"{name}_kernel{suffix} does not match central differences of {name}_kernel "
+                    f"at the sample points (largest difference {gap:.3e})"
+                )
 
 
 def _taylor_shift(table: np.ndarray, centre: float) -> np.ndarray:

@@ -289,3 +289,35 @@ class TestCsvWriters:
 
         path = write_csv(tmp_path / "x.csv", ["a"], [(1.0 / 3.0,)])
         assert path.read_text().splitlines()[1] == "0.33333333333333331"
+
+    def test_exact_bytes(self, tmp_path):
+        # every value type the experiments write, pinned byte for byte
+        from mfglab.grids import DensityTrajectory
+        from mfglab.harness import write_csv, write_grid_path_csv
+
+        rows = [(True, np.bool_(False), 7, np.int64(-3)), (0.1, np.float64(1e-300), -0.0, np.float64(2.5))]
+        path = write_csv(tmp_path / "a.csv", ["a", "b", "c", "d"], rows)
+        assert path.read_bytes() == b"a,b,c,d\n1,0,7,-3\n0.10000000000000001,1e-300,-0,2.5\n"
+        data = np.array([[0.1, -0.0, 1e-300, 2.0, 1.0 / 3.0, 0.0, 1e20, 5e-324], [0.0] * 8])
+        path = write_grid_path_csv(
+            tmp_path / "b.csv", ["t", "x", "m"], DensityTrajectory(SpaceGrid(0.0, 1.0, 8), [0.0, 0.1], data)
+        )
+        assert path.read_bytes() == (
+            b"t,x,m\n"
+            b"0,0.0625,0.10000000000000001\n"
+            b"0,0.1875,-0\n"
+            b"0,0.3125,1e-300\n"
+            b"0,0.4375,2\n"
+            b"0,0.5625,0.33333333333333331\n"
+            b"0,0.6875,0\n"
+            b"0,0.8125,1e+20\n"
+            b"0,0.9375,4.9406564584124654e-324\n"
+            b"0.10000000000000001,0.0625,0\n"
+            b"0.10000000000000001,0.1875,0\n"
+            b"0.10000000000000001,0.3125,0\n"
+            b"0.10000000000000001,0.4375,0\n"
+            b"0.10000000000000001,0.5625,0\n"
+            b"0.10000000000000001,0.6875,0\n"
+            b"0.10000000000000001,0.8125,0\n"
+            b"0.10000000000000001,0.9375,0\n"
+        )

@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from mfglab import (
     mean_field_drift,
     polynomial_model,
 )
-from mfglab.grids import DensityGrid, SpaceGrid, histogram, normalized_density
+from mfglab.grids import DensityGrid, DensityTrajectory, SpaceGrid, histogram, normalized_density
+from mfglab.mfg import fp_forward, hjb_backward
 from mfglab.model import ModelSpec, alpha_at, cost_gradient_full, drift_jacobian
 
 
@@ -224,6 +227,18 @@ class TestConstructionChecks:
         with pytest.raises(ValueError, match="cost_kernel_dy does not match"):
             dataclasses.replace(m, cost_kernel_dy=m.cost_kernel_dx)
 
+    def test_non_finite_kernel_rejected_at_construction(self):
+        # wrong derivatives of log|x - y|, infinite on the diagonal of the sample
+        # mesh: an infinite scale would let them pass the central-difference check
+        with pytest.raises(ValueError, match="cost_kernel_dx is not finite"):
+            dataclasses.replace(
+                consensus_model(),
+                cost_poly=None,
+                cost_kernel=lambda x, y: np.log(np.abs(x - y)),
+                cost_kernel_dx=lambda x, y: 7.0 / (x - y),
+                cost_kernel_dy=lambda x, y: 3.0 / (x - y),
+            )
+
     @pytest.mark.parametrize("radius", [0.55, 0.55 / 0.95, 1.1])
     def test_band_edge_on_a_sample_distance_is_accepted(self, radius):
         # a sample distance on an edge of the C1 window's band, where central
@@ -342,3 +357,122 @@ class TestStructuredPath:
         wrapped = dataclasses.replace(m, drift_kernel=lambda x, y: m.drift_kernel(x, y))
         assert np.array_equal(wrapped.drift_poly, m.drift_poly)
         assert bounded_confidence_model(radius=0.5).drift_poly is None
+
+
+MEAN_FIELD = (mean_field_drift, mean_field_cost, mean_field_cost_grad)
+
+
+def _bump_density(grid):
+    return normalized_density(grid, np.exp(-20.0 * (grid.centers() - 0.45) ** 2))
+
+
+def _uncached(kernel, xs, m, weight_shift):
+    """The midpoint quadrature evaluated from scratch, in the same operations as the model."""
+    centers = m.grid.centers()
+    vals = np.asarray(kernel(xs[:, None], centers[None, :]), dtype=float)
+    if weight_shift:
+        vals = vals * (centers[None, :] - xs[:, None])
+    return np.add.accumulate(vals * (m.cell_averages[None, :] * m.grid.dx), axis=1)[:, -1]
+
+
+class TestQuadratureCache:
+    grid = SpaceGrid(0.0, 1.0, 64)
+
+    def test_cached_results_bitwise_equal(self):
+        # one model on two grids, the faces of one bitwise the centers of the
+        # other: each grid gets its own matrices
+        model = bounded_confidence_model(radius=0.15)
+        for grid in (self.grid, SpaceGrid(-1 / 128, 1 + 1 / 128, 65)):
+            dens = _bump_density(grid)
+            for xs in (grid.centers(), grid.faces()):
+                want = [
+                    _uncached(model.drift_kernel, xs, dens, True),
+                    _uncached(model.cost_kernel, xs, dens, False),
+                    _uncached(model.cost_kernel_dx, xs, dens, False),
+                ]
+                for fn, ref in zip(MEAN_FIELD, want):
+                    first = fn(model, xs, dens)
+                    assert np.array_equal(first, ref)
+                    assert np.array_equal(fn(model, xs.copy(), dens), first)
+                    assert np.array_equal(fn(bounded_confidence_model(radius=0.15), xs, dens), first)
+        assert len(model._quadrature_cache) == 12
+
+    def test_cached_matrices_read_only(self):
+        model = bounded_confidence_model(radius=0.15)
+        dens = _bump_density(self.grid)
+        for fn in MEAN_FIELD:
+            fn(model, self.grid.faces(), dens)
+        for matrix in model._quadrature_cache.values():
+            assert not matrix.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                matrix[0, 0] = 1.0
+
+    def test_other_points_not_cached(self):
+        model = bounded_confidence_model(radius=0.15)
+        dens = _bump_density(self.grid)
+        shifted = self.grid.faces() + 1e-3
+        for fn in MEAN_FIELD:
+            assert isinstance(fn(model, 0.3, dens), float)
+            assert np.array_equal(fn(model, shifted, dens), fn(model, shifted, dens))
+        assert model._quadrature_cache == {}
+
+    def test_replace_starts_an_empty_cache(self):
+        model = bounded_confidence_model(radius=0.15)
+        dens = _bump_density(self.grid)
+        centers = self.grid.centers()
+        mean_field_drift(model, centers, dens)
+        assert model._quadrature_cache
+        assert model == dataclasses.replace(model) and hash(model) == hash(dataclasses.replace(model))
+        other = bounded_confidence_model(radius=0.3)
+        replaced = dataclasses.replace(
+            model,
+            drift_kernel=other.drift_kernel,
+            drift_kernel_dx=other.drift_kernel_dx,
+            drift_kernel_dy=other.drift_kernel_dy,
+        )
+        assert replaced._quadrature_cache == {}
+        got = mean_field_drift(replaced, centers, dens)
+        assert np.array_equal(got, mean_field_drift(other, centers, dens))
+        assert not np.array_equal(got, mean_field_drift(model, centers, dens))
+
+    def test_concurrent_first_calls_agree(self):
+        # threads racing to fill the cache see the same results as one thread
+        dens = _bump_density(self.grid)
+        points = (self.grid.centers(), self.grid.faces())
+        reference = bounded_confidence_model(radius=0.15)
+        want = [fn(reference, xs, dens) for xs in points for fn in MEAN_FIELD]
+        model = bounded_confidence_model(radius=0.15)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(lambda: [fn(model, xs, dens) for xs in points for fn in MEAN_FIELD])
+                           for _ in range(16)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for got in results:
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert len(model._quadrature_cache) == 6
+
+    def test_one_matrix_per_role_grid_and_point_set(self):
+        # a value and a density march evaluate each kernel once per point set,
+        # however many steps they take
+        evals = {}
+
+        def counted(name, kernel):
+            def kernel_counted(x, y):
+                evals[name] = evals.get(name, 0) + np.broadcast(x, y).size
+                return kernel(x, y)
+            return kernel_counted
+
+        base = bounded_confidence_model(radius=0.15)
+        names = ("drift_kernel", "cost_kernel", "cost_kernel_dx")
+        model = dataclasses.replace(base, **{n: counted(n, getattr(base, n)) for n in names})
+        evals.clear()  # forget the construction-time checks
+        m0 = _bump_density(self.grid)
+        times = 0.002 * np.arange(11)
+        path = DensityTrajectory(self.grid, times, np.tile(m0.cell_averages, (times.size, 1)))
+        fp_forward(model, hjb_backward(model, path), m0)
+        cells = self.grid.cells
+        assert evals == {"drift_kernel": cells * cells + (cells + 1) * cells, "cost_kernel": cells * cells}
