@@ -66,22 +66,39 @@ class DensityGrid:
         values = np.asarray(self.cell_averages, dtype=float)
         if values.shape != (self.grid.cells,):
             raise ValueError(f"expected {self.grid.cells} cell averages, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("non-finite cell average")
-        worst = values.min() if values.size else 0.0
-        if worst < -NEGATIVE_TOL:
-            raise ValueError(f"negative cell average {worst:.3e} below round-off tolerance")
-        if worst < 0.0:
+        checked = _checked_rows(self.grid, values)
+        if checked is not values:
             self.clipped_mass = float(-np.sum(values[values < 0.0]) * self.grid.dx)
-            values = values.clip(min=0.0)
-        mass = float(np.sum(values) * self.grid.dx)
-        if abs(mass - 1.0) > MASS_TOL:
-            raise ValueError(f"density mass {mass!r} deviates from 1 by more than {MASS_TOL}")
-        self.cell_averages = values
+        self.cell_averages = checked
 
     @property
     def mass(self) -> float:
         return float(np.sum(self.cell_averages) * self.grid.dx)
+
+
+def _checked_rows(grid: SpaceGrid, values: np.ndarray) -> np.ndarray:
+    """Cell averages of one density, or a stack of them (one per row), as ``DensityGrid`` holds them.
+
+    Raises ``ValueError`` for a non-finite entry, an entry below
+    ``-NEGATIVE_TOL`` or a row whose mass is off 1 by more than ``MASS_TOL``.
+    Round-off negatives are clipped to zero in a copy; without them
+    ``values`` itself is returned.
+    """
+    if values.size == 0:
+        return values
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite cell average")
+    worst = values.min()
+    if worst < -NEGATIVE_TOL:
+        raise ValueError(f"negative cell average {worst:.3e} below round-off tolerance")
+    if worst < 0.0:
+        values = values.clip(min=0.0)
+    masses = values.sum(axis=-1) * grid.dx
+    off = abs(masses - 1.0) > MASS_TOL
+    if off.any():
+        mass = float(np.extract(off, masses)[0])
+        raise ValueError(f"density mass {mass!r} deviates from 1 by more than {MASS_TOL}")
+    return values
 
 
 def normalized_density(grid: SpaceGrid, values: np.ndarray) -> DensityGrid:

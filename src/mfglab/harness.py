@@ -7,7 +7,9 @@ to the results echoes the config and records the code version and wall clock
 (the manifest is the only artifact that may differ between identical runs).
 
 CLI:  ``mfglab run <config.json> [--out DIR] [--seed S] [--jobs K]``
-exit codes: 0 success, 2 validation failure, 3 solver failure.
+exit codes: 0 success, 2 validation failure, 3 solver failure. Every exit
+after the config file is read writes ``manifest.json``, a validation failure
+included.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -211,20 +214,17 @@ def _parse_model(block, errors: list[str]):
         kind = "consensus"
     elif kind == "bounded_confidence":
         radius = block.get("radius")
-        if not isinstance(radius, (int, float)) or not radius > 0:
-            errors.append("model.radius must be a positive number for bounded_confidence")
+        if not _finite(radius) or not radius > 0:
+            errors.append("model.radius must be a positive finite number for bounded_confidence")
         else:
             params["radius"] = float(radius)
     elif kind == "polynomial":
         for name in ("drift_coeffs", "cost_coeffs"):
-            table = block.get(name)
-            try:
-                arr = np.asarray(table, dtype=float)
-                if arr.ndim > 2 or arr.size == 0:
-                    raise ValueError
-                params[name] = np.atleast_2d(arr).tolist()
-            except (ValueError, TypeError):
-                errors.append(f"model.{name} must be a nonempty numeric coefficient table")
+            table = _coefficient_table(block.get(name))
+            if table is None:
+                errors.append(f"model.{name} must be a nonempty table of finite numbers")
+            else:
+                params[name] = table
     alpha = block.get("alpha", {"kind": "constant", "value": 1.0})
     alpha_kind, alpha_params = _parse_alpha(alpha, errors)
     return kind, params, alpha_kind, alpha_params
@@ -239,8 +239,8 @@ def _parse_alpha(block, errors: list[str]):
         for key in sorted(set(block) - {"kind", "value"}):
             errors.append(f"model.alpha: unknown key {key!r}")
         v = block.get("value")
-        if not isinstance(v, (int, float)) or not v > 0:
-            errors.append("model.alpha.value must be a positive number")
+        if not _finite(v) or not v > 0:
+            errors.append("model.alpha.value must be a positive finite number")
             return "constant", {"value": 1.0}
         return "constant", {"value": float(v)}
     if kind == "affine":
@@ -248,8 +248,8 @@ def _parse_alpha(block, errors: list[str]):
             errors.append(f"model.alpha: unknown key {key!r}")
         a = block.get("intercept")
         b = block.get("slope", 0.0)
-        if not isinstance(a, (int, float)) or not isinstance(b, (int, float)):
-            errors.append("model.alpha affine needs numeric intercept and slope")
+        if not _finite(a) or not _finite(b):
+            errors.append("model.alpha affine needs finite numeric intercept and slope")
             return "constant", {"value": 1.0}
         return "affine", {"intercept": float(a), "slope": float(b)}
     errors.append(f"model.alpha.kind must be 'constant' or 'affine', got {kind!r}")
@@ -273,8 +273,8 @@ def _parse_grid(block, errors: list[str]):
         errors.append("grid.x_min and grid.x_max must be given together")
     elif "x_min" in block:
         lo, hi = block["x_min"], block["x_max"]
-        if not isinstance(lo, (int, float)) or not isinstance(hi, (int, float)) or not lo < hi:
-            errors.append("grid bounds must satisfy x_min < x_max")
+        if not _finite(lo) or not _finite(hi) or not lo < hi:
+            errors.append("grid bounds must be finite numbers with x_min < x_max")
         else:
             bounds = (float(lo), float(hi))
     return cells, bounds
@@ -299,8 +299,8 @@ def _parse_initial(block, errors: list[str]):
     out = {"kind": kind}
     for name in wanted:
         v = block.get(name)
-        if not isinstance(v, (int, float)):
-            errors.append(f"initial.{name} must be a number")
+        if not _finite(v):
+            errors.append(f"initial.{name} must be a finite number")
             return {"kind": "uniform", "a": 0.0, "b": 1.0}
         out[name] = float(v)
     lo, hi = _support_of(out)
@@ -324,19 +324,19 @@ def _parse_solver(block, errors: list[str]):
         errors.append(f"solver: unknown key {key!r}")
     if "tolerance" in block:
         v = block["tolerance"]
-        if not isinstance(v, (int, float)) or not v > 0:
+        if not _finite(v) or not v > 0:
             errors.append("solver.tolerance must be positive")
         else:
             tol = float(v)
     if "damping" in block:
         v = block["damping"]
-        if not isinstance(v, (int, float)) or not 0 < v <= 1:
+        if not _finite(v) or not 0 < v <= 1:
             errors.append("solver.damping must lie in (0, 1]")
         else:
             damping = float(v)
     if "max_iterations" in block:
         v = block["max_iterations"]
-        if not isinstance(v, int) or v < 1:
+        if not _finite(v) or not isinstance(v, int) or v < 1:
             errors.append("solver.max_iterations must be a positive integer")
         else:
             max_iter = v
@@ -361,14 +361,43 @@ def _require_experiment_fields(experiment, errors, *, dt, dt_list, n_particles, 
             errors.append(f"experiment {experiment!r} requires {field}")
 
 
+def _finite(v) -> bool:
+    """Whether a parsed JSON value is a finite number.
+
+    Bools (``true`` would pass as 1), NaN, the infinities and integers beyond
+    the float range are not.
+    """
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+def _coefficient_table(table) -> list[list[float]] | None:
+    """A number, a list of numbers or a list of equal-length rows as a 2D table of floats.
+
+    None unless the table is nonempty and every entry passes ``_finite``.
+    """
+    if not isinstance(table, list):
+        table = [table]
+    rows = table if table and all(isinstance(row, list) for row in table) else [table]
+    if not rows[0] or any(len(row) != len(rows[0]) for row in rows):
+        return None
+    if not all(_finite(v) for row in rows for v in row):
+        return None
+    return [[float(v) for v in row] for row in rows]
+
+
 def _positive_number(raw, key, errors, required):
     v = raw.get(key)
     if v is None:
         if required:
             errors.append(f"{key} is required")
         return None
-    if not isinstance(v, (int, float)) or not v > 0:
-        errors.append(f"{key} must be a positive number, got {v!r}")
+    if not _finite(v) or not v > 0:
+        errors.append(f"{key} must be a positive finite number, got {v!r}")
         return None
     return float(v)
 
@@ -382,8 +411,8 @@ def _positive_list(raw, key, errors):
         return None
     out = []
     for v in vals:
-        if not isinstance(v, (int, float)) or not v > 0:
-            errors.append(f"{key} entries must be positive numbers, got {v!r}")
+        if not _finite(v) or not v > 0:
+            errors.append(f"{key} entries must be positive finite numbers, got {v!r}")
             return None
         out.append(float(v))
     return tuple(out)
@@ -607,18 +636,24 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str | None = None, job
     except (DivergenceError, CFLError, NumericalError) as exc:
         artifacts, message = [], f"stage {cfg.experiment!r} failed: {exc}"
         code = EXIT_SOLVER
+    artifacts.append(_write_manifest(out, cfg.echo(), code, message, start))
+    return RunResult(code, artifacts, message)
+
+
+def _write_manifest(out: Path, config, code: int, message: str, start: float) -> Path:
+    """Write ``manifest.json``: the config as validated (or as given, when it failed), exit code and message."""
     manifest = {
-        "config": cfg.echo(),
+        "config": config,
         "version": _version,
         "wall_clock_seconds": time.monotonic() - start,
         "exit_code": code,
         "message": message,
         "sweep_initialization": "zero controls",
     }
+    out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    artifacts.append(manifest_path)
-    return RunResult(code, artifacts, message)
+    return manifest_path
 
 
 def _spot_check_kernels(cfg: ExperimentConfig, model: ModelSpec) -> None:
@@ -764,6 +799,20 @@ def _run_nash_vs_brs(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: i
 # command line
 
 
+def _raw_json(text: str):
+    """The config as given, for the manifest of a config that failed validation; None if it is not JSON."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return None
+
+
+def _output_of(raw) -> Path:
+    """Where a run of this raw config writes without ``--out``: its ``output`` string, else ``results``."""
+    output = raw.get("output") if isinstance(raw, dict) else None
+    return Path(output if isinstance(output, str) and output else "results")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="mfglab", description="Deterministic experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -779,11 +828,14 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}")
         return EXIT_CONFIG
+    start = time.monotonic()
     try:
         cfg = parse_config(text)
     except ConfigError as exc:
         for problem in exc.errors:
             print(f"config error: {problem}")
+        raw = _raw_json(text)
+        _write_manifest(args.out or _output_of(raw), raw, EXIT_CONFIG, f"validation failed: {exc}", start)
         return EXIT_CONFIG
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)

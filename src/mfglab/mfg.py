@@ -12,6 +12,12 @@ quadratic Hamiltonian uses a monotone local Lax-Friedrichs form with slice
 viscosity max|d/dx v| / alpha. The forward equation reuses the conservative
 upwind machinery with face velocity F - (1/alpha) * (two-point difference of v).
 
+The backward march, the best-reply feedback and the running cost know their
+whole density path in advance, so they take F and H for all slices from one
+path-level quadrature each (see ``model``), bit for bit the per-slice values.
+The forward march computes each slice from the one before, and evaluates F
+slice by slice.
+
 The coupled system is solved by damped Picard iteration on the density path.
 The receding-horizon closure replaces v on each step by the instantaneous
 mean-field cost, which collapses the system to the best-reply transport
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CFLError, NumericalError
-from .grids import DensityGrid, DensityTrajectory, SpaceGrid, time_grid, uniform_dt
+from .grids import DensityGrid, DensityTrajectory, SpaceGrid, _checked_rows, time_grid, uniform_dt
 from .kinetic import CFL_NUMBER, solve_kinetic, step_upwind, velocity_field
 from .model import ModelSpec, alpha_at, mean_field_cost, mean_field_cost_grad, mean_field_drift
 
@@ -79,10 +85,11 @@ class MFGResult:
 
 def _one_sided_slopes(values: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray]:
     """Backward and forward difference quotients with zero-slope extension at the ends."""
+    slopes = (values[1:] - values[:-1]) / dx
     p_minus = np.zeros_like(values)
     p_plus = np.zeros_like(values)
-    p_minus[1:] = (values[1:] - values[:-1]) / dx
-    p_plus[:-1] = (values[1:] - values[:-1]) / dx
+    p_minus[1:] = slopes
+    p_plus[:-1] = slopes
     return p_minus, p_plus
 
 
@@ -94,22 +101,23 @@ def hjb_backward(model: ModelSpec, m_path: DensityTrajectory) -> ValueGrid:
         v_l = v_{l+1} + dt * ( F . Dv - LLF((d/dx v)^2 / (2 alpha)) + H ).
 
     The CFL restriction dt (max|F| + viscosity)/dx <= 0.9 is enforced per step.
+    F and H come for every slice of the path at once, from one quadrature each.
     """
     times = m_path.times
     dt = uniform_dt(times)
     grid = m_path.grid
     centers = grid.centers()
+    drifts = mean_field_drift(model, centers, m_path)
+    sources = mean_field_cost(model, centers, m_path)
     n_slices = times.size
     data = np.zeros((n_slices, grid.cells))
     for step in range(n_slices - 2, -1, -1):
-        t_next = float(times[step + 1])
-        weight = alpha_at(model, t_next)
-        m_next = m_path.density(step + 1)
-        f = np.asarray(mean_field_drift(model, centers, m_next))
-        source = np.asarray(mean_field_cost(model, centers, m_next))
+        weight = alpha_at(model, float(times[step + 1]))
+        f = drifts[step + 1]
+        source = sources[step + 1]
         v_next = data[step + 1]
         p_minus, p_plus = _one_sided_slopes(v_next, grid.dx)
-        viscosity = max(np.max(np.abs(p_minus)), np.max(np.abs(p_plus))) / weight
+        viscosity = np.max(np.abs(p_minus)) / weight  # p_plus holds the same quotients and a zero
         speed = np.max(np.abs(f)) + viscosity
         if dt * speed / grid.dx > CFL_NUMBER + 1e-12:
             raise CFLError(
@@ -251,12 +259,9 @@ def feedback_controls_from_value(model: ModelSpec, value: ValueGrid) -> np.ndarr
 
 def feedback_controls_best_reply(model: ModelSpec, m_path: DensityTrajectory) -> np.ndarray:
     """Myopic feedback u = -(1/alpha) dH/dx (x, m(t)) at the nodes."""
-    centers = m_path.grid.centers()
-    out = np.empty_like(m_path.data)
-    for step, t in enumerate(m_path.times):
-        slope = np.asarray(mean_field_cost_grad(model, centers, m_path.density(step)))
-        out[step] = -slope / alpha_at(model, float(t))
-    return out
+    slopes = mean_field_cost_grad(model, m_path.grid.centers(), m_path)
+    weights = np.array([alpha_at(model, float(t)) for t in m_path.times])
+    return -slopes / weights[:, None]
 
 
 def total_running_cost(model: ModelSpec, m_path: DensityTrajectory, controls: np.ndarray) -> float:
@@ -265,11 +270,11 @@ def total_running_cost(model: ModelSpec, m_path: DensityTrajectory, controls: np
     if controls.shape != m_path.data.shape:
         raise ValueError("controls must be given at every (time, cell) node")
     dt = uniform_dt(m_path.times)
-    centers = m_path.grid.centers()
+    rows = _checked_rows(m_path.grid, m_path.data)
+    costs = mean_field_cost(model, m_path.grid.centers(), m_path)
     total = 0.0
     for step in range(m_path.times.size - 1):
         weight = alpha_at(model, float(m_path.times[step]))
-        m_slice = m_path.density(step)
-        running = 0.5 * weight * controls[step] ** 2 + np.asarray(mean_field_cost(model, centers, m_slice))
-        total += dt * float(np.sum(running * m_slice.cell_averages) * m_path.grid.dx)
+        running = 0.5 * weight * controls[step] ** 2 + costs[step]
+        total += dt * float(np.sum(running * rows[step]) * m_path.grid.dx)
     return total

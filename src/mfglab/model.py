@@ -23,7 +23,8 @@ J[k, j] = d f_k / d x_j and G[i, j] = d h_i / d x_j, whose diagonal is
 Reproducibility contract:
 
 * Every sum over particles or grid cells runs in ascending index order
-  (``_sum_ascending``), so a run repeats bit for bit.
+  (``_sum_ascending``, or ``_cell_sums`` for the dense quadratures), so a run
+  repeats bit for bit.
 * A kernel that is a polynomial ``sum_ab C[a, b] x^a y^b`` may carry its
   coefficient table (``ModelSpec.drift_poly``, ``ModelSpec.cost_poly``). Then
   ``drift``, ``cost_grad_vector`` and the three mean-field
@@ -40,6 +41,19 @@ Reproducibility contract:
   identical to an uncached evaluation; queries at other points are evaluated
   afresh. The cache is not part of the model's equality, hash or repr, and
   ``dataclasses.replace`` starts an empty one.
+* Each kernel matrix is cell-major: (M, Q) in C order, one row per cell.
+  Sums over cells run strictly left to right and form no prefix sums
+  (``_cell_sums``). One density against Q >= 2 points is reduced with
+  ``np.add.reduce(..., axis=0, initial=-0.0)``, which adds whole rows in
+  order; the -0.0 start keeps an all-negative-zero sum negative, as a plain
+  reduce (starting from +0.0) would not. A single query point is never
+  reduced that way: its cell axis is contiguous and numpy sums it pairwise.
+  It goes, like a stack of rows, through an accumulator that adds one cell at
+  a time. ``tests/test_model.py::TestReductionOrder`` pins this numpy loop.
+* The three mean-field quadratures take a ``DensityTrajectory`` as well as a
+  ``DensityGrid``: the path's rows are checked and clipped once as
+  ``DensityGrid`` would, and the result has one row per time slice, bit for
+  bit what per-slice calls give. No (M, L, Q) product is formed.
 """
 
 from __future__ import annotations
@@ -50,7 +64,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .grids import DensityGrid, SpaceGrid, uniform_dt
+from .grids import DensityGrid, DensityTrajectory, SpaceGrid, _checked_rows, uniform_dt
 
 Kernel = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -273,7 +287,8 @@ def drift_jacobian(model: ModelSpec, ensemble: ParticleEnsemble) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# mean-field evaluations (midpoint quadrature on the grid cells)
+# mean-field evaluations (midpoint quadrature on the grid cells); ``m`` is one
+# density or a density path, and a path gives one result row per time slice
 
 
 def _on_grid(xs: np.ndarray, grid: SpaceGrid) -> bool:
@@ -282,14 +297,57 @@ def _on_grid(xs: np.ndarray, grid: SpaceGrid) -> bool:
     return any(data == points.tobytes() for points in (grid.centers(), grid.faces()))
 
 
-def _quadrature(model: ModelSpec, kernel_name: str, x, m: DensityGrid, weight_shift: bool) -> np.ndarray | float:
+def _rows(m: DensityGrid | DensityTrajectory) -> np.ndarray:
+    """Cell averages to integrate against: one row for a density, one row per slice of a path.
+
+    A path's rows are checked and clipped as ``DensityGrid`` does, in one pass.
+    """
+    if isinstance(m, DensityTrajectory):
+        return _checked_rows(m.grid, m.data)
+    return m.cell_averages[None, :]
+
+
+def _shaped(out: np.ndarray, x, m: DensityGrid | DensityTrajectory) -> np.ndarray | float:
+    """An (L, Q) quadrature result without the row axis for a density and the point axis for a scalar x."""
+    if not np.ndim(x):
+        out = out[:, 0]
+    if isinstance(m, DensityTrajectory):
+        return out
+    return out[0] if np.ndim(x) else float(out[0])
+
+
+def _cell_sums(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k weights[l, k] vals[k, q] for every row l and point q, strictly in ascending k.
+
+    ``vals`` is cell-major, (M, Q) in C order. One row against Q >= 2 points
+    reduces its (M, Q) integrand over the cell axis: numpy then adds whole
+    rows in order, from an initial -0.0 that keeps the first term exactly.
+    Otherwise an (L, Q) accumulator adds one cell at a time, because with a
+    single point the reduced axis is contiguous and numpy sums it pairwise.
+    Neither way forms prefix sums or an (M, L, Q) product.
+    """
+    if weights.shape[0] == 1 and vals.shape[1] > 1:
+        return np.add.reduce(vals * weights.T, axis=0, initial=-0.0)[None, :]
+    columns = weights.T
+    out = columns[0][:, None] * vals[0]
+    term = np.empty_like(out)
+    for k in range(1, vals.shape[0]):
+        np.multiply(columns[k][:, None], vals[k], out=term)
+        out += term
+    return out
+
+
+def _quadrature(
+    model: ModelSpec, kernel_name: str, x, m: DensityGrid | DensityTrajectory, weight_shift: bool
+) -> np.ndarray | float:
     """Midpoint rule sum_k K(x, y_k) m_k dx over the cell centers y_k, ascending k.
 
-    With ``weight_shift`` the kernel is weighted by (y_k - x). When the query
-    points are the grid's own centers or faces, the weighted kernel matrix is
-    built once and kept read-only in the model's cache; any other query is
-    evaluated afresh. Threads that miss the cache together each build the
-    same matrix, and either copy may stay: they are equal bit for bit.
+    With ``weight_shift`` the kernel is weighted by (y_k - x). The weighted
+    kernel is held cell-major, as the (M, Q) matrix of K(x_q, y_k). When the
+    query points are the grid's own centers or faces, it is built once and
+    kept read-only in the model's cache; any other query is evaluated afresh.
+    Threads that miss the cache together each build the same matrix, and
+    either copy may stay: they are equal bit for bit.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     key = (kernel_name, m.grid, xs.tobytes())
@@ -299,15 +357,14 @@ def _quadrature(model: ModelSpec, kernel_name: str, x, m: DensityGrid, weight_sh
         vals = _pair_eval(getattr(model, kernel_name), xs, centers)
         if weight_shift:
             vals *= centers[None, :] - xs[:, None]
+        vals = np.ascontiguousarray(vals.T)
         if _on_grid(xs, m.grid):
             vals.setflags(write=False)
             model._quadrature_cache[key] = vals
-    integrand = vals * (m.cell_averages[None, :] * m.grid.dx)
-    out = _sum_ascending(integrand, axis=1, consume=True)
-    return out if np.ndim(x) else float(out[0])
+    return _shaped(_cell_sums(vals, _rows(m) * m.grid.dx), x, m)
 
 
-def _moment_quadrature(terms, poly: np.ndarray, x, m: DensityGrid) -> np.ndarray | float:
+def _moment_quadrature(terms, poly: np.ndarray, x, m: DensityGrid | DensityTrajectory) -> np.ndarray | float:
     """Midpoint rule from the weighted power sums of the cell centers about the grid midpoint.
 
     ``terms(poly, centre)`` gives the integrand's table in powers of x - centre
@@ -316,26 +373,25 @@ def _moment_quadrature(terms, poly: np.ndarray, x, m: DensityGrid) -> np.ndarray
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     centre = 0.5 * (m.grid.x_min + m.grid.x_max)
     table = terms(poly, centre)
-    sums = _power_sums(m.grid.centers() - centre, m.cell_averages * m.grid.dx, table.shape[1] - 1)
-    out = _moment_eval(table, xs - centre, sums)
-    return out if np.ndim(x) else float(out[0])
+    sums = _power_sums(m.grid.centers() - centre, _rows(m) * m.grid.dx, table.shape[1] - 1)
+    return _shaped(_moment_eval(table, xs - centre, sums), x, m)
 
 
-def mean_field_drift(model: ModelSpec, x, m: DensityGrid) -> np.ndarray | float:
+def mean_field_drift(model: ModelSpec, x, m: DensityGrid | DensityTrajectory) -> np.ndarray | float:
     """F(x, m) = integral P(x, y)(y - x) m(y) dy, midpoint rule in ascending cell order."""
     if model.drift_poly is not None:
         return _moment_quadrature(_drift_terms, model.drift_poly, x, m)
     return _quadrature(model, "drift_kernel", x, m, weight_shift=True)
 
 
-def mean_field_cost_grad(model: ModelSpec, x, m: DensityGrid) -> np.ndarray | float:
+def mean_field_cost_grad(model: ModelSpec, x, m: DensityGrid | DensityTrajectory) -> np.ndarray | float:
     """d/dx of the mean-field cost: integral d_x phi(x, y) m(y) dy."""
     if model.cost_poly is not None:
         return _moment_quadrature(_slope_terms, model.cost_poly, x, m)
     return _quadrature(model, "cost_kernel_dx", x, m, weight_shift=False)
 
 
-def mean_field_cost(model: ModelSpec, x, m: DensityGrid) -> np.ndarray | float:
+def mean_field_cost(model: ModelSpec, x, m: DensityGrid | DensityTrajectory) -> np.ndarray | float:
     """Mean-field running cost H(x, m) = integral phi(x, y) m(y) dy."""
     if model.cost_poly is not None:
         return _moment_quadrature(_taylor_shift, model.cost_poly, x, m)
@@ -440,26 +496,31 @@ def _centred(x: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def _power_sums(u: np.ndarray, weights, degree: int) -> np.ndarray:
-    """Ascending sums sum_j w_j u_j^b for b = 0..degree."""
-    powers = np.empty((degree + 1, u.size))
-    powers[0] = weights
+    """Ascending sums sum_j w_j u_j^b for b = 0..degree, per row of a stack of weights."""
+    powers = np.empty((*np.shape(weights)[:-1], degree + 1, u.size))
+    powers[..., 0, :] = weights
     for b in range(1, degree + 1):
-        np.multiply(powers[b - 1], u, out=powers[b])
-    return _sum_ascending(powers, axis=1, consume=True)
+        np.multiply(powers[..., b - 1, :], u, out=powers[..., b, :])
+    return _sum_ascending(powers, axis=-1, consume=True)
 
 
 def _horner(coeffs: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] at^k, elementwise, so every entry of ``at`` sees the same operations."""
-    out = np.full(at.shape, coeffs[-1])
-    for c in coeffs[-2::-1]:
+    """sum_k coeffs[..., k] at^k, elementwise, so every entry of ``at`` sees the same operations.
+
+    A stack of coefficient rows, (..., K), gives one result row per coefficient row.
+    """
+    coeffs = coeffs[..., None]
+    out = np.empty(coeffs.shape[:-2] + at.shape)
+    out[...] = coeffs[..., -1, :]
+    for k in range(coeffs.shape[-2] - 2, -1, -1):
         out *= at
-        out += c
+        out += coeffs[..., k, :]
     return out
 
 
 def _moment_eval(table: np.ndarray, at: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """sum_a at^a sum_b table[a, b] sums[b], the inner sums ascending."""
-    return _horner(_sum_ascending(table * sums[None, :], axis=1), at)
+    """sum_a at^a sum_b table[a, b] sums[..., b], the inner sums ascending."""
+    return _horner(_sum_ascending(table * sums[..., None, :], axis=-1), at)
 
 
 def _diagonal(table: np.ndarray, at: np.ndarray) -> np.ndarray:

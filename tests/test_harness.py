@@ -97,6 +97,70 @@ class TestParseConfig:
         assert parse_config(json.dumps(ok)).alpha_kind == "affine"
 
 
+INF, NAN = float("inf"), float("nan")
+# every numeric field present; each is checked for finiteness and bools
+ALL_NUMBERS = dict(
+    MINIMAL_NASH,
+    dt_list=[0.1, 0.05],
+    grid={"cells": 16, "x_min": -2.0, "x_max": 2.0},
+    solver={"tolerance": 1e-8, "damping": 0.5, "max_iterations": 10},
+    model={"kind": "consensus", "alpha": {"kind": "constant", "value": 1.0}},
+)
+NUMERIC_FIELDS = [
+    (ALL_NUMBERS, ("horizon",), "horizon"),
+    (ALL_NUMBERS, ("dt",), "dt"),
+    (ALL_NUMBERS, ("dt_list", 1), "dt_list"),
+    (ALL_NUMBERS, ("grid", "x_min"), "grid bounds"),
+    (ALL_NUMBERS, ("grid", "x_max"), "grid bounds"),
+    (ALL_NUMBERS, ("initial", "a"), "initial.a"),
+    (ALL_NUMBERS, ("initial", "b"), "initial.b"),
+    (ALL_NUMBERS, ("model", "alpha", "value"), "model.alpha.value"),
+    (ALL_NUMBERS, ("solver", "tolerance"), "solver.tolerance"),
+    (ALL_NUMBERS, ("solver", "damping"), "solver.damping"),
+    (ALL_NUMBERS, ("solver", "max_iterations"), "solver.max_iterations"),
+    (dict(ALL_NUMBERS, model={"kind": "bounded_confidence", "radius": 0.5}), ("model", "radius"), "model.radius"),
+    (dict(ALL_NUMBERS, model={"kind": "consensus", "alpha": {"kind": "affine", "intercept": 1.0, "slope": 0.5}}),
+     ("model", "alpha", "intercept"), "model.alpha affine"),
+    (dict(ALL_NUMBERS, model={"kind": "consensus", "alpha": {"kind": "affine", "intercept": 1.0, "slope": 0.5}}),
+     ("model", "alpha", "slope"), "model.alpha affine"),
+    (dict(ALL_NUMBERS, model={"kind": "polynomial", "drift_coeffs": [[1.0, 0.2]], "cost_coeffs": [[0.0]]}),
+     ("model", "drift_coeffs", 0, 1), "model.drift_coeffs"),
+    (dict(ALL_NUMBERS, model={"kind": "polynomial", "drift_coeffs": [[1.0]], "cost_coeffs": [0.0, 0.5]}),
+     ("model", "cost_coeffs", 1), "model.cost_coeffs"),
+    (dict(ALL_NUMBERS, model={"kind": "polynomial", "drift_coeffs": 1.0, "cost_coeffs": [[0.0]]}),
+     ("model", "drift_coeffs"), "model.drift_coeffs"),
+]
+
+
+def _mutated(raw, path, value):
+    """A deep copy of ``raw`` with the entry at ``path`` replaced by ``value``."""
+    out = json.loads(json.dumps(raw))
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+class TestNumericFields:
+    @pytest.mark.parametrize("base, path, needle", NUMERIC_FIELDS, ids=[n for _, _, n in NUMERIC_FIELDS])
+    def test_bools_and_non_finite_numbers_rejected(self, base, path, needle):
+        parse_config(json.dumps(base))
+        for value in (INF, -INF, NAN, True, False, 10**400):
+            with pytest.raises(ConfigError, match=needle):
+                parse_config(json.dumps(_mutated(base, path, value)))
+
+    def test_coefficient_tables_parse_to_float_rows(self):
+        for table, want in (([[1, 0.2]], [[1.0, 0.2]]), ([1, 2], [[1.0, 2.0]]), (3, [[3.0]]),
+                            ([[1], [2]], [[1.0], [2.0]])):
+            raw = dict(ALL_NUMBERS, model={"kind": "polynomial", "drift_coeffs": table, "cost_coeffs": [[0.0]]})
+            assert parse_config(json.dumps(raw)).model_params["drift_coeffs"] == want
+        for table in ([], [[]], [[1.0], [1.0, 2.0]], [[[1.0]]], [[1.0], 2.0], ["1.0"], None):
+            raw = dict(ALL_NUMBERS, model={"kind": "polynomial", "drift_coeffs": table, "cost_coeffs": [[0.0]]})
+            with pytest.raises(ConfigError, match="model.drift_coeffs must be a nonempty table of finite numbers"):
+                parse_config(json.dumps(raw))
+
+
 # horizon 1 with alpha falling from 1 to -1 on it; used unvalidated in the run tests
 ALPHA_MPC = {
     "experiment": "mpc_vs_brs",
@@ -273,11 +337,28 @@ class TestCli:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 4
 
-    def test_invalid_config_exit_two(self, tmp_path, capsys):
+    def test_invalid_config_exit_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # without --out or output the manifest goes to ./results
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(dict(MINIMAL_NASH, dt=0)))
         assert main(["run", str(cfg_path)]) == EXIT_CONFIG
         assert "dt" in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "results" / "manifest.json").read_text())
+        assert manifest["exit_code"] == EXIT_CONFIG and "dt must be" in manifest["message"]
+        assert manifest["config"]["dt"] == 0
+
+    @pytest.mark.parametrize("path, value", [
+        (("horizon",), INF), (("horizon",), True), (("initial", "a"), -INF), (("initial", "b"), INF),
+        (("solver", "max_iterations"), True), (("dt",), NAN),
+    ], ids=["horizon-inf", "horizon-true", "initial-a-inf", "initial-b-inf", "max-iterations-true", "dt-nan"])
+    def test_non_finite_or_bool_exit_two_with_manifest(self, tmp_path, capsys, path, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_mutated(dict(ALL_NUMBERS, output=str(tmp_path / "out")), path, value)))
+        assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+        field = ".".join(path)
+        assert field in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["exit_code"] == EXIT_CONFIG and field in manifest["message"]
 
     def test_missing_file_exit_two(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == EXIT_CONFIG

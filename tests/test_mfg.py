@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,10 @@ from mfglab import (
     fp_forward,
     grid_for_support,
     hjb_backward,
+    bounded_confidence_model,
     mean_field_cost,
+    mean_field_cost_grad,
+    mean_field_drift,
     mfg_fixed_point,
     mpc_mfg_closure,
     normalized_density,
@@ -21,6 +26,7 @@ from mfglab import (
     total_running_cost,
 )
 from mfglab.kinetic import cfl_time_step
+from mfglab.model import alpha_at
 
 
 def gaussian_density(grid, center=0.5, width=0.12):
@@ -222,3 +228,104 @@ class TestFeedbackCosts:
             PicardParams(tolerance=-1.0)
         with pytest.raises(ValueError):
             PicardParams(max_iterations=0)
+
+
+# Per-slice references: each time slice as its own density, one quadrature call
+# per slice, in the operations the path evaluation must reproduce bit for bit.
+
+
+def _hjb_reference(model, m_path):
+    dx = m_path.grid.dx
+    centers = m_path.grid.centers()
+    dt = m_path.times[1] - m_path.times[0]
+    data = np.zeros_like(m_path.data)
+    for step in range(len(m_path) - 2, -1, -1):
+        weight = alpha_at(model, float(m_path.times[step + 1]))
+        m_next = m_path.density(step + 1)
+        f = np.asarray(mean_field_drift(model, centers, m_next))
+        source = np.asarray(mean_field_cost(model, centers, m_next))
+        v_next = data[step + 1]
+        p_minus = np.zeros_like(v_next)
+        p_plus = np.zeros_like(v_next)
+        p_minus[1:] = (v_next[1:] - v_next[:-1]) / dx
+        p_plus[:-1] = (v_next[1:] - v_next[:-1]) / dx
+        viscosity = max(np.max(np.abs(p_minus)), np.max(np.abs(p_plus))) / weight
+        transport_slope = np.where(f >= 0.0, p_plus, p_minus)
+        p_avg = 0.5 * (p_minus + p_plus)
+        hamiltonian = p_avg * p_avg / (2.0 * weight) - 0.5 * viscosity * (p_plus - p_minus)
+        data[step] = v_next + dt * (f * transport_slope - hamiltonian + source)
+    return data
+
+
+def _best_reply_reference(model, m_path):
+    centers = m_path.grid.centers()
+    out = np.empty_like(m_path.data)
+    for step, t in enumerate(m_path.times):
+        slope = np.asarray(mean_field_cost_grad(model, centers, m_path.density(step)))
+        out[step] = -slope / alpha_at(model, float(t))
+    return out
+
+
+def _running_cost_reference(model, m_path, controls):
+    dt = m_path.times[1] - m_path.times[0]
+    centers = m_path.grid.centers()
+    total = 0.0
+    for step in range(len(m_path) - 1):
+        weight = alpha_at(model, float(m_path.times[step]))
+        m_slice = m_path.density(step)
+        running = 0.5 * weight * controls[step] ** 2 + np.asarray(mean_field_cost(model, centers, m_slice))
+        total += dt * float(np.sum(running * m_slice.cell_averages) * m_path.grid.dx)
+    return total
+
+
+def _cubic_model():
+    return polynomial_model(
+        [[1.0, 0.3], [0.2, 0.0]],
+        [[0.0, 0.0, 0.5, 0.2], [0.0, -1.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0], [-0.2, 0.0, 0.0, 0.0]],
+        alpha=lambda t: 1.0 + 0.5 * t,
+    )
+
+
+class TestPathEvaluation:
+    @pytest.mark.parametrize("kind", ["dense", "structured"])
+    def test_equal_to_per_slice_reference(self, kind):
+        model = (bounded_confidence_model(radius=0.15, alpha=lambda t: 1.0 + 0.5 * t) if kind == "dense"
+                 else _cubic_model())
+        grid = grid_for_support(0.2, 0.8, 64)
+        m0 = normalized_density(grid, gaussian_density(grid, 0.45, 0.1).cell_averages
+                                + gaussian_density(grid, 0.6, 0.05).cell_averages)
+        path = solve_kinetic(model, m0, 0.2, 0.005)
+        value = hjb_backward(model, path)
+        assert np.array_equal(value.data, _hjb_reference(model, path))
+        assert np.any(value.data != 0.0)
+        controls = feedback_controls_best_reply(model, path)
+        assert np.array_equal(controls, _best_reply_reference(model, path))
+        for u in (controls, feedback_controls_from_value(model, value)):
+            assert total_running_cost(model, path, u) == _running_cost_reference(model, path, u)
+
+    def test_running_cost_weights_clipped_rows(self):
+        # a round-off negative that densities clip to 0, under a control large
+        # enough that an unclipped weight would change the total
+        model = bounded_confidence_model(radius=0.15)
+        grid = grid_for_support(0.2, 0.8, 32)
+        bump = gaussian_density(grid).cell_averages
+        path = constant_path(grid, normalized_density(grid, np.where(np.arange(32) == 0, 0.0, bump)), 0.1, 4)
+        path.data[1, 0] = -1e-16
+        assert path.density(1).clipped_mass > 0.0
+        controls = np.zeros_like(path.data)
+        controls[1, 0] = 1e9
+        assert total_running_cost(model, path, controls) == _running_cost_reference(model, path, controls)
+
+    def test_backward_march_forms_no_cell_by_slice_by_point_product(self):
+        # an (M, L, Q) product at 64 cells x 81 slices x 64 points takes 2.65 MB;
+        # the march, with its quadrature matrices built, peaks at about 0.32 MB
+        model = bounded_confidence_model(radius=0.15)
+        grid = grid_for_support(0.2, 0.8, 64)
+        path = constant_path(grid, gaussian_density(grid), 0.16, 80)
+        tracemalloc.start()
+        try:
+            hjb_backward(model, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 81 * 64 * 8 / 4

@@ -18,9 +18,9 @@ from mfglab import (
     mean_field_drift,
     polynomial_model,
 )
-from mfglab.grids import DensityGrid, DensityTrajectory, SpaceGrid, histogram, normalized_density
+from mfglab.grids import DensityGrid, DensityTrajectory, SpaceGrid, _checked_rows, histogram, normalized_density
 from mfglab.mfg import fp_forward, hjb_backward
-from mfglab.model import ModelSpec, alpha_at, cost_gradient_full, drift_jacobian
+from mfglab.model import ModelSpec, _cell_sums, alpha_at, cost_gradient_full, drift_jacobian
 
 
 def ensemble(*xs):
@@ -476,3 +476,128 @@ class TestQuadratureCache:
         fp_forward(model, hjb_backward(model, path), m0)
         cells = self.grid.cells
         assert evals == {"drift_kernel": cells * cells + (cells + 1) * cells, "cost_kernel": cells * cells}
+
+
+def _mixed(rng, shape):
+    """Normal draws over 300 decades with subnormals, signed zeros and tiny values mixed in."""
+    a = rng.normal(size=shape) * 10.0 ** rng.integers(-150, 150, size=shape)
+    pick = rng.random(shape)
+    a[pick < 0.05] = 5e-324 * rng.integers(-5, 6, size=shape)[pick < 0.05]
+    a[(pick >= 0.05) & (pick < 0.1)] = 0.0
+    a[(pick >= 0.1) & (pick < 0.15)] = -0.0
+    a[(pick >= 0.15) & (pick < 0.3)] *= 1e-20
+    return a
+
+
+def _ascending(terms):
+    """Reference: column sums of (M, Q) terms, strictly in ascending row order."""
+    return np.add.accumulate(terms.T, axis=1)[:, -1]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestReductionOrder:
+    """Pins the numpy reduction loop that the cell-major quadrature relies on."""
+
+    def test_reduce_adds_rows_in_order(self):
+        # a C-order (M, Q >= 2) array reduced over axis 0 adds whole rows one
+        # at a time; starting from -0.0 keeps the first row exactly
+        rng = np.random.Generator(np.random.Philox(key=41))
+        for _ in range(300):
+            a = _mixed(rng, (int(rng.integers(1, 301)), int(rng.integers(2, 301))))
+            assert _same_bits(np.add.reduce(a, axis=0, initial=-0.0), _ascending(a))
+
+    def test_cell_sums_match_ascending_sums(self):
+        rng = np.random.Generator(np.random.Philox(key=43))
+        for _ in range(60):
+            m, q = int(rng.integers(1, 120)), int(rng.integers(1, 120))
+            vals = _mixed(rng, (m, q))
+            weights = np.abs(_mixed(rng, (int(rng.integers(1, 5)), m)))
+            got = _cell_sums(vals, weights)
+            for row, w in zip(got, weights):
+                assert _same_bits(row, _ascending(vals * w[:, None]))
+
+    def test_single_point_is_summed_pairwise_by_numpy(self):
+        # the measured exception: with Q = 1 the reduced axis is contiguous,
+        # numpy sums it pairwise and the bits move (60 of these 300 shapes on
+        # numpy 2.4), so a single query point never reaches that reduction
+        rng = np.random.Generator(np.random.Philox(key=47))
+        moved = 0
+        for _ in range(300):
+            a = _mixed(rng, (int(rng.integers(1, 301)), 1))
+            moved += not _same_bits(np.add.reduce(a, axis=0, initial=-0.0), _ascending(a))
+            assert _same_bits(_cell_sums(a, np.ones((1, a.shape[0]))), _ascending(a)[None, :])
+        assert moved > 0
+
+    def test_all_negative_zero_column_keeps_its_sign(self):
+        # a plain np.add.reduce starts from +0.0 and returns +0.0 here (numpy 2.4)
+        vals = np.array([[-0.0, 1.0], [-0.0, 2.0], [-0.0, -0.0]])
+        for weights in (np.ones((1, 3)), np.ones((3, 3))):
+            for row in _cell_sums(vals, weights):
+                assert _same_bits(row, _ascending(vals))
+                assert np.signbit(row[0])
+
+
+def _cubic_model():
+    """A polynomial model whose cost has cubic terms: the structured path."""
+    return polynomial_model(
+        [[1.0, 0.3], [0.2, 0.0]],
+        [[0.0, 0.0, 0.5, 0.2], [0.0, -1.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0], [-0.2, 0.0, 0.0, 0.0]],
+    )
+
+
+def _random_path(grid, slices, seed):
+    """Unit-mass rows with empty cells, one row with a round-off negative that densities clip."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    rows = rng.random((slices, grid.cells)) * (rng.random((slices, grid.cells)) > 0.3)
+    rows[:, grid.cells // 2] += 0.1
+    rows[1, 0] = 0.0
+    rows /= rows.sum(axis=1, keepdims=True) * grid.dx
+    rows[1, 0] = -1e-17
+    return DensityTrajectory(grid, 0.01 * np.arange(slices), rows)
+
+
+class TestPathQuadrature:
+    grid = SpaceGrid(0.0, 1.0, 48)
+
+    @pytest.mark.parametrize("kind", ["dense", "structured"])
+    def test_path_rows_equal_slice_calls(self, kind):
+        model = bounded_confidence_model(radius=0.15) if kind == "dense" else _cubic_model()
+        assert (model.cost_poly is None) == (kind == "dense")
+        path = _random_path(self.grid, 7, seed=53)
+        assert path.density(1).clipped_mass > 0.0
+        points = (self.grid.centers(), self.grid.faces(), self.grid.faces() + 1e-3, 0.3)
+        for fn in MEAN_FIELD:
+            for x in points:
+                got = fn(model, x, path)
+                assert got.shape == (len(path),) + np.shape(x)
+                for step in range(len(path)):
+                    assert _same_bits(got[step], np.asarray(fn(model, x, path.density(step))))
+
+    def test_scalar_point_matches_ascending_sum(self):
+        # one query point takes the cell-by-cell accumulator, not the pairwise reduction
+        model = bounded_confidence_model(radius=0.5)
+        dens = _bump_density(self.grid)
+        for x in (0.3, np.array([0.3])):
+            got = np.atleast_1d(mean_field_cost(model, x, dens))
+            assert _same_bits(got, _uncached(model.cost_kernel, np.atleast_1d(x), dens, False))
+
+    def test_path_rows_clipped_like_densities(self):
+        path = _random_path(self.grid, 4, seed=57)
+        rows = _checked_rows(self.grid, path.data)
+        assert rows[1, 0] == 0.0 and path.data[1, 0] < 0.0
+        for step in range(len(path)):
+            assert _same_bits(rows[step], path.density(step).cell_averages)
+
+    def test_invalid_path_rows_rejected_like_densities(self):
+        model = bounded_confidence_model(radius=0.15)
+        for bad, message in ((np.nan, "non-finite"), (-1e-9, "negative cell average"), (5.0, "density mass")):
+            path = _random_path(self.grid, 3, seed=59)
+            path.data[2, 3] = bad
+            with pytest.raises(ValueError, match=message):
+                DensityGrid(self.grid, path.data[2])
+            for fn in MEAN_FIELD:
+                with pytest.raises(ValueError, match=message):
+                    fn(model, self.grid.centers(), path)
