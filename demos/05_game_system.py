@@ -4,7 +4,7 @@
 A continuum of anticipating agents is described by a backward Hamilton-Jacobi
 equation for the value v coupled to a forward continuity equation for the
 density m. The pair is solved by damped Picard iteration on the density path,
-and the resulting feedback -(1/alpha) dv/dx is compared against the myopic
+accelerated by safeguarded Anderson mixing, and the resulting feedback -(1/alpha) dv/dx is compared against the myopic
 best-reply feedback on the population cost.
 """
 
@@ -32,7 +32,8 @@ m0 = density_of(BUMP, grid)
 dt = cfl_time_step(model, m0, horizon, safety=0.4)
 
 result = mfg_fixed_point(model, m0, horizon, dt)
-print(f"Picard iteration: converged={result.converged} after {result.iterations} steps, "
+print(f"Picard iteration: converged={result.converged} after {result.iterations} steps "
+      f"({result.accelerated_steps} Anderson steps accepted, {result.rejected_steps} rejected), "
       f"residual {result.residual:.2e}")
 print("history:", " ".join(f"{r:.1e}" for r in result.residual_history[:8]), "...")
 

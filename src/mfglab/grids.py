@@ -8,6 +8,7 @@ Densities are stored as cell averages, so a probability density satisfies
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,13 +151,22 @@ class DensityTrajectory:
         return self.density(len(self) - 1)
 
 
-def time_grid(horizon: float, dt: float) -> tuple[int, np.ndarray]:
-    """Uniform grid t_l = l*dt reaching the horizon; dt must divide it to 1e-12."""
+def step_count(horizon: float, dt: float) -> int:
+    """Number of steps dt in the horizon; raises ``ValueError`` unless dt divides it to 1e-12."""
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    n_steps = int(round(horizon / dt))
+    steps = horizon / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"dt={dt} gives a non-finite number of steps in the horizon {horizon}")
+    n_steps = int(round(steps))
     if n_steps < 1 or abs(n_steps * dt - horizon) > TIME_TOL * max(1.0, horizon):
         raise ValueError(f"dt={dt} does not divide the horizon {horizon}")
+    return n_steps
+
+
+def time_grid(horizon: float, dt: float) -> tuple[int, np.ndarray]:
+    """Uniform grid t_l = l*dt reaching the horizon; dt must divide it to 1e-12."""
+    n_steps = step_count(horizon, dt)
     return n_steps, dt * np.arange(n_steps + 1)
 
 

@@ -34,10 +34,11 @@ from .controller import (
     mpc_step_taylor,
 )
 from .errors import CFLError, ConfigError, DivergenceError, NumericalError
-from .grids import DensityGrid, DensityTrajectory, SpaceGrid, grid_for_support, normalized_density
+from .grids import DensityGrid, DensityTrajectory, SpaceGrid, grid_for_support, normalized_density, step_count
 from .kinetic import cfl_time_step, solve_kinetic
 from .measures import empirical, w1
 from .mfg import (
+    MFGResult,
     PicardParams,
     ValueGrid,
     feedback_controls_best_reply,
@@ -54,7 +55,7 @@ from .model import (
     consensus_model,
     polynomial_model,
 )
-from .nash import AdjointField, SweepParams, nash_sweep, value
+from .nash import AdjointField, NashResult, SweepParams, nash_sweep, value
 
 EXPERIMENTS = ("particle_vs_kinetic", "mpc_vs_brs", "mfg_vs_brs", "prop2_gap", "nash_vs_brs")
 MODEL_KINDS = ("consensus", "bounded_confidence", "polynomial")
@@ -167,6 +168,12 @@ def parse_config(text: str) -> ExperimentConfig:
                 f"model.alpha affine must stay positive on [0, {horizon}], "
                 f"got alpha(0) = {a} and alpha({horizon}) = {a + b * horizon}"
             )
+
+    if horizon is not None and dt is not None:
+        try:
+            step_count(horizon, dt)
+        except ValueError as exc:
+            errors.append(str(exc))
 
     if grid_bounds is not None and initial:
         lo, hi = _support_of(initial)
@@ -609,8 +616,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str | None = None, job
     Solver failures (divergence, CFL violation, non-convergence) produce exit
     code 3 with the failing stage named; validation failures found while
     running (``ConfigError``, e.g. a nonpositive control weight, or a model
-    whose kernels fail the construction checks) produce exit code 2. Both are
-    reported, not raised, and every exit writes the manifest.
+    whose kernels fail the construction checks, or inputs too large to
+    allocate or to count, such as a time grid of 10^15 steps) produce exit
+    code 2. Both are reported, not raised, and every exit writes the manifest.
     """
     start = time.monotonic()
     out = Path(out_dir) if out_dir is not None else Path(cfg.output or "results")
@@ -632,6 +640,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str | None = None, job
         code = EXIT_OK
     except ConfigError as exc:
         artifacts, message = [], f"validation failed: {exc}"
+        code = EXIT_CONFIG
+    except (OverflowError, MemoryError) as exc:
+        artifacts, message = [], f"validation failed: inputs too large ({type(exc).__name__}: {exc})"
         code = EXIT_CONFIG
     except (DivergenceError, CFLError, NumericalError) as exc:
         artifacts, message = [], f"stage {cfg.experiment!r} failed: {exc}"
@@ -751,7 +762,7 @@ def _run_mfg_vs_brs(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: in
             ("converged", result.converged),
         ]),
     ]
-    return artifacts, f"fixed point in {result.iterations} iterations, W1(final) = {dist:.3e}"
+    return artifacts, f"fixed point in {_iterations(result)}, W1(final) = {dist:.3e}"
 
 
 def _run_prop2_gap(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: int):
@@ -792,7 +803,13 @@ def _run_nash_vs_brs(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: i
             ("converged", result.converged),
         ]),
     ]
-    return artifacts, f"sweep converged in {result.iterations} iterations"
+    return artifacts, f"sweep converged in {_iterations(result)}"
+
+
+def _iterations(result: MFGResult | NashResult) -> str:
+    """Iteration count of a fixed-point result with its Anderson steps, for the run message."""
+    return (f"{result.iterations} iterations ({result.accelerated_steps} Anderson steps accepted, "
+            f"{result.rejected_steps} rejected)")
 
 
 # ---------------------------------------------------------------------------

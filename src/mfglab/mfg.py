@@ -18,7 +18,8 @@ path-level quadrature each (see ``model``), bit for bit the per-slice values.
 The forward march computes each slice from the one before, and evaluates F
 slice by slice.
 
-The coupled system is solved by damped Picard iteration on the density path.
+The coupled system is solved by damped Picard iteration on the density path,
+accelerated by safeguarded Anderson mixing (``_anderson``).
 The receding-horizon closure replaces v on each step by the instantaneous
 mean-field cost, which collapses the system to the best-reply transport
 equation; discretely the two marches coincide bitwise.
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._anderson import Anderson
 from .errors import CFLError, NumericalError
 from .grids import DensityGrid, DensityTrajectory, SpaceGrid, _checked_rows, time_grid, uniform_dt
 from .kinetic import CFL_NUMBER, solve_kinetic, step_upwind, velocity_field
@@ -81,6 +83,8 @@ class MFGResult:
     converged: bool
     iterations: int
     residual_history: np.ndarray
+    accelerated_steps: int
+    rejected_steps: int
 
 
 def _one_sided_slopes(values: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray]:
@@ -167,12 +171,21 @@ def mfg_fixed_point(
     dt: float,
     params: PicardParams = PicardParams(),
 ) -> MFGResult:
-    """Damped Picard iteration on the density path of the coupled system on [0, horizon].
+    """Damped Picard iteration with Anderson mixing on the density path of the coupled system on [0, horizon].
 
-    Starts from the transport of m0 by F alone, then alternates a backward
-    value solve and a forward density solve, mixing density paths slice-wise
-    with the damping factor and renormalizing each slice. The residual is the
-    largest L1 distance between successive paths at any time slice.
+    Starts from the transport of m0 by F alone. Each iteration solves the value
+    backward along the current path and the density forward under that value,
+    and forms the damped image: the two paths mixed slice-wise with the
+    damping factor, each slice renormalized to unit mass. The residual is the
+    largest L1 distance between the current path and its damped image at any
+    time slice; the iteration stops once it is at most the tolerance and
+    returns that damped image, so every returned slice is a density.
+
+    The next iterate is the Anderson mix of the last damped images (memory
+    ``_anderson.MEMORY``), slice-wise renormalized. A mixed path with a
+    negative entry is rejected for the damped image itself, and the mixing
+    history restarts whenever the residual grows. ``accelerated_steps`` and
+    ``rejected_steps`` of the result count the mixed paths used and refused.
     Non-convergence is reported through the flag, never raised.
     """
     n_steps, times = time_grid(horizon, dt)
@@ -180,22 +193,25 @@ def mfg_fixed_point(
     zero_value = ValueGrid(grid, times, np.zeros((n_steps + 1, grid.cells)))
     current = fp_forward(model, zero_value, m0)
     theta = params.damping
+    mixer = Anderson(current.data.size)
     history: list[float] = []
     converged = False
     iterations = 0
-    while iterations < params.max_iterations:
+    while True:
         iterations += 1
         value = hjb_backward(model, current)
         proposal = fp_forward(model, value, m0)
-        mixed = (1.0 - theta) * current.data + theta * proposal.data
-        masses = np.sum(mixed, axis=1) * grid.dx
-        mixed = mixed / masses[:, None]
+        mixed = _unit_slices((1.0 - theta) * current.data + theta * proposal.data, grid.dx)
         residual = float(np.max(np.sum(np.abs(mixed - current.data), axis=1) * grid.dx))
         history.append(residual)
-        current = DensityTrajectory(grid, times.copy(), mixed)
-        if residual <= params.tolerance:
-            converged = True
+        converged = residual <= params.tolerance
+        if converged or iterations == params.max_iterations:
+            current = DensityTrajectory(grid, times.copy(), mixed)
             break
+        candidate = mixer.mix(current.data, mixed, residual)
+        if candidate is not mixed:
+            candidate = _unit_slices(candidate, grid.dx) if candidate.min() >= 0.0 else mixer.reject()
+        current = DensityTrajectory(grid, times.copy(), candidate)
     value = hjb_backward(model, current)
     return MFGResult(
         value=value,
@@ -204,7 +220,14 @@ def mfg_fixed_point(
         converged=converged,
         iterations=iterations,
         residual_history=np.asarray(history),
+        accelerated_steps=mixer.accepted,
+        rejected_steps=mixer.rejected,
     )
+
+
+def _unit_slices(data: np.ndarray, dx: float) -> np.ndarray:
+    """Each row of a density path rescaled to unit mass."""
+    return data / (np.sum(data, axis=1) * dx)[:, None]
 
 
 def mpc_mfg_closure(model: ModelSpec, m0: DensityGrid, horizon: float, dt: float) -> DensityTrajectory:

@@ -22,7 +22,8 @@ round-off:
     dV_i / du_{i,l} = dt * ( alpha(t_l) u_{i,l} + phi^i_i(l+1) ).
 
 The sweep damps the fixed-point update u <- -phi^i_i / alpha to tame the strong
-state-costate coupling of the two-point boundary value problem.
+state-costate coupling of the two-point boundary value problem, and
+accelerates the damped map by safeguarded Anderson mixing (``_anderson``).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._anderson import Anderson
 from .controller import DEFAULT_BLOW_UP_BOUND, ParticleTrajectory, euler_step
 from .errors import DivergenceError, NumericalError
 from .grids import time_grid, uniform_dt
@@ -44,6 +46,8 @@ from .model import (
     drift,
     drift_jacobian,
 )
+
+GROWTH_LIMIT = 5  # a sweep stops once its residual has grown on this many sweeps in a row
 
 
 @dataclass
@@ -89,6 +93,8 @@ class NashResult:
     converged: bool
     iterations: int
     residual_history: np.ndarray
+    accelerated_steps: int
+    rejected_steps: int
     control_history: list[np.ndarray] = field(default_factory=list)
 
 
@@ -177,29 +183,39 @@ def nash_sweep(
     params: SweepParams = SweepParams(),
     record_history: bool = False,
 ) -> NashResult:
-    """Damped fixed-point iteration on the stationarity system of all N players on [0, horizon].
+    """Damped fixed-point iteration with Anderson mixing on the stationarity system of all N players on [0, horizon].
 
     Each sweep simulates the state forward, solves every player's costate
-    backward, and relaxes the controls towards u_{i,l} = -phi^i_i(t_{l+1}) /
-    alpha(t_l). The residual max |alpha u + phi^i_i| is the exact sup-norm of
-    the discrete cost gradients, so it vanishes precisely at a stationary
-    (open-loop Nash) point.
+    backward, and forms the damped image: the controls relaxed towards
+    u_{i,l} = -phi^i_i(t_{l+1}) / alpha(t_l). The residual max |alpha u + phi^i_i|
+    is the exact sup-norm of the discrete cost gradients, so it vanishes
+    precisely at a stationary (open-loop Nash) point; the sweep stops once it
+    is at most the tolerance.
+
+    The next controls are the Anderson mix of the last damped images (memory
+    ``_anderson.MEMORY``); the mixing history restarts whenever the residual
+    grows. ``accelerated_steps`` and ``rejected_steps`` of the result count
+    the mixed controls used and refused.
 
     Non-convergence is reported, never raised. When a sweep after the first
     diverges (``DivergenceError`` from the state, ``NumericalError`` from a
-    costate), the iteration stops with ``converged=False`` and returns the last
-    finite iterate with its residual history. The first sweep runs the
-    uncontrolled system; if that diverges there is no iterate to report and
-    the error propagates.
+    costate), mixed controls are rejected for their damped image; otherwise
+    the iteration stops with ``converged=False`` and returns the last finite
+    iterate with its residual history. The iteration stops the same way once
+    the residual has grown on ``GROWTH_LIMIT`` sweeps in a row. The first
+    sweep runs the uncontrolled system; if that diverges there is no iterate
+    to report and the error propagates.
     """
     n_steps, times = time_grid(horizon, dt)
     weights = _weights(model, times)
     controls = np.zeros((initial.n, n_steps))
+    mixer = Anderson(controls.size)
     history: list[float] = []
     control_history: list[np.ndarray] = []
     theta = params.relaxation
     converged = False
     iterations = 0
+    growing = 0
 
     while iterations < params.max_iterations:
         profile = ControlProfile(controls, times)
@@ -209,21 +225,25 @@ def nash_sweep(
         except (DivergenceError, NumericalError):
             if not history:
                 raise
-            break  # trajectory and costates still hold the last finite iterate
+            controls = mixer.reject()
+            if controls is None:
+                break  # trajectory and costates still hold the last finite iterate
+            continue
         trajectory, accepted = candidate, profile
         iterations += 1
         own = _own(costates)
         residual = float(np.max(np.abs(weights[None, :] * controls + own)))
+        growing = growing + 1 if history and residual > history[-1] else 0
         history.append(residual)
         if record_history:
             control_history.append(controls.copy())
         if residual <= params.tolerance:
             converged = True
             break
-        if iterations == params.max_iterations:
+        if iterations == params.max_iterations or growing == GROWTH_LIMIT:
             break
         proposal = -own / weights[None, :]
-        controls = (1.0 - theta) * controls + theta * proposal
+        controls = mixer.mix(controls, (1.0 - theta) * controls + theta * proposal, residual)
 
     return NashResult(
         controls=accepted,
@@ -233,5 +253,7 @@ def nash_sweep(
         converged=converged,
         iterations=iterations,
         residual_history=np.asarray(history),
+        accelerated_steps=mixer.accepted,
+        rejected_steps=mixer.rejected,
         control_history=control_history,
     )

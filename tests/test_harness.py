@@ -363,6 +363,28 @@ class TestCli:
     def test_missing_file_exit_two(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("horizon, dt, needle", [
+        (1.0, 0.3, "does not divide the horizon"),
+        (1e300, 1e-10, "non-finite number of steps"),
+    ], ids=["not-dividing", "step-count-overflows"])
+    def test_time_grid_refused_at_parse_exit_two_with_manifest(self, tmp_path, capsys, horizon, dt, needle):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(MINIMAL_NASH, horizon=horizon, dt=dt)))
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert needle in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["exit_code"] == EXIT_CONFIG and needle in manifest["message"]
+
+    def test_time_grid_too_large_to_allocate_exit_two_with_manifest(self, tmp_path, capsys):
+        # dt divides the horizon, but 10^15 + 1 grid times take 7 PiB, more than a
+        # process can map, so numpy raises MemoryError before touching memory
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(MINIMAL_NASH, horizon=1e6, dt=1e-9)))
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "MemoryError" in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["exit_code"] == EXIT_CONFIG and "too large" in manifest["message"]
+
 
 class TestCsvWriters:
     def test_seventeen_digit_floats(self, tmp_path):

@@ -25,6 +25,7 @@ from mfglab import (
     solve_kinetic,
     total_running_cost,
 )
+from mfglab.grids import time_grid
 from mfglab.kinetic import cfl_time_step
 from mfglab.model import alpha_at
 
@@ -329,3 +330,57 @@ class TestPathEvaluation:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 81 * 64 * 8 / 4
+
+
+def _plain_picard(model, m0, horizon, dt, params):
+    """The damped Picard loop without mixing: the fixed point and its iteration count."""
+    grid = m0.grid
+    _, times = time_grid(horizon, dt)
+    current = fp_forward(model, ValueGrid(grid, times, np.zeros((times.size, grid.cells))), m0)
+    for iteration in range(1, params.max_iterations + 1):
+        proposal = fp_forward(model, hjb_backward(model, current), m0)
+        mixed = (1.0 - params.damping) * current.data + params.damping * proposal.data
+        mixed = mixed / (np.sum(mixed, axis=1) * grid.dx)[:, None]
+        residual = np.max(np.sum(np.abs(mixed - current.data), axis=1) * grid.dx)
+        current = DensityTrajectory(grid, times, mixed)
+        if residual <= params.tolerance:
+            return current, iteration
+    raise AssertionError("plain Picard did not converge")
+
+
+class TestAndersonMixing:
+    """Anderson mixing in mfg_fixed_point: same fixed point, fewer iterations, valid densities."""
+
+    PARAMS = PicardParams(tolerance=1e-10, damping=0.5)
+
+    def setup_method(self):
+        self.grid = grid_for_support(0.26, 0.74, 128)
+        self.m0 = gaussian_density(self.grid)
+
+    @pytest.mark.parametrize("kind", ["bounded_confidence", "cubic"])
+    def test_same_fixed_point_in_fewer_iterations(self, kind):
+        model = bounded_confidence_model(radius=0.1) if kind == "bounded_confidence" else _cubic_model()
+        res = mfg_fixed_point(model, self.m0, 1.0, 1 / 160, self.PARAMS)
+        reference, plain_iterations = _plain_picard(model, self.m0, 1.0, 1 / 160, self.PARAMS)
+        assert res.converged and res.accelerated_steps > 0
+        assert res.iterations < plain_iterations
+        gap = np.max(np.sum(np.abs(res.densities.data - reference.data), axis=1) * self.grid.dx)
+        assert gap <= 10 * self.PARAMS.tolerance
+
+    def test_every_iterate_is_a_density(self, monkeypatch):
+        import mfglab.mfg
+
+        seen = []
+        original = mfglab.mfg.hjb_backward
+
+        def recording(model, m_path):
+            seen.append(m_path.data.copy())
+            return original(model, m_path)
+
+        monkeypatch.setattr(mfglab.mfg, "hjb_backward", recording)
+        res = mfg_fixed_point(bounded_confidence_model(radius=0.1), self.m0, 1.0, 1 / 160, self.PARAMS)
+        assert res.converged and res.rejected_steps > 0
+        assert len(seen) == res.iterations + 1
+        for path in seen:
+            assert np.min(path) >= 0.0
+            assert np.max(np.abs(np.sum(path, axis=1) * self.grid.dx - 1.0)) <= 1e-12

@@ -17,6 +17,7 @@ from mfglab import (
     value,
 )
 from mfglab.model import cost_gradient_full, drift_jacobian
+from mfglab.nash import GROWTH_LIMIT
 
 
 def grid_profile(n, n_steps, horizon, values=None):
@@ -250,6 +251,48 @@ class TestNashSweep:
         # the reported iterate is finite and consistent: its controls replay its trajectory
         replay = simulate_state(m, start, res.controls)
         assert np.array_equal(replay.positions, res.trajectory.positions)
+
+    def test_growing_residual_stops_the_sweep(self):
+        # undamped sweeps on a long window: the residual grows from the first sweep on
+        from mfglab.harness import sample_initial
+
+        m = bounded_confidence_model(radius=0.1)
+        start = sample_initial(0, 8, {"kind": "uniform", "a": 0.0, "b": 1.0})
+        res = nash_sweep(m, start, 2.0, 0.02, SweepParams(relaxation=1.0))
+        assert not res.converged
+        assert res.iterations <= 7
+        assert np.all(np.diff(res.residual_history)[-GROWTH_LIMIT:] > 0.0)
+
+    def test_anderson_converges_where_damping_alone_stalls(self):
+        # plain damped sweeps stall at residual 1.674e-3 on this case
+        from mfglab.harness import sample_initial
+
+        m = bounded_confidence_model(radius=0.1)
+        start = sample_initial(0, 8, {"kind": "uniform", "a": 0.0, "b": 1.0})
+        res = nash_sweep(m, start, 1.0, 0.02, SweepParams(relaxation=0.5))
+        assert res.converged and res.iterations <= 40
+        assert res.accelerated_steps > 0 and res.rejected_steps == 0
+
+    def test_diverging_anderson_candidate_rejected(self, monkeypatch):
+        # the third sweep runs the first mixed candidate; its divergence sends the sweep back to
+        # the damped image, and the sweep still converges
+        import mfglab.nash
+
+        calls = []
+        original = mfglab.nash.simulate_state
+
+        def failing_third(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise DivergenceError("injected")
+            return original(*args)
+
+        monkeypatch.setattr(mfglab.nash, "simulate_state", failing_third)
+        m = consensus_model()
+        start = ParticleEnsemble(np.array([-0.8, -0.1, 0.4, 0.9]))
+        res = nash_sweep(m, start, 1.0, 1.0 / 100)
+        assert res.converged and res.rejected_steps == 1
+        assert len(calls) == res.iterations + 1
 
     def test_divergence_in_first_sweep_raises(self):
         # repulsive drift: the uncontrolled first sweep already leaves the bound
