@@ -59,9 +59,16 @@ def brs_control(model: ModelSpec, ensemble: ParticleEnsemble, t: float) -> np.nd
     return -cost_grad_vector(model, ensemble) / alpha_at(model, t)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a step that leaves the floats is reported instead
 def euler_step(positions: np.ndarray, drift_vec: np.ndarray, controls: np.ndarray, dt: float) -> np.ndarray:
-    """Shared explicit Euler update; every integrator uses this exact expression."""
-    return positions + dt * (drift_vec + controls)
+    """Shared explicit Euler update; every integrator uses this exact expression.
+
+    Raises ``DivergenceError`` when a new position is not finite.
+    """
+    new_positions = positions + dt * (drift_vec + controls)
+    if not np.isfinite(new_positions).all():
+        raise DivergenceError(f"an explicit Euler step of size {dt} left the finite numbers")
+    return new_positions
 
 
 def mpc_step_exact(
@@ -95,7 +102,9 @@ def mpc_step_taylor(
     return controls, _advance(model, ensemble, controls, t, dt)
 
 
-def _advance(model: ModelSpec, ensemble: ParticleEnsemble, controls: np.ndarray, t: float, dt: float) -> ParticleEnsemble:
+def _advance(
+    model: ModelSpec, ensemble: ParticleEnsemble, controls: np.ndarray, t: float, dt: float
+) -> ParticleEnsemble:
     new_positions = euler_step(ensemble.positions, drift(model, ensemble), controls, dt)
     return ParticleEnsemble(new_positions, time=t + dt)
 

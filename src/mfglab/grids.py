@@ -16,6 +16,7 @@ import numpy as np
 MASS_TOL = 1e-12
 NEGATIVE_TOL = 1e-15
 TIME_TOL = 1e-12  # slack for dt dividing the horizon and for uniform steps
+_MAX_POINTS = np.iinfo(np.intp).max // 8  # the most float64 entries numpy can describe in one array
 
 
 @dataclass(frozen=True)
@@ -152,13 +153,19 @@ class DensityTrajectory:
 
 
 def step_count(horizon: float, dt: float) -> int:
-    """Number of steps dt in the horizon; raises ``ValueError`` unless dt divides it to 1e-12."""
+    """Number of steps dt in the horizon; raises ``ValueError`` unless dt divides it to 1e-12.
+
+    Raises ``OverflowError`` when the time grid would have more than ``_MAX_POINTS`` points.
+    """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     steps = horizon / dt
     if not math.isfinite(steps):
         raise ValueError(f"dt={dt} gives a non-finite number of steps in the horizon {horizon}")
     n_steps = int(round(steps))
+    if n_steps >= _MAX_POINTS:
+        raise OverflowError(f"dt={dt} gives {steps:.6g} steps in the horizon {horizon}, "
+                            f"more than a time grid of {_MAX_POINTS} points holds")
     if n_steps < 1 or abs(n_steps * dt - horizon) > TIME_TOL * max(1.0, horizon):
         raise ValueError(f"dt={dt} does not divide the horizon {horizon}")
     return n_steps

@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -34,7 +34,9 @@ from .controller import (
     mpc_step_taylor,
 )
 from .errors import CFLError, ConfigError, DivergenceError, NumericalError
-from .grids import DensityGrid, DensityTrajectory, SpaceGrid, grid_for_support, normalized_density, step_count
+from .grids import (
+    _MAX_POINTS, DensityGrid, DensityTrajectory, SpaceGrid, grid_for_support, normalized_density, step_count,
+)
 from .kinetic import cfl_time_step, solve_kinetic
 from .measures import empirical, w1
 from .mfg import (
@@ -58,8 +60,6 @@ from .model import (
 from .nash import AdjointField, NashResult, SweepParams, nash_sweep, value
 
 EXPERIMENTS = ("particle_vs_kinetic", "mpc_vs_brs", "mfg_vs_brs", "prop2_gap", "nash_vs_brs")
-MODEL_KINDS = ("consensus", "bounded_confidence", "polynomial")
-DISTRIBUTIONS = ("uniform", "gaussian", "two_bump")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -88,14 +88,6 @@ class ExperimentConfig:
     solver_max_iterations: int | None = None
     output: str | None = None
 
-    def echo(self) -> dict:
-        """JSON-ready view of the validated configuration."""
-        out = dataclasses.asdict(self)
-        out["dt_list"] = list(self.dt_list) if self.dt_list else None
-        out["n_particles_list"] = list(self.n_particles_list) if self.n_particles_list else None
-        out["grid_bounds"] = list(self.grid_bounds) if self.grid_bounds else None
-        return out
-
 
 @dataclass
 class RunResult:
@@ -105,7 +97,138 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
-# configuration parsing (collects every validation error)
+# configuration parsing: one field table read by two readers (collects every validation error)
+
+
+def _finite(v) -> bool:
+    """Whether a parsed JSON value is a finite number: not a bool (``true`` would pass as 1), nor beyond the floats."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max  # NaN fails too
+
+
+def _coefficient_table(table) -> list[list[float]] | None:
+    """A number, a list of numbers or a list of equal-length rows as a 2D table of floats; None if not one."""
+    if not isinstance(table, list):
+        table = [table]
+    rows = table if table and all(isinstance(row, list) for row in table) else [table]
+    if not rows[0] or any(len(row) != len(rows[0]) for row in rows) or not all(_finite(v) for r in rows for v in r):
+        return None
+    return [[float(v) for v in row] for row in rows]
+
+
+# Kinds: each reads a JSON value, or returns None when the value is not of the kind.
+def _number(v):
+    return float(v) if _finite(v) else None
+
+
+def _integer(v):
+    return v if isinstance(v, int) and _finite(v) else None
+
+
+def _string(v):
+    return v if isinstance(v, str) else None
+
+
+def _list_of(kind):
+    def read(v):
+        items = [kind(x) for x in v] if isinstance(v, list) and v else [None]
+        return None if None in items else tuple(items)
+    return read
+
+
+def _count(low: int):
+    """Kind, bound and requirement of a size numpy can allocate: an integer in [low, _MAX_POINTS]."""
+    return _integer, lambda v: low <= v <= _MAX_POINTS, f"an integer in [{low}, {_MAX_POINTS}]"
+
+
+_POSITIVE = (_number, lambda v: v > 0, "a positive finite number")
+_FINITE = (_number, None, "a finite number")
+
+# Field table: (name, kind, bound, requirement, default, required). A JSON null
+# counts as absent; a list kind applies its bound to every entry.
+_TOP = (
+    ("experiment", _string, lambda v: v in EXPERIMENTS, f"one of {EXPERIMENTS}", None, True),
+    ("horizon", *_POSITIVE, None, True),
+    ("dt", *_POSITIVE, None, False),
+    ("dt_list", _list_of(_number), lambda v: v > 0, "a nonempty list of positive finite numbers", None, False),
+    ("seed", _integer, lambda v: v >= 0, "a nonnegative integer", 0, False),
+    ("n_seeds", *_count(1), 1, False),
+    ("n_particles", *_count(2), None, False),
+    ("n_particles_list", _list_of(_integer), _count(2)[1], f"a nonempty list of integers in [2, {_MAX_POINTS}]",
+     None, False),
+    ("output", _string, None, "a string path", None, False),
+)
+_GRID = (("cells", *_count(8), None, False), ("x_min", *_FINITE, None, False), ("x_max", *_FINITE, None, False))
+_SOLVER = (
+    ("tolerance", *_POSITIVE, 1e-8, False),
+    ("damping", _number, lambda v: 0 < v <= 1, "a number in (0, 1]", 0.5, False),
+    ("max_iterations", _integer, lambda v: v >= 1, "a positive integer", None, False),
+)
+_TABLE = (_coefficient_table, None, "a nonempty table of finite numbers", None, True)
+# Kind-selected blocks: the block's "kind" picks its fields.
+_MODELS = {
+    "consensus": (),
+    "bounded_confidence": (("radius", *_POSITIVE, None, True),),
+    "polynomial": (("drift_coeffs", *_TABLE), ("cost_coeffs", *_TABLE)),
+}
+_ALPHAS = {
+    "constant": (("value", *_POSITIVE, None, True),),
+    "affine": (("intercept", *_FINITE, None, True), ("slope", *_FINITE, 0.0, False)),
+}
+_INITIALS = {
+    "uniform": (("a", *_FINITE, None, True), ("b", *_FINITE, None, True)),
+    "gaussian": (("mu", *_FINITE, None, True), ("sigma", *_POSITIVE, None, True),
+                 ("lo", *_FINITE, None, True), ("hi", *_FINITE, None, True)),
+    "two_bump": (("mu1", *_FINITE, None, True), ("sigma1", *_POSITIVE, None, True),
+                 ("mu2", *_FINITE, None, True), ("sigma2", *_POSITIVE, None, True),
+                 ("lo", *_FINITE, None, True), ("hi", *_FINITE, None, True)),
+}
+# A model block may carry the fields of any model kind; only its own kind's are read.
+_MODEL_KEYS = ("kind", "alpha", *{f[0] for fields in _MODELS.values() for f in fields})
+_REQUIRES = {
+    "particle_vs_kinetic": ("dt", "n_particles_list", "grid.cells"),
+    "mpc_vs_brs": ("dt_list", "n_particles"),
+    "mfg_vs_brs": ("dt", "grid.cells"),
+    "prop2_gap": ("dt_list", "grid.cells"),
+    "nash_vs_brs": ("dt", "n_particles"),
+}
+
+
+def _read_block(block, path: str, fields: tuple, errors: list[str], known=()) -> dict:
+    """The fields of one config object, defaults filled in; keys outside ``fields`` and ``known`` are reported.
+
+    A field that fails its kind or bound is reported as ``<path> must be <requirement>, got <value>`` and reads as None.
+    """
+    block = {} if block is None else block
+    if not isinstance(block, dict):
+        errors.append(f"{path} must be an object, got {block!r}")
+        return {f[0]: None for f in fields}
+    for key in sorted(set(block) - {f[0] for f in fields} - set(known)):
+        errors.append(f"{path}: unknown key {key!r}" if path else f"unknown key {key!r}")
+    out = {}
+    for name, kind, bound, requirement, default, required in fields:
+        raw = block.get(name)
+        value = default if raw is None else kind(raw)
+        entries = value if isinstance(value, tuple) else (value,)
+        missing = raw is None and required
+        invalid = raw is not None and (value is None or bound is not None and not all(map(bound, entries)))
+        if missing or invalid:
+            errors.append(f"{path + '.' if path else ''}{name} must be {requirement}, got {raw!r}")
+            value = None
+        out[name] = value
+    return out
+
+
+def _read_kind(block, path: str, kinds: dict, errors: list[str], known=("kind",)) -> tuple[str | None, dict]:
+    """A block whose ``kind`` picks its fields from ``kinds``: (kind, values); the kind is None after any problem."""
+    if not isinstance(block, dict):
+        errors.append(f"{path} must be an object, got {block!r}")
+        return None, {}
+    kind, before = block.get("kind"), len(errors)
+    if not (isinstance(kind, str) and kind in kinds):
+        errors.append(f"{path}.kind must be one of {tuple(kinds)}, got {kind!r}")
+        return None, {}
+    values = _read_block(block, path, kinds[kind], errors, known)
+    return (kind if len(errors) == before else None), values
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -118,348 +241,72 @@ def parse_config(text: str) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError(["top level must be a JSON object"])
 
-    known = {
-        "experiment", "model", "horizon", "dt", "dt_list", "n_particles",
-        "n_particles_list", "n_seeds", "seed", "grid", "initial", "solver", "output",
-    }
-    for key in sorted(set(raw) - known):
-        errors.append(f"unknown key {key!r}")
+    top = _read_block(raw, "", _TOP, errors, known=("model", "grid", "initial", "solver"))
+    model = raw.get("model")
+    model_kind, model_params = _read_kind(model, "model", _MODELS, errors, known=_MODEL_KEYS)
+    alpha = model.get("alpha") if isinstance(model, dict) else None
+    alpha_kind, alpha_params = _read_kind(
+        {"kind": "constant", "value": 1.0} if alpha is None else alpha, "model.alpha", _ALPHAS, errors)
+    grid_block = raw.get("grid")
+    grid = _read_block(grid_block, "grid", _GRID, errors)
+    initial_kind, initial = _read_kind(raw.get("initial"), "initial", _INITIALS, errors)
+    solver = _read_block(raw.get("solver"), "solver", _SOLVER, errors)
 
-    experiment = raw.get("experiment")
-    if experiment not in EXPERIMENTS:
-        errors.append(f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
-
-    model_kind, model_params, alpha_kind, alpha_params = _parse_model(raw.get("model"), errors)
-    horizon = _positive_number(raw, "horizon", errors, required=True)
-    seed = _nonneg_int(raw, "seed", errors, default=0)
-    n_seeds = _positive_int(raw, "n_seeds", errors, default=1)
-    dt = _positive_number(raw, "dt", errors, required=False)
-    dt_list = _positive_list(raw, "dt_list", errors)
-    n_particles = _particle_count(raw.get("n_particles"), "n_particles", errors)
-    n_particles_list = None
-    if "n_particles_list" in raw:
-        vals = raw["n_particles_list"]
-        if not isinstance(vals, list) or not vals:
-            errors.append("n_particles_list must be a nonempty list")
-        else:
-            parsed = [_particle_count(v, "n_particles_list entry", errors) for v in vals]
-            if all(v is not None for v in parsed):
-                n_particles_list = tuple(parsed)
-
-    grid_cells, grid_bounds = _parse_grid(raw.get("grid"), errors)
-    initial = _parse_initial(raw.get("initial"), errors)
-    tol, damping, max_iter = _parse_solver(raw.get("solver"), errors)
-
-    output = raw.get("output")
-    if output is not None and not isinstance(output, str):
-        errors.append("output must be a string path")
-
-    _require_experiment_fields(
-        experiment, errors,
-        dt=dt, dt_list=dt_list, n_particles=n_particles,
-        n_particles_list=n_particles_list, grid_cells=grid_cells,
-    )
-
+    # cross-field rules
+    experiment, horizon, dt, seed = top["experiment"], top["horizon"], top["dt"], top["seed"]
+    have = {**top, "grid.cells": grid["cells"]}
+    for name in _REQUIRES.get(experiment, ()):
+        if have[name] is None:
+            errors.append(f"experiment {experiment!r} requires {name}")
+    if seed is not None and top["n_seeds"] is not None and seed + top["n_seeds"] - 1 >= 2**128:  # Philox keys
+        errors.append(f"seed + n_seeds - 1 must be less than 2**128, got {seed + top['n_seeds'] - 1}")
     if alpha_kind == "affine" and horizon is not None:
         a, b = alpha_params["intercept"], alpha_params["slope"]
-        # affine: the smallest value on [0, horizon] sits at an end point
-        if not min(a, a + b * horizon) > 0:
-            errors.append(
-                f"model.alpha affine must stay positive on [0, {horizon}], "
-                f"got alpha(0) = {a} and alpha({horizon}) = {a + b * horizon}"
-            )
-
+        if not min(a, a + b * horizon) > 0:  # affine: the smallest value on [0, horizon] sits at an end point
+            errors.append(f"model.alpha affine must stay positive on [0, {horizon}], "
+                          f"got alpha(0) = {a} and alpha({horizon}) = {a + b * horizon}")
     if horizon is not None and dt is not None:
         try:
             step_count(horizon, dt)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             errors.append(str(exc))
-
-    if grid_bounds is not None and initial:
+    x_min, x_max = grid["x_min"], grid["x_max"]
+    grid_bounds = None
+    if isinstance(grid_block, dict) and (grid_block.get("x_min") is None) != (grid_block.get("x_max") is None):
+        errors.append("grid.x_min and grid.x_max must be given together")
+    elif x_min is not None and x_max is not None:
+        grid_bounds = (x_min, x_max)
+        if not x_min < x_max:
+            errors.append(f"grid.x_min must be less than grid.x_max, got {x_min} and {x_max}")
+    if initial_kind is not None:
+        initial = {"kind": initial_kind, **initial}
         lo, hi = _support_of(initial)
-        if lo < grid_bounds[0] or hi > grid_bounds[1]:
-            errors.append(
-                f"grid bounds {list(grid_bounds)} do not cover the initial support [{lo}, {hi}]"
-            )
+        if not lo < hi:
+            errors.append(f"initial support [{lo}, {hi}] is empty")
+        elif grid_bounds is not None and (lo < grid_bounds[0] or hi > grid_bounds[1]):
+            errors.append(f"grid bounds {list(grid_bounds)} do not cover the initial support [{lo}, {hi}]")
 
     if errors:
         raise ConfigError(errors)
     return ExperimentConfig(
-        experiment=experiment,
-        model_kind=model_kind,
-        model_params=model_params,
-        alpha_kind=alpha_kind,
-        alpha_params=alpha_params,
-        horizon=horizon,
-        seed=seed,
-        n_seeds=n_seeds,
-        initial=initial,
-        dt=dt,
-        dt_list=dt_list,
-        n_particles=n_particles,
-        n_particles_list=n_particles_list,
-        grid_cells=grid_cells,
-        grid_bounds=grid_bounds,
-        solver_tolerance=tol,
-        solver_damping=damping,
-        solver_max_iterations=max_iter,
-        output=output,
+        **top, model_kind=model_kind, model_params=model_params, alpha_kind=alpha_kind, alpha_params=alpha_params,
+        initial=initial, grid_cells=grid["cells"], grid_bounds=grid_bounds,
+        **{f"solver_{name}": value for name, value in solver.items()},
     )
-
-
-def _parse_model(block, errors: list[str]):
-    if not isinstance(block, dict):
-        errors.append("model block is required and must be an object")
-        return "consensus", {}, "constant", {"value": 1.0}
-    known = {"kind", "alpha", "radius", "drift_coeffs", "cost_coeffs"}
-    for key in sorted(set(block) - known):
-        errors.append(f"model: unknown key {key!r}")
-    kind = block.get("kind")
-    params: dict = {}
-    if kind not in MODEL_KINDS:
-        errors.append(f"model.kind must be one of {MODEL_KINDS}, got {kind!r}")
-        kind = "consensus"
-    elif kind == "bounded_confidence":
-        radius = block.get("radius")
-        if not _finite(radius) or not radius > 0:
-            errors.append("model.radius must be a positive finite number for bounded_confidence")
-        else:
-            params["radius"] = float(radius)
-    elif kind == "polynomial":
-        for name in ("drift_coeffs", "cost_coeffs"):
-            table = _coefficient_table(block.get(name))
-            if table is None:
-                errors.append(f"model.{name} must be a nonempty table of finite numbers")
-            else:
-                params[name] = table
-    alpha = block.get("alpha", {"kind": "constant", "value": 1.0})
-    alpha_kind, alpha_params = _parse_alpha(alpha, errors)
-    return kind, params, alpha_kind, alpha_params
-
-
-def _parse_alpha(block, errors: list[str]):
-    if not isinstance(block, dict):
-        errors.append("model.alpha must be an object")
-        return "constant", {"value": 1.0}
-    kind = block.get("kind")
-    if kind == "constant":
-        for key in sorted(set(block) - {"kind", "value"}):
-            errors.append(f"model.alpha: unknown key {key!r}")
-        v = block.get("value")
-        if not _finite(v) or not v > 0:
-            errors.append("model.alpha.value must be a positive finite number")
-            return "constant", {"value": 1.0}
-        return "constant", {"value": float(v)}
-    if kind == "affine":
-        for key in sorted(set(block) - {"kind", "intercept", "slope"}):
-            errors.append(f"model.alpha: unknown key {key!r}")
-        a = block.get("intercept")
-        b = block.get("slope", 0.0)
-        if not _finite(a) or not _finite(b):
-            errors.append("model.alpha affine needs finite numeric intercept and slope")
-            return "constant", {"value": 1.0}
-        return "affine", {"intercept": float(a), "slope": float(b)}
-    errors.append(f"model.alpha.kind must be 'constant' or 'affine', got {kind!r}")
-    return "constant", {"value": 1.0}
-
-
-def _parse_grid(block, errors: list[str]):
-    if block is None:
-        return None, None
-    if not isinstance(block, dict):
-        errors.append("grid must be an object")
-        return None, None
-    for key in sorted(set(block) - {"cells", "x_min", "x_max"}):
-        errors.append(f"grid: unknown key {key!r}")
-    cells = block.get("cells")
-    if not isinstance(cells, int) or cells < 8:
-        errors.append("grid.cells must be an integer >= 8")
-        cells = None
-    bounds = None
-    if ("x_min" in block) != ("x_max" in block):
-        errors.append("grid.x_min and grid.x_max must be given together")
-    elif "x_min" in block:
-        lo, hi = block["x_min"], block["x_max"]
-        if not _finite(lo) or not _finite(hi) or not lo < hi:
-            errors.append("grid bounds must be finite numbers with x_min < x_max")
-        else:
-            bounds = (float(lo), float(hi))
-    return cells, bounds
-
-
-def _parse_initial(block, errors: list[str]):
-    if not isinstance(block, dict):
-        errors.append("initial block is required and must be an object")
-        return {"kind": "uniform", "a": 0.0, "b": 1.0}
-    kind = block.get("kind")
-    fields = {
-        "uniform": ("a", "b"),
-        "gaussian": ("mu", "sigma", "lo", "hi"),
-        "two_bump": ("mu1", "sigma1", "mu2", "sigma2", "lo", "hi"),
-    }
-    if kind not in fields:
-        errors.append(f"initial.kind must be one of {DISTRIBUTIONS}, got {kind!r}")
-        return {"kind": "uniform", "a": 0.0, "b": 1.0}
-    wanted = fields[kind]
-    for key in sorted(set(block) - {"kind", *wanted}):
-        errors.append(f"initial: unknown key {key!r}")
-    out = {"kind": kind}
-    for name in wanted:
-        v = block.get(name)
-        if not _finite(v):
-            errors.append(f"initial.{name} must be a finite number")
-            return {"kind": "uniform", "a": 0.0, "b": 1.0}
-        out[name] = float(v)
-    lo, hi = _support_of(out)
-    if not lo < hi:
-        errors.append(f"initial support [{lo}, {hi}] is empty")
-    if kind in ("gaussian", "two_bump"):
-        for name in wanted:
-            if name.startswith("sigma") and not out[name] > 0:
-                errors.append(f"initial.{name} must be positive")
-    return out
-
-
-def _parse_solver(block, errors: list[str]):
-    tol, damping, max_iter = 1e-8, 0.5, None
-    if block is None:
-        return tol, damping, max_iter
-    if not isinstance(block, dict):
-        errors.append("solver must be an object")
-        return tol, damping, max_iter
-    for key in sorted(set(block) - {"tolerance", "damping", "max_iterations"}):
-        errors.append(f"solver: unknown key {key!r}")
-    if "tolerance" in block:
-        v = block["tolerance"]
-        if not _finite(v) or not v > 0:
-            errors.append("solver.tolerance must be positive")
-        else:
-            tol = float(v)
-    if "damping" in block:
-        v = block["damping"]
-        if not _finite(v) or not 0 < v <= 1:
-            errors.append("solver.damping must lie in (0, 1]")
-        else:
-            damping = float(v)
-    if "max_iterations" in block:
-        v = block["max_iterations"]
-        if not _finite(v) or not isinstance(v, int) or v < 1:
-            errors.append("solver.max_iterations must be a positive integer")
-        else:
-            max_iter = v
-    return tol, damping, max_iter
-
-
-def _require_experiment_fields(experiment, errors, *, dt, dt_list, n_particles, n_particles_list, grid_cells):
-    if experiment is None:
-        return
-    need = {
-        "particle_vs_kinetic": ("dt", "n_particles_list", "grid_cells"),
-        "mpc_vs_brs": ("dt_list", "n_particles"),
-        "mfg_vs_brs": ("dt", "grid_cells"),
-        "prop2_gap": ("dt_list", "grid_cells"),
-        "nash_vs_brs": ("dt", "n_particles"),
-    }.get(experiment, ())
-    have = {"dt": dt, "dt_list": dt_list, "n_particles": n_particles,
-            "n_particles_list": n_particles_list, "grid_cells": grid_cells}
-    for name in need:
-        if have[name] is None:
-            field = "grid.cells" if name == "grid_cells" else name
-            errors.append(f"experiment {experiment!r} requires {field}")
-
-
-def _finite(v) -> bool:
-    """Whether a parsed JSON value is a finite number.
-
-    Bools (``true`` would pass as 1), NaN, the infinities and integers beyond
-    the float range are not.
-    """
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:
-        return False
-
-
-def _coefficient_table(table) -> list[list[float]] | None:
-    """A number, a list of numbers or a list of equal-length rows as a 2D table of floats.
-
-    None unless the table is nonempty and every entry passes ``_finite``.
-    """
-    if not isinstance(table, list):
-        table = [table]
-    rows = table if table and all(isinstance(row, list) for row in table) else [table]
-    if not rows[0] or any(len(row) != len(rows[0]) for row in rows):
-        return None
-    if not all(_finite(v) for row in rows for v in row):
-        return None
-    return [[float(v) for v in row] for row in rows]
-
-
-def _positive_number(raw, key, errors, required):
-    v = raw.get(key)
-    if v is None:
-        if required:
-            errors.append(f"{key} is required")
-        return None
-    if not _finite(v) or not v > 0:
-        errors.append(f"{key} must be a positive finite number, got {v!r}")
-        return None
-    return float(v)
-
-
-def _positive_list(raw, key, errors):
-    if key not in raw:
-        return None
-    vals = raw[key]
-    if not isinstance(vals, list) or not vals:
-        errors.append(f"{key} must be a nonempty list")
-        return None
-    out = []
-    for v in vals:
-        if not _finite(v) or not v > 0:
-            errors.append(f"{key} entries must be positive finite numbers, got {v!r}")
-            return None
-        out.append(float(v))
-    return tuple(out)
-
-
-def _nonneg_int(raw, key, errors, default):
-    v = raw.get(key, default)
-    if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-        errors.append(f"{key} must be a nonnegative integer, got {v!r}")
-        return default
-    return v
-
-
-def _positive_int(raw, key, errors, default):
-    v = raw.get(key, default)
-    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-        errors.append(f"{key} must be a positive integer, got {v!r}")
-        return default
-    return v
-
-
-def _particle_count(v, label, errors):
-    if v is None:
-        return None
-    if not isinstance(v, int) or isinstance(v, bool) or v < 2:
-        errors.append(f"{label} must be an integer >= 2, got {v!r}")
-        return None
-    return v
 
 
 # ---------------------------------------------------------------------------
 # deterministic sampling (counter-based generator, fixed float mapping)
 
 
+@np.errstate(all="ignore")  # samples a float cannot hold are reported below
 def sample_initial(seed: int, n: int, distribution: dict) -> ParticleEnsemble:
     """Draw n sorted initial positions from the named distribution.
 
     The stream comes from a Philox counter-based generator keyed by the seed,
     so the same (seed, n, distribution) gives identical positions on every
-    platform and parallel cells need no stream-splitting discipline.
+    platform and parallel cells need no stream-splitting discipline. Raises
+    ``ConfigError`` naming ``initial`` when a sample is not finite.
     """
     if n < 1:
         raise ValueError(f"need at least one particle, got {n}")
@@ -480,6 +327,8 @@ def sample_initial(seed: int, n: int, distribution: dict) -> ParticleEnsemble:
         xs = np.where(picks < 0.5, first, second)
     else:
         raise ValueError(f"unsupported distribution {kind!r}")
+    if not np.all(np.isfinite(xs)):
+        raise ConfigError([f"initial {kind} distribution gives non-finite samples"])
     return ParticleEnsemble(np.sort(xs), time=0.0)
 
 
@@ -496,8 +345,12 @@ def _support_of(distribution: dict) -> tuple[float, float]:
     return distribution["lo"], distribution["hi"]
 
 
+@np.errstate(all="ignore")  # a pdf that leaves the floats fails the density checks instead
 def density_of(distribution: dict, grid: SpaceGrid) -> DensityGrid:
-    """Project the named distribution to cell averages (pdf at centers, renormalized)."""
+    """Project the named distribution to cell averages (pdf at centers, renormalized).
+
+    Raises ``ConfigError`` naming ``initial`` when the projection has no finite, positive mass.
+    """
     x = grid.centers()
     kind = distribution["kind"]
     if kind == "uniform":
@@ -512,7 +365,10 @@ def density_of(distribution: dict, grid: SpaceGrid) -> DensityGrid:
                      + _truncated_pdf(x, distribution["mu2"], distribution["sigma2"], lo, hi))
     else:
         raise ValueError(f"unsupported distribution {kind!r}")
-    return normalized_density(grid, pdf)
+    try:
+        return normalized_density(grid, pdf)
+    except ValueError as exc:
+        raise ConfigError([f"initial {kind} distribution on the grid cells: {exc}"]) from None
 
 
 def _truncated_pdf(x: np.ndarray, mu: float, sigma: float, lo: float, hi: float) -> np.ndarray:
@@ -647,7 +503,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str | None = None, job
     except (DivergenceError, CFLError, NumericalError) as exc:
         artifacts, message = [], f"stage {cfg.experiment!r} failed: {exc}"
         code = EXIT_SOLVER
-    artifacts.append(_write_manifest(out, cfg.echo(), code, message, start))
+    artifacts.append(_write_manifest(out, dataclasses.asdict(cfg), code, message, start))
     return RunResult(code, artifacts, message)
 
 
@@ -846,17 +702,22 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {exc}")
         return EXIT_CONFIG
     start = time.monotonic()
+    raw = _raw_json(text)
+    if args.seed is not None and isinstance(raw, dict):
+        raw["seed"] = args.seed  # validated with the rest of the config
+        text = json.dumps(raw)
     try:
-        cfg = parse_config(text)
-    except ConfigError as exc:
-        for problem in exc.errors:
-            print(f"config error: {problem}")
-        raw = _raw_json(text)
-        _write_manifest(args.out or _output_of(raw), raw, EXIT_CONFIG, f"validation failed: {exc}", start)
+        try:
+            cfg = parse_config(text)
+        except ConfigError as exc:
+            for problem in exc.errors:
+                print(f"config error: {problem}")
+            _write_manifest(args.out or _output_of(raw), raw, EXIT_CONFIG, f"validation failed: {exc}", start)
+            return EXIT_CONFIG
+        result = run_experiment(cfg, out_dir=args.out, jobs=max(1, args.jobs))
+    except OSError as exc:  # the output directory cannot be written
+        print(f"error: cannot write the output: {exc}")
         return EXIT_CONFIG
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    result = run_experiment(cfg, out_dir=args.out, jobs=max(1, args.jobs))
     print(result.message)
     for path in result.artifacts:
         print(f"wrote {path}")

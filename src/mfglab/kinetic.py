@@ -55,7 +55,7 @@ def step_upwind(m: DensityGrid, face_velocity: np.ndarray, dt: float) -> Density
         raise ValueError(f"dt must be positive, got {dt}")
     courant = dt * np.abs(face_velocity) / grid.dx
     worst = int(np.argmax(courant))
-    if courant[worst] > CFL_NUMBER + 1e-12:
+    if not courant[worst] <= CFL_NUMBER + 1e-12:  # a NaN velocity fails too
         raise CFLError(
             f"CFL violated: dt*|c|/dx = {courant[worst]:.4f} > {CFL_NUMBER} at face {worst} "
             f"(x = {grid.faces()[worst]:.6g})",

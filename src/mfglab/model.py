@@ -220,8 +220,13 @@ def _pair_eval(kernel: Kernel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 # particle-level evaluations; N is the ensemble size, every function returns all players
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def drift(model: ModelSpec, ensemble: ParticleEnsemble) -> np.ndarray:
-    """Interaction drift f_i(X) = (1/N) sum_j P(x_i, x_j)(x_j - x_i), ascending j."""
+    """Interaction drift f_i(X) = (1/N) sum_j P(x_i, x_j)(x_j - x_i), ascending j.
+
+    A state too wide for floats gives entries that are not finite, with numpy's
+    warnings silenced; ``controller.euler_step`` reports them as a divergence.
+    """
     x = ensemble.positions
     if model.drift_poly is not None:
         centre, u = _centred(x)
@@ -255,8 +260,12 @@ def cost(model: ModelSpec, ensemble: ParticleEnsemble) -> np.ndarray:
     return _peer_mean(model.cost_kernel, ensemble.positions)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def cost_grad_vector(model: ModelSpec, ensemble: ParticleEnsemble) -> np.ndarray:
-    """Own-state cost slopes d h_i / d x_i = (1/(N-1)) sum_{j != i} d_x phi(x_i, x_j) of all players."""
+    """Own-state cost slopes d h_i / d x_i = (1/(N-1)) sum_{j != i} d_x phi(x_i, x_j) of all players.
+
+    Like ``drift``, a state too wide for floats gives entries that are not finite, without a warning.
+    """
     x = ensemble.positions
     if model.cost_poly is not None:
         return _slope_sums(model.cost_poly, x) / _peers(x)
@@ -584,7 +593,7 @@ def bounded_confidence_model(radius: float, alpha: Callable[[float], float] | fl
 
     def smooth_window(x, y):
         r = np.abs(x - y)
-        theta = np.clip((radius - r) / eps, 0.0, 1.0)
+        theta = np.clip(radius - r, 0.0, eps) / eps  # clipped first, so a tiny eps cannot overflow
         return theta * theta * (3.0 - 2.0 * theta)
 
     def window_slope(x, y):

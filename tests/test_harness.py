@@ -1,10 +1,12 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mfglab import ConfigError, parse_config, run_experiment, sample_initial
+from mfglab import harness
 from mfglab.grids import SpaceGrid
 from mfglab.harness import (
     EXIT_CONFIG,
@@ -110,8 +112,8 @@ NUMERIC_FIELDS = [
     (ALL_NUMBERS, ("horizon",), "horizon"),
     (ALL_NUMBERS, ("dt",), "dt"),
     (ALL_NUMBERS, ("dt_list", 1), "dt_list"),
-    (ALL_NUMBERS, ("grid", "x_min"), "grid bounds"),
-    (ALL_NUMBERS, ("grid", "x_max"), "grid bounds"),
+    (ALL_NUMBERS, ("grid", "x_min"), "grid.x_min"),
+    (ALL_NUMBERS, ("grid", "x_max"), "grid.x_max"),
     (ALL_NUMBERS, ("initial", "a"), "initial.a"),
     (ALL_NUMBERS, ("initial", "b"), "initial.b"),
     (ALL_NUMBERS, ("model", "alpha", "value"), "model.alpha.value"),
@@ -120,9 +122,9 @@ NUMERIC_FIELDS = [
     (ALL_NUMBERS, ("solver", "max_iterations"), "solver.max_iterations"),
     (dict(ALL_NUMBERS, model={"kind": "bounded_confidence", "radius": 0.5}), ("model", "radius"), "model.radius"),
     (dict(ALL_NUMBERS, model={"kind": "consensus", "alpha": {"kind": "affine", "intercept": 1.0, "slope": 0.5}}),
-     ("model", "alpha", "intercept"), "model.alpha affine"),
+     ("model", "alpha", "intercept"), "model.alpha.intercept"),
     (dict(ALL_NUMBERS, model={"kind": "consensus", "alpha": {"kind": "affine", "intercept": 1.0, "slope": 0.5}}),
-     ("model", "alpha", "slope"), "model.alpha affine"),
+     ("model", "alpha", "slope"), "model.alpha.slope"),
     (dict(ALL_NUMBERS, model={"kind": "polynomial", "drift_coeffs": [[1.0, 0.2]], "cost_coeffs": [[0.0]]}),
      ("model", "drift_coeffs", 0, 1), "model.drift_coeffs"),
     (dict(ALL_NUMBERS, model={"kind": "polynomial", "drift_coeffs": [[1.0]], "cost_coeffs": [0.0, 0.5]}),
@@ -424,3 +426,187 @@ class TestCsvWriters:
             b"0.10000000000000001,0.8125,0\n"
             b"0.10000000000000001,0.9375,0\n"
         )
+
+
+# One tiny valid config per experiment; every value in each is replaced in turn
+# by every entry of the pool, and each run must end in a documented exit code.
+HOSTILE_BASES = {
+    "particle_vs_kinetic": {
+        "experiment": "particle_vs_kinetic",
+        "model": {"kind": "consensus", "alpha": {"kind": "constant", "value": 1.0}},
+        "horizon": 0.1, "dt": 0.05, "n_particles_list": [4, 8], "grid": {"cells": 16},
+        "initial": {"kind": "gaussian", "mu": 0.5, "sigma": 0.2, "lo": 0.0, "hi": 1.0},
+    },
+    "mpc_vs_brs": {
+        "experiment": "mpc_vs_brs",
+        "model": {"kind": "polynomial", "drift_coeffs": [[1.0]], "cost_coeffs": [[0.0, 0.0, 0.5], [0.0, -1.0, 0.0]]},
+        "horizon": 0.1, "dt_list": [0.05, 0.1], "n_particles": 4,
+        "initial": {"kind": "uniform", "a": 0.0, "b": 1.0},
+    },
+    "mfg_vs_brs": {
+        "experiment": "mfg_vs_brs",
+        "model": {"kind": "bounded_confidence", "radius": 0.5,
+                  "alpha": {"kind": "affine", "intercept": 1.0, "slope": 0.5}},
+        "horizon": 0.1, "dt": 0.05, "grid": {"cells": 16, "x_min": -0.5, "x_max": 1.5},
+        "initial": {"kind": "two_bump", "mu1": 0.3, "sigma1": 0.1, "mu2": 0.7, "sigma2": 0.1, "lo": 0.0, "hi": 1.0},
+        "solver": {"tolerance": 1e-8, "damping": 0.5, "max_iterations": 50},
+    },
+    "prop2_gap": {
+        "experiment": "prop2_gap", "model": {"kind": "consensus"}, "horizon": 0.1, "dt_list": [0.05],
+        "grid": {"cells": 16, "x_min": -1.0, "x_max": 2.0}, "initial": {"kind": "uniform", "a": 0.0, "b": 1.0},
+    },
+    "nash_vs_brs": {
+        "experiment": "nash_vs_brs", "model": {"kind": "consensus"}, "horizon": 0.1, "dt": 0.05, "n_particles": 3,
+        "initial": {"kind": "uniform", "a": -1.0, "b": 1.0}, "solver": {"max_iterations": 100},
+    },
+}
+HOSTILE_POOL = [0, -1, 1, 2, 2**64, 2**128, 1e308, -1e308, 1e-308, INF, NAN, True, "x", [], {}, None,
+                [0.1, -1], [[1.0], [2.0, 3.0]]]
+# (experiment, path, value, exit code, text of the manifest message)
+HOSTILE_NAMED = [
+    ("particle_vs_kinetic", ("experiment",), [], EXIT_CONFIG, "experiment must be one of"),
+    ("mpc_vs_brs", ("experiment",), {}, EXIT_CONFIG, "experiment must be one of"),
+    ("nash_vs_brs", ("initial", "kind"), [0.1, -1], EXIT_CONFIG, "initial.kind must be one of"),
+    ("prop2_gap", ("initial", "kind"), {}, EXIT_CONFIG, "initial.kind must be one of"),
+    # an initial distribution with no mass on the cells, or with non-finite samples
+    ("mfg_vs_brs", ("initial", "mu1"), -1, EXIT_CONFIG, "initial two_bump"),
+    ("particle_vs_kinetic", ("initial", "mu"), 1e308, EXIT_CONFIG, "initial gaussian"),
+    ("particle_vs_kinetic", ("initial", "mu"), -1e308, EXIT_CONFIG, "initial gaussian"),
+    ("particle_vs_kinetic", ("initial", "sigma"), 1e-308, EXIT_CONFIG, "initial gaussian"),
+    ("particle_vs_kinetic", ("initial", "sigma"), 1e308, EXIT_CONFIG, "initial gaussian"),
+    ("particle_vs_kinetic", ("initial", "sigma"), 2**64, EXIT_CONFIG, "initial gaussian"),
+    ("prop2_gap", ("initial", "b"), 1e-308, EXIT_CONFIG, "initial uniform"),
+    # sizes numpy cannot describe
+    ("nash_vs_brs", ("horizon",), 2**64, EXIT_CONFIG, "more than a time grid"),
+    ("mfg_vs_brs", ("dt",), 1e-308, EXIT_CONFIG, "more than a time grid"),
+    ("particle_vs_kinetic", ("model", "alpha", "value"), 1e-308, EXIT_CONFIG, "more than a time grid"),
+    ("mfg_vs_brs", ("grid", "cells"), 2**64, EXIT_CONFIG, "grid.cells must be an integer in [8, "),
+    ("particle_vs_kinetic", ("n_particles_list", 1), 2**64, EXIT_CONFIG, "n_particles_list must be"),
+    ("mpc_vs_brs", ("n_particles",), 2**64, EXIT_CONFIG, "n_particles must be an integer in [2, "),
+    ("nash_vs_brs", ("n_seeds",), 2**64, EXIT_CONFIG, "n_seeds must be an integer in [1, "),
+    ("particle_vs_kinetic", ("n_seeds",), 2**64, EXIT_CONFIG, "n_seeds must be an integer in [1, "),
+    ("nash_vs_brs", ("seed",), 2**128, EXIT_CONFIG, "seed + n_seeds - 1 must be less than 2**128"),
+    # an Euler step that overflows is a divergence
+    ("mpc_vs_brs", ("model", "drift_coeffs", 0, 0), 1e308, EXIT_SOLVER, "explicit Euler step"),
+    ("mpc_vs_brs", ("initial", "b"), 1e308, EXIT_SOLVER, "explicit Euler step"),
+    ("nash_vs_brs", ("initial", "a"), -1e308, EXIT_SOLVER, "explicit Euler step"),
+    # still accepted
+    ("nash_vs_brs", ("output",), None, EXIT_OK, "sweep converged"),
+    ("mpc_vs_brs", ("seed",), 2**64, EXIT_OK, "step sizes compared"),
+    ("nash_vs_brs", ("solver", "max_iterations"), 2**64, EXIT_OK, "sweep converged"),
+]
+
+
+def _leaf_paths(node, path=()):
+    """Paths of every value in a config: scalars, lists and list entries; objects are walked into."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaf_paths(value, path + (key,))
+        return
+    yield path
+    if isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaf_paths(value, path + (i,))
+
+
+@pytest.fixture(scope="module")
+def hostile_runs(tmp_path_factory):
+    """``mfglab run`` on each base config (path None) and on every single-value mutation of it.
+
+    Maps (experiment, path, JSON of the value) to (exit code, manifest, escaped exception).
+    """
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp_path_factory.mktemp("hostile"))  # a refused output falls back to ./results
+        for experiment, base in HOSTILE_BASES.items():
+            base = dict(base, seed=0, n_seeds=1, output="out")
+            cases = [(None, None)] + [(path, value) for path in _leaf_paths(base) for value in HOSTILE_POOL]
+            for path, value in cases:
+                raw = base if path is None else _mutated(base, path, value)
+                Path("cfg.json").write_text(json.dumps(raw))
+                output = raw["output"] if isinstance(raw["output"], str) else "results"
+                manifest_path = Path(output) / "manifest.json"
+                manifest_path.unlink(missing_ok=True)
+                try:
+                    code, escaped = main(["run", "cfg.json"]), None
+                except Exception as exc:  # noqa: BLE001 - any exception breaks the exit contract
+                    code, escaped = None, exc
+                manifest = json.loads(manifest_path.read_text()) if manifest_path.exists() else None
+                runs[experiment, path, json.dumps(value)] = (code, manifest, escaped)
+    return runs
+
+
+class TestHostileValues:
+    def test_every_value_ends_in_a_documented_exit_with_manifest(self, hostile_runs):
+        assert len(hostile_runs) == len(HOSTILE_BASES) + len(HOSTILE_POOL) * sum(
+            len(list(_leaf_paths(dict(base, seed=0, n_seeds=1, output="out")))) for base in HOSTILE_BASES.values())
+        escapes = [
+            (key, code, escaped) for key, (code, manifest, escaped) in hostile_runs.items()
+            if escaped is not None or code not in (EXIT_OK, EXIT_CONFIG, EXIT_SOLVER)
+            or manifest is None or manifest["exit_code"] != code
+        ]
+        assert escapes == []
+
+    def test_base_configs_exit_zero(self, hostile_runs):
+        for experiment in HOSTILE_BASES:
+            assert hostile_runs[experiment, None, "null"][0] == EXIT_OK
+
+    @pytest.mark.parametrize("experiment, path, value, code, needle", HOSTILE_NAMED,
+                             ids=[f"{e}-{'.'.join(map(str, p))}={json.dumps(v)}" for e, p, v, _, _ in HOSTILE_NAMED])
+    def test_named_case(self, hostile_runs, experiment, path, value, code, needle):
+        got, manifest, _ = hostile_runs[experiment, path, json.dumps(value)]
+        assert got == code and needle in manifest["message"]
+
+    def test_step_count_beyond_the_time_grid_limit_exit_two(self, tmp_path, capsys):
+        # dt divides the horizon, but 2e18 steps exceed the points numpy can describe
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(MINIMAL_NASH, horizon=1e6, dt=5e-13)))
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "more than a time grid" in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["exit_code"] == EXIT_CONFIG and "more than a time grid" in manifest["message"]
+
+    def test_seed_option_is_validated(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(MINIMAL_NASH))
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--seed", "-1"]) == EXIT_CONFIG
+        assert "seed must be a nonnegative integer, got -1" in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["exit_code"] == EXIT_CONFIG and manifest["config"]["seed"] == -1
+
+    @pytest.mark.parametrize("raw", [MINIMAL_NASH, dict(MINIMAL_NASH, dt=0)], ids=["valid", "refused"])
+    def test_unwritable_output_exit_two(self, tmp_path, capsys, raw):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(raw, output="/dev/null/x")))
+        assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+        assert "error: cannot write the output" in capsys.readouterr().out
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _table_fields():
+    """(path, requirement) of every entry of the config field table."""
+    fields = [(name, req) for name, _, _, req, _, _ in harness._TOP]
+    fields += [(f"grid.{name}", req) for name, _, _, req, _, _ in harness._GRID]
+    fields += [(f"solver.{name}", req) for name, _, _, req, _, _ in harness._SOLVER]
+    for prefix, kinds in (("model", harness._MODELS), ("model.alpha", harness._ALPHAS),
+                          ("initial", harness._INITIALS)):
+        fields.append((f"{prefix}.kind", f"one of {tuple(kinds)}"))
+        fields += [(f"{prefix}.{f[0]}", f[3]) for entries in kinds.values() for f in entries]
+    return fields
+
+
+class TestReadme:
+    def test_config_reference_lists_every_table_field(self):
+        rows = [line for line in README.read_text().splitlines() if line.startswith("| `")]
+        for path, requirement in _table_fields():
+            row = [line for line in rows if line.startswith(f"| `{path}` |")]
+            assert len(row) == 1, path
+            assert requirement in row[0], path
+
+    def test_json_blocks_parse(self):
+        blocks = README.read_text().split("```json\n")[1:]
+        assert blocks
+        for block in blocks:
+            json.loads(block.split("```")[0])

@@ -88,6 +88,15 @@ class TestStepUpwind:
         with pytest.raises(CFLError, match="face 7"):
             step_upwind(dens, faces, grid.dx)
 
+    def test_nan_velocity_fails_the_cfl_check(self):
+        # an overflowed velocity field is a solver failure, not a density that fails its checks
+        grid = SpaceGrid(0.0, 1.0, 32)
+        dens = normalized_density(grid, np.ones(32))
+        faces = np.zeros(33)
+        faces[7] = np.nan
+        with pytest.raises(CFLError, match="face 7"):
+            step_upwind(dens, faces, grid.dx)
+
     def test_positivity_preserved(self):
         # smooth sign-changing field: outflow Courants at the crossings stay small
         rng = np.random.Generator(np.random.Philox(key=6))
