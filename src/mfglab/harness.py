@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from numpy.random import Generator, Philox  # numpy loads this lazily; pay for it at import, not in the first run
 
 from . import __version__ as _version
 from .controller import (
@@ -53,6 +54,7 @@ from .model import (
     ControlProfile,
     ModelSpec,
     ParticleEnsemble,
+    _horner,
     bounded_confidence_model,
     consensus_model,
     polynomial_model,
@@ -140,6 +142,7 @@ def _count(low: int):
     return _integer, lambda v: low <= v <= _MAX_POINTS, f"an integer in [{low}, {_MAX_POINTS}]"
 
 
+_MAX_CELLS = 100_000  # particle_vs_kinetic runs, one per (n, seed)
 _POSITIVE = (_number, lambda v: v > 0, "a positive finite number")
 _FINITE = (_number, None, "a finite number")
 
@@ -260,6 +263,10 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append(f"experiment {experiment!r} requires {name}")
     if seed is not None and top["n_seeds"] is not None and seed + top["n_seeds"] - 1 >= 2**128:  # Philox keys
         errors.append(f"seed + n_seeds - 1 must be less than 2**128, got {seed + top['n_seeds'] - 1}")
+    if experiment == "particle_vs_kinetic" and top["n_particles_list"] and top["n_seeds"] is not None:
+        cells = len(top["n_particles_list"]) * top["n_seeds"]  # each cell is one run, listed before the first
+        if cells > _MAX_CELLS:
+            errors.append(f"len(n_particles_list) * n_seeds must be at most {_MAX_CELLS}, got {cells}")
     if alpha_kind == "affine" and horizon is not None:
         a, b = alpha_params["intercept"], alpha_params["slope"]
         if not min(a, a + b * horizon) > 0:  # affine: the smallest value on [0, horizon] sits at an end point
@@ -304,14 +311,18 @@ def sample_initial(seed: int, n: int, distribution: dict) -> ParticleEnsemble:
     """Draw n sorted initial positions from the named distribution.
 
     The stream comes from a Philox counter-based generator keyed by the seed,
-    so the same (seed, n, distribution) gives identical positions on every
-    platform and parallel cells need no stream-splitting discipline. Raises
-    ``ConfigError`` naming ``initial`` when a sample is not finite.
+    so the same (seed, n) gives identical uniforms on every platform and
+    parallel cells need no stream-splitting discipline. Truncated-normal
+    positions map those uniforms through the normal CDF (``math.erfc``) and
+    Wichura's AS241 rational approximation of its inverse, evaluated with
+    numpy's ``log`` and ``sqrt``; a numpy whose ``log`` rounds differently can
+    move them by a few ulps. Raises ``ConfigError`` naming ``initial`` when a
+    sample is not finite.
     """
     if n < 1:
         raise ValueError(f"need at least one particle, got {n}")
     kind = distribution.get("kind")
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = Generator(Philox(key=seed))
     if kind == "uniform":
         a, b = distribution["a"], distribution["b"]
         xs = a + (b - a) * rng.random(n)
@@ -333,10 +344,61 @@ def sample_initial(seed: int, n: int, distribution: dict) -> ParticleEnsemble:
 
 
 def _truncated_normal(u: np.ndarray, mu: float, sigma: float, lo: float, hi: float) -> np.ndarray:
-    """Inverse-CDF sampling of a normal truncated to [lo, hi]."""
-    c_lo = ndtr((lo - mu) / sigma)
-    c_hi = ndtr((hi - mu) / sigma)
-    return mu + sigma * ndtri(c_lo + u * (c_hi - c_lo))
+    """Inverse-CDF sampling of a normal truncated to [lo, hi].
+
+    Round-off in the CDF round trip can step just past a bound, so samples are clipped to [lo, hi].
+    When the two CDF values are equal in floats, [lo, hi] has no mass to sample and every sample is NaN.
+    """
+    c_lo = _ndtr((lo - mu) / sigma)
+    c_hi = _ndtr((hi - mu) / sigma)
+    if not c_lo < c_hi:
+        return np.full(u.shape, np.nan)
+    return np.clip(mu + sigma * _ndtri(c_lo + u * (c_hi - c_lo)), lo, hi)
+
+
+def _ndtr(z: float) -> float:
+    """Standard normal CDF of a scalar."""
+    return 0.5 * math.erfc(-z / math.sqrt(2))
+
+
+# Wichura's AS241 (PPND16; Applied Statistics 37, 1988), the coefficients of ``statistics.NormalDist.inv_cdf``:
+# numerator and denominator of each rational branch, lowest power first.
+_AS241_CENTRAL = np.array((
+    (3.3871328727963666080e+0, 1.3314166789178437745e+2, 1.9715909503065514427e+3, 1.3731693765509461125e+4,
+     4.5921953931549871457e+4, 6.7265770927008700853e+4, 3.3430575583588128105e+4, 2.5090809287301226727e+3),
+    (1.0, 4.2313330701600911252e+1, 6.8718700749205790830e+2, 5.3941960214247511077e+3,
+     2.1213794301586595867e+4, 3.9307895800092710610e+4, 2.8729085735721942674e+4, 5.2264952788528545610e+3),
+))
+_AS241_NEAR = np.array((  # tail, sqrt(-log(min(p, 1 - p))) <= 5
+    (1.42343711074968357734e+0, 4.63033784615654529590e+0, 5.76949722146069140550e+0, 3.64784832476320460504e+0,
+     1.27045825245236838258e+0, 2.41780725177450611770e-1, 2.27238449892691845833e-2, 7.74545014278341407640e-4),
+    (1.0, 2.05319162663775882187e+0, 1.67638483018380384940e+0, 6.89767334985100004550e-1,
+     1.48103976427480074590e-1, 1.51986665636164571966e-2, 5.47593808499534494600e-4, 1.05075007164441684324e-9),
+))
+_AS241_FAR = np.array((  # tail, beyond 5
+    (6.65790464350110377720e+0, 5.46378491116411436990e+0, 1.78482653991729133580e+0, 2.96560571828504891230e-1,
+     2.65321895265761230930e-2, 1.24266094738807843860e-3, 2.71155556874348757815e-5, 2.01033439929228813265e-7),
+    (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.48753612908506148525e-2,
+     7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7, 2.04426310338993978564e-15),
+))
+
+
+def _ndtri(p: np.ndarray) -> np.ndarray:
+    """Standard normal quantile of a 1D array: AS241 with numpy's ``log`` and ``sqrt``; 0 and 1 map to -inf and +inf.
+
+    The operations run in the order of ``statistics.NormalDist.inv_cdf``, so both agree to the bit except where
+    numpy's ``log`` rounds differently from the C library's: then by a few ulps.
+    """
+    p = np.asarray(p, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = p - 0.5
+        num, den = _horner(_AS241_CENTRAL, 0.180625 - q * q)
+        central = num * q / den
+        s = np.sqrt(-np.log(np.where(q <= 0.0, p, 1.0 - p)))
+        (near_num, near_den), (far_num, far_den) = _horner(_AS241_NEAR, s - 1.6), _horner(_AS241_FAR, s - 5.0)
+        tail = np.where(s <= 5.0, near_num / near_den, far_num / far_den)
+        x = np.where(np.abs(q) <= 0.425, central, np.where(q < 0.0, -tail, tail))
+    return np.where(p == 0.0, -np.inf, np.where(p == 1.0, np.inf, x))
 
 
 def _support_of(distribution: dict) -> tuple[float, float]:
@@ -373,7 +435,7 @@ def density_of(distribution: dict, grid: SpaceGrid) -> DensityGrid:
 
 def _truncated_pdf(x: np.ndarray, mu: float, sigma: float, lo: float, hi: float) -> np.ndarray:
     z = (x - mu) / sigma
-    norm = ndtr((hi - mu) / sigma) - ndtr((lo - mu) / sigma)
+    norm = _ndtr((hi - mu) / sigma) - _ndtr((lo - mu) / sigma)
     pdf = np.exp(-0.5 * z * z) / (sigma * np.sqrt(2.0 * np.pi) * norm)
     return np.where((x >= lo) & (x <= hi), pdf, 0.0)
 

@@ -91,7 +91,8 @@ def w1(a, b) -> float:
     """
     fa = _PiecewiseCdf.of(a)
     fb = _PiecewiseCdf.of(b)
-    points = np.unique(np.concatenate([fa.points, fb.points]))
+    points = np.sort(np.concatenate([fa.points, fb.points]))
+    points = points[np.concatenate([[True], points[1:] != points[:-1]])]  # np.unique without its numpy.ma import
     if points.size == 1:
         return 0.0
     starts, ends = points[:-1], points[1:]

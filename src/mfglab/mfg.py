@@ -287,6 +287,7 @@ def feedback_controls_best_reply(model: ModelSpec, m_path: DensityTrajectory) ->
     return -slopes / weights[:, None]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a cost beyond the floats is reported as inf
 def total_running_cost(model: ModelSpec, m_path: DensityTrajectory, controls: np.ndarray) -> float:
     """Population cost integral of (alpha/2) u^2 + H(x, m) against m dx dt (left rule)."""
     controls = np.asarray(controls, dtype=float)

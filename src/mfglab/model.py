@@ -58,6 +58,7 @@ Reproducibility contract:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -373,6 +374,7 @@ def _quadrature(
     return _shaped(_cell_sums(vals, _rows(m) * m.grid.dx), x, m)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow leaves inf or nan for the CFL and finiteness checks
 def _moment_quadrature(terms, poly: np.ndarray, x, m: DensityGrid | DensityTrajectory) -> np.ndarray | float:
     """Midpoint rule from the weighted power sums of the cell centers about the grid midpoint.
 
@@ -589,6 +591,8 @@ def bounded_confidence_model(radius: float, alpha: Callable[[float], float] | fl
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
     eps = 0.05 * radius
+    if not (eps > 0 and math.isfinite(1.5 / eps)):  # 1.5 / eps: the steepest window slope
+        raise ValueError(f"radius {radius} gives a window slope of about 1.5 / {eps}, which a float cannot hold")
     inner = radius - eps
 
     def smooth_window(x, y):
@@ -599,7 +603,7 @@ def bounded_confidence_model(radius: float, alpha: Callable[[float], float] | fl
     def window_slope(x, y):
         # d/dr of the smoothstep, chain rule applied to r = |x - y|
         r = np.abs(x - y)
-        theta = (radius - r) / eps
+        theta = np.maximum(radius - r, 0.0) / eps  # at most radius / eps = 20: a far pair cannot overflow
         inside = (r > inner) & (r < radius)
         return np.where(inside, -6.0 * theta * (1.0 - theta) / eps, 0.0)
 

@@ -1,9 +1,16 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfglab import ConfigError, parse_config, run_experiment, sample_initial
 from mfglab import harness
@@ -12,6 +19,9 @@ from mfglab.harness import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_SOLVER,
+    _ndtr,
+    _ndtri,
+    _truncated_normal,
     density_of,
     main,
 )
@@ -224,6 +234,77 @@ class TestSampleInitial:
         assert xs.min() >= 0.0 and xs.max() <= 1.0
 
 
+# AS241 branch edges (|p - 0.5| = 0.425), the centre, deep tails, an even grid and both decades toward 0 and 1
+QUANTILE_GRID = np.unique(np.concatenate([
+    [1e-300, 1e-16, 0.075, 0.5, 0.925, 1 - 1e-16],
+    np.linspace(0.0, 1.0, 10_001)[1:-1],
+    10.0 ** -np.arange(1, 301),
+    1.0 - 10.0 ** -np.arange(1, 17),
+]))
+
+
+class TestNormalHelpers:
+    """The numpy-only normal CDF and quantile behind truncated-normal sampling."""
+
+    def test_quantile_within_one_ulp_of_the_standard_library(self):
+        ref = np.array([NormalDist().inv_cdf(p) for p in QUANTILE_GRID])
+        got = _ndtri(QUANTILE_GRID)
+        assert np.all(np.abs(got - ref) <= np.spacing(np.abs(ref)))
+
+    def test_quantile_on_random_levels(self):
+        # numpy's log may differ from the C library's by an ulp, which the rational branches can grow a few-fold
+        p = np.random.Generator(np.random.Philox(key=0)).random(20_000)
+        ref = np.array([NormalDist().inv_cdf(v) for v in p])
+        assert np.all(np.abs(_ndtri(p) - ref) <= 1e-15 * np.abs(ref))
+
+    def test_quantile_of_zero_and_one_is_infinite(self):
+        assert np.array_equal(_ndtri(np.array([0.0, 1.0])), [-np.inf, np.inf])
+        assert np.all(np.isnan(_ndtri(np.array([-0.5, 1.5, np.nan]))))
+
+    def test_cdf_matches_the_standard_library(self):
+        for z in np.linspace(-40.0, 40.0, 4001):
+            assert abs(_ndtr(float(z)) - NormalDist().cdf(float(z))) <= 2.0**-52
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(mu=st.floats(-1e3, 1e3), sigma=st.floats(1e-6, 1e3), lo=st.floats(-1e3, 1e3), width=st.floats(1e-9, 1e3),
+           u=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=8))
+    def test_truncated_normal_stays_in_its_support(self, mu, sigma, lo, width, u):
+        hi = lo + width
+        xs = _truncated_normal(np.array(u), mu, sigma, lo, hi)
+        if _ndtr((lo - mu) / sigma) < _ndtr((hi - mu) / sigma):
+            assert np.all((lo <= xs) & (xs <= hi))
+        else:  # no mass a float resolves: sample_initial reports the NaNs
+            assert np.all(np.isnan(xs))
+
+
+# A fresh interpreter: imports mfglab, runs each config file named on its command line, prints the scipy modules loaded.
+SCIPY_PROBE = """
+import sys
+import mfglab
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert loaded() == [], loaded()
+for path in sys.argv[1:]:
+    with open(path) as fh:
+        result = mfglab.run_experiment(mfglab.parse_config(fh.read()), path + ".out")
+    assert result.exit_code == 0, result.message
+print(loaded())
+"""
+
+
+class TestImports:
+    def test_import_and_runs_load_no_scipy(self, tmp_path):
+        paths = []
+        for experiment in ("particle_vs_kinetic", "mfg_vs_brs"):
+            paths.append(tmp_path / f"{experiment}.json")
+            paths[-1].write_text(json.dumps(HOSTILE_BASES[experiment]))
+        src = str(Path(harness.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", SCIPY_PROBE, *map(str, paths)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+
+
 class TestDensityOf:
     def test_normalized(self):
         grid = SpaceGrid(-2.0, 2.0, 64)
@@ -428,8 +509,8 @@ class TestCsvWriters:
         )
 
 
-# One tiny valid config per experiment; every value in each is replaced in turn
-# by every entry of the pool, and each run must end in a documented exit code.
+# Tiny valid configs, at least one per experiment; every value in each is replaced in turn by every
+# entry of the pool, and each run must end in a documented exit code without a numpy RuntimeWarning.
 HOSTILE_BASES = {
     "particle_vs_kinetic": {
         "experiment": "particle_vs_kinetic",
@@ -451,6 +532,12 @@ HOSTILE_BASES = {
         "initial": {"kind": "two_bump", "mu1": 0.3, "sigma1": 0.1, "mu2": 0.7, "sigma2": 0.1, "lo": 0.0, "hi": 1.0},
         "solver": {"tolerance": 1e-8, "damping": 0.5, "max_iterations": 50},
     },
+    # the structured (moment) quadrature on the grid
+    "mfg_vs_brs/polynomial": {
+        "experiment": "mfg_vs_brs",
+        "model": {"kind": "polynomial", "drift_coeffs": [[1.0, 0.1]], "cost_coeffs": [[0.0, 0.5]]},
+        "horizon": 0.1, "dt": 0.05, "grid": {"cells": 16}, "initial": {"kind": "uniform", "a": 0.0, "b": 1.0},
+    },
     "prop2_gap": {
         "experiment": "prop2_gap", "model": {"kind": "consensus"}, "horizon": 0.1, "dt_list": [0.05],
         "grid": {"cells": 16, "x_min": -1.0, "x_max": 2.0}, "initial": {"kind": "uniform", "a": 0.0, "b": 1.0},
@@ -462,7 +549,7 @@ HOSTILE_BASES = {
 }
 HOSTILE_POOL = [0, -1, 1, 2, 2**64, 2**128, 1e308, -1e308, 1e-308, INF, NAN, True, "x", [], {}, None,
                 [0.1, -1], [[1.0], [2.0, 3.0]]]
-# (experiment, path, value, exit code, text of the manifest message)
+# (base name, path, value, exit code, text of the manifest message)
 HOSTILE_NAMED = [
     ("particle_vs_kinetic", ("experiment",), [], EXIT_CONFIG, "experiment must be one of"),
     ("mpc_vs_brs", ("experiment",), {}, EXIT_CONFIG, "experiment must be one of"),
@@ -513,12 +600,14 @@ def _leaf_paths(node, path=()):
 def hostile_runs(tmp_path_factory):
     """``mfglab run`` on each base config (path None) and on every single-value mutation of it.
 
-    Maps (experiment, path, JSON of the value) to (exit code, manifest, escaped exception).
+    Maps (base name, path, JSON of the value) to (exit code, manifest, escaped exception); a numpy
+    ``RuntimeWarning`` is raised, so it escapes.
     """
     runs = {}
-    with pytest.MonkeyPatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         mp.chdir(tmp_path_factory.mktemp("hostile"))  # a refused output falls back to ./results
-        for experiment, base in HOSTILE_BASES.items():
+        for name, base in HOSTILE_BASES.items():
             base = dict(base, seed=0, n_seeds=1, output="out")
             cases = [(None, None)] + [(path, value) for path in _leaf_paths(base) for value in HOSTILE_POOL]
             for path, value in cases:
@@ -532,7 +621,7 @@ def hostile_runs(tmp_path_factory):
                 except Exception as exc:  # noqa: BLE001 - any exception breaks the exit contract
                     code, escaped = None, exc
                 manifest = json.loads(manifest_path.read_text()) if manifest_path.exists() else None
-                runs[experiment, path, json.dumps(value)] = (code, manifest, escaped)
+                runs[name, path, json.dumps(value)] = (code, manifest, escaped)
     return runs
 
 
@@ -548,14 +637,51 @@ class TestHostileValues:
         assert escapes == []
 
     def test_base_configs_exit_zero(self, hostile_runs):
-        for experiment in HOSTILE_BASES:
-            assert hostile_runs[experiment, None, "null"][0] == EXIT_OK
+        for name in HOSTILE_BASES:
+            assert hostile_runs[name, None, "null"][0] == EXIT_OK
 
-    @pytest.mark.parametrize("experiment, path, value, code, needle", HOSTILE_NAMED,
+    @pytest.mark.parametrize("name, path, value, code, needle", HOSTILE_NAMED,
                              ids=[f"{e}-{'.'.join(map(str, p))}={json.dumps(v)}" for e, p, v, _, _ in HOSTILE_NAMED])
-    def test_named_case(self, hostile_runs, experiment, path, value, code, needle):
-        got, manifest, _ = hostile_runs[experiment, path, json.dumps(value)]
+    def test_named_case(self, hostile_runs, name, path, value, code, needle):
+        got, manifest, _ = hostile_runs[name, path, json.dumps(value)]
         assert got == code and needle in manifest["message"]
+
+    @pytest.mark.parametrize("raw, code, needle", [
+        # the bounded-confidence window slope, about 1.5 / (0.05 radius), overflows
+        (dict(HOSTILE_BASES["nash_vs_brs"], model={"kind": "bounded_confidence", "radius": 1e-308}),
+         EXIT_CONFIG, "window slope"),
+        # the moment quadrature overflows: in its power sums, and in the cost integral
+        (_mutated(HOSTILE_BASES["mfg_vs_brs/polynomial"], ("initial", "b"), 1e308), EXIT_SOLVER, "CFL violated"),
+        (_mutated(HOSTILE_BASES["mfg_vs_brs/polynomial"], ("model", "cost_coeffs"), [[0.0, 1e308]]),
+         EXIT_OK, "fixed point"),
+        (_mutated(HOSTILE_BASES["mfg_vs_brs/polynomial"], ("model", "cost_coeffs"), [[-1e308, 0.5]]),
+         EXIT_OK, "fixed point"),
+    ], ids=["radius=1e-308", "initial.b=1e308", "cost_coeffs=1e308", "cost_coeffs=-1e308"])
+    def test_overflow_ends_in_a_documented_exit_without_runtime_warning(self, tmp_path, raw, code, needle):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == code
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["exit_code"] == code and needle in manifest["message"]
+
+    def test_particle_cell_count_refused_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        # one cell over the limit, so a missing bound fails at the first cell rather than filling memory
+        def no_cell(*args):
+            raise AssertionError("a cell ran")
+        monkeypatch.setattr(harness, "sample_initial", no_cell)
+        cfg_path = tmp_path / "cfg.json"
+        base = dict(HOSTILE_BASES["particle_vs_kinetic"], n_particles_list=[4])
+        cfg_path.write_text(json.dumps(dict(base, n_seeds=100_001)))
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        needle = "len(n_particles_list) * n_seeds must be at most 100000, got 100001"
+        assert needle in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["exit_code"] == EXIT_CONFIG and needle in manifest["message"]
+        with pytest.raises(ConfigError, match=r"n_seeds must be at most 100000, got 2199023255552"):
+            parse_config(json.dumps(dict(HOSTILE_BASES["particle_vs_kinetic"], n_seeds=2**40)))
+        parse_config(json.dumps(dict(base, n_seeds=100_000)))
 
     def test_step_count_beyond_the_time_grid_limit_exit_two(self, tmp_path, capsys):
         # dt divides the horizon, but 2e18 steps exceed the points numpy can describe

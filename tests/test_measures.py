@@ -13,6 +13,7 @@ from mfglab import (
     w1,
     w1_sorted_atoms,
 )
+from mfglab.measures import _PiecewiseCdf
 
 
 def rng(key=0):
@@ -93,6 +94,49 @@ class TestW1:
         a = normalized_density(grid, ((x >= 0.0) & (x < 1.0)).astype(float))
         b = normalized_density(grid, ((x >= 0.25) & (x < 1.25)).astype(float))
         assert w1(a, b) == pytest.approx(0.25, abs=1e-12)
+
+
+def w1_with_unique(a, b) -> float:
+    """``w1`` as written with ``np.unique`` for the merged breakpoints: the reference for its bits."""
+    fa, fb = _PiecewiseCdf.of(a), _PiecewiseCdf.of(b)
+    points = np.unique(np.concatenate([fa.points, fb.points]))
+    if points.size == 1:
+        return 0.0
+    starts, ends = points[:-1], points[1:]
+    c = fa.eval(starts, "right") - fb.eval(starts, "right")
+    d = fa.eval(ends, "left") - fb.eval(ends, "left")
+    length = ends - starts
+    trapezoid = 0.5 * (np.abs(c) + np.abs(d)) * length
+    denom = np.abs(c) + np.abs(d)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        crossing = np.where(denom > 0, 0.5 * length * (c * c + d * d) / denom, 0.0)
+    return float(np.sum(np.where(c * d >= 0.0, trapezoid, crossing)))
+
+
+class TestW1TiedAtoms:
+    """Ties within one measure and across both: the merged breakpoints keep the bits of ``np.unique``."""
+
+    @pytest.mark.parametrize("xs, ys", [
+        ([0.5, 0.5, 0.5], [0.5, 0.5]),
+        ([0.0, 0.25, 0.25, 1.0], [0.25, 0.5, 0.5, 1.0, 1.0]),
+        ([-0.0, 0.0, 0.1], [0.0, 0.1, 0.1, 0.3]),
+        ([0.2] * 7 + [0.9], [0.2, 0.9] * 4),
+    ])
+    def test_bitwise_equal_to_unique(self, xs, ys):
+        a, b = EmpiricalMeasure(np.array(xs)), EmpiricalMeasure(np.array(ys))
+        for first, second in ((a, b), (b, a), (a, a)):
+            assert w1(first, second) == w1_with_unique(first, second)
+
+    def test_random_ties_and_grid_faces(self):
+        gen = rng(3)
+        grid = SpaceGrid(0.0, 1.0, 16)
+        density = normalized_density(grid, np.ones(16))
+        for _ in range(50):
+            # atoms on a coarse lattice tie with each other and with the grid's faces
+            a = EmpiricalMeasure(gen.integers(0, 9, size=gen.integers(1, 12)) / 8.0)
+            b = EmpiricalMeasure(gen.integers(0, 17, size=gen.integers(1, 12)) / 16.0)
+            for first, second in ((a, b), (a, density), (density, b)):
+                assert w1(first, second) == w1_with_unique(first, second)
 
 
 class TestMoments:

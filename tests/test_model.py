@@ -201,6 +201,16 @@ class TestCatalogue:
     def test_model_validation(self):
         with pytest.raises(ValueError, match="radius"):
             bounded_confidence_model(radius=0.0)
+        for radius in (1e-308, 5e-324):  # the steepest slope, 1.5 / (0.05 radius), is not a float
+            with pytest.raises(ValueError, match="window slope"):
+                bounded_confidence_model(radius=radius)
+
+    def test_window_slope_finite_for_the_smallest_radii(self):
+        m = bounded_confidence_model(radius=1e-300)
+        x = np.array([0.0, 0.0, 0.0, 0.0])
+        y = np.array([0.0, 0.5e-300, 0.975e-300, 1.0])  # inside, inside, in the band, far
+        slope = m.drift_kernel_dx(x, y)
+        assert np.all(np.isfinite(slope)) and slope[2] > 1e300 and slope[[0, 1, 3]].tolist() == [0.0, 0.0, 0.0]
         with pytest.raises(ValueError, match="coefficient table"):
             polynomial_model(np.zeros((1, 1, 1)), [[0.0]])
 
