@@ -493,35 +493,39 @@ def write_csv(path: Path, header: list[str], rows) -> Path:
     return path
 
 
+def _write_keyed_csv(path: Path, header: list[str], times: np.ndarray, keys: list[str], values: np.ndarray) -> Path:
+    """Rows (t, key, value), one per time and key; ``values[l, k]`` belongs to times[l] and keys[k].
+
+    The bytes of ``write_csv`` on those rows: each time is formatted once per
+    slice and each key once per file, and a slice is written by one
+    %-template, since '%.17g' % v == f'{v:.17g}' for every float.
+    """
+    parts = ["", *(f",{key},%.17g\n" for key in keys)]  # joined by a time, a template for one slice
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for t, row in zip(times.tolist(), values.tolist()):
+            fh.write(_fmt(t).join(parts) % tuple(row))
+    return path
+
+
 def write_grid_path_csv(path: Path, header: list[str], values: DensityTrajectory | ValueGrid) -> Path:
     """Rows (t, x, value), one per time and cell center, of a density path or a value grid."""
-    centers = values.grid.centers().tolist()
-    rows = (
-        (t, x, v)
-        for t, row in zip(values.times.tolist(), values.data.tolist())
-        for x, v in zip(centers, row)
-    )
-    return write_csv(path, header, rows)
+    centers = [_fmt(x) for x in values.grid.centers().tolist()]
+    return _write_keyed_csv(path, header, values.times, centers, values.data)
 
 
 def write_controls_csv(path: Path, controls: ControlProfile) -> Path:
-    rows = [
-        (controls.time_grid[step], i, controls.values[i, step])
-        for step in range(controls.n_steps)
-        for i in range(controls.values.shape[0])
-    ]
-    return write_csv(path, ["t", "i", "u"], rows)
+    """Rows (t, i, u), one per step and player."""
+    players = [str(i) for i in range(controls.values.shape[0])]
+    return _write_keyed_csv(path, ["t", "i", "u"], controls.time_grid[:-1], players, controls.values.T)
 
 
 def write_adjoints_csv(path: Path, adjoints: AdjointField) -> Path:
+    """Rows (t, i, j, phi), one per time and costate phi^i_j."""
     n = adjoints.values.shape[0]
-    rows = [
-        (adjoints.time_grid[step], i, j, adjoints.values[i, j, step])
-        for step in range(adjoints.time_grid.size)
-        for i in range(n)
-        for j in range(n)
-    ]
-    return write_csv(path, ["t", "i", "j", "phi"], rows)
+    pairs = [f"{i},{j}" for i in range(n) for j in range(n)]
+    costates = adjoints.values.reshape(n * n, -1).T  # row l: phi^i_j(t_l) for i, then j, ascending
+    return _write_keyed_csv(path, ["t", "i", "j", "phi"], adjoints.time_grid, pairs, costates)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,12 @@ boundaries on a truncated domain:
 
 Under the CFL restriction dt * max|c| / dx <= 0.9 the update is monotone and
 positivity preserving; total mass is conserved exactly by telescoping.
+
+One march serves ``solve_kinetic`` and the game system's forward equation
+(``mfg.fp_forward``). It sets up the quadratures of F and dH/dx once and works
+on raw rows of cell averages: each step checks the CFL restriction, moves the
+row and checks and clips the new row as ``DensityGrid`` does, bit for bit
+the loop of ``velocity_field`` and ``step_upwind`` calls it replaces.
 """
 
 from __future__ import annotations
@@ -23,8 +29,8 @@ import math
 import numpy as np
 
 from .errors import CFLError
-from .grids import DensityGrid, DensityTrajectory, time_grid
-from .model import ModelSpec, alpha_at, mean_field_cost_grad, mean_field_drift
+from .grids import DensityGrid, DensityTrajectory, SpaceGrid, _checked_rows, time_grid
+from .model import ModelSpec, _quadrature, alpha_at, mean_field_cost_grad, mean_field_drift
 
 __all__ = ["velocity_field", "step_upwind", "solve_kinetic", "cfl_time_step", "CFL_NUMBER"]
 
@@ -51,6 +57,11 @@ def step_upwind(m: DensityGrid, face_velocity: np.ndarray, dt: float) -> Density
     face_velocity = np.asarray(face_velocity, dtype=float)
     if face_velocity.shape != (grid.cells + 1,):
         raise ValueError(f"expected {grid.cells + 1} face velocities, got {face_velocity.shape}")
+    return DensityGrid(grid, _upwind(grid, m.cell_averages, face_velocity, dt))
+
+
+def _upwind(grid: SpaceGrid, values: np.ndarray, face_velocity: np.ndarray, dt: float) -> np.ndarray:
+    """The cell averages after one upwind step, unchecked; raises ``CFLError`` naming the worst face."""
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     courant = dt * np.abs(face_velocity) / grid.dx
@@ -61,13 +72,41 @@ def step_upwind(m: DensityGrid, face_velocity: np.ndarray, dt: float) -> Density
             f"(x = {grid.faces()[worst]:.6g})",
             face=worst,
         )
-    values = m.cell_averages
     flux = np.zeros(grid.cells + 1)
     inner = face_velocity[1:-1]
     upwind = np.where(inner > 0.0, values[:-1], values[1:])
     flux[1:-1] = inner * upwind
-    new_values = values - (dt / grid.dx) * (flux[1:] - flux[:-1])
-    return DensityGrid(grid, new_values)
+    return values - (dt / grid.dx) * (flux[1:] - flux[:-1])
+
+
+def _march(model: ModelSpec, m0: DensityGrid, times: np.ndarray, dt: float,
+           value_slopes: np.ndarray | None = None, where: str = "") -> np.ndarray:
+    """Cell averages of the upwind march from m0 along the time grid, one row per time.
+
+    Step l moves the density with face velocity F(x, m_l) - S_l / alpha(t_l):
+    S_l is row l of ``value_slopes`` when given, and dH/dx (x, m_l) otherwise.
+    F and dH/dx come from quadratures set up once for the march
+    (``model._quadrature``), bit for bit ``velocity_field``. Every new row is
+    checked and clipped as ``DensityGrid`` does. A CFL violation raises
+    ``CFLError`` with the step index, its message prefixed by ``where``.
+    """
+    grid = m0.grid
+    faces = grid.faces()
+    drift = _quadrature(model, "drift", faces, grid)
+    slope = _quadrature(model, "cost_grad", faces, grid) if value_slopes is None else None
+    weights = [alpha_at(model, float(t)) for t in times[:-1]]
+    data = np.empty((times.size, grid.cells))
+    data[0] = m0.cell_averages
+    for step, weight in enumerate(weights):
+        masses = data[step][None, :] * grid.dx
+        slopes = value_slopes[step] if slope is None else slope(masses)[0]
+        face_velocity = drift(masses)[0] - slopes / weight
+        try:
+            values = _upwind(grid, data[step], face_velocity, dt)
+        except CFLError as err:
+            raise CFLError(f"{where}step {step}: {err}", step=step, face=err.face) from None
+        data[step + 1] = _checked_rows(grid, values)
+    return data
 
 
 def solve_kinetic(model: ModelSpec, m0: DensityGrid, horizon: float, dt: float) -> DensityTrajectory:
@@ -77,18 +116,8 @@ def solve_kinetic(model: ModelSpec, m0: DensityGrid, horizon: float, dt: float) 
     CFL restriction is re-checked; a violation raises ``CFLError`` carrying the
     step index so the caller can halve dt and retry.
     """
-    n_steps, times = time_grid(horizon, dt)
-    data = np.empty((n_steps + 1, m0.grid.cells))
-    data[0] = m0.cell_averages
-    current = m0
-    for step in range(n_steps):
-        faces = velocity_field(model, current, float(times[step]))
-        try:
-            current = step_upwind(current, faces, dt)
-        except CFLError as err:
-            raise CFLError(f"step {step}: {err}", step=step, face=err.face) from None
-        data[step + 1] = current.cell_averages
-    return DensityTrajectory(m0.grid, times, data)
+    _, times = time_grid(horizon, dt)
+    return DensityTrajectory(m0.grid, times, _march(model, m0, times, dt))
 
 
 def cfl_time_step(model: ModelSpec, m0: DensityGrid, horizon: float, safety: float = 0.85) -> float:

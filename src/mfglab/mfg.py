@@ -15,8 +15,9 @@ upwind machinery with face velocity F - (1/alpha) * (two-point difference of v).
 The backward march, the best-reply feedback and the running cost know their
 whole density path in advance, so they take F and H for all slices from one
 path-level quadrature each (see ``model``), bit for bit the per-slice values.
-The forward march computes each slice from the one before, and evaluates F
-slice by slice.
+The forward march computes each slice from the one before; it is the march of
+``kinetic``, with F's quadrature set up once and the value slopes for all
+slices taken in one difference.
 
 The coupled system is solved by damped Picard iteration on the density path,
 accelerated by safeguarded Anderson mixing (``_anderson``).
@@ -35,8 +36,8 @@ import numpy as np
 from ._anderson import Anderson
 from .errors import CFLError, NumericalError
 from .grids import DensityGrid, DensityTrajectory, SpaceGrid, _checked_rows, time_grid, uniform_dt
-from .kinetic import CFL_NUMBER, solve_kinetic, step_upwind, velocity_field
-from .model import ModelSpec, alpha_at, mean_field_cost, mean_field_cost_grad, mean_field_drift
+from .kinetic import CFL_NUMBER, _march, solve_kinetic, velocity_field
+from .model import ModelSpec, _sum_ascending, alpha_at, mean_field_cost, mean_field_cost_grad, mean_field_drift
 
 
 @dataclass
@@ -87,16 +88,6 @@ class MFGResult:
     rejected_steps: int
 
 
-def _one_sided_slopes(values: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray]:
-    """Backward and forward difference quotients with zero-slope extension at the ends."""
-    slopes = (values[1:] - values[:-1]) / dx
-    p_minus = np.zeros_like(values)
-    p_plus = np.zeros_like(values)
-    p_minus[1:] = slopes
-    p_plus[:-1] = slopes
-    return p_minus, p_plus
-
-
 def hjb_backward(model: ModelSpec, m_path: DensityTrajectory) -> ValueGrid:
     """Backward march of the value equation along a given density path.
 
@@ -105,34 +96,44 @@ def hjb_backward(model: ModelSpec, m_path: DensityTrajectory) -> ValueGrid:
         v_l = v_{l+1} + dt * ( F . Dv - LLF((d/dx v)^2 / (2 alpha)) + H ).
 
     The CFL restriction dt (max|F| + viscosity)/dx <= 0.9 is enforced per step.
-    F and H come for every slice of the path at once, from one quadrature each.
+    F and H come for every slice of the path at once, from one quadrature each,
+    and so do alpha, max|F| and the upwind direction of F.
     """
     times = m_path.times
     dt = uniform_dt(times)
     grid = m_path.grid
+    dx = grid.dx
     centers = grid.centers()
     drifts = mean_field_drift(model, centers, m_path)
     sources = mean_field_cost(model, centers, m_path)
+    weights = [alpha_at(model, float(t)) for t in times[1:]]  # weights[l] at the later slice l + 1
+    drift_speeds = np.max(np.abs(drifts), axis=1).tolist()
+    forward = drifts >= 0.0
     n_slices = times.size
     data = np.zeros((n_slices, grid.cells))
+    # backward and forward difference quotients, zero-slope extension at the ends
+    p_minus = np.zeros(grid.cells)
+    p_plus = np.zeros(grid.cells)
+    slopes = p_minus[1:]
     for step in range(n_slices - 2, -1, -1):
-        weight = alpha_at(model, float(times[step + 1]))
+        weight = weights[step]
         f = drifts[step + 1]
-        source = sources[step + 1]
         v_next = data[step + 1]
-        p_minus, p_plus = _one_sided_slopes(v_next, grid.dx)
-        viscosity = np.max(np.abs(p_minus)) / weight  # p_plus holds the same quotients and a zero
-        speed = np.max(np.abs(f)) + viscosity
-        if dt * speed / grid.dx > CFL_NUMBER + 1e-12:
+        np.subtract(v_next[1:], v_next[:-1], out=slopes)
+        slopes /= dx
+        p_plus[:-1] = slopes
+        viscosity = np.max(np.abs(slopes)) / weight
+        speed = drift_speeds[step + 1] + viscosity
+        if dt * speed / dx > CFL_NUMBER + 1e-12:
             raise CFLError(
-                f"value march: dt*(|F|+viscosity)/dx = {dt * speed / grid.dx:.4f} > {CFL_NUMBER} "
+                f"value march: dt*(|F|+viscosity)/dx = {dt * speed / dx:.4f} > {CFL_NUMBER} "
                 f"at step {step}",
                 step=step,
             )
-        transport_slope = np.where(f >= 0.0, p_plus, p_minus)
+        transport_slope = np.where(forward[step + 1], p_plus, p_minus)
         p_avg = 0.5 * (p_minus + p_plus)
         hamiltonian = p_avg * p_avg / (2.0 * weight) - 0.5 * viscosity * (p_plus - p_minus)
-        data[step] = v_next + dt * (f * transport_slope - hamiltonian + source)
+        data[step] = v_next + dt * (f * transport_slope - hamiltonian + sources[step + 1])
         if not np.all(np.isfinite(data[step])):
             raise NumericalError(f"non-finite value slice at step {step}")
     return ValueGrid(grid, times.copy(), data)
@@ -143,24 +144,10 @@ def fp_forward(model: ModelSpec, value: ValueGrid, m0: DensityGrid) -> DensityTr
     if m0.grid != value.grid:
         raise ValueError("density and value must share the grid")
     times = value.times
-    dt = uniform_dt(times)
     grid = value.grid
-    faces = grid.faces()
-    data = np.empty((times.size, grid.cells))
-    data[0] = m0.cell_averages
-    current = m0
-    for step in range(times.size - 1):
-        weight = alpha_at(model, float(times[step]))
-        drift_faces = np.asarray(mean_field_drift(model, faces, current))
-        v_slice = value.data[step]
-        dv = np.zeros(grid.cells + 1)
-        dv[1:-1] = (v_slice[1:] - v_slice[:-1]) / grid.dx
-        velocity = drift_faces - dv / weight
-        try:
-            current = step_upwind(current, velocity, dt)
-        except CFLError as err:
-            raise CFLError(f"density march, step {step}: {err}", step=step, face=err.face) from None
-        data[step + 1] = current.cell_averages
+    dv = np.zeros((times.size - 1, grid.cells + 1))
+    dv[:, 1:-1] = np.diff(value.data[:-1], axis=1) / grid.dx
+    data = _march(model, m0, times, uniform_dt(times), dv, where="density march, ")
     return DensityTrajectory(grid, times.copy(), data)
 
 
@@ -289,16 +276,18 @@ def feedback_controls_best_reply(model: ModelSpec, m_path: DensityTrajectory) ->
 
 @np.errstate(over="ignore", invalid="ignore")  # a cost beyond the floats is reported as inf
 def total_running_cost(model: ModelSpec, m_path: DensityTrajectory, controls: np.ndarray) -> float:
-    """Population cost integral of (alpha/2) u^2 + H(x, m) against m dx dt (left rule)."""
+    """Population cost integral of (alpha/2) u^2 + H(x, m) against m dx dt (left rule).
+
+    The cell masses m dx, each at most 1, multiply the running cost before it
+    is summed over the cells, so the sums overflow only when the integral does;
+    the per-step integrals are then added in ascending step order.
+    """
     controls = np.asarray(controls, dtype=float)
     if controls.shape != m_path.data.shape:
         raise ValueError("controls must be given at every (time, cell) node")
     dt = uniform_dt(m_path.times)
-    rows = _checked_rows(m_path.grid, m_path.data)
+    masses = _checked_rows(m_path.grid, m_path.data)[:-1] * m_path.grid.dx
     costs = mean_field_cost(model, m_path.grid.centers(), m_path)
-    total = 0.0
-    for step in range(m_path.times.size - 1):
-        weight = alpha_at(model, float(m_path.times[step]))
-        running = 0.5 * weight * controls[step] ** 2 + costs[step]
-        total += dt * float(np.sum(running * rows[step]) * m_path.grid.dx)
-    return total
+    weights = np.array([alpha_at(model, float(t)) for t in m_path.times[:-1]])
+    running = 0.5 * weights[:, None] * controls[:-1] ** 2 + costs[:-1]
+    return float(_sum_ascending(dt * np.sum(running * masses, axis=1)))

@@ -54,6 +54,11 @@ Reproducibility contract:
   ``DensityGrid``: the path's rows are checked and clipped once as
   ``DensityGrid`` would, and the result has one row per time slice, bit for
   bit what per-slice calls give. No (M, L, Q) product is formed.
+* The upwind march (``kinetic``) sets each quadrature up once per march
+  (``_quadrature``: the cached matrix, or the shifted table) and feeds it one
+  density row per step. That row takes the one-row branch of ``_cell_sums``,
+  the same ascending ``np.add.reduce`` as a ``DensityGrid`` query, so the
+  march repeats the per-step calls bit for bit.
 """
 
 from __future__ import annotations
@@ -115,7 +120,7 @@ class ModelSpec:
     cost_kernel_dy: Kernel
     drift_poly: np.ndarray | None = field(default=None, compare=False)
     cost_poly: np.ndarray | None = field(default=None, compare=False)
-    # (kernel field name, SpaceGrid, query point bytes) -> read-only quadrature matrix; see ``_quadrature``
+    # (kernel field name, SpaceGrid, query point bytes) -> read-only quadrature matrix; see ``_kernel_matrix``
     _quadrature_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -347,66 +352,75 @@ def _cell_sums(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def _quadrature(
-    model: ModelSpec, kernel_name: str, x, m: DensityGrid | DensityTrajectory, weight_shift: bool
-) -> np.ndarray | float:
-    """Midpoint rule sum_k K(x, y_k) m_k dx over the cell centers y_k, ascending k.
+def _kernel_matrix(model: ModelSpec, kernel_name: str, xs: np.ndarray, grid: SpaceGrid,
+                   weight_shift: bool) -> np.ndarray:
+    """Cell-major (M, Q) matrix of K(x_q, y_k) at the cell centers y_k, times (y_k - x_q) with ``weight_shift``.
 
-    With ``weight_shift`` the kernel is weighted by (y_k - x). The weighted
-    kernel is held cell-major, as the (M, Q) matrix of K(x_q, y_k). When the
-    query points are the grid's own centers or faces, it is built once and
-    kept read-only in the model's cache; any other query is evaluated afresh.
-    Threads that miss the cache together each build the same matrix, and
-    either copy may stay: they are equal bit for bit.
+    When the query points are the grid's own centers or faces, it is built
+    once and kept read-only in the model's cache; any other query is
+    evaluated afresh. Threads that miss the cache together each build the
+    same matrix, and either copy may stay: they are equal bit for bit.
     """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    key = (kernel_name, m.grid, xs.tobytes())
+    key = (kernel_name, grid, xs.tobytes())
     vals = model._quadrature_cache.get(key)
     if vals is None:
-        centers = m.grid.centers()
+        centers = grid.centers()
         vals = _pair_eval(getattr(model, kernel_name), xs, centers)
         if weight_shift:
             vals *= centers[None, :] - xs[:, None]
         vals = np.ascontiguousarray(vals.T)
-        if _on_grid(xs, m.grid):
+        if _on_grid(xs, grid):
             vals.setflags(write=False)
             model._quadrature_cache[key] = vals
-    return _shaped(_cell_sums(vals, _rows(m) * m.grid.dx), x, m)
+    return vals
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow leaves inf or nan for the CFL and finiteness checks
-def _moment_quadrature(terms, poly: np.ndarray, x, m: DensityGrid | DensityTrajectory) -> np.ndarray | float:
-    """Midpoint rule from the weighted power sums of the cell centers about the grid midpoint.
+def _quadrature(model: ModelSpec, quantity: str, xs: np.ndarray, grid: SpaceGrid) -> Callable[[np.ndarray], np.ndarray]:
+    """The midpoint rule of one mean-field quantity at the points ``xs``, set up once for the grid.
 
-    ``terms(poly, centre)`` gives the integrand's table in powers of x - centre
-    and y - centre.
+    ``quantity`` is "drift", "cost_grad" or "cost". The result maps an (L, M)
+    stack of weighted cell averages m dx to the (L, Q) sums, ascending in the
+    cell. The dense path sums against ``_kernel_matrix`` by ``_cell_sums``. The
+    structured path evaluates the quantity's table, shifted to the grid
+    midpoint once, from the power sums of the cell centers about it; there an
+    overflow leaves inf or nan for the CFL and finiteness checks.
     """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    centre = 0.5 * (m.grid.x_min + m.grid.x_max)
-    table = terms(poly, centre)
-    sums = _power_sums(m.grid.centers() - centre, _rows(m) * m.grid.dx, table.shape[1] - 1)
-    return _shaped(_moment_eval(table, xs - centre, sums), x, m)
+    poly_name, terms, kernel_name, weight_shift = _QUANTITIES[quantity]
+    poly = getattr(model, poly_name)
+    if poly is None:
+        vals = _kernel_matrix(model, kernel_name, xs, grid, weight_shift)
+        return lambda weights: _cell_sums(vals, weights)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centre = 0.5 * (grid.x_min + grid.x_max)
+        table = terms(poly, centre)
+        u, at, degree = grid.centers() - centre, xs - centre, table.shape[1] - 1
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def moments(weights: np.ndarray) -> np.ndarray:
+        return _moment_eval(table, at, _power_sums(u, weights, degree))
+
+    return moments
+
+
+def _mean_field(model: ModelSpec, quantity: str, x, m: DensityGrid | DensityTrajectory) -> np.ndarray | float:
+    """One mean-field quantity at x against a density, or against every slice of a path."""
+    xs =np.atleast_1d(np.asarray(x, dtype=float))
+    return _shaped(_quadrature(model, quantity, xs, m.grid)(_rows(m) * m.grid.dx), x, m)
 
 
 def mean_field_drift(model: ModelSpec, x, m: DensityGrid | DensityTrajectory) -> np.ndarray | float:
     """F(x, m) = integral P(x, y)(y - x) m(y) dy, midpoint rule in ascending cell order."""
-    if model.drift_poly is not None:
-        return _moment_quadrature(_drift_terms, model.drift_poly, x, m)
-    return _quadrature(model, "drift_kernel", x, m, weight_shift=True)
+    return _mean_field(model, "drift", x, m)
 
 
 def mean_field_cost_grad(model: ModelSpec, x, m: DensityGrid | DensityTrajectory) -> np.ndarray | float:
     """d/dx of the mean-field cost: integral d_x phi(x, y) m(y) dy."""
-    if model.cost_poly is not None:
-        return _moment_quadrature(_slope_terms, model.cost_poly, x, m)
-    return _quadrature(model, "cost_kernel_dx", x, m, weight_shift=False)
+    return _mean_field(model, "cost_grad", x, m)
 
 
 def mean_field_cost(model: ModelSpec, x, m: DensityGrid | DensityTrajectory) -> np.ndarray | float:
     """Mean-field running cost H(x, m) = integral phi(x, y) m(y) dy."""
-    if model.cost_poly is not None:
-        return _moment_quadrature(_taylor_shift, model.cost_poly, x, m)
-    return _quadrature(model, "cost_kernel", x, m, weight_shift=False)
+    return _mean_field(model, "cost", x, m)
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +567,14 @@ def _slope_sums(cost_poly: np.ndarray, x: np.ndarray) -> np.ndarray:
     centre, u = _centred(x)
     table = _slope_terms(cost_poly, centre)
     return _pair_sums(table, u, u) - _diagonal(table, u)
+
+
+# quantity -> (coefficient table, its integrand's table in powers about a centre, dense kernel, weighted by y - x)
+_QUANTITIES = {
+    "drift": ("drift_poly", _drift_terms, "drift_kernel", True),
+    "cost_grad": ("cost_poly", _slope_terms, "cost_kernel_dx", False),
+    "cost": ("cost_poly", _taylor_shift, "cost_kernel", False),
+}
 
 
 # ---------------------------------------------------------------------------

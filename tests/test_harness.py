@@ -1,8 +1,10 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 from statistics import NormalDist
@@ -327,6 +329,28 @@ class TestRunExperiment:
         for name in ("particles.csv", "summary.csv", "controls.csv", "adjoints.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_huge_cost_kernel_gives_a_finite_cost(self, tmp_path):
+        # phi(x, y) = 1e308 y: each cell's running cost overflows once summed unweighted, the integral does not
+        raw = {"experiment": "mfg_vs_brs", "model": {"kind": "polynomial", "drift_coeffs": [[1.0, 0.1]],
+                                                     "cost_coeffs": [[0.0, 1e308]]},
+               "horizon": 0.5, "dt": 0.05, "grid": {"cells": 16}, "initial": {"kind": "uniform", "a": 0.0, "b": 1.0}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_OK
+        summary = dict(line.split(",") for line in (tmp_path / "out" / "summary.csv").read_text().splitlines()[1:])
+        value = np.loadtxt(tmp_path / "out" / "value.csv", delimiter=",", skiprows=1)[:, 2].reshape(11, 16)
+        assert np.all(value == value[:, :1])  # H(x, m) = 1e308 * mean(m) does not depend on x: both controls vanish
+        for name, file in (("cost_game", "density_mfg.csv"), ("cost_best_reply", "density_brs.csv")):
+            t, x, m = np.loadtxt(tmp_path / "out" / file, delimiter=",", skiprows=1).T
+            dx = x[1] - x[0]
+            # sum over steps l < L of dt * H_l * mass_l, in units of 1e308 and without rounding in the sums
+            slices = [(m[k:k + 16], x[k:k + 16]) for k in range(0, 10 * 16, 16)]
+            want = 1e308 * math.fsum(0.05 * math.fsum(ml * xl * dx) * math.fsum(ml * dx) for ml, xl in slices)
+            got = float(summary[name])
+            assert math.isfinite(got) and abs(got - want) <= 1e-12 * want
+
     def test_manifest_written(self, tmp_path):
         cfg = parse_config(json.dumps(MINIMAL_NASH))
         run_experiment(cfg, out_dir=tmp_path)
@@ -507,6 +531,46 @@ class TestCsvWriters:
             b"0.10000000000000001,0.8125,0\n"
             b"0.10000000000000001,0.9375,0\n"
         )
+
+
+# Any finite float, with the signed zero, the smallest subnormal and the largest floats always in reach.
+CSV_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308])
+
+
+def _floats(data, shape):
+    size = int(np.prod(shape))
+    return np.array(data.draw(st.lists(CSV_FLOATS, min_size=size, max_size=size)), dtype=float).reshape(shape)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n=st.sampled_from([1, 2, 3]), cells=st.sampled_from([8, 9, 13]), steps=st.integers(1, 4), data=st.data())
+def test_keyed_writers_equal_write_csv_of_the_row_tuples(n, cells, steps, data):
+    """The keyed writers write the bytes of ``write_csv`` on the (time, key..., value) tuples, one per row."""
+    from mfglab import AdjointField, ControlProfile, DensityTrajectory
+    from mfglab.harness import write_adjoints_csv, write_controls_csv, write_csv, write_grid_path_csv
+
+    grid = SpaceGrid(*sorted(data.draw(st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=2, unique=True))),
+                     cells)
+    path = DensityTrajectory(grid, _floats(data, (steps + 1,)), _floats(data, (steps + 1, cells)))
+    times = [0.0, *sorted(data.draw(st.lists(st.floats(5e-324, 1.7976931348623157e308), min_size=steps,
+                                             max_size=steps, unique=True)))]
+    controls = ControlProfile(_floats(data, (n, steps)), times)
+    costates = np.concatenate([_floats(data, (n, n, steps)), np.zeros((n, n, 1))], axis=2)
+    adjoints = AdjointField(costates, times)
+    cases = [
+        (lambda out: write_grid_path_csv(out, ["t", "x", "m"], path), ["t", "x", "m"],
+         [(t, x, path.data[step, k]) for step, t in enumerate(path.times) for k, x in enumerate(grid.centers())]),
+        (lambda out: write_controls_csv(out, controls), ["t", "i", "u"],
+         [(controls.time_grid[step], i, controls.values[i, step]) for step in range(steps) for i in range(n)]),
+        (lambda out: write_adjoints_csv(out, adjoints), ["t", "i", "j", "phi"],
+         [(adjoints.time_grid[step], i, j, adjoints.values[i, j, step])
+          for step in range(steps + 1) for i in range(n) for j in range(n)]),
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        for writer, header, rows in cases:
+            got = writer(Path(tmp) / "got.csv").read_bytes()
+            assert got == write_csv(Path(tmp) / "want.csv", header, rows).read_bytes()
 
 
 # Tiny valid configs, at least one per experiment; every value in each is replaced in turn by every

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mfglab import (
+    CFLError,
     DensityTrajectory,
     PicardParams,
     ValueGrid,
@@ -23,10 +24,13 @@ from mfglab import (
     polynomial_model,
     proposition2_gap,
     solve_kinetic,
+    step_upwind,
     total_running_cost,
+    velocity_field,
 )
 from mfglab.grids import time_grid
 from mfglab.kinetic import cfl_time_step
+from mfglab.errors import NumericalError
 from mfglab.model import alpha_at
 
 
@@ -251,10 +255,51 @@ def _hjb_reference(model, m_path):
         p_minus[1:] = (v_next[1:] - v_next[:-1]) / dx
         p_plus[:-1] = (v_next[1:] - v_next[:-1]) / dx
         viscosity = max(np.max(np.abs(p_minus)), np.max(np.abs(p_plus))) / weight
+        speed = np.max(np.abs(f)) + viscosity
+        if dt * speed / dx > 0.9 + 1e-12:
+            raise CFLError(f"value march: dt*(|F|+viscosity)/dx = {dt * speed / dx:.4f} > 0.9 at step {step}",
+                           step=step)
         transport_slope = np.where(f >= 0.0, p_plus, p_minus)
         p_avg = 0.5 * (p_minus + p_plus)
         hamiltonian = p_avg * p_avg / (2.0 * weight) - 0.5 * viscosity * (p_plus - p_minus)
         data[step] = v_next + dt * (f * transport_slope - hamiltonian + source)
+        if not np.all(np.isfinite(data[step])):
+            raise NumericalError(f"non-finite value slice at step {step}")
+    return data
+
+
+def _kinetic_reference(model, m0, horizon, dt):
+    _, times = time_grid(horizon, dt)
+    data = np.empty((times.size, m0.grid.cells))
+    data[0] = m0.cell_averages
+    current = m0
+    for step in range(times.size - 1):
+        faces = velocity_field(model, current, float(times[step]))
+        try:
+            current = step_upwind(current, faces, dt)
+        except CFLError as err:
+            raise CFLError(f"step {step}: {err}", step=step, face=err.face) from None
+        data[step + 1] = current.cell_averages
+    return data
+
+
+def _fp_reference(model, value, m0):
+    grid, times = value.grid, value.times
+    dt = float(times[1] - times[0])
+    data = np.empty((times.size, grid.cells))
+    data[0] = m0.cell_averages
+    current = m0
+    for step in range(times.size - 1):
+        weight = alpha_at(model, float(times[step]))
+        drift_faces = np.asarray(mean_field_drift(model, grid.faces(), current))
+        v_slice = value.data[step]
+        dv = np.zeros(grid.cells + 1)
+        dv[1:-1] = (v_slice[1:] - v_slice[:-1]) / grid.dx
+        try:
+            current = step_upwind(current, drift_faces - dv / weight, dt)
+        except CFLError as err:
+            raise CFLError(f"density march, step {step}: {err}", step=step, face=err.face) from None
+        data[step + 1] = current.cell_averages
     return data
 
 
@@ -275,7 +320,7 @@ def _running_cost_reference(model, m_path, controls):
         weight = alpha_at(model, float(m_path.times[step]))
         m_slice = m_path.density(step)
         running = 0.5 * weight * controls[step] ** 2 + np.asarray(mean_field_cost(model, centers, m_slice))
-        total += dt * float(np.sum(running * m_slice.cell_averages) * m_path.grid.dx)
+        total += dt * float(np.sum(running * (m_slice.cell_averages * m_path.grid.dx)))
     return total
 
 
@@ -330,6 +375,98 @@ class TestPathEvaluation:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 81 * 64 * 8 / 4
+
+
+def _same_failure(march, reference):
+    """Both calls raise the same exception type with the same message, step and face."""
+    with pytest.raises(Exception) as got:
+        march()
+    with pytest.raises(Exception) as want:
+        reference()
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    assert getattr(got.value, "step", None) == getattr(want.value, "step", None)
+    assert getattr(got.value, "face", None) == getattr(want.value, "face", None)
+    return got.value
+
+
+class TestMarchesBitForBit:
+    """The three marches against the per-slice loops they replace, written from the public functions."""
+
+    MODELS = {
+        "bounded_confidence": lambda: bounded_confidence_model(radius=0.15, alpha=lambda t: 1.0 + 0.5 * t),
+        "consensus": lambda: consensus_model(alpha=lambda t: 1.0 + t),
+        "cubic": _cubic_model,
+    }
+
+    def setup_method(self):
+        self.grid = grid_for_support(0.2, 0.8, 64)
+        self.m0 = normalized_density(self.grid, gaussian_density(self.grid, 0.45, 0.1).cell_averages
+                                     + gaussian_density(self.grid, 0.6, 0.05).cell_averages)
+
+    @pytest.mark.parametrize("kind", MODELS)
+    def test_equal_to_per_slice_loops(self, kind):
+        model = self.MODELS[kind]()
+        path = solve_kinetic(model, self.m0, 0.2, 0.005)
+        assert path.data.tobytes() == _kinetic_reference(model, self.m0, 0.2, 0.005).tobytes()
+        value = hjb_backward(model, path)
+        assert value.data.tobytes() == _hjb_reference(model, path).tobytes()
+        assert np.any(value.data[0] != 0.0)
+        moved = fp_forward(model, value, self.m0)
+        assert moved.data.tobytes() == _fp_reference(model, value, self.m0).tobytes()
+        assert not np.array_equal(moved.data, path.data)
+
+    def test_kinetic_cfl_failure(self):
+        # the weight shrinks in time, so the best-reply velocity outgrows the step mid-run
+        model = consensus_model(alpha=lambda t: 1.0 - 4.5 * t)
+        err = _same_failure(lambda: solve_kinetic(model, self.m0, 0.2, 0.005),
+                            lambda: _kinetic_reference(model, self.m0, 0.2, 0.005))
+        assert isinstance(err, CFLError) and err.step == 35 and err.face == 0
+
+    def test_density_march_cfl_failure(self):
+        model = bounded_confidence_model(radius=0.15)
+        _, times = time_grid(0.2, 0.005)
+        data = np.zeros((times.size, self.grid.cells))
+        data[7, 41:] = self.grid.dx ** 2 / 0.005  # a face velocity of about -dx / dt at face 41
+        value = ValueGrid(self.grid, times, data)
+        err = _same_failure(lambda: fp_forward(model, value, self.m0), lambda: _fp_reference(model, value, self.m0))
+        assert isinstance(err, CFLError) and err.step == 7 and err.face == 41
+
+    def test_value_march_cfl_failure(self):
+        c = 30.0
+        model = polynomial_model([[1.0]], [[0.0, 0.0, c], [0.0, -2 * c, 0.0], [c, 0.0, 0.0]])
+        path = solve_kinetic(consensus_model(), self.m0, 0.2, 0.005)
+        err = _same_failure(lambda: hjb_backward(model, path), lambda: _hjb_reference(model, path))
+        assert isinstance(err, CFLError) and err.step == 19
+
+    def _divergent(self, mass):
+        """A density with ``mass`` alone in cell 10 and a value whose first slice peaks there.
+
+        With no drift, the first step moves 0.8 of cell 10 out through each of its faces.
+        """
+        x = self.grid.centers()
+        bump = np.exp(-(((x - 0.6) / 0.05) ** 2) / 2)
+        bump[:20] = 0.0
+        bump[10] = mass
+        m0 = normalized_density(self.grid, bump)
+        _, times = time_grid(0.02, 0.005)
+        data = np.zeros((times.size, self.grid.cells))
+        data[0, 10] = 0.8 * self.grid.dx ** 2 / 0.005
+        return polynomial_model([[0.0]], [[0.0]]), ValueGrid(self.grid, times, data), m0
+
+    def test_round_off_negative_is_clipped_and_the_march_continues(self):
+        model, value, m0 = self._divergent(1e-16)
+        dv = np.zeros(self.grid.cells + 1)
+        dv[1:-1] = np.diff(value.data[0]) / self.grid.dx
+        assert step_upwind(m0, -dv, 0.005).clipped_mass > 0.0  # the first step clips a round-off negative
+        moved = fp_forward(model, value, m0)
+        assert moved.data.tobytes() == _fp_reference(model, value, m0).tobytes()
+        assert moved.data[1, 10] == 0.0 and moved.data[1, 9] > 0.0 and moved.data.min() >= 0.0
+
+    def test_negative_row_raises_as_density_grid_does(self):
+        model, value, m0 = self._divergent(1e-14)
+        err = _same_failure(lambda: fp_forward(model, value, m0), lambda: _fp_reference(model, value, m0))
+        assert isinstance(err, ValueError) and "negative cell average" in str(err)
 
 
 def _plain_picard(model, m0, horizon, dt, params):
