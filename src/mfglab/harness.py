@@ -55,6 +55,7 @@ from .model import (
     ModelSpec,
     ParticleEnsemble,
     _horner,
+    _pair_eval,
     bounded_confidence_model,
     consensus_model,
     polynomial_model,
@@ -593,9 +594,7 @@ def _spot_check_kernels(cfg: ExperimentConfig, model: ModelSpec) -> None:
     """Sample the drift kernel on the experiment domain: bounded and nonnegative."""
     lo, hi = _support_of(cfg.initial)
     pts = np.linspace(lo, hi, 17)
-    vals = np.asarray(model.drift_kernel(
-        np.broadcast_to(pts[:, None], (17, 17)), np.broadcast_to(pts[None, :], (17, 17))
-    ), dtype=float)
+    vals = _pair_eval(model.drift_kernel, pts, pts)
     if not np.all(np.isfinite(vals)):
         raise ConfigError(["drift kernel produced non-finite values on the experiment domain"])
     if np.min(vals) < 0:

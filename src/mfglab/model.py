@@ -31,6 +31,12 @@ Reproducibility contract:
   quadratures take the structured path: power moments of the ensemble about
   its mean, or of the density about the grid midpoint, reduce the O(N^2) pair
   sums to O(N deg^2) and the quadratures to O(M deg^2) per call.
+* A stack of states, (L, N), gives bit for bit the per-state calls:
+  ``_pair_eval`` hands the kernel ``x[..., :, None]`` and ``y[..., None, :]``,
+  and ``_drift_jacobians``, ``_cost_gradients``, ``_peer_mean`` and the
+  structured cost slopes work row by row with the same elementwise operations
+  and ascending sums. ``drift_jacobian`` and ``cost_gradient_full`` are the
+  one-row case.
 * The structured and dense paths agree to round-off, not bitwise.
   ``consensus_model`` and ``polynomial_model`` take the structured path;
   ``bounded_confidence_model`` has no table and always takes the dense one.
@@ -212,28 +218,42 @@ def _sum_ascending(values: np.ndarray, axis: int = -1, consume: bool = False) ->
 
 
 def _pair_eval(kernel: Kernel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Evaluate kernel on the full (len(x), len(y)) mesh, as a new array the caller owns."""
-    shape = (x.size, y.size)
-    xg = np.broadcast_to(x[:, None], shape)
-    yg = np.broadcast_to(y[None, :], shape)
+    """Evaluate kernel on the full (..., len(x), len(y)) mesh, as a new array the caller owns.
+
+    The kernel sees ``x[..., :, None]`` and ``y[..., None, :]`` and numpy
+    broadcasts them, so an (L, N) stack of states gives one N x N mesh per row.
+    A scalar result, or one of another shape, is copied out to the full mesh.
+    """
+    xg, yg = x[..., :, None], y[..., None, :]
+    shape = np.broadcast_shapes(xg.shape, yg.shape)
     vals = np.asarray(kernel(xg, yg), dtype=float)
     if vals.shape != shape or vals.base is not None or not vals.flags.writeable:
         vals = np.array(np.broadcast_to(vals, shape))
     return vals
 
 
+def _fill_diagonals(mats: np.ndarray, values) -> None:
+    """Write ``values`` onto the diagonal of every N x N matrix of a stack, in place."""
+    diagonal = np.arange(mats.shape[-1])
+    mats[..., diagonal, diagonal] = values
+
+
 # ---------------------------------------------------------------------------
 # particle-level evaluations; N is the ensemble size, every function returns all players
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def drift(model: ModelSpec, ensemble: ParticleEnsemble) -> np.ndarray:
     """Interaction drift f_i(X) = (1/N) sum_j P(x_i, x_j)(x_j - x_i), ascending j.
 
     A state too wide for floats gives entries that are not finite, with numpy's
     warnings silenced; ``controller.euler_step`` reports them as a divergence.
     """
-    x = ensemble.positions
+    return _drift(model, ensemble.positions)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _drift(model: ModelSpec, x: np.ndarray) -> np.ndarray:
+    """``drift`` at the positions ``x``, without an ensemble."""
     if model.drift_poly is not None:
         centre, u = _centred(x)
         return _pair_sums(_drift_terms(model.drift_poly, centre), u, u) / x.size
@@ -244,21 +264,21 @@ def drift(model: ModelSpec, ensemble: ParticleEnsemble) -> np.ndarray:
 
 def _peers(x: np.ndarray) -> int:
     """N - 1, the number of peers each player's pairwise cost averages over."""
-    if x.size < 2:
+    if x.shape[-1] < 2:
         raise ValueError("pairwise cost needs at least two particles")
-    return x.size - 1
+    return x.shape[-1] - 1
 
 
 def _peer_mean(kernel: Kernel, x: np.ndarray) -> np.ndarray:
-    """(1/(N-1)) sum_{j != i} K(x_i, x_j) for every i, ascending j.
+    """(1/(N-1)) sum_{j != i} K(x_i, x_j) for every i, ascending j; one row per row of a stack of states.
 
     The excluded diagonal enters the sum as an exact 0.0, which leaves every
     partial sum unchanged.
     """
     peers = _peers(x)
     mat = _pair_eval(kernel, x, x)
-    np.fill_diagonal(mat, 0.0)
-    return _sum_ascending(mat, axis=1, consume=True) / peers
+    _fill_diagonals(mat, 0.0)
+    return _sum_ascending(mat, axis=-1, consume=True) / peers
 
 
 def cost(model: ModelSpec, ensemble: ParticleEnsemble) -> np.ndarray:
@@ -266,13 +286,17 @@ def cost(model: ModelSpec, ensemble: ParticleEnsemble) -> np.ndarray:
     return _peer_mean(model.cost_kernel, ensemble.positions)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def cost_grad_vector(model: ModelSpec, ensemble: ParticleEnsemble) -> np.ndarray:
     """Own-state cost slopes d h_i / d x_i = (1/(N-1)) sum_{j != i} d_x phi(x_i, x_j) of all players.
 
     Like ``drift``, a state too wide for floats gives entries that are not finite, without a warning.
     """
-    x = ensemble.positions
+    return _cost_slopes(model, ensemble.positions)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _cost_slopes(model: ModelSpec, x: np.ndarray) -> np.ndarray:
+    """``cost_grad_vector`` at the positions ``x``; one row per row of a stack of states."""
     if model.cost_poly is not None:
         return _slope_sums(model.cost_poly, x) / _peers(x)
     return _peer_mean(model.cost_kernel_dx, x)
@@ -280,24 +304,32 @@ def cost_grad_vector(model: ModelSpec, ensemble: ParticleEnsemble) -> np.ndarray
 
 def cost_gradient_full(model: ModelSpec, ensemble: ParticleEnsemble) -> np.ndarray:
     """Cost sensitivities G[i, j] = d h_i / d x_j; the diagonal is ``cost_grad_vector``."""
-    x = ensemble.positions
+    return _cost_gradients(model, ensemble.positions[None])[0]
+
+
+def _cost_gradients(model: ModelSpec, x: np.ndarray) -> np.ndarray:
+    """``cost_gradient_full`` of every row of an (L, N) stack of states, as an (L, N, N) array."""
     grad = _pair_eval(model.cost_kernel_dy, x, x) / _peers(x)
-    np.fill_diagonal(grad, cost_grad_vector(model, ensemble))
+    _fill_diagonals(grad, _cost_slopes(model, x))
     return grad
 
 
 def drift_jacobian(model: ModelSpec, ensemble: ParticleEnsemble) -> np.ndarray:
     """Jacobian J[k, j] = d f_k / d x_j of the interaction drift."""
-    x = ensemble.positions
-    n = x.size
-    diff = x[None, :] - x[:, None]
+    return _drift_jacobians(model, ensemble.positions[None])[0]
+
+
+def _drift_jacobians(model: ModelSpec, x: np.ndarray) -> np.ndarray:
+    """``drift_jacobian`` of every row of an (L, N) stack of states, as an (L, N, N) array."""
+    n = x.shape[-1]
+    diff = x[..., None, :] - x[..., :, None]
     p = _pair_eval(model.drift_kernel, x, x)
     dp_dx = _pair_eval(model.drift_kernel_dx, x, x)
     dp_dy = _pair_eval(model.drift_kernel_dy, x, x)
     jac = (dp_dy * diff + p) / n
     own = dp_dx * diff - p  # j-sum terms of d f_k / d x_k, the j = k entry vanishes
-    np.fill_diagonal(own, 0.0)
-    np.fill_diagonal(jac, _sum_ascending(own, axis=1) / n)
+    _fill_diagonals(own, 0.0)
+    _fill_diagonals(jac, _sum_ascending(own, axis=-1, consume=True) / n)
     return jac
 
 
@@ -484,19 +516,21 @@ def _check_derivatives(name: str, kernel: Kernel, kernel_dx: Kernel, kernel_dy: 
                 )
 
 
-def _taylor_shift(table: np.ndarray, centre: float) -> np.ndarray:
-    """Table of K(centre + u, centre + v) in powers of u and v.
+def _taylor_shift(table: np.ndarray, centre) -> np.ndarray:
+    """Table of K(centre + u, centre + v) in powers of u and v; an (L,) array of centres gives (L, ...) tables.
 
     Repeated synthetic division along each axis: O(deg^2) vector updates, with
-    products and sums only, in a fixed order.
+    products and sums only, in a fixed order. The centres' axis stays last
+    while the tables shift.
     """
-    out = np.array(table, dtype=float)
-    for view in (out, out.T):  # rows shift x, then columns shift y
+    centre = np.asarray(centre, dtype=float)
+    out = np.repeat(table[..., None], centre.size, axis=-1) if centre.ndim else np.array(table, dtype=float)
+    for view in (out, out.swapaxes(0, 1)):  # rows shift x, then columns shift y
         n = view.shape[0]
         for i in range(n - 1):
             for j in range(n - 2, i - 1, -1):
                 view[j] += centre * view[j + 1]
-    return out
+    return np.moveaxis(out, -1, 0) if centre.ndim else out
 
 
 def _drift_terms(drift_poly: np.ndarray, centre: float) -> np.ndarray:
@@ -509,20 +543,20 @@ def _drift_terms(drift_poly: np.ndarray, centre: float) -> np.ndarray:
     return out
 
 
-def _slope_terms(cost_poly: np.ndarray, centre: float) -> np.ndarray:
-    """Table of d_x phi(x, y) about ``centre``."""
+def _slope_terms(cost_poly: np.ndarray, centre) -> np.ndarray:
+    """Table of d_x phi(x, y) about ``centre``; one table per entry of an array of centres."""
     return _taylor_shift(_poly_diff_rows(cost_poly), centre)
 
 
-def _centred(x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Ensemble mean (ascending sum) and the positions relative to it."""
-    centre = float(_sum_ascending(x)) / x.size
-    return centre, x - centre
+def _centred(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ensemble mean (ascending sum) and the positions relative to it; per row of a stack of states."""
+    centre = _sum_ascending(x) / x.shape[-1]
+    return centre, (x.T - centre).T
 
 
 def _power_sums(u: np.ndarray, weights, degree: int) -> np.ndarray:
-    """Ascending sums sum_j w_j u_j^b for b = 0..degree, per row of a stack of weights."""
-    powers = np.empty((*np.shape(weights)[:-1], degree + 1, u.size))
+    """Ascending sums sum_j w_j u_j^b for b = 0..degree, per row of a stack of weights or of points."""
+    powers = np.empty((*(np.shape(weights)[:-1] or u.shape[:-1]), degree + 1, u.shape[-1]))
     powers[..., 0, :] = weights
     for b in range(1, degree + 1):
         np.multiply(powers[..., b - 1, :], u, out=powers[..., b, :])
@@ -532,10 +566,11 @@ def _power_sums(u: np.ndarray, weights, degree: int) -> np.ndarray:
 def _horner(coeffs: np.ndarray, at: np.ndarray) -> np.ndarray:
     """sum_k coeffs[..., k] at^k, elementwise, so every entry of ``at`` sees the same operations.
 
-    A stack of coefficient rows, (..., K), gives one result row per coefficient row.
+    A stack of coefficient rows, (..., K), gives one result row per coefficient
+    row: at the shared points of a 1D ``at``, or at its own row of an (..., P) ``at``.
     """
     coeffs = coeffs[..., None]
-    out = np.empty(coeffs.shape[:-2] + at.shape)
+    out = np.empty(coeffs.shape[:-2] + at.shape[-1:])
     out[...] = coeffs[..., -1, :]
     for k in range(coeffs.shape[-2] - 2, -1, -1):
         out *= at
@@ -544,22 +579,22 @@ def _horner(coeffs: np.ndarray, at: np.ndarray) -> np.ndarray:
 
 
 def _moment_eval(table: np.ndarray, at: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """sum_a at^a sum_b table[a, b] sums[..., b], the inner sums ascending."""
+    """sum_a at^a sum_b table[..., a, b] sums[..., b], the inner sums ascending; one row per row of ``sums``."""
     return _horner(_sum_ascending(table * sums[..., None, :], axis=-1), at)
 
 
 def _diagonal(table: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """K(at, at) for a table K: the anti-diagonal sums are the coefficients of at^k."""
-    rows, cols = table.shape
-    coeffs = np.zeros(rows + cols - 1)
+    """K(at, at) for a table K: the anti-diagonal sums are the coefficients of at^k; per row of a stack."""
+    rows, cols = table.shape[-2:]
+    coeffs = np.zeros(table.shape[:-2] + (rows + cols - 1,))
     for a in range(rows):
-        coeffs[a:a + cols] += table[a]
+        coeffs[..., a:a + cols] += table[..., a, :]
     return _horner(coeffs, at)
 
 
 def _pair_sums(table: np.ndarray, u: np.ndarray, at: np.ndarray) -> np.ndarray:
     """sum_j K(at_i, u_j) over all particles j, for a centred table K."""
-    return _moment_eval(table, at, _power_sums(u, 1.0, table.shape[1] - 1))
+    return _moment_eval(table, at, _power_sums(u, 1.0, table.shape[-1] - 1))
 
 
 def _slope_sums(cost_poly: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -14,10 +14,12 @@ solve one backward recursion
 
 with J[k, j] = d f_k / d x_j the drift Jacobian and G[i, j] = d h_i / d x_j
 the cost sensitivities; row i is player i's recursion
-phi^i(l) = phi^i(l+1) + dt * ( J^T phi^i(l+1) + grad_x h_i ). One Jacobian and
-one G per step serve every player. Because the adjoint runs on the same grid
-as the state, the per-step gradient of the discrete cost is exact up to
-round-off:
+phi^i(l) = phi^i(l+1) + dt * ( J^T phi^i(l+1) + grad_x h_i ). J and G serve
+every player, and come from one batched kernel evaluation per block of time
+steps (at most ``_BLOCK_ENTRIES`` matrix entries, one step at least), bit for
+bit what per-step evaluations give; the recursion itself runs step by step.
+Because the adjoint runs on the same grid as the state, the per-step gradient
+of the discrete cost is exact up to round-off:
 
     dV_i / du_{i,l} = dt * ( alpha(t_l) u_{i,l} + phi^i_i(l+1) ).
 
@@ -40,14 +42,16 @@ from .model import (
     ControlProfile,
     ModelSpec,
     ParticleEnsemble,
+    _cost_gradients,
+    _drift,
+    _drift_jacobians,
+    _peer_mean,
     alpha_at,
-    cost,
-    cost_gradient_full,
-    drift,
-    drift_jacobian,
 )
 
 GROWTH_LIMIT = 5  # a sweep stops once its residual has grown on this many sweeps in a row
+# Cap on L * N^2, the matrix entries of one batched kernel evaluation over L time steps.
+_BLOCK_ENTRIES = 2**16
 
 
 @dataclass
@@ -104,7 +108,10 @@ def simulate_state(
     controls: ControlProfile,
     blow_up_bound: float = DEFAULT_BLOW_UP_BOUND,
 ) -> ParticleTrajectory:
-    """Forward explicit Euler under a fixed control profile."""
+    """Forward explicit Euler under a fixed control profile, stepping on the position array.
+
+    ``euler_step`` refuses a non-finite state, so no per-step ensemble is built.
+    """
     times = controls.time_grid
     dt = controls.dt
     n_steps = controls.n_steps
@@ -112,12 +119,10 @@ def simulate_state(
         raise ValueError(f"ensemble has {initial.n} particles, controls are for {controls.values.shape[0]}")
     positions = np.empty((n_steps + 1, initial.n))
     positions[0] = initial.positions
-    state = ParticleEnsemble(initial.positions.copy(), time=float(times[0]))
     for step in range(n_steps):
-        new_positions = euler_step(state.positions, drift(model, state), controls.values[:, step], dt)
-        state = ParticleEnsemble(new_positions, time=float(times[step + 1]))
-        positions[step + 1] = new_positions
-        worst = float(np.max(np.abs(new_positions)))
+        now = positions[step]
+        positions[step + 1] = euler_step(now, _drift(model, now), controls.values[:, step], dt)
+        worst = float(np.max(np.abs(positions[step + 1])))
         if not worst <= blow_up_bound:
             raise DivergenceError(
                 f"|x| reached {worst:.3e} > bound {blow_up_bound:.3e} at step {step + 1}"
@@ -125,32 +130,52 @@ def simulate_state(
     return ParticleTrajectory(times.copy(), positions)
 
 
+def _blocks(n_steps: int, n: int) -> list[tuple[int, int]]:
+    """Consecutive [start, stop) step ranges of at most ``_BLOCK_ENTRIES`` // N^2 steps, one step at least."""
+    size = max(1, _BLOCK_ENTRIES // max(1, n * n))
+    return [(start, min(start + size, n_steps)) for start in range(0, n_steps, size)]
+
+
 def solve_adjoint(model: ModelSpec, trajectory: ParticleTrajectory) -> np.ndarray:
     """Backward costate march of all players at once; returns phi^i_j(t_l) as an (N, N, N_T+1) array.
 
-    One ``drift_jacobian`` and one ``cost_gradient_full`` per step serve every player.
+    The drift Jacobians and cost sensitivities G of a block of steps come
+    from one batched evaluation; the march runs step by step, latest block
+    first, in a time-first buffer whose (N, N, N_T+1) transpose is returned.
+    Raises ``ValueError`` for a non-finite state and ``NumericalError`` for
+    a non-finite costate, naming its step.
     """
     times = trajectory.times
     dt = uniform_dt(times)
     n_steps = times.size - 1
     n = trajectory.n_particles
-    phi = np.zeros((n, n, n_steps + 1))
-    for step in range(n_steps - 1, -1, -1):
-        state = trajectory.ensemble(step)
-        later = phi[:, :, step + 1]
-        phi[:, :, step] = later + dt * (later @ drift_jacobian(model, state) + cost_gradient_full(model, state))
-        if not np.all(np.isfinite(phi[:, :, step])):
-            raise NumericalError(f"non-finite costate at step {step}")
-    return phi
+    states = trajectory.positions
+    if not np.all(np.isfinite(states[:n_steps])):
+        raise ValueError("non-finite particle position")
+    phi = np.zeros((n_steps + 1, n, n))
+    for start, stop in reversed(_blocks(n_steps, n)):
+        jacobians = _drift_jacobians(model, states[start:stop])
+        sources = _cost_gradients(model, states[start:stop])
+        for step in range(stop - 1, start - 1, -1):
+            later = phi[step + 1]
+            phi[step] = later + dt * (later @ jacobians[step - start] + sources[step - start])
+            if not np.all(np.isfinite(phi[step])):
+                raise NumericalError(f"non-finite costate at step {step}")
+    return phi.transpose(1, 2, 0)
 
 
 def value(model: ModelSpec, start: ParticleEnsemble, controls: ControlProfile) -> np.ndarray:
-    """Every player's cost-to-go from ``start`` at time 0: left Riemann sum along ``simulate_state``."""
-    trajectory = simulate_state(model, start, controls)
+    """Every player's cost-to-go from ``start`` at time 0: left Riemann sum along ``simulate_state``.
+
+    The running costs of a block of steps come from one batched evaluation and are added in step order.
+    """
+    states = simulate_state(model, start, controls).positions
+    blocks = _blocks(controls.n_steps, start.n)
+    costs = np.concatenate([_peer_mean(model.cost_kernel, states[a:b]) for a, b in blocks])
     dt = controls.dt
     total = np.zeros(start.n)
-    for step, (weight, u) in enumerate(zip(_weights(model, controls.time_grid), controls.values.T)):
-        total += dt * (0.5 * weight * u * u + cost(model, trajectory.ensemble(step)))
+    for weight, u, running in zip(_weights(model, controls.time_grid), controls.values.T, costs):
+        total += dt * (0.5 * weight * u * u + running)
     return total
 
 

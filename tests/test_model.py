@@ -4,6 +4,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mfglab import (
     ConfigError,
@@ -20,7 +23,15 @@ from mfglab import (
 )
 from mfglab.grids import DensityGrid, DensityTrajectory, SpaceGrid, _checked_rows, histogram, normalized_density
 from mfglab.mfg import fp_forward, hjb_backward
-from mfglab.model import ModelSpec, _cell_sums, alpha_at, cost_gradient_full, drift_jacobian
+from mfglab.model import (
+    ModelSpec,
+    _cell_sums,
+    _cost_gradients,
+    _drift_jacobians,
+    alpha_at,
+    cost_gradient_full,
+    drift_jacobian,
+)
 
 
 def ensemble(*xs):
@@ -286,6 +297,39 @@ class TestAdjointInputs:
             lo[j] -= step
             fd = (drift(m, ParticleEnsemble(hi)) - drift(m, ParticleEnsemble(lo))) / (2 * step)
             assert np.max(np.abs(jac[:, j] - fd)) <= 1e-8
+
+
+class TestStackedAdjointInputs:
+    """An (L, N) stack of states gives, bit for bit, the per-ensemble J and G of each row."""
+
+    # Drift kernels of two result shapes that ``_pair_eval`` must copy out to the full mesh:
+    # consensus returns a scalar, and P(x, y) = 1 + x^2 / 4 depends on x only, so it returns (..., N, 1).
+    MODELS = {
+        "scalar_kernel": consensus_model(),
+        "column_kernel": ModelSpec(
+            drift_kernel=lambda x, y: 1.0 + 0.25 * x * x,
+            cost_kernel=lambda x, y: 0.5 * (x - y) ** 2,
+            cost_kernel_dx=lambda x, y: x - y,
+            alpha=lambda t: 1.0,
+            drift_kernel_dx=lambda x, y: 0.5 * x,
+            drift_kernel_dy=lambda x, y: np.float64(0.0),
+            cost_kernel_dy=lambda x, y: y - x,
+        ),
+    }
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        name=st.sampled_from(sorted(MODELS)),
+        states=arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(2, 12)),
+                      elements=st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)),
+    )
+    def test_stack_matches_per_ensemble_calls(self, name, states):
+        m = self.MODELS[name]
+        jacobians, gradients = _drift_jacobians(m, states), _cost_gradients(m, states)
+        assert jacobians.shape == gradients.shape == states.shape + states.shape[-1:]
+        for row, jac, grad in zip(states, jacobians, gradients):
+            assert np.array_equal(jac, drift_jacobian(m, ParticleEnsemble(row.copy())))
+            assert np.array_equal(grad, cost_gradient_full(m, ParticleEnsemble(row.copy())))
 
 
 class TestDensityGrid:

@@ -4,6 +4,7 @@ import pytest
 from mfglab import (
     ControlProfile,
     DivergenceError,
+    NumericalError,
     ParticleEnsemble,
     SweepParams,
     bounded_confidence_model,
@@ -16,8 +17,10 @@ from mfglab import (
     solve_adjoint,
     value,
 )
-from mfglab.model import cost_gradient_full, drift_jacobian
-from mfglab.nash import GROWTH_LIMIT
+from mfglab import ParticleTrajectory, cost, drift
+from mfglab.controller import euler_step
+from mfglab.model import alpha_at, cost_gradient_full, drift_jacobian
+from mfglab.nash import _BLOCK_ENTRIES, GROWTH_LIMIT, _blocks
 
 
 def grid_profile(n, n_steps, horizon, values=None):
@@ -312,3 +315,88 @@ class TestNashSweep:
             SweepParams(relaxation=1.5)
         with pytest.raises(ValueError):
             SweepParams(max_iterations=0)
+
+
+class TestSweepBitForBit:
+    """``simulate_state``, ``solve_adjoint`` and ``value`` repeat their per-step loops bit for bit.
+
+    The references below are those loops written out with the public per-ensemble
+    functions: one ensemble, one drift, one J and G, one cost per step.
+    """
+
+    MODELS = {
+        "bounded_confidence": lambda: bounded_confidence_model(radius=0.15),
+        "consensus": consensus_model,
+        "cubic_cost": lambda: polynomial_model(
+            [[1.0, 0.2]],
+            [[0.0, 0.0, 0.5, 0.1], [0.0, -1.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0], [0.2, 0.0, 0.0, 0.0]],
+            alpha=lambda t: 1.0 + 0.5 * t,
+        ),
+    }
+
+    @staticmethod
+    def per_step_states(m, start, profile):
+        state = ParticleEnsemble(start.positions.copy())
+        positions = [state.positions]
+        for step in range(profile.n_steps):
+            new = euler_step(state.positions, drift(m, state), profile.values[:, step], profile.dt)
+            state = ParticleEnsemble(new, time=float(profile.time_grid[step + 1]))
+            positions.append(new)
+        return np.array(positions)
+
+    @staticmethod
+    def per_step_costates(m, trajectory, dt):
+        # time-first like solve_adjoint, so both products read a contiguous N x N slice: numpy
+        # releases differ in whether a strided operand of @ goes through BLAS, which rounds differently
+        n_steps, n = len(trajectory) - 1, trajectory.n_particles
+        phi = np.zeros((n_steps + 1, n, n))
+        for step in range(n_steps - 1, -1, -1):
+            state = trajectory.ensemble(step)
+            later = phi[step + 1]
+            phi[step] = later + dt * (later @ drift_jacobian(m, state) + cost_gradient_full(m, state))
+        return phi.transpose(1, 2, 0)
+
+    @staticmethod
+    def per_step_value(m, profile, positions):
+        total = np.zeros(positions.shape[1])
+        for step in range(profile.n_steps):
+            weight, u = alpha_at(m, float(profile.time_grid[step])), profile.values[:, step]
+            total += profile.dt * (0.5 * weight * u * u + cost(m, ParticleEnsemble(positions[step])))
+        return total
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @pytest.mark.parametrize("n", [2, 8, 96])
+    def test_matches_per_step_loops(self, name, n):
+        m = self.MODELS[name]()
+        g = rng(100 + n)
+        start = ParticleEnsemble(g.random(n))
+        profile = grid_profile(n, 25, 0.5, values=0.5 * g.normal(size=(n, 25)))
+        trajectory = simulate_state(m, start, profile)
+        assert np.array_equal(trajectory.positions, self.per_step_states(m, start, profile))
+        assert np.array_equal(solve_adjoint(m, trajectory), self.per_step_costates(m, trajectory, profile.dt))
+        assert np.array_equal(value(m, start, profile), self.per_step_value(m, profile, trajectory.positions))
+
+    @pytest.mark.parametrize("n, count", [(2, 1), (8, 1), (96, 4), (181, 13), (256, 25), (300, 25)])
+    def test_blocks_cover_the_steps_within_the_cap(self, n, count):
+        # one block for the whole trajectory at N = 8, one step per block from N = 256 on
+        blocks = _blocks(25, n)
+        assert len(blocks) == count
+        assert [a for a, _ in blocks] == [0] + [b for _, b in blocks[:-1]] and blocks[-1][1] == 25
+        assert all((b - a) * n * n <= _BLOCK_ENTRIES or b - a == 1 for a, b in blocks)
+
+    def test_non_finite_state_is_refused_as_input(self):
+        # the state of step 4 is NaN: the costate march would turn it into a NumericalError
+        m = consensus_model()
+        trajectory = simulate_state(m, ParticleEnsemble(np.array([0.0, 0.5, 1.0])), grid_profile(3, 10, 1.0))
+        trajectory.positions[4, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite particle position"):
+            solve_adjoint(m, trajectory)
+
+    def test_non_finite_costate_names_its_step(self):
+        # phi(x, y) = y^2 without drift: G of the state at step 6 overflows, every other G is finite
+        m = polynomial_model([[0.0]], [[0.0, 0.0, 1.0]])
+        positions = np.tile([0.2, 0.5, 0.7], (11, 1))
+        positions[6, 0] = 1e308
+        trajectory = ParticleTrajectory(np.linspace(0.0, 1.0, 11), positions)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError, match="at step 6$"):
+            solve_adjoint(m, trajectory)
