@@ -51,6 +51,7 @@ from .mfg import (
 from .model import (
     ControlProfile,
     ModelSpec,
+    PairKernel,
     ParticleEnsemble,
     bounded_confidence_model,
     consensus_model,
@@ -87,6 +88,7 @@ __all__ = [
     "ModelSpec",
     "NashResult",
     "NumericalError",
+    "PairKernel",
     "ParticleEnsemble",
     "ParticleTrajectory",
     "PicardParams",

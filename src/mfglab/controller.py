@@ -80,8 +80,8 @@ def mpc_step_exact(
     """One receding-horizon step with the end-of-step control weight alpha(t+dt).
 
     The returned control solves the per-particle quadratic subproblem exactly;
-    its slope ``cost_kernel_dx`` was checked against the cost kernel when the
-    model was built.
+    its slope ``model.cost.dx`` was checked against ``model.cost.value`` when
+    the model was built.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")

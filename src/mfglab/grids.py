@@ -117,6 +117,8 @@ def histogram(positions: np.ndarray, grid: SpaceGrid) -> DensityGrid:
     positions = np.asarray(positions, dtype=float)
     if positions.ndim != 1 or positions.size == 0:
         raise ValueError("positions must be a nonempty 1D array")
+    if not np.all(np.isfinite(positions)):
+        raise ValueError("non-finite particle position")
     if positions.min() < grid.x_min or positions.max() > grid.x_max:
         raise ValueError("particle outside the grid domain")
     idx = np.floor((positions - grid.x_min) / grid.dx).astype(int)

@@ -60,7 +60,7 @@ from .model import (
     consensus_model,
     polynomial_model,
 )
-from .nash import AdjointField, NashResult, SweepParams, nash_sweep, value
+from .nash import AdjointField, NashResult, SweepParams, _value_along, nash_sweep
 
 EXPERIMENTS = ("particle_vs_kinetic", "mpc_vs_brs", "mfg_vs_brs", "prop2_gap", "nash_vs_brs")
 
@@ -452,11 +452,7 @@ def build_model(cfg: ExperimentConfig) -> ModelSpec:
         return consensus_model(alpha)
     if cfg.model_kind == "bounded_confidence":
         return bounded_confidence_model(cfg.model_params["radius"], alpha)
-    return polynomial_model(
-        np.asarray(cfg.model_params["drift_coeffs"], dtype=float),
-        np.asarray(cfg.model_params["cost_coeffs"], dtype=float),
-        alpha,
-    )
+    return polynomial_model(cfg.model_params["drift_coeffs"], cfg.model_params["cost_coeffs"], alpha)
 
 
 def _build_alpha(kind: str, params: dict):
@@ -594,7 +590,7 @@ def _spot_check_kernels(cfg: ExperimentConfig, model: ModelSpec) -> None:
     """Sample the drift kernel on the experiment domain: bounded and nonnegative."""
     lo, hi = _support_of(cfg.initial)
     pts = np.linspace(lo, hi, 17)
-    vals = _pair_eval(model.drift_kernel, pts, pts)
+    vals = _pair_eval(model.drift.value, pts, pts)
     if not np.all(np.isfinite(vals)):
         raise ConfigError(["drift kernel produced non-finite values on the experiment domain"])
     if np.min(vals) < 0:
@@ -707,10 +703,12 @@ def _run_nash_vs_brs(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: i
             f"sweep did not converge (residual {result.residual:.3e} "
             f"after {result.iterations} iterations)"
         )
-    _, brs_profile = integrate_brs(model, start, cfg.horizon, cfg.dt, scheme="taylor")
+    brs_trajectory, brs_profile = integrate_brs(model, start, cfg.horizon, cfg.dt, scheme="taylor")
     u_game = result.controls.values[:, 0]
     u_myopic = brs_profile.values[:, 0]
-    v_game, v_myopic = value(model, start, result.controls), value(model, start, brs_profile)
+    # both trajectories are bit for bit what ``value`` would simulate again under their controls
+    v_game = _value_along(model, result.trajectory, result.controls)
+    v_myopic = _value_along(model, brs_trajectory, brs_profile)
     rows = list(zip(range(cfg.n_particles), u_game, u_myopic, np.abs(u_game - u_myopic), v_game, v_myopic))
     artifacts = [
         write_csv(out / "particles.csv",

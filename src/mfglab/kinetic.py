@@ -120,14 +120,21 @@ def solve_kinetic(model: ModelSpec, m0: DensityGrid, horizon: float, dt: float) 
     return DensityTrajectory(m0.grid, times, _march(model, m0, times, dt))
 
 
+def _initial_speed(model: ModelSpec, m0: DensityGrid) -> float:
+    """max |c| over the faces at time 0; raises ``CFLError`` when it is not finite, as no dt can resolve it."""
+    vmax = float(np.max(np.abs(velocity_field(model, m0, 0.0))))
+    if not math.isfinite(vmax):
+        raise CFLError(f"the initial face speed max |c| is {vmax}, so no time step meets the CFL restriction")
+    return vmax
+
+
 def cfl_time_step(model: ModelSpec, m0: DensityGrid, horizon: float, safety: float = 0.85) -> float:
     """Largest dt dividing the horizon with initial Courant number <= safety.
 
     The per-step check in the solvers still guards against velocity growth
-    along the run.
+    along the run. Raises ``CFLError`` when the initial speed is not finite.
     """
-    faces = velocity_field(model, m0, 0.0)
-    vmax = float(np.max(np.abs(faces)))
+    vmax = _initial_speed(model, m0)
     if vmax == 0.0:
         return horizon
     n_steps = max(1, math.ceil(horizon * vmax / (safety * m0.grid.dx)))

@@ -36,7 +36,7 @@ import numpy as np
 from ._anderson import Anderson
 from .errors import CFLError, NumericalError
 from .grids import DensityGrid, DensityTrajectory, SpaceGrid, _checked_rows, time_grid, uniform_dt
-from .kinetic import CFL_NUMBER, _march, solve_kinetic, velocity_field
+from .kinetic import CFL_NUMBER, _initial_speed, _march, solve_kinetic
 from .model import ModelSpec, _sum_ascending, alpha_at, mean_field_cost, mean_field_cost_grad, mean_field_drift
 
 
@@ -241,9 +241,10 @@ def proposition2_gap(
     sup_x | v(0, x)/dt - H(x, m0) |. The value is normalized per unit of
     window time, the scale on which the short-horizon expansion
     v(0, .) ~ dt * H(., m0) lives; the gap is O(dt) down to the spatial
-    discretization floor.
+    discretization floor. Raises ``CFLError`` when the initial speed is not
+    finite, as ``cfl_time_step`` does.
     """
-    vmax = float(np.max(np.abs(velocity_field(model, m0, 0.0))))
+    vmax = _initial_speed(model, m0)
     n_sub = max(2, math.ceil(dt * vmax / (0.45 * m0.grid.dx))) if vmax > 0 else 2
     result = mfg_fixed_point(model, m0, dt, dt / n_sub, params)
     if not result.converged:

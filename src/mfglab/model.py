@@ -11,10 +11,12 @@ Mean-field counterparts replace the sums by integrals against a density m:
     F(x, m)      = integral P(x, y) (y - x) m(y) dy
     dH/dx (x, m) = integral d_x phi(x, y) m(y) dy
 
-A ``ModelSpec`` holds only the interaction (kernels and control weight): the
-particle functions read N from the ensemble, and the solvers take the horizon
-as an argument, so one model serves the game, every receding window and the
-best-reply limit. Every particle function evaluates all N players at once:
+A ``ModelSpec`` holds only the interaction: the drift and cost kernels, each
+one ``PairKernel`` (its value, both partial derivatives and an optional
+coefficient table), and the control weight. The particle functions read N
+from the ensemble, and the solvers take the horizon as an argument, so one
+model serves the game, every receding window and the best-reply limit. Every
+particle function evaluates all N players at once:
 ``drift``, ``cost`` and ``cost_grad_vector`` return length-N vectors, and
 ``drift_jacobian`` and ``cost_gradient_full`` the N x N matrices
 J[k, j] = d f_k / d x_j and G[i, j] = d h_i / d x_j, whose diagonal is
@@ -26,7 +28,7 @@ Reproducibility contract:
   (``_sum_ascending``, or ``_cell_sums`` for the dense quadratures), so a run
   repeats bit for bit.
 * A kernel that is a polynomial ``sum_ab C[a, b] x^a y^b`` may carry its
-  coefficient table (``ModelSpec.drift_poly``, ``ModelSpec.cost_poly``). Then
+  coefficient table (``model.drift.table``, ``model.cost.table``). Then
   ``drift``, ``cost_grad_vector`` and the three mean-field
   quadratures take the structured path: power moments of the ensemble about
   its mean, or of the density about the grid midpoint, reduce the O(N^2) pair
@@ -91,58 +93,69 @@ TABLE_RTOL = 1e-12  # agreement a coefficient table must show with its kernels
 # (2.0e-3 measured), so 1e-2 accepts every radius, while a sign error or a
 # factor 2 misses by the size of the derivative itself (49 at radius 0.56).
 DERIVATIVE_RTOL = 1e-2
-# the 4 x 4 mesh of sample points where the derivative kernels and tables are checked
-_SAMPLE_X, _SAMPLE_Y = (g.ravel() for g in np.meshgrid([-0.9, -0.35, 0.2, 0.75], [-0.9, -0.35, 0.2, 0.75]))
+# the sample points; the derivative kernels and tables are checked on their 4 x 4 mesh
+_SAMPLES = np.array([-0.9, -0.35, 0.2, 0.75])
+
+
+@dataclass(frozen=True)
+class PairKernel:
+    """One pairwise kernel K(x, y), its partial derivatives ``dx`` and ``dy``, and optionally its coefficient table.
+
+    The three callables must accept numpy arrays and evaluate elementwise; a
+    result may have any shape broadcastable to the inputs' common shape
+    (constants may return a scalar). ``table`` is the coefficient table C of a
+    polynomial kernel, ``K(x, y) = sum_ab C[a, b] x^a y^b``, kept as a new
+    read-only 2D float array; a present table selects the moment-based
+    evaluation (see the module docstring). ``ModelSpec`` checks that the parts agree.
+    """
+
+    value: Kernel
+    dx: Kernel
+    dy: Kernel
+    table: np.ndarray | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if self.table is not None:
+            table = np.array(self.table, dtype=float, ndmin=2)
+            if table.ndim != 2 or table.size == 0:
+                raise ValueError(f"a coefficient table must be a nonempty 2D array, got shape {table.shape}")
+            table.setflags(write=False)
+            object.__setattr__(self, "table", table)
+
+    @classmethod
+    def polynomial(cls, coeffs) -> PairKernel:
+        """The kernel of a coefficient table, its derivatives from the differentiated tables."""
+        table = np.array(coeffs, dtype=float, ndmin=2)
+        return cls(_poly_kernel(table), _poly_kernel(_poly_diff_rows(table)),
+                   _poly_kernel(_poly_diff_cols(table)), table)
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """One interaction model: drift and cost kernels, their derivatives and the control weight.
+    """One interaction model: the drift kernel P, the cost kernel phi and the control weight alpha.
 
     The particle count comes from the ensemble and the horizon from the
     solver call, so one model serves every N and every window length.
 
-    Kernels must accept numpy arrays and evaluate elementwise; the result may
-    have any shape broadcastable to the inputs' common shape (constants may
-    return a scalar). ``*_dx`` / ``*_dy`` are the partial derivatives in the
-    first and second argument. Construction checks once that each agrees with
-    central differences (step ``FD_STEP``) of its kernel at fixed sample points
-    to ``DERIVATIVE_RTOL``, and raises ``ValueError`` otherwise.
-
-    ``drift_poly`` and ``cost_poly`` are optional coefficient tables,
-    ``K(x, y) = sum_ab C[a, b] x^a y^b``, of the drift and cost kernels. A
-    present table selects the moment-based evaluation (see the module
-    docstring). Construction checks that each table reproduces its kernel and
-    derivative kernels at the sample points to ``TABLE_RTOL``, so a table left
-    stale by ``dataclasses.replace`` fails loudly.
+    Construction checks once that each kernel's ``dx`` and ``dy`` agree with
+    central differences (step ``FD_STEP``) of its ``value`` at fixed sample
+    points to ``DERIVATIVE_RTOL``, and that a present table reproduces all
+    three parts there to ``TABLE_RTOL``; it raises ``ValueError`` naming the
+    kernel and the part otherwise, so a kernel left stale by
+    ``dataclasses.replace`` fails loudly.
     """
 
-    drift_kernel: Kernel
-    cost_kernel: Kernel
-    cost_kernel_dx: Kernel
+    drift: PairKernel
+    cost: PairKernel
     alpha: Callable[[float], float]
-    drift_kernel_dx: Kernel
-    drift_kernel_dy: Kernel
-    cost_kernel_dy: Kernel
-    drift_poly: np.ndarray | None = field(default=None, compare=False)
-    cost_poly: np.ndarray | None = field(default=None, compare=False)
-    # (kernel field name, SpaceGrid, query point bytes) -> read-only quadrature matrix; see ``_kernel_matrix``
+    # (quantity, SpaceGrid, query point bytes) -> read-only quadrature matrix; see ``_kernel_matrix``
     _quadrature_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name, kernels in (
-            ("drift", (self.drift_kernel, self.drift_kernel_dx, self.drift_kernel_dy)),
-            ("cost", (self.cost_kernel, self.cost_kernel_dx, self.cost_kernel_dy)),
-        ):
-            table = getattr(self, f"{name}_poly")
-            if table is not None:
-                table = np.atleast_2d(np.array(table, dtype=float))
-                if table.ndim != 2 or table.size == 0:
-                    raise ValueError(f"{name}_poly must be a nonempty 2D coefficient table, got shape {table.shape}")
-                table.setflags(write=False)
-                object.__setattr__(self, f"{name}_poly", table)
-                _check_table(name, table, kernels)
-            _check_derivatives(name, *kernels)
+        for name, kernel in (("drift", self.drift), ("cost", self.cost)):
+            if kernel.table is not None:
+                _check_table(name, kernel)
+            _check_derivatives(name, kernel)
 
 
 @dataclass
@@ -254,11 +267,11 @@ def drift(model: ModelSpec, ensemble: ParticleEnsemble) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")
 def _drift(model: ModelSpec, x: np.ndarray) -> np.ndarray:
     """``drift`` at the positions ``x``, without an ensemble."""
-    if model.drift_poly is not None:
+    if model.drift.table is not None:
         centre, u = _centred(x)
-        return _pair_sums(_drift_terms(model.drift_poly, centre), u, u) / x.size
+        return _pair_sums(_drift_terms(model.drift.table, centre), u, u) / x.size
     diff = x[None, :] - x[:, None]
-    terms = np.multiply(_pair_eval(model.drift_kernel, x, x), diff, out=diff)
+    terms = np.multiply(_pair_eval(model.drift.value, x, x), diff, out=diff)
     return _sum_ascending(terms, axis=1, consume=True) / x.size
 
 
@@ -283,7 +296,7 @@ def _peer_mean(kernel: Kernel, x: np.ndarray) -> np.ndarray:
 
 def cost(model: ModelSpec, ensemble: ParticleEnsemble) -> np.ndarray:
     """Running costs h_i(X) = (1/(N-1)) sum_{j != i} phi(x_i, x_j) of all players."""
-    return _peer_mean(model.cost_kernel, ensemble.positions)
+    return _peer_mean(model.cost.value, ensemble.positions)
 
 
 def cost_grad_vector(model: ModelSpec, ensemble: ParticleEnsemble) -> np.ndarray:
@@ -297,9 +310,9 @@ def cost_grad_vector(model: ModelSpec, ensemble: ParticleEnsemble) -> np.ndarray
 @np.errstate(over="ignore", invalid="ignore")
 def _cost_slopes(model: ModelSpec, x: np.ndarray) -> np.ndarray:
     """``cost_grad_vector`` at the positions ``x``; one row per row of a stack of states."""
-    if model.cost_poly is not None:
-        return _slope_sums(model.cost_poly, x) / _peers(x)
-    return _peer_mean(model.cost_kernel_dx, x)
+    if model.cost.table is not None:
+        return _slope_sums(model.cost.table, x) / _peers(x)
+    return _peer_mean(model.cost.dx, x)
 
 
 def cost_gradient_full(model: ModelSpec, ensemble: ParticleEnsemble) -> np.ndarray:
@@ -309,7 +322,7 @@ def cost_gradient_full(model: ModelSpec, ensemble: ParticleEnsemble) -> np.ndarr
 
 def _cost_gradients(model: ModelSpec, x: np.ndarray) -> np.ndarray:
     """``cost_gradient_full`` of every row of an (L, N) stack of states, as an (L, N, N) array."""
-    grad = _pair_eval(model.cost_kernel_dy, x, x) / _peers(x)
+    grad = _pair_eval(model.cost.dy, x, x) / _peers(x)
     _fill_diagonals(grad, _cost_slopes(model, x))
     return grad
 
@@ -323,9 +336,9 @@ def _drift_jacobians(model: ModelSpec, x: np.ndarray) -> np.ndarray:
     """``drift_jacobian`` of every row of an (L, N) stack of states, as an (L, N, N) array."""
     n = x.shape[-1]
     diff = x[..., None, :] - x[..., :, None]
-    p = _pair_eval(model.drift_kernel, x, x)
-    dp_dx = _pair_eval(model.drift_kernel_dx, x, x)
-    dp_dy = _pair_eval(model.drift_kernel_dy, x, x)
+    p = _pair_eval(model.drift.value, x, x)
+    dp_dx = _pair_eval(model.drift.dx, x, x)
+    dp_dy = _pair_eval(model.drift.dy, x, x)
     jac = (dp_dy * diff + p) / n
     own = dp_dx * diff - p  # j-sum terms of d f_k / d x_k, the j = k entry vanishes
     _fill_diagonals(own, 0.0)
@@ -384,7 +397,7 @@ def _cell_sums(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kernel_matrix(model: ModelSpec, kernel_name: str, xs: np.ndarray, grid: SpaceGrid,
+def _kernel_matrix(model: ModelSpec, quantity: str, kernel: Kernel, xs: np.ndarray, grid: SpaceGrid,
                    weight_shift: bool) -> np.ndarray:
     """Cell-major (M, Q) matrix of K(x_q, y_k) at the cell centers y_k, times (y_k - x_q) with ``weight_shift``.
 
@@ -393,11 +406,11 @@ def _kernel_matrix(model: ModelSpec, kernel_name: str, xs: np.ndarray, grid: Spa
     evaluated afresh. Threads that miss the cache together each build the
     same matrix, and either copy may stay: they are equal bit for bit.
     """
-    key = (kernel_name, grid, xs.tobytes())
+    key = (quantity, grid, xs.tobytes())
     vals = model._quadrature_cache.get(key)
     if vals is None:
         centers = grid.centers()
-        vals = _pair_eval(getattr(model, kernel_name), xs, centers)
+        vals = _pair_eval(kernel, xs, centers)
         if weight_shift:
             vals *= centers[None, :] - xs[:, None]
         vals = np.ascontiguousarray(vals.T)
@@ -417,14 +430,14 @@ def _quadrature(model: ModelSpec, quantity: str, xs: np.ndarray, grid: SpaceGrid
     midpoint once, from the power sums of the cell centers about it; there an
     overflow leaves inf or nan for the CFL and finiteness checks.
     """
-    poly_name, terms, kernel_name, weight_shift = _QUANTITIES[quantity]
-    poly = getattr(model, poly_name)
-    if poly is None:
-        vals = _kernel_matrix(model, kernel_name, xs, grid, weight_shift)
+    kernel_of, dense_part, terms, weight_shift = _QUANTITIES[quantity]
+    kernel = kernel_of(model)
+    if kernel.table is None:
+        vals = _kernel_matrix(model, quantity, dense_part(kernel), xs, grid, weight_shift)
         return lambda weights: _cell_sums(vals, weights)
     with np.errstate(over="ignore", invalid="ignore"):
         centre = 0.5 * (grid.x_min + grid.x_max)
-        table = terms(poly, centre)
+        table = terms(kernel.table, centre)
         u, at, degree = grid.centers() - centre, xs - centre, table.shape[1] - 1
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -459,59 +472,52 @@ def mean_field_cost(model: ModelSpec, x, m: DensityGrid | DensityTrajectory) -> 
 # structured path: polynomial kernels evaluated from power moments
 
 
-def _row_eval(kernel: Kernel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Elementwise kernel values as a 1D array, stretching scalar results."""
-    vals = np.asarray(kernel(x, y), dtype=float)
-    if vals.shape != y.shape:
-        vals = np.broadcast_to(vals, y.shape)
-    return vals
-
-
-def _check_table(name: str, table: np.ndarray, kernels: tuple) -> None:
-    """Raise unless the table reproduces the kernel and its derivatives at the samples.
+def _check_table(name: str, kernel: PairKernel) -> None:
+    """Raise unless the table reproduces the kernel and its derivatives on the sample mesh.
 
     Runs with numpy's overflow and invalid-value warnings silenced: a table
     whose derivative or values overflow is named in the ``ValueError`` instead.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        tables = (table, _poly_diff_rows(table), _poly_diff_cols(table))
-        for suffix, kernel, coeffs in zip(("", "_dx", "_dy"), kernels, tables):
-            got = _poly_kernel(coeffs)(_SAMPLE_X, _SAMPLE_Y)
+        reference = PairKernel.polynomial(kernel.table)
+        for part, given, from_table in zip(("value", "dx", "dy"), (kernel.value, kernel.dx, kernel.dy),
+                                           (reference.value, reference.dx, reference.dy)):
+            got = _pair_eval(from_table, _SAMPLES, _SAMPLES)
             if not np.all(np.isfinite(got)):
-                raise ValueError(
-                    f"{name}_poly overflows: its {name}_kernel{suffix} is not finite at the sample points"
-                )
-            want = _row_eval(kernel, _SAMPLE_X, _SAMPLE_Y)
+                raise ValueError(f"{name}.table overflows: its {name}.{part} is not finite at the sample points")
+            want = _pair_eval(given, _SAMPLES, _SAMPLES)
             gap = np.max(np.abs(want - got))
             if not gap <= TABLE_RTOL * max(np.max(np.abs(want)), np.max(np.abs(got))):
                 raise ValueError(
-                    f"{name}_poly does not reproduce {name}_kernel{suffix} at the sample points "
+                    f"{name}.table does not reproduce {name}.{part} at the sample points "
                     f"(largest difference {gap:.3e})"
                 )
 
 
-def _check_derivatives(name: str, kernel: Kernel, kernel_dx: Kernel, kernel_dy: Kernel) -> None:
-    """Raise unless both derivative kernels match central differences of the kernel at the samples.
+def _check_derivatives(name: str, kernel: PairKernel) -> None:
+    """Raise unless both derivatives match central differences of the kernel on the sample mesh.
 
     Runs with numpy's divide, overflow and invalid-value warnings silenced: a
     kernel or derivative that is not finite at the samples is named in the
     ``ValueError`` instead, since an infinite value would make any gap pass.
     """
-    x, y, h = _SAMPLE_X, _SAMPLE_Y, FD_STEP
+    pts, h = _SAMPLES, FD_STEP
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        values = [_row_eval(kernel, x + dx, y + dy) for dx, dy in ((h, 0), (-h, 0), (0, h), (0, -h))]
-        if not all(np.all(np.isfinite(v)) for v in values):
-            raise ValueError(f"{name}_kernel is not finite at the sample points")
-        for suffix, derivative, (hi, lo) in (("_dx", kernel_dx, values[:2]), ("_dy", kernel_dy, values[2:])):
-            got = _row_eval(derivative, x, y)
+        # one stacked evaluation of the meshes at (x + h, y), (x - h, y), (x, y + h) and (x, y - h)
+        shifted = np.stack([pts + h, pts - h, pts, pts]), np.stack([pts, pts, pts + h, pts - h])
+        values = _pair_eval(kernel.value, *shifted)
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name}.value is not finite at the sample points")
+        for part, derivative, (hi, lo) in (("dx", kernel.dx, values[:2]), ("dy", kernel.dy, values[2:])):
+            got = _pair_eval(derivative, pts, pts)
             if not np.all(np.isfinite(got)):
-                raise ValueError(f"{name}_kernel{suffix} is not finite at the sample points")
+                raise ValueError(f"{name}.{part} is not finite at the sample points")
             want = (hi - lo) / (2 * h)
             gap = np.max(np.abs(got - want))
-            scale = max(1.0, *(np.max(np.abs(v)) for v in (*values, got)))
+            scale = max(1.0, np.max(np.abs(values)), np.max(np.abs(got)))
             if not gap <= DERIVATIVE_RTOL * scale:
                 raise ValueError(
-                    f"{name}_kernel{suffix} does not match central differences of {name}_kernel "
+                    f"{name}.{part} does not match central differences of {name}.value "
                     f"at the sample points (largest difference {gap:.3e})"
                 )
 
@@ -533,9 +539,9 @@ def _taylor_shift(table: np.ndarray, centre) -> np.ndarray:
     return np.moveaxis(out, -1, 0) if centre.ndim else out
 
 
-def _drift_terms(drift_poly: np.ndarray, centre: float) -> np.ndarray:
+def _drift_terms(drift_table: np.ndarray, centre: float) -> np.ndarray:
     """Table of P(x, y)(y - x) about ``centre``; the factor (v - u) is applied after the shift."""
-    shifted = _taylor_shift(drift_poly, centre)
+    shifted = _taylor_shift(drift_table, centre)
     rows, cols = shifted.shape
     out = np.zeros((rows + 1, cols + 1))
     out[:rows, 1:] += shifted
@@ -543,9 +549,9 @@ def _drift_terms(drift_poly: np.ndarray, centre: float) -> np.ndarray:
     return out
 
 
-def _slope_terms(cost_poly: np.ndarray, centre) -> np.ndarray:
+def _slope_terms(cost_table: np.ndarray, centre) -> np.ndarray:
     """Table of d_x phi(x, y) about ``centre``; one table per entry of an array of centres."""
-    return _taylor_shift(_poly_diff_rows(cost_poly), centre)
+    return _taylor_shift(_poly_diff_rows(cost_table), centre)
 
 
 def _centred(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -597,18 +603,18 @@ def _pair_sums(table: np.ndarray, u: np.ndarray, at: np.ndarray) -> np.ndarray:
     return _moment_eval(table, at, _power_sums(u, 1.0, table.shape[-1] - 1))
 
 
-def _slope_sums(cost_poly: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _slope_sums(cost_table: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_{j != i} d_x phi(x_i, x_j) for every particle i: all pairs minus the self pair."""
     centre, u = _centred(x)
-    table = _slope_terms(cost_poly, centre)
+    table = _slope_terms(cost_table, centre)
     return _pair_sums(table, u, u) - _diagonal(table, u)
 
 
-# quantity -> (coefficient table, its integrand's table in powers about a centre, dense kernel, weighted by y - x)
+# quantity -> (kernel, the part the dense path integrates, its integrand's table about a centre, weighted by y - x)
 _QUANTITIES = {
-    "drift": ("drift_poly", _drift_terms, "drift_kernel", True),
-    "cost_grad": ("cost_poly", _slope_terms, "cost_kernel_dx", False),
-    "cost": ("cost_poly", _taylor_shift, "cost_kernel", False),
+    "drift": (lambda model: model.drift, lambda kernel: kernel.value, _drift_terms, True),
+    "cost_grad": (lambda model: model.cost, lambda kernel: kernel.dx, _slope_terms, False),
+    "cost": (lambda model: model.cost, lambda kernel: kernel.value, _taylor_shift, False),
 }
 
 
@@ -627,23 +633,21 @@ def _zeros(x, y):
 
 def consensus_model(alpha: Callable[[float], float] | float = 1.0) -> ModelSpec:
     """All-to-all attraction: P == 1, phi(x, y) = (x - y)^2 / 2; both tables given (structured path)."""
+    # hand-written callables: ones built from the cost table would compute
+    # 0.5 x^2 - x y + 0.5 y^2, which loses digits for close pairs
     return ModelSpec(
-        drift_kernel=_ones,
-        cost_kernel=lambda x, y: 0.5 * (x - y) ** 2,
-        cost_kernel_dx=lambda x, y: x - y,
+        drift=PairKernel(_ones, _zeros, _zeros, table=[[1.0]]),
+        cost=PairKernel(lambda x, y: 0.5 * (x - y) ** 2, lambda x, y: x - y, lambda x, y: y - x,
+                        table=[[0.0, 0.0, 0.5], [0.0, -1.0, 0.0], [0.5, 0.0, 0.0]]),
         alpha=_as_weight(alpha),
-        drift_kernel_dx=_zeros,
-        drift_kernel_dy=_zeros,
-        cost_kernel_dy=lambda x, y: y - x,
-        drift_poly=np.array([[1.0]]),
-        cost_poly=np.array([[0.0, 0.0, 0.5], [0.0, -1.0, 0.0], [0.5, 0.0, 0.0]]),
     )
 
 
 def bounded_confidence_model(radius: float, alpha: Callable[[float], float] | float = 1.0) -> ModelSpec:
     """Attraction only within |x - y| <= radius, C1-smoothed over a band of width 0.05*radius.
 
-    The window is not a polynomial, so the model has no tables and takes the dense path.
+    The window is not a polynomial, so the drift has no table. The cost carries
+    none either, so every evaluation takes the dense path.
     """
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -665,38 +669,16 @@ def bounded_confidence_model(radius: float, alpha: Callable[[float], float] | fl
         return np.where(inside, -6.0 * theta * (1.0 - theta) / eps, 0.0)
 
     return ModelSpec(
-        drift_kernel=smooth_window,
-        cost_kernel=lambda x, y: 0.5 * (x - y) ** 2,
-        cost_kernel_dx=lambda x, y: x - y,
+        drift=PairKernel(smooth_window, lambda x, y: window_slope(x, y) * np.sign(x - y),
+                         lambda x, y: window_slope(x, y) * np.sign(y - x)),
+        cost=PairKernel(lambda x, y: 0.5 * (x - y) ** 2, lambda x, y: x - y, lambda x, y: y - x),
         alpha=_as_weight(alpha),
-        drift_kernel_dx=lambda x, y: window_slope(x, y) * np.sign(x - y),
-        drift_kernel_dy=lambda x, y: window_slope(x, y) * np.sign(y - x),
-        cost_kernel_dy=lambda x, y: y - x,
     )
 
 
-def polynomial_model(
-    drift_coeffs: np.ndarray,
-    cost_coeffs: np.ndarray,
-    alpha: Callable[[float], float] | float = 1.0,
-) -> ModelSpec:
-    """Kernels from coefficient tables: P(x,y) = sum_ab C[a,b] x^a y^b, likewise phi.
-
-    The tables are kept as ``drift_poly`` and ``cost_poly``, so the model takes the structured path.
-    """
-    drift_coeffs = np.atleast_2d(np.asarray(drift_coeffs, dtype=float))
-    cost_coeffs = np.atleast_2d(np.asarray(cost_coeffs, dtype=float))
-    return ModelSpec(
-        drift_kernel=_poly_kernel(drift_coeffs),
-        cost_kernel=_poly_kernel(cost_coeffs),
-        cost_kernel_dx=_poly_kernel(_poly_diff_rows(cost_coeffs)),
-        alpha=_as_weight(alpha),
-        drift_kernel_dx=_poly_kernel(_poly_diff_rows(drift_coeffs)),
-        drift_kernel_dy=_poly_kernel(_poly_diff_cols(drift_coeffs)),
-        cost_kernel_dy=_poly_kernel(_poly_diff_cols(cost_coeffs)),
-        drift_poly=drift_coeffs,
-        cost_poly=cost_coeffs,
-    )
+def polynomial_model(drift_coeffs, cost_coeffs, alpha: Callable[[float], float] | float = 1.0) -> ModelSpec:
+    """Kernels from coefficient tables: P(x,y) = sum_ab C[a,b] x^a y^b, likewise phi; the structured path."""
+    return ModelSpec(PairKernel.polynomial(drift_coeffs), PairKernel.polynomial(cost_coeffs), _as_weight(alpha))
 
 
 def _as_weight(alpha) -> Callable[[float], float]:

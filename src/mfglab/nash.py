@@ -165,15 +165,19 @@ def solve_adjoint(model: ModelSpec, trajectory: ParticleTrajectory) -> np.ndarra
 
 
 def value(model: ModelSpec, start: ParticleEnsemble, controls: ControlProfile) -> np.ndarray:
-    """Every player's cost-to-go from ``start`` at time 0: left Riemann sum along ``simulate_state``.
+    """Every player's cost-to-go from ``start`` at time 0: left Riemann sum along ``simulate_state``."""
+    return _value_along(model, simulate_state(model, start, controls), controls)
+
+
+def _value_along(model: ModelSpec, trajectory: ParticleTrajectory, controls: ControlProfile) -> np.ndarray:
+    """``value`` along a trajectory already simulated under ``controls``.
 
     The running costs of a block of steps come from one batched evaluation and are added in step order.
     """
-    states = simulate_state(model, start, controls).positions
-    blocks = _blocks(controls.n_steps, start.n)
-    costs = np.concatenate([_peer_mean(model.cost_kernel, states[a:b]) for a, b in blocks])
+    states, n = trajectory.positions, trajectory.n_particles
+    costs = np.concatenate([_peer_mean(model.cost.value, states[a:b]) for a, b in _blocks(controls.n_steps, n)])
     dt = controls.dt
-    total = np.zeros(start.n)
+    total = np.zeros(n)
     for weight, u, running in zip(_weights(model, controls.time_grid), controls.values.T, costs):
         total += dt * (0.5 * weight * u * u + running)
     return total

@@ -419,7 +419,7 @@ class TestRunExperiment:
             "kind": "polynomial", "drift_coeffs": [[1.0]], "cost_coeffs": huge})))
         code = main(["run", str(cfg_path), "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
-        assert "cost_poly" in capsys.readouterr().out
+        assert "cost.table" in capsys.readouterr().out
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["exit_code"] == EXIT_CONFIG and "model" in manifest["message"]
 
@@ -689,6 +689,14 @@ def hostile_runs(tmp_path_factory):
     return runs
 
 
+def _huge_drift(bound: float) -> dict:
+    """A particle_vs_kinetic config with drift P = 1e300 and the grid and initial support on [-bound, bound]."""
+    return dict(HOSTILE_BASES["particle_vs_kinetic"], n_particles_list=[4],
+                model={"kind": "polynomial", "drift_coeffs": [[1e300]], "cost_coeffs": [[0.0]]},
+                grid={"cells": 16, "x_min": -bound, "x_max": bound},
+                initial={"kind": "uniform", "a": -bound, "b": bound})
+
+
 class TestHostileValues:
     def test_every_value_ends_in_a_documented_exit_with_manifest(self, hostile_runs):
         assert len(hostile_runs) == len(HOSTILE_BASES) + len(HOSTILE_POOL) * sum(
@@ -720,7 +728,11 @@ class TestHostileValues:
          EXIT_OK, "fixed point"),
         (_mutated(HOSTILE_BASES["mfg_vs_brs/polynomial"], ("model", "cost_coeffs"), [[-1e308, 0.5]]),
          EXIT_OK, "fixed point"),
-    ], ids=["radius=1e-308", "initial.b=1e308", "cost_coeffs=1e308", "cost_coeffs=-1e308"])
+        # the initial face speed of the kinetic time step is NaN (moment quadrature) or inf
+        (_huge_drift(1e300), EXIT_SOLVER, "initial face speed max |c| is nan"),
+        (_huge_drift(1e10), EXIT_SOLVER, "initial face speed max |c| is inf"),
+    ], ids=["radius=1e-308", "initial.b=1e308", "cost_coeffs=1e308", "cost_coeffs=-1e308",
+            "speed=nan", "speed=inf"])
     def test_overflow_ends_in_a_documented_exit_without_runtime_warning(self, tmp_path, raw, code, needle):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(raw))

@@ -195,6 +195,9 @@ class TestHistogram:
         grid = SpaceGrid(0.0, 1.0, 10)
         with pytest.raises(ValueError, match="outside"):
             histogram(np.array([1.5]), grid)
+        for bad in (np.nan, np.inf, -np.inf):  # NaN used to be counted in cell 0
+            with pytest.raises(ValueError, match="non-finite"):
+                histogram(np.array([0.5, bad]), grid)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="8"):

@@ -25,6 +25,7 @@ from mfglab.grids import DensityGrid, DensityTrajectory, SpaceGrid, _checked_row
 from mfglab.mfg import fp_forward, hjb_backward
 from mfglab.model import (
     ModelSpec,
+    PairKernel,
     _cell_sums,
     _cost_gradients,
     _drift_jacobians,
@@ -174,7 +175,7 @@ class TestMeanField:
 class TestCatalogue:
     def test_bounded_confidence_values(self):
         m = bounded_confidence_model(radius=0.5)
-        p = m.drift_kernel
+        p = m.drift.value
         assert float(p(np.array(0.0), np.array(0.2))) == 1.0
         assert float(p(np.array(0.0), np.array(0.6))) == 0.0
         band = float(p(np.array(0.0), np.array(0.49)))
@@ -198,10 +199,10 @@ class TestCatalogue:
         m = polynomial_model([[1.0, 0.5]], [[0.0, 0.0, 0.5], [0.0, -1.0, 0.0], [0.5, 0.0, 0.0]])
         x, y = np.array(0.7), np.array(-0.3)
         step = 1e-6
-        fd_dx = (m.cost_kernel(x + step, y) - m.cost_kernel(x - step, y)) / (2 * step)
-        fd_dy = (m.cost_kernel(x, y + step) - m.cost_kernel(x, y - step)) / (2 * step)
-        assert float(m.cost_kernel_dx(x, y)) == pytest.approx(float(fd_dx), abs=1e-8)
-        assert float(m.cost_kernel_dy(x, y)) == pytest.approx(float(fd_dy), abs=1e-8)
+        fd_dx = (m.cost.value(x + step, y) - m.cost.value(x - step, y)) / (2 * step)
+        fd_dy = (m.cost.value(x, y + step) - m.cost.value(x, y - step)) / (2 * step)
+        assert float(m.cost.dx(x, y)) == pytest.approx(float(fd_dx), abs=1e-8)
+        assert float(m.cost.dy(x, y)) == pytest.approx(float(fd_dy), abs=1e-8)
 
     def test_alpha_positivity_enforced(self):
         m = consensus_model(alpha=lambda t: 1.0 - 2.0 * t)
@@ -220,44 +221,66 @@ class TestCatalogue:
         m = bounded_confidence_model(radius=1e-300)
         x = np.array([0.0, 0.0, 0.0, 0.0])
         y = np.array([0.0, 0.5e-300, 0.975e-300, 1.0])  # inside, inside, in the band, far
-        slope = m.drift_kernel_dx(x, y)
+        slope = m.drift.dx(x, y)
         assert np.all(np.isfinite(slope)) and slope[2] > 1e300 and slope[[0, 1, 3]].tolist() == [0.0, 0.0, 0.0]
         with pytest.raises(ValueError, match="coefficient table"):
             polynomial_model(np.zeros((1, 1, 1)), [[0.0]])
 
 
+class TestPairKernel:
+    def test_table_becomes_a_read_only_2d_float_copy(self):
+        coeffs = np.array([1, 2])
+        kernel = PairKernel.polynomial(coeffs)
+        coeffs[0] = 5
+        assert kernel.table.shape == (1, 2) and kernel.table.dtype == float
+        assert kernel.table.tolist() == [[1.0, 2.0]] and not kernel.table.flags.writeable
+        assert PairKernel.polynomial(3.0).table.tolist() == [[3.0]]
+        assert PairKernel(kernel.value, kernel.dx, kernel.dy).table is None
+
+    @pytest.mark.parametrize("table", [[], [[]], np.zeros((1, 1, 1))])
+    def test_empty_or_not_2d_table_rejected(self, table):
+        with pytest.raises(ValueError, match="nonempty 2D"):
+            PairKernel(_ones, _ones, _ones, table=table)
+        with pytest.raises(ValueError, match="nonempty 2D"):
+            PairKernel.polynomial(table)
+
+    def test_table_not_part_of_equality(self):
+        kernel = PairKernel.polynomial([[1.0, 0.5]])
+        same = dataclasses.replace(kernel, table=None)
+        assert same == kernel and hash(same) == hash(kernel)
+
+
+def _ones(x, y):
+    return np.float64(1.0)
+
+
 class TestConstructionChecks:
     def test_inconsistent_derivative_rejected_at_construction(self):
-        # cost_kernel_dx with the wrong sign: its control would maximize the step cost
-        with pytest.raises(ValueError, match="cost_kernel_dx does not match"):
+        # cost.dx with the wrong sign: its control would maximize the step cost
+        with pytest.raises(ValueError, match="cost.dx does not match central differences of cost.value"):
             ModelSpec(
-                drift_kernel=lambda x, y: np.float64(1.0),
-                cost_kernel=lambda x, y: 0.5 * (x - y) ** 2,
-                cost_kernel_dx=lambda x, y: y - x,
+                drift=PairKernel(lambda x, y: np.float64(1.0), lambda x, y: np.float64(0.0),
+                                 lambda x, y: np.float64(0.0)),
+                cost=PairKernel(lambda x, y: 0.5 * (x - y) ** 2, lambda x, y: y - x, lambda x, y: y - x),
                 alpha=lambda t: 1.0,
-                drift_kernel_dx=lambda x, y: np.float64(0.0),
-                drift_kernel_dy=lambda x, y: np.float64(0.0),
-                cost_kernel_dy=lambda x, y: y - x,
             )
         # at radius 0.56 the sample distance 0.55 lies inside the smoothing band
         m = bounded_confidence_model(radius=0.56)
-        with pytest.raises(ValueError, match="drift_kernel_dx does not match"):
-            dataclasses.replace(m, drift_kernel_dx=lambda x, y: 2.0 * m.drift_kernel_dx(x, y))
-        with pytest.raises(ValueError, match="drift_kernel_dy does not match"):
-            dataclasses.replace(m, drift_kernel_dy=lambda x, y: -m.drift_kernel_dy(x, y))
-        with pytest.raises(ValueError, match="cost_kernel_dy does not match"):
-            dataclasses.replace(m, cost_kernel_dy=m.cost_kernel_dx)
+        with pytest.raises(ValueError, match="drift.dx does not match"):
+            dataclasses.replace(m, drift=dataclasses.replace(m.drift, dx=lambda x, y: 2.0 * m.drift.dx(x, y)))
+        with pytest.raises(ValueError, match="drift.dy does not match"):
+            dataclasses.replace(m, drift=dataclasses.replace(m.drift, dy=lambda x, y: -m.drift.dy(x, y)))
+        with pytest.raises(ValueError, match="cost.dy does not match"):
+            dataclasses.replace(m, cost=dataclasses.replace(m.cost, dy=m.cost.dx))
 
     def test_non_finite_kernel_rejected_at_construction(self):
         # wrong derivatives of log|x - y|, infinite on the diagonal of the sample
         # mesh: an infinite scale would let them pass the central-difference check
-        with pytest.raises(ValueError, match="cost_kernel_dx is not finite"):
+        with pytest.raises(ValueError, match="cost.dx is not finite"):
             dataclasses.replace(
                 consensus_model(),
-                cost_poly=None,
-                cost_kernel=lambda x, y: np.log(np.abs(x - y)),
-                cost_kernel_dx=lambda x, y: 7.0 / (x - y),
-                cost_kernel_dy=lambda x, y: 3.0 / (x - y),
+                cost=PairKernel(lambda x, y: np.log(np.abs(x - y)), lambda x, y: 7.0 / (x - y),
+                                lambda x, y: 3.0 / (x - y)),
             )
 
     @pytest.mark.parametrize("radius", [0.55, 0.55 / 0.95, 1.1])
@@ -265,7 +288,7 @@ class TestConstructionChecks:
         # a sample distance on an edge of the C1 window's band, where central
         # differences miss the analytic derivative by up to 2e-3
         m = bounded_confidence_model(radius=radius)
-        assert m.drift_poly is None
+        assert m.drift.table is None
 
 
 class TestAdjointInputs:
@@ -307,13 +330,9 @@ class TestStackedAdjointInputs:
     MODELS = {
         "scalar_kernel": consensus_model(),
         "column_kernel": ModelSpec(
-            drift_kernel=lambda x, y: 1.0 + 0.25 * x * x,
-            cost_kernel=lambda x, y: 0.5 * (x - y) ** 2,
-            cost_kernel_dx=lambda x, y: x - y,
+            drift=PairKernel(lambda x, y: 1.0 + 0.25 * x * x, lambda x, y: 0.5 * x, lambda x, y: np.float64(0.0)),
+            cost=PairKernel(lambda x, y: 0.5 * (x - y) ** 2, lambda x, y: x - y, lambda x, y: y - x),
             alpha=lambda t: 1.0,
-            drift_kernel_dx=lambda x, y: 0.5 * x,
-            drift_kernel_dy=lambda x, y: np.float64(0.0),
-            cost_kernel_dy=lambda x, y: y - x,
         ),
     }
 
@@ -356,7 +375,8 @@ class TestDensityGrid:
 
 def _dense(model):
     """The same kernels without their coefficient tables: the pairwise and mesh path."""
-    return dataclasses.replace(model, drift_poly=None, cost_poly=None)
+    return dataclasses.replace(model, drift=dataclasses.replace(model.drift, table=None),
+                               cost=dataclasses.replace(model.cost, table=None))
 
 
 def _random_polynomial_model(rng):
@@ -374,7 +394,7 @@ class TestStructuredPath:
         for _ in range(5):
             n = int(rng.integers(2, 60))
             model = consensus_model() if kind == "consensus" else _random_polynomial_model(rng)
-            assert model.drift_poly is not None and model.cost_poly is not None
+            assert model.drift.table is not None and model.cost.table is not None
             dense = _dense(model)
             x = ParticleEnsemble(rng.random(n) + shift)
             grid = SpaceGrid(shift, shift + 1.0, int(rng.integers(8, 80)))
@@ -398,19 +418,20 @@ class TestStructuredPath:
 
     def test_stale_table_rejected_at_construction(self):
         m = consensus_model()
-        with pytest.raises(ValueError, match="drift_poly does not reproduce drift_kernel"):
-            dataclasses.replace(m, drift_kernel=lambda x, y: 1.0 + 0.1 * x)
-        with pytest.raises(ValueError, match="cost_poly does not reproduce cost_kernel_dx"):
-            dataclasses.replace(m, cost_kernel_dx=lambda x, y: 2.0 * (x - y))
-        with pytest.raises(ValueError, match="cost_poly does not reproduce cost_kernel "):
-            dataclasses.replace(m, cost_poly=[[0.0, 0.0, 1.0], [0.0, -2.0, 0.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="drift.table does not reproduce drift.value"):
+            dataclasses.replace(m, drift=dataclasses.replace(m.drift, value=lambda x, y: 1.0 + 0.1 * x))
+        with pytest.raises(ValueError, match="cost.table does not reproduce cost.dx"):
+            dataclasses.replace(m, cost=dataclasses.replace(m.cost, dx=lambda x, y: 2.0 * (x - y)))
+        with pytest.raises(ValueError, match="cost.table does not reproduce cost.value "):
+            dataclasses.replace(
+                m, cost=dataclasses.replace(m.cost, table=[[0.0, 0.0, 1.0], [0.0, -2.0, 0.0], [1.0, 0.0, 0.0]]))
 
     def test_equivalent_kernels_keep_the_table(self):
         # wrapping a kernel (as a call counter does) leaves the model on the structured path
         m = consensus_model()
-        wrapped = dataclasses.replace(m, drift_kernel=lambda x, y: m.drift_kernel(x, y))
-        assert np.array_equal(wrapped.drift_poly, m.drift_poly)
-        assert bounded_confidence_model(radius=0.5).drift_poly is None
+        wrapped = dataclasses.replace(m, drift=dataclasses.replace(m.drift, value=lambda x, y: m.drift.value(x, y)))
+        assert np.array_equal(wrapped.drift.table, m.drift.table)
+        assert bounded_confidence_model(radius=0.5).drift.table is None
 
 
 MEAN_FIELD = (mean_field_drift, mean_field_cost, mean_field_cost_grad)
@@ -440,9 +461,9 @@ class TestQuadratureCache:
             dens = _bump_density(grid)
             for xs in (grid.centers(), grid.faces()):
                 want = [
-                    _uncached(model.drift_kernel, xs, dens, True),
-                    _uncached(model.cost_kernel, xs, dens, False),
-                    _uncached(model.cost_kernel_dx, xs, dens, False),
+                    _uncached(model.drift.value, xs, dens, True),
+                    _uncached(model.cost.value, xs, dens, False),
+                    _uncached(model.cost.dx, xs, dens, False),
                 ]
                 for fn, ref in zip(MEAN_FIELD, want):
                     first = fn(model, xs, dens)
@@ -478,12 +499,7 @@ class TestQuadratureCache:
         assert model._quadrature_cache
         assert model == dataclasses.replace(model) and hash(model) == hash(dataclasses.replace(model))
         other = bounded_confidence_model(radius=0.3)
-        replaced = dataclasses.replace(
-            model,
-            drift_kernel=other.drift_kernel,
-            drift_kernel_dx=other.drift_kernel_dx,
-            drift_kernel_dy=other.drift_kernel_dy,
-        )
+        replaced = dataclasses.replace(model, drift=other.drift)
         assert replaced._quadrature_cache == {}
         got = mean_field_drift(replaced, centers, dens)
         assert np.array_equal(got, mean_field_drift(other, centers, dens))
@@ -521,15 +537,19 @@ class TestQuadratureCache:
             return kernel_counted
 
         base = bounded_confidence_model(radius=0.15)
-        names = ("drift_kernel", "cost_kernel", "cost_kernel_dx")
-        model = dataclasses.replace(base, **{n: counted(n, getattr(base, n)) for n in names})
+        model = dataclasses.replace(
+            base,
+            drift=dataclasses.replace(base.drift, value=counted("drift.value", base.drift.value)),
+            cost=dataclasses.replace(base.cost, value=counted("cost.value", base.cost.value),
+                                     dx=counted("cost.dx", base.cost.dx)),
+        )
         evals.clear()  # forget the construction-time checks
         m0 = _bump_density(self.grid)
         times = 0.002 * np.arange(11)
         path = DensityTrajectory(self.grid, times, np.tile(m0.cell_averages, (times.size, 1)))
         fp_forward(model, hjb_backward(model, path), m0)
         cells = self.grid.cells
-        assert evals == {"drift_kernel": cells * cells + (cells + 1) * cells, "cost_kernel": cells * cells}
+        assert evals == {"drift.value": cells * cells + (cells + 1) * cells, "cost.value": cells * cells}
 
 
 def _mixed(rng, shape):
@@ -619,7 +639,7 @@ class TestPathQuadrature:
     @pytest.mark.parametrize("kind", ["dense", "structured"])
     def test_path_rows_equal_slice_calls(self, kind):
         model = bounded_confidence_model(radius=0.15) if kind == "dense" else _cubic_model()
-        assert (model.cost_poly is None) == (kind == "dense")
+        assert (model.cost.table is None) == (kind == "dense")
         path = _random_path(self.grid, 7, seed=53)
         assert path.density(1).clipped_mass > 0.0
         points = (self.grid.centers(), self.grid.faces(), self.grid.faces() + 1e-3, 0.3)
@@ -636,7 +656,7 @@ class TestPathQuadrature:
         dens = _bump_density(self.grid)
         for x in (0.3, np.array([0.3])):
             got = np.atleast_1d(mean_field_cost(model, x, dens))
-            assert _same_bits(got, _uncached(model.cost_kernel, np.atleast_1d(x), dens, False))
+            assert _same_bits(got, _uncached(model.cost.value, np.atleast_1d(x), dens, False))
 
     def test_path_rows_clipped_like_densities(self):
         path = _random_path(self.grid, 4, seed=57)

@@ -20,7 +20,7 @@ from mfglab import (
 from mfglab import ParticleTrajectory, cost, drift
 from mfglab.controller import euler_step
 from mfglab.model import alpha_at, cost_gradient_full, drift_jacobian
-from mfglab.nash import _BLOCK_ENTRIES, GROWTH_LIMIT, _blocks
+from mfglab.nash import _BLOCK_ENTRIES, GROWTH_LIMIT, _blocks, _value_along
 
 
 def grid_profile(n, n_steps, horizon, values=None):
@@ -147,6 +147,18 @@ class TestValue:
         before = value(m, start, profile)[i]
         after = value(m, start, ControlProfile(newton, profile.time_grid))[i]
         assert after < before
+
+    @pytest.mark.parametrize("model", [consensus_model(alpha=lambda t: 1.0 + t), bounded_confidence_model(0.5)],
+                             ids=["structured", "dense"])
+    def test_sum_along_a_given_trajectory_is_value_bit_for_bit(self, model):
+        # 70 players over 30 steps: the running costs come in blocks of 13 steps
+        start = ParticleEnsemble(rng(23).uniform(-1.0, 1.0, size=70))
+        trajectory, profile = integrate_brs(model, start, 0.6, 0.02)
+        assert len(_blocks(profile.n_steps, start.n)) == 3
+        assert _value_along(model, trajectory, profile).tobytes() == value(model, start, profile).tobytes()
+        game = nash_sweep(model, ParticleEnsemble(start.positions[:6]), 0.6, 0.02)
+        assert (_value_along(model, game.trajectory, game.controls).tobytes()
+                == value(model, ParticleEnsemble(start.positions[:6]), game.controls).tobytes())
 
 
 class TestGradientViaAdjoint:

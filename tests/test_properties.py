@@ -63,7 +63,7 @@ def test_relabeling_permutes_drift_and_slopes(data, xs, kind):
     x = np.asarray(xs)
     order = np.asarray(data.draw(st.permutations(range(x.size))))
     model = MODELS[kind]
-    assert (model.drift_poly is not None) == (kind == "consensus")
+    assert (model.drift.table is not None) == (kind == "consensus")
     for evaluate in (drift, cost_grad_vector):
         plain = evaluate(model, ParticleEnsemble(x))
         relabeled = evaluate(model, ParticleEnsemble(x[order]))
