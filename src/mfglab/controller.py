@@ -13,17 +13,26 @@ after linearizing h_i about X(t). The "exact" step weighs the control with
 alpha(t+dt) as the subproblem states; the "taylor" step uses alpha(t), which
 differs by O(dt) and matches the piecewise-constant discretization of the
 best-reply law.
+
+One loop, ``_march_stack``, integrates an (S, N) stack of states, one row per
+seed: each step evaluates drift and cost slopes of the whole stack once and
+checks it with one max |x|, and every row gets the bits of a separate run.
+``integrate_brs`` is the one-row case, and ``mpc_step_taylor`` and
+``mpc_step_exact`` are one step of it.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import DivergenceError
 from .grids import time_grid
-from .model import ControlProfile, ModelSpec, ParticleEnsemble, alpha_at, cost_grad_vector, drift
+from .model import ControlProfile, ModelSpec, ParticleEnsemble, _particle_velocity, alpha_at, cost_grad_vector
 
 DEFAULT_BLOW_UP_BOUND = 1e6
 
@@ -61,7 +70,7 @@ def brs_control(model: ModelSpec, ensemble: ParticleEnsemble, t: float) -> np.nd
 
 @np.errstate(over="ignore", invalid="ignore")  # a step that leaves the floats is reported instead
 def euler_step(positions: np.ndarray, drift_vec: np.ndarray, controls: np.ndarray, dt: float) -> np.ndarray:
-    """Shared explicit Euler update; every integrator uses this exact expression.
+    """Shared explicit Euler update; every integrator, ``_march_stack`` included, uses this exact expression.
 
     Raises ``DivergenceError`` when a new position is not finite.
     """
@@ -81,12 +90,9 @@ def mpc_step_exact(
 
     The returned control solves the per-particle quadratic subproblem exactly;
     its slope ``model.cost.dx`` was checked against ``model.cost.value`` when
-    the model was built.
+    the model was built. Raises ``DivergenceError`` when a new position is not finite.
     """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    controls = -cost_grad_vector(model, ensemble) / alpha_at(model, t + dt)
-    return controls, _advance(model, ensemble, controls, t, dt)
+    return _one_step(model, ensemble, t, dt, "exact")
 
 
 def mpc_step_taylor(
@@ -96,17 +102,59 @@ def mpc_step_taylor(
     dt: float,
 ) -> tuple[np.ndarray, ParticleEnsemble]:
     """One receding-horizon step with the start-of-step weight alpha(t); O(dt) from exact."""
+    return _one_step(model, ensemble, t, dt, "taylor")
+
+
+def _one_step(model: ModelSpec, ensemble: ParticleEnsemble, t: float, dt: float,
+              scheme: str) -> tuple[np.ndarray, ParticleEnsemble]:
+    """One step of ``_march_stack`` from ``ensemble`` at time t; only a non-finite position stops it."""
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    controls = brs_control(model, ensemble, t)
-    return controls, _advance(model, ensemble, controls, t, dt)
+    controls, positions = _march_stack(model, ensemble.positions[None], [t], dt, scheme, math.inf)
+    return controls[0], ParticleEnsemble(positions[0], time=t + dt)
 
 
-def _advance(
-    model: ModelSpec, ensemble: ParticleEnsemble, controls: np.ndarray, t: float, dt: float
-) -> ParticleEnsemble:
-    new_positions = euler_step(ensemble.positions, drift(model, ensemble), controls, dt)
-    return ParticleEnsemble(new_positions, time=t + dt)
+def _march_stack(model: ModelSpec, x: np.ndarray, starts: Iterable[float], dt: float, scheme: str,
+                 blow_up_bound: float, where: Callable[[int], str] = lambda row: "",
+                 path: np.ndarray | None = None, controls: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Explicit Euler steps of an (S, N) stack of states, one step from each time of ``starts``.
+
+    Each step evaluates drift and cost slopes of the whole stack once
+    (``model._particle_velocity``) and moves every row by the expression of
+    ``euler_step``, all under one ``np.errstate``. It writes the new stack to
+    ``path[step + 1]`` and the controls to ``controls[..., step]`` when they
+    are given, and returns the last step's controls and the final stack. Each
+    step takes one max |x| over the stack. When it exceeds ``blow_up_bound``
+    or is not finite (an infinite bound stops only that), ``DivergenceError``
+    names the step, t and the first row that failed there, its message
+    prefixed by ``where(row)``.
+    """
+    velocity = _particle_velocity(model)
+    exact = scheme == "exact"
+    bound = min(blow_up_bound, sys.float_info.max)  # an infinite position exceeds even an infinite bound
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step, t in enumerate(starts):
+            drift_rows, slopes = velocity(x)
+            u = -slopes / alpha_at(model, t + dt if exact else t)
+            x = x + dt * (drift_rows + u)
+            if not np.abs(x).max() <= bound:
+                raise _divergence(x, bound, dt, step, t, where)
+            if path is not None:
+                path[step + 1] = x
+            if controls is not None:
+                controls[..., step] = u
+    return u, x
+
+
+def _divergence(x: np.ndarray, blow_up_bound: float, dt: float, step: int, t: float,
+                where: Callable[[int], str]) -> DivergenceError:
+    """The error for the first row of a stack that is not finite or exceeds the bound after a step."""
+    worst = np.abs(x).max(axis=-1)
+    row = int(np.argmax(~(worst <= blow_up_bound)))
+    at = f"at step {step + 1} (t={t + dt:.6g})"
+    if not np.isfinite(x[row]).all():
+        return DivergenceError(f"{where(row)}an explicit Euler step of size {dt} left the finite numbers {at}")
+    return DivergenceError(f"{where(row)}|x| reached {worst[row]:.3e} > bound {blow_up_bound:.3e} {at}")
 
 
 def integrate_brs(
@@ -121,27 +169,16 @@ def integrate_brs(
 
     ``scheme`` picks the control weight: "taylor" uses alpha(t_l) (the
     piecewise-constant best-reply discretization), "exact" uses alpha(t_l + dt).
+    The steps are those of ``_march_stack`` on a one-row stack, bit for bit chained
+    ``mpc_step_taylor`` or ``mpc_step_exact`` calls.
     Raises ``DivergenceError`` as soon as any |x_i| exceeds ``blow_up_bound``.
     """
     if scheme not in ("taylor", "exact"):
         raise ValueError(f"unknown scheme {scheme!r}, expected 'taylor' or 'exact'")
     n_steps, times = time_grid(horizon, dt)
-    n = initial.n
-    positions = np.empty((n_steps + 1, n))
-    controls = np.empty((n, n_steps))
-    state = initial
-    positions[0] = state.positions
-    for step in range(n_steps):
-        t = float(times[step])
-        if scheme == "taylor":
-            u, state = mpc_step_taylor(model, state, t, dt)
-        else:
-            u, state = mpc_step_exact(model, state, t, dt)
-        controls[:, step] = u
-        positions[step + 1] = state.positions
-        worst = float(np.max(np.abs(state.positions)))
-        if not worst <= blow_up_bound:
-            raise DivergenceError(
-                f"|x| reached {worst:.3e} > bound {blow_up_bound:.3e} at step {step + 1} (t={t + dt:.6g})"
-            )
+    positions = np.empty((n_steps + 1, initial.n))
+    controls = np.empty((initial.n, n_steps))
+    positions[0] = initial.positions
+    _march_stack(model, initial.positions[None], map(float, times[:-1]), dt, scheme, blow_up_bound,
+                 path=positions[:, None], controls=controls[None])
     return ParticleTrajectory(times, positions), ControlProfile(controls, times)

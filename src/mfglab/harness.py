@@ -29,6 +29,8 @@ from numpy.random import Generator, Philox  # numpy loads this lazily; pay for i
 
 from . import __version__ as _version
 from .controller import (
+    DEFAULT_BLOW_UP_BOUND,
+    _march_stack,
     brs_control,
     integrate_brs,
     mpc_step_exact,
@@ -37,6 +39,7 @@ from .controller import (
 from .errors import CFLError, ConfigError, DivergenceError, NumericalError
 from .grids import (
     _MAX_POINTS, DensityGrid, DensityTrajectory, SpaceGrid, grid_for_support, normalized_density, step_count,
+    time_grid,
 )
 from .kinetic import cfl_time_step, solve_kinetic
 from .measures import empirical, w1
@@ -56,6 +59,7 @@ from .model import (
     ParticleEnsemble,
     _horner,
     _pair_eval,
+    _row_entries,
     bounded_confidence_model,
     consensus_model,
     polynomial_model,
@@ -144,6 +148,7 @@ def _count(low: int):
 
 
 _MAX_CELLS = 100_000  # particle_vs_kinetic runs, one per (n, seed)
+_STACK_ENTRIES = 2**16  # working entries of the seeds one particle_vs_kinetic stack integrates together
 _POSITIVE = (_number, lambda v: v > 0, "a positive finite number")
 _FINITE = (_number, None, "a finite number")
 
@@ -602,21 +607,28 @@ def _run_particle_vs_kinetic(cfg: ExperimentConfig, model: ModelSpec, out: Path,
     m0 = density_of(cfg.initial, grid)
     dt_kin = cfl_time_step(model, m0, cfg.horizon)
     kinetic_final = solve_kinetic(model, m0, cfg.horizon, dt_kin).final
+    _, times = time_grid(cfg.horizon, cfg.dt)
 
-    cells = [(n, cfg.seed + k) for n in cfg.n_particles_list for k in range(cfg.n_seeds)]
+    # the seeds of each N run as stacks of at most _STACK_ENTRIES working entries, one seed at least
+    seeds = range(cfg.seed, cfg.seed + cfg.n_seeds)
+    stacks = []
+    for n in cfg.n_particles_list:
+        size = max(1, _STACK_ENTRIES // _row_entries(model, n))
+        stacks += [(n, seeds[k:k + size]) for k in range(0, len(seeds), size)]
 
-    def run_cell(cell):
-        n, cell_seed = cell
-        start = sample_initial(cell_seed, n, cfg.initial)
-        trajectory, _ = integrate_brs(model, start, cfg.horizon, cfg.dt, scheme="taylor")
-        dist = w1(empirical(trajectory.ensemble(len(trajectory) - 1)), kinetic_final)
-        return n, cell_seed, dist
+    def run_stack(stack):
+        # only the current state is kept: memory does not grow with the step or seed count
+        n, stack_seeds = stack
+        start = np.stack([sample_initial(seed, n, cfg.initial).positions for seed in stack_seeds])
+        _, final = _march_stack(model, start, map(float, times[:-1]), cfg.dt, "taylor", DEFAULT_BLOW_UP_BOUND,
+                                where=lambda row: f"N={n}, seed={stack_seeds[row]}: ")
+        return [(n, seed, w1(empirical(ParticleEnsemble(x)), kinetic_final)) for seed, x in zip(stack_seeds, final)]
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_cell, cells))
+            results = [cell for cells in pool.map(run_stack, stacks) for cell in cells]
     else:
-        results = [run_cell(cell) for cell in cells]
+        results = [cell for stack in stacks for cell in run_stack(stack)]
     results.sort(key=lambda r: (r[0], r[1]))
 
     artifacts = [write_csv(out / "cells.csv", ["n", "seed", "w1"], results)]
@@ -625,7 +637,7 @@ def _run_particle_vs_kinetic(cfg: ExperimentConfig, model: ModelSpec, out: Path,
         vals = [r[2] for r in results if r[0] == n]
         summary.append((n, float(np.mean(vals))))
     artifacts.append(write_csv(out / "summary.csv", ["n", "w1_mean"], summary))
-    return artifacts, f"{len(cells)} cells against the kinetic solution (dt_kinetic={dt_kin:.6g})"
+    return artifacts, f"{len(results)} cells against the kinetic solution (dt_kinetic={dt_kin:.6g})"
 
 
 def _run_mpc_vs_brs(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: int):

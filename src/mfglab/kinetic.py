@@ -16,10 +16,13 @@ Under the CFL restriction dt * max|c| / dx <= 0.9 the update is monotone and
 positivity preserving; total mass is conserved exactly by telescoping.
 
 One march serves ``solve_kinetic`` and the game system's forward equation
-(``mfg.fp_forward``). It sets up the quadratures of F and dH/dx once and works
-on raw rows of cell averages: each step checks the CFL restriction, moves the
-row and checks and clips the new row as ``DensityGrid`` does, bit for bit
-the loop of ``velocity_field`` and ``step_upwind`` calls it replaces.
+(``mfg.fp_forward``). It sets up the quadratures of F and dH/dx once, takes
+both from one call per step, and works on raw rows of cell averages: each
+step checks the CFL restriction with dt * max|c| / dx, moves the row, and
+keeps a new row whose minimum is nonnegative and whose mass is within
+``MASS_TOL`` of 1. Any other row is clipped or rejected by the checks of
+``DensityGrid``. The result is bit for bit the loop of ``velocity_field`` and
+``step_upwind`` calls it replaces.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import math
 import numpy as np
 
 from .errors import CFLError
-from .grids import DensityGrid, DensityTrajectory, SpaceGrid, _checked_rows, time_grid
+from .grids import MASS_TOL, DensityGrid, DensityTrajectory, SpaceGrid, _checked_rows, time_grid
 from .model import ModelSpec, _quadrature, alpha_at, mean_field_cost_grad, mean_field_drift
 
 __all__ = ["velocity_field", "step_upwind", "solve_kinetic", "cfl_time_step", "CFL_NUMBER"]
@@ -61,12 +64,17 @@ def step_upwind(m: DensityGrid, face_velocity: np.ndarray, dt: float) -> Density
 
 
 def _upwind(grid: SpaceGrid, values: np.ndarray, face_velocity: np.ndarray, dt: float) -> np.ndarray:
-    """The cell averages after one upwind step, unchecked; raises ``CFLError`` naming the worst face."""
+    """The cell averages after one upwind step, unchecked; raises ``CFLError`` naming the worst face.
+
+    The CFL test takes dt * max|c| / dx, which is the largest Courant number
+    bit for bit, since rounding is monotone; the Courant array is built only
+    to name the face of a violation.
+    """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    courant = dt * np.abs(face_velocity) / grid.dx
-    worst = int(np.argmax(courant))
-    if not courant[worst] <= CFL_NUMBER + 1e-12:  # a NaN velocity fails too
+    if not dt * np.abs(face_velocity).max() / grid.dx <= CFL_NUMBER + 1e-12:  # a NaN velocity fails too
+        courant = dt * np.abs(face_velocity) / grid.dx
+        worst = int(np.argmax(courant))
         raise CFLError(
             f"CFL violated: dt*|c|/dx = {courant[worst]:.4f} > {CFL_NUMBER} at face {worst} "
             f"(x = {grid.faces()[worst]:.6g})",
@@ -85,27 +93,32 @@ def _march(model: ModelSpec, m0: DensityGrid, times: np.ndarray, dt: float,
 
     Step l moves the density with face velocity F(x, m_l) - S_l / alpha(t_l):
     S_l is row l of ``value_slopes`` when given, and dH/dx (x, m_l) otherwise.
-    F and dH/dx come from quadratures set up once for the march
-    (``model._quadrature``), bit for bit ``velocity_field``. Every new row is
-    checked and clipped as ``DensityGrid`` does. A CFL violation raises
-    ``CFLError`` with the step index, its message prefixed by ``where``.
+    F and dH/dx come from one quadrature set up for the march
+    (``model._quadrature``), one call per step, bit for bit ``velocity_field``.
+    A new row whose minimum is nonnegative and whose mass is within
+    ``MASS_TOL`` of 1 is kept as it is; any other row goes through
+    ``_checked_rows``, which clips it or raises as ``DensityGrid`` does. A CFL
+    violation raises ``CFLError`` with the step index, its message prefixed
+    by ``where``.
     """
     grid = m0.grid
-    faces = grid.faces()
-    drift = _quadrature(model, "drift", faces, grid)
-    slope = _quadrature(model, "cost_grad", faces, grid) if value_slopes is None else None
+    quantities = ("drift",) if value_slopes is not None else ("drift", "cost_grad")
+    velocity = _quadrature(model, quantities, grid.faces(), grid)
     weights = [alpha_at(model, float(t)) for t in times[:-1]]
     data = np.empty((times.size, grid.cells))
     data[0] = m0.cell_averages
     for step, weight in enumerate(weights):
-        masses = data[step][None, :] * grid.dx
-        slopes = value_slopes[step] if slope is None else slope(masses)[0]
-        face_velocity = drift(masses)[0] - slopes / weight
+        parts = velocity(data[step][None, :] * grid.dx)
+        slopes = parts[1][0] if value_slopes is None else value_slopes[step]
+        face_velocity = parts[0][0] - slopes / weight
         try:
             values = _upwind(grid, data[step], face_velocity, dt)
         except CFLError as err:
             raise CFLError(f"{where}step {step}: {err}", step=step, face=err.face) from None
-        data[step + 1] = _checked_rows(grid, values)
+        if values.min() >= 0.0 and abs(values.sum() * grid.dx - 1.0) <= MASS_TOL:
+            data[step + 1] = values
+        else:
+            data[step + 1] = _checked_rows(grid, values)
     return data
 
 

@@ -35,10 +35,16 @@ Reproducibility contract:
   sums to O(N deg^2) and the quadratures to O(M deg^2) per call.
 * A stack of states, (L, N), gives bit for bit the per-state calls:
   ``_pair_eval`` hands the kernel ``x[..., :, None]`` and ``y[..., None, :]``,
-  and ``_drift_jacobians``, ``_cost_gradients``, ``_peer_mean`` and the
-  structured cost slopes work row by row with the same elementwise operations
-  and ascending sums. ``drift_jacobian`` and ``cost_gradient_full`` are the
-  one-row case.
+  and ``_drift``, ``_drift_jacobians``, ``_cost_gradients``, ``_peer_mean``
+  and the structured cost slopes work row by row with the same elementwise
+  operations and ascending sums; an array of centres shifts one table per
+  row. ``drift_jacobian`` and ``cost_gradient_full`` are the one-row case.
+* ``_particle_velocity`` gives the drift and the cost slopes of a stack from
+  one evaluation per step: on the structured path each row is centred once
+  and one set of power sums, to the larger degree, serves both tables. A
+  shorter table reads a prefix of those sums, which are the sums it would
+  take alone, so both results are bit for bit ``drift`` and
+  ``cost_grad_vector``.
 * The structured and dense paths agree to round-off, not bitwise.
   ``consensus_model`` and ``polynomial_model`` take the structured path;
   ``bounded_confidence_model`` has no table and always takes the dense one.
@@ -62,11 +68,14 @@ Reproducibility contract:
   ``DensityGrid``: the path's rows are checked and clipped once as
   ``DensityGrid`` would, and the result has one row per time slice, bit for
   bit what per-slice calls give. No (M, L, Q) product is formed.
-* The upwind march (``kinetic``) sets each quadrature up once per march
-  (``_quadrature``: the cached matrix, or the shifted table) and feeds it one
-  density row per step. That row takes the one-row branch of ``_cell_sums``,
-  the same ascending ``np.add.reduce`` as a ``DensityGrid`` query, so the
-  march repeats the per-step calls bit for bit.
+* The upwind march (``kinetic``) sets its quadratures up once per march
+  (``_quadrature``) and feeds them one density row per step in one call. The
+  dense quantities' cached matrices sit side by side, (M, 2Q), and that row
+  takes the one-row branch of ``_cell_sums``, the same ascending
+  ``np.add.reduce`` as a ``DensityGrid`` query, which reduces each column on
+  its own; the structured quantities share one set of power sums of the row.
+  So the march repeats the per-step calls bit for bit. The side-by-side
+  matrix is built per march and not cached.
 """
 
 from __future__ import annotations
@@ -227,7 +236,7 @@ def _sum_ascending(values: np.ndarray, axis: int = -1, consume: bool = False) ->
     owned by the caller.
     """
     out = values if consume else None
-    return np.take(np.add.accumulate(values, axis=axis, out=out), -1, axis=axis)
+    return np.add.accumulate(values, axis=axis, out=out).take(-1, axis=axis)
 
 
 def _pair_eval(kernel: Kernel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -266,13 +275,13 @@ def drift(model: ModelSpec, ensemble: ParticleEnsemble) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _drift(model: ModelSpec, x: np.ndarray) -> np.ndarray:
-    """``drift`` at the positions ``x``, without an ensemble."""
+    """``drift`` at the positions ``x``, without an ensemble; one row per row of a stack of states."""
     if model.drift.table is not None:
         centre, u = _centred(x)
-        return _pair_sums(_drift_terms(model.drift.table, centre), u, u) / x.size
-    diff = x[None, :] - x[:, None]
+        return _pair_sums(_drift_terms(model.drift.table, centre), u, u) / x.shape[-1]
+    diff = x[..., None, :] - x[..., :, None]
     terms = np.multiply(_pair_eval(model.drift.value, x, x), diff, out=diff)
-    return _sum_ascending(terms, axis=1, consume=True) / x.size
+    return _sum_ascending(terms, axis=-1, consume=True) / x.shape[-1]
 
 
 def _peers(x: np.ndarray) -> int:
@@ -420,37 +429,52 @@ def _kernel_matrix(model: ModelSpec, quantity: str, kernel: Kernel, xs: np.ndarr
     return vals
 
 
-def _quadrature(model: ModelSpec, quantity: str, xs: np.ndarray, grid: SpaceGrid) -> Callable[[np.ndarray], np.ndarray]:
-    """The midpoint rule of one mean-field quantity at the points ``xs``, set up once for the grid.
+def _quadrature(model: ModelSpec, quantities: tuple[str, ...], xs: np.ndarray,
+                grid: SpaceGrid) -> Callable[[np.ndarray], list[np.ndarray]]:
+    """The midpoint rules of mean-field quantities at the points ``xs``, set up once for the grid.
 
-    ``quantity`` is "drift", "cost_grad" or "cost". The result maps an (L, M)
-    stack of weighted cell averages m dx to the (L, Q) sums, ascending in the
-    cell. The dense path sums against ``_kernel_matrix`` by ``_cell_sums``. The
-    structured path evaluates the quantity's table, shifted to the grid
-    midpoint once, from the power sums of the cell centers about it; there an
-    overflow leaves inf or nan for the CFL and finiteness checks.
+    Each of ``quantities`` is "drift", "cost_grad" or "cost". The result maps
+    an (L, M) stack of weighted cell averages m dx to a list of (L, Q) sums,
+    one per quantity, ascending in the cell. Dense quantities set their
+    ``_kernel_matrix``es side by side, (M, K Q), and sum them in one
+    ``_cell_sums`` pass, which treats every column alike. Structured
+    quantities evaluate their tables, shifted to the grid midpoint once, from
+    one set of power sums of the cell centers about it, taken to the largest
+    degree; there an overflow leaves inf or nan for the CFL and finiteness
+    checks. Either way each quantity gets bit for bit what it gets alone.
     """
-    kernel_of, dense_part, terms, weight_shift = _QUANTITIES[quantity]
-    kernel = kernel_of(model)
-    if kernel.table is None:
-        vals = _kernel_matrix(model, quantity, dense_part(kernel), xs, grid, weight_shift)
-        return lambda weights: _cell_sums(vals, weights)
+    slots, matrices, tables = [], [], []
     with np.errstate(over="ignore", invalid="ignore"):
         centre = 0.5 * (grid.x_min + grid.x_max)
-        table = terms(kernel.table, centre)
-        u, at, degree = grid.centers() - centre, xs - centre, table.shape[1] - 1
+        u, at = grid.centers() - centre, xs - centre
+        for quantity in quantities:
+            kernel_of, dense_part, terms, weight_shift = _QUANTITIES[quantity]
+            kernel = kernel_of(model)
+            if kernel.table is None:
+                slots.append((False, len(matrices)))
+                matrices.append(_kernel_matrix(model, quantity, dense_part(kernel), xs, grid, weight_shift))
+            else:
+                slots.append((True, len(tables)))
+                tables.append(terms(kernel.table, centre))
+    side_by_side = matrices[0] if len(matrices) == 1 else np.hstack(matrices) if matrices else None
+    degree = max((table.shape[1] - 1 for table in tables), default=0)
+    q = xs.size
 
-    @np.errstate(over="ignore", invalid="ignore")
-    def moments(weights: np.ndarray) -> np.ndarray:
-        return _moment_eval(table, at, _power_sums(u, weights, degree))
+    def evaluate(weights: np.ndarray) -> list[np.ndarray]:
+        dense = _cell_sums(side_by_side, weights) if matrices else None
+        if tables:
+            with np.errstate(over="ignore", invalid="ignore"):
+                sums = _power_sums(u, weights, degree)
+                moments = [_moment_eval(table, at, sums[..., :table.shape[1]]) for table in tables]
+        return [moments[k] if structured else dense[:, k * q:(k + 1) * q] for structured, k in slots]
 
-    return moments
+    return evaluate
 
 
 def _mean_field(model: ModelSpec, quantity: str, x, m: DensityGrid | DensityTrajectory) -> np.ndarray | float:
     """One mean-field quantity at x against a density, or against every slice of a path."""
-    xs =np.atleast_1d(np.asarray(x, dtype=float))
-    return _shaped(_quadrature(model, quantity, xs, m.grid)(_rows(m) * m.grid.dx), x, m)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    return _shaped(_quadrature(model, (quantity,), xs, m.grid)(_rows(m) * m.grid.dx)[0], x, m)
 
 
 def mean_field_drift(model: ModelSpec, x, m: DensityGrid | DensityTrajectory) -> np.ndarray | float:
@@ -526,26 +550,32 @@ def _taylor_shift(table: np.ndarray, centre) -> np.ndarray:
     """Table of K(centre + u, centre + v) in powers of u and v; an (L,) array of centres gives (L, ...) tables.
 
     Repeated synthetic division along each axis: O(deg^2) vector updates, with
-    products and sums only, in a fixed order. The centres' axis stays last
-    while the tables shift.
+    products and sums only, in a fixed order. Each table of a stack sees the
+    operations of its own centre alone.
     """
-    centre = np.asarray(centre, dtype=float)
-    out = np.repeat(table[..., None], centre.size, axis=-1) if centre.ndim else np.array(table, dtype=float)
-    for view in (out, out.swapaxes(0, 1)):  # rows shift x, then columns shift y
-        n = view.shape[0]
-        for i in range(n - 1):
-            for j in range(n - 2, i - 1, -1):
-                view[j] += centre * view[j + 1]
-    return np.moveaxis(out, -1, 0) if centre.ndim else out
+    c = np.asarray(centre, dtype=float)[..., None]
+    out = np.empty(c.shape[:-1] + table.shape)
+    out[...] = table
+    rows, cols = table.shape
+    for i in range(rows - 1):  # rows shift x
+        for j in range(rows - 2, i - 1, -1):
+            out[..., j, :] += c * out[..., j + 1, :]
+    for i in range(cols - 1):  # columns shift y
+        for j in range(cols - 2, i - 1, -1):
+            out[..., j] += c * out[..., j + 1]
+    return out
 
 
-def _drift_terms(drift_table: np.ndarray, centre: float) -> np.ndarray:
-    """Table of P(x, y)(y - x) about ``centre``; the factor (v - u) is applied after the shift."""
+def _drift_terms(drift_table: np.ndarray, centre) -> np.ndarray:
+    """Table of P(x, y)(y - x) about ``centre``; one table per entry of an array of centres.
+
+    The factor (v - u) is applied after the shift.
+    """
     shifted = _taylor_shift(drift_table, centre)
-    rows, cols = shifted.shape
-    out = np.zeros((rows + 1, cols + 1))
-    out[:rows, 1:] += shifted
-    out[1:, :cols] -= shifted
+    rows, cols = shifted.shape[-2:]
+    out = np.zeros(shifted.shape[:-2] + (rows + 1, cols + 1))
+    out[..., :rows, 1:] += shifted
+    out[..., 1:, :cols] -= shifted
     return out
 
 
@@ -608,6 +638,60 @@ def _slope_sums(cost_table: np.ndarray, x: np.ndarray) -> np.ndarray:
     centre, u = _centred(x)
     table = _slope_terms(cost_table, centre)
     return _pair_sums(table, u, u) - _diagonal(table, u)
+
+
+def _velocity_degree(model: ModelSpec) -> int:
+    """The highest power sum ``_particle_velocity`` takes, -1 when neither kernel has a table.
+
+    P(x, y)(y - x) is one degree higher in y than P; d_x phi keeps the degree of phi in y.
+    """
+    return max(-1 if model.drift.table is None else model.drift.table.shape[1],
+               -1 if model.cost.table is None else model.cost.table.shape[1] - 1)
+
+
+def _row_entries(model: ModelSpec, n: int) -> int:
+    """Entries of the largest array ``_particle_velocity`` forms per state row of n particles.
+
+    The N x N pair matrix when either kernel takes the dense path, the power
+    sums' (degree + 1) x N table otherwise.
+    """
+    if model.drift.table is None or model.cost.table is None:
+        return n * n
+    return n * (_velocity_degree(model) + 1)
+
+
+def _particle_velocity(model: ModelSpec) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The drift and the own-cost slopes of every row of an (S, N) stack of states, set up once per run.
+
+    The result maps the stack to ``(drift, slopes)``, bit for bit ``drift``
+    and ``cost_grad_vector`` of each row. On the structured path the stack is
+    centred once, one set of power sums to the larger of the two degrees
+    serves both tables, and the differentiated cost table is taken here, once.
+    On the dense path it is ``_drift`` and the peer mean of ``cost.dx``.
+    Raises ``ValueError`` for fewer than two particles. The caller silences
+    numpy's overflow and invalid-value warnings: a state too wide for floats
+    gives entries that are not finite, as in ``drift``.
+    """
+    drift_table = model.drift.table
+    slope_table = None if model.cost.table is None else _poly_diff_rows(model.cost.table)
+    degree = _velocity_degree(model)
+
+    def evaluate(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        peers = _peers(x)
+        if degree >= 0:
+            centre, u = _centred(x)
+            sums = _power_sums(u, 1.0, degree)
+        if drift_table is None:
+            drift_rows = _drift(model, x)
+        else:
+            table = _drift_terms(drift_table, centre)
+            drift_rows = _moment_eval(table, u, sums[..., :table.shape[-1]]) / x.shape[-1]
+        if slope_table is None:
+            return drift_rows, _peer_mean(model.cost.dx, x)
+        table = _taylor_shift(slope_table, centre)
+        return drift_rows, (_moment_eval(table, u, sums[..., :table.shape[-1]]) - _diagonal(table, u)) / peers
+
+    return evaluate
 
 
 # quantity -> (kernel, the part the dense path integrates, its integrand's table about a centre, weighted by y - x)

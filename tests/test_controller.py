@@ -1,18 +1,28 @@
+import math
+
 import numpy as np
 import pytest
 
 from mfglab import (
     DivergenceError,
     ParticleEnsemble,
+    bounded_confidence_model,
     brs_control,
     consensus_model,
     cost_grad_vector,
+    drift,
     integrate_brs,
     mpc_step_exact,
     mpc_step_taylor,
     polynomial_model,
 )
+from mfglab.controller import _march_stack, euler_step
+from mfglab.grids import time_grid
 from mfglab.model import alpha_at
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def pair(a=0.0, b=1.0):
@@ -142,3 +152,82 @@ class TestIntegrateBrs:
         _, taylor_profile = integrate_brs(m, pair(), 1.0, dt, scheme="taylor")
         assert abs(exact_profile.values[0, 0] - 1.0 / (1.0 + dt)) <= 1e-14
         assert abs(taylor_profile.values[0, 0] - 1.0) <= 1e-14
+
+
+def _cubic_model(alpha):
+    return polynomial_model(
+        [[1.0, 0.3], [0.2, 0.0]],
+        [[0.0, 0.0, 0.5, 0.2], [0.0, -1.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0], [-0.2, 0.0, 0.0, 0.0]],
+        alpha=alpha,
+    )
+
+
+STACK_MODELS = {
+    "consensus": lambda alpha: consensus_model(alpha=alpha),
+    "bounded_confidence": lambda alpha: bounded_confidence_model(radius=0.15, alpha=alpha),
+    "cubic": _cubic_model,
+}
+
+
+class TestStackedMarch:
+    """A stack of seeds marched together gives, row for row, the bits of separate runs."""
+
+    horizon, dt = 0.2, 0.02
+
+    def stack(self, n_rows=3, n=9):
+        rng = np.random.Generator(np.random.Philox(key=83))
+        return np.sort(rng.random((n_rows, n)), axis=-1)
+
+    @pytest.mark.parametrize("scheme", ["taylor", "exact"])
+    @pytest.mark.parametrize("name", sorted(STACK_MODELS))
+    def test_rows_equal_per_seed_runs_and_chained_steps(self, name, scheme):
+        m = STACK_MODELS[name](lambda t: 1.0 + 2.0 * t)
+        states = self.stack()
+        n_steps, times = time_grid(self.horizon, self.dt)
+        path = np.empty((n_steps + 1, *states.shape))
+        controls = np.empty((*states.shape, n_steps))
+        path[0] = states
+        last_u, final = _march_stack(m, states, map(float, times[:-1]), self.dt, scheme, 1e6,
+                                     path=path, controls=controls)
+        assert _same_bits(final, path[-1]) and _same_bits(last_u, controls[..., -1])
+        step_fn = mpc_step_taylor if scheme == "taylor" else mpc_step_exact
+        for row, start in enumerate(states):
+            trajectory, profile = integrate_brs(m, ParticleEnsemble(start.copy()), self.horizon, self.dt, scheme)
+            assert _same_bits(trajectory.positions, path[:, row])
+            assert _same_bits(profile.values, controls[row])
+            # chained receding-horizon steps, and the update written out with the public evaluations
+            state, x = ParticleEnsemble(start.copy()), start.copy()
+            for step in range(n_steps):
+                t = float(times[step])
+                u, state = step_fn(m, state, t, self.dt)
+                assert _same_bits(u, controls[row, :, step]) and _same_bits(state.positions, path[step + 1, row])
+                ensemble = ParticleEnsemble(x)
+                weight = alpha_at(m, t if scheme == "taylor" else t + self.dt)
+                u = -cost_grad_vector(m, ensemble) / weight
+                x = euler_step(x, drift(m, ensemble), u, self.dt)
+                assert _same_bits(u, controls[row, :, step]) and _same_bits(x, path[step + 1, row])
+
+    def test_diverging_row_named_with_step_and_time(self):
+        # u = x^3 under phi(x, y) = -x^4 / 4 blows up at t = 1 / (2 x0^2): the two rows holding 3.0 pass 1e3
+        # at the same step, and the first of them is named
+        m = polynomial_model([[0.0]], [[0.0], [0.0], [0.0], [0.0], [-0.25]])
+        states = np.array([[0.1, 0.2], [0.3, 3.0], [-0.2, 0.4], [0.5, 3.0]])
+        names = ["first", "second", "third", "fourth"]
+        starts = map(float, 0.01 * np.arange(10))
+        with pytest.raises(DivergenceError) as err:
+            _march_stack(m, states, starts, 0.01, "taylor", 1e3, where=lambda row: f"{names[row]}: ")
+        with pytest.raises(DivergenceError) as alone:
+            integrate_brs(m, ParticleEnsemble(states[1]), 0.1, 0.01, blow_up_bound=1e3)
+        assert str(err.value) == f"second: {alone.value}"
+        assert "> bound 1.000e+03 at step" in str(err.value) and "(t=" in str(err.value)
+
+    def test_non_finite_row_named(self):
+        m = polynomial_model([[0.0]], [[0.0], [0.0], [0.0], [0.0], [-0.25]])
+        states = np.array([[0.1, 0.2], [0.3, 1e200]])
+        with pytest.raises(DivergenceError, match=r"^row 1: an explicit Euler step of size 0.01 left the finite "
+                                                  r"numbers at step 1 \(t=0.01\)$"):
+            _march_stack(m, states, [0.0], 0.01, "taylor", 1e300, where=lambda row: f"row {row}: ")
+        with pytest.raises(DivergenceError, match="left the finite numbers"):
+            mpc_step_taylor(m, ParticleEnsemble(states[1]), 0.0, 0.01)
+        with pytest.raises(DivergenceError, match="left the finite numbers at step 2"):
+            integrate_brs(m, ParticleEnsemble(np.array([0.3, 1e100])), 0.1, 0.01, blow_up_bound=math.inf)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from statistics import NormalDist
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfglab import ConfigError, parse_config, run_experiment, sample_initial
+from mfglab import ConfigError, DivergenceError, parse_config, run_experiment, sample_initial
+from mfglab import cfl_time_step, empirical, integrate_brs, solve_kinetic, w1
 from mfglab import harness
 from mfglab.grids import SpaceGrid
 from mfglab.harness import (
@@ -812,3 +814,75 @@ class TestReadme:
         assert blocks
         for block in blocks:
             json.loads(block.split("```")[0])
+
+
+BOUNDED_PARTICLES = {
+    "experiment": "particle_vs_kinetic",
+    "model": {"kind": "bounded_confidence", "radius": 0.15},
+    "horizon": 0.1,
+    "dt": 0.01,
+    # N = 150 fills 2**16 pair entries with 2 seeds, so its 3 seeds run as stacks of 2 and 1
+    "n_particles_list": [8, 150],
+    "n_seeds": 3,
+    "seed": 5,
+    "grid": {"cells": 32},
+    "initial": {"kind": "uniform", "a": 0.0, "b": 1.0},
+}
+
+
+class TestParticleStacks:
+    """particle_vs_kinetic integrates the seeds of each N as bounded stacks, with the bytes of per-cell runs."""
+
+    def test_dense_model_cells_equal_per_cell_runs_for_any_job_count(self, tmp_path):
+        cfg = parse_config(json.dumps(BOUNDED_PARTICLES))
+        model = harness.build_model(cfg)
+        assert model.drift.table is None and model.cost.table is None
+        assert harness._STACK_ENTRIES // harness._row_entries(model, 150) == 2
+        m0 = density_of(cfg.initial, harness.build_grid(cfg))
+        final = solve_kinetic(model, m0, cfg.horizon, cfl_time_step(model, m0, cfg.horizon)).final
+        rows = []
+        for n in cfg.n_particles_list:
+            for seed in range(cfg.seed, cfg.seed + cfg.n_seeds):
+                trajectory, _ = integrate_brs(model, sample_initial(seed, n, cfg.initial), cfg.horizon, cfg.dt)
+                rows.append((n, seed, w1(empirical(trajectory.ensemble(len(trajectory) - 1)), final)))
+        want = harness.write_csv(tmp_path / "reference.csv", ["n", "seed", "w1"], rows).read_bytes()
+        for jobs in (1, 3):
+            assert run_experiment(cfg, out_dir=tmp_path / str(jobs), jobs=jobs).exit_code == EXIT_OK
+            assert (tmp_path / str(jobs) / "cells.csv").read_bytes() == want
+        assert (tmp_path / "1" / "summary.csv").read_bytes() == (tmp_path / "3" / "summary.csv").read_bytes()
+
+    def test_diverging_seed_named_with_its_step_and_time(self, tmp_path):
+        # u = x^3 under phi(x, y) = -x^4 / 4 blows up at t = 1 / (2 x0^2): seeds whose largest x0 exceeds 0.5
+        # pass the bound within the horizon, the others do not
+        raw = dict(BOUNDED_PARTICLES, model={"kind": "polynomial", "drift_coeffs": [[0.0]],
+                                             "cost_coeffs": [[0.0], [0.0], [0.0], [0.0], [-0.25]]},
+                   horizon=2.0, n_particles_list=[2], n_seeds=6, seed=0)
+        cfg = parse_config(json.dumps(raw))
+        model = harness.build_model(cfg)
+        failures = []
+        for seed in range(cfg.n_seeds):
+            try:
+                integrate_brs(model, sample_initial(seed, 2, cfg.initial), cfg.horizon, cfg.dt)
+            except DivergenceError as err:
+                failures.append((int(str(err).split("at step ")[1].split()[0]), seed, str(err)))
+        assert 0 < len(failures) < cfg.n_seeds
+        _, seed, message = min(failures)
+        result = run_experiment(cfg, out_dir=tmp_path)
+        assert result.exit_code == EXIT_SOLVER
+        assert result.message == f"stage 'particle_vs_kinetic' failed: N=2, seed={seed}: {message}"
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["exit_code"] == EXIT_SOLVER and manifest["message"] == result.message
+
+    def test_peak_memory_does_not_grow_with_the_seed_count(self, tmp_path):
+        # N = 128 fills a stack with 4 seeds; 16 seeds run as 4 such stacks, one after the other
+        raw = dict(BOUNDED_PARTICLES, horizon=0.02, n_particles_list=[128])
+        peaks = {}
+        for n_seeds in (4, 16):
+            cfg = parse_config(json.dumps(dict(raw, n_seeds=n_seeds)))
+            tracemalloc.start()
+            try:
+                assert run_experiment(cfg, out_dir=tmp_path / str(n_seeds)).exit_code == EXIT_OK
+                peaks[n_seeds] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[16] <= 1.02 * peaks[4]

@@ -15,6 +15,7 @@ from mfglab import (
     step_upwind,
     velocity_field,
 )
+from mfglab import kinetic
 from mfglab.kinetic import cfl_time_step
 
 
@@ -215,3 +216,58 @@ class TestDensityGridStructure:
         assert len(path) == 3
         assert isinstance(path.final, DensityGrid)
         assert np.array_equal(path.density(0).cell_averages, dens.cell_averages)
+
+
+class TestMarchRowChecks:
+    """The march's CFL and row tests raise, keep and clip as the per-step ``_upwind`` and ``DensityGrid`` checks do."""
+
+    grid = SpaceGrid(0.0, 1.0, 16)
+    model = polynomial_model([[0.0]], [[0.0]])  # F = 0 and alpha = 1: the face velocity is minus the value slope
+    dt = 1.0 / 32  # dt / dx = 0.5
+
+    def march(self, velocities):
+        m0 = normalized_density(self.grid, np.ones(self.grid.cells))
+        times = self.dt * np.arange(len(velocities) + 1)
+        return kinetic._march(self.model, m0, times, self.dt, -np.array(velocities, dtype=float))
+
+    def test_round_off_negative_clipped_like_density_grid(self):
+        # cell 5 empties through both faces: 1 - 0.5 (1 + 1 + 2^-51) = -2^-52
+        c = np.zeros(self.grid.cells + 1)
+        c[5], c[6] = -1.0, 1.0 + 2.0**-51
+        raw = kinetic._upwind(self.grid, np.ones(self.grid.cells), c, self.dt)
+        assert -1e-15 < raw[5] < 0.0
+        data = self.march([c])
+        want = DensityGrid(self.grid, raw)
+        assert data[1].tobytes() == want.cell_averages.tobytes()
+        assert data[1][5] == 0.0 and want.clipped_mass > 0.0
+
+    @pytest.mark.parametrize("bad", ["nan", "too_large"])
+    def test_cfl_failure_names_step_and_face(self, bad):
+        c = np.zeros(self.grid.cells + 1)
+        if bad == "nan":
+            c[9] = np.nan
+        else:
+            c[3], c[11] = -40.0, 40.0  # equal Courant numbers: the first face is named
+        with pytest.raises(CFLError) as err:
+            self.march([np.zeros(self.grid.cells + 1), c])
+        courant = self.dt * np.abs(c) / self.grid.dx
+        face = int(np.argmax(courant))
+        assert (err.value.step, err.value.face) == (1, face) and face == (9 if bad == "nan" else 3)
+        assert str(err.value) == (f"step 1: CFL violated: dt*|c|/dx = {courant[face]:.4f} > {kinetic.CFL_NUMBER} "
+                                  f"at face {face} (x = {self.grid.faces()[face]:.6g})")
+
+    @pytest.mark.parametrize("defect", ["mass", "negative", "nan", "inf"])
+    def test_rejected_rows_raise_the_density_grid_error(self, monkeypatch, defect):
+        row = np.ones(self.grid.cells)
+        if defect == "mass":
+            row *= 1.0 + 1e-10
+        elif defect == "negative":
+            row[3], row[4] = -1e-9, 1.0 + 1e-9
+        else:
+            row[7] = np.nan if defect == "nan" else np.inf
+        with pytest.raises(ValueError) as want:
+            DensityGrid(self.grid, row.copy())
+        monkeypatch.setattr(kinetic, "_upwind", lambda grid, values, face_velocity, dt: row.copy())
+        with pytest.raises(ValueError) as got:
+            self.march([np.zeros(self.grid.cells + 1)])
+        assert str(got.value) == str(want.value)

@@ -28,7 +28,11 @@ from mfglab.model import (
     PairKernel,
     _cell_sums,
     _cost_gradients,
+    _drift,
     _drift_jacobians,
+    _drift_terms,
+    _particle_velocity,
+    _quadrature,
     alpha_at,
     cost_gradient_full,
     drift_jacobian,
@@ -675,3 +679,85 @@ class TestPathQuadrature:
             for fn in MEAN_FIELD:
                 with pytest.raises(ValueError, match=message):
                     fn(model, self.grid.centers(), path)
+
+
+def _mixed_model():
+    """A drift with a coefficient table beside a dense cost: centred power sums and a pair mesh in one model."""
+    return ModelSpec(PairKernel.polynomial([[1.0, 0.3], [0.2, 0.0]]), bounded_confidence_model(0.3).cost, lambda t: 1.0)
+
+
+STACK_MODELS = {
+    "consensus": consensus_model,
+    "bounded_confidence": lambda: bounded_confidence_model(radius=0.15),
+    "cubic": _cubic_model,
+    "mixed": _mixed_model,
+}
+
+
+class TestStackedParticleVelocity:
+    """One evaluation of an (S, N) stack gives, bit for bit, ``drift`` and ``cost_grad_vector`` of each row."""
+
+    @pytest.mark.parametrize("name", sorted(STACK_MODELS))
+    def test_rows_equal_public_calls(self, name):
+        model = STACK_MODELS[name]()
+        rng = np.random.Generator(np.random.Philox(key=71))
+        velocity = _particle_velocity(model)
+        for shape in ((1, 2), (3, 7), (5, 40)):
+            states = rng.normal(size=shape) * 0.6 + rng.normal()
+            drifts, slopes = velocity(states)
+            assert drifts.shape == slopes.shape == shape
+            for row, f, s in zip(states, drifts, slopes):
+                assert _same_bits(f, drift(model, ParticleEnsemble(row.copy())))
+                assert _same_bits(s, cost_grad_vector(model, ParticleEnsemble(row.copy())))
+            one_drift, one_slopes = velocity(states[0])
+            assert _same_bits(one_drift, drifts[0]) and _same_bits(one_slopes, slopes[0])
+
+    def test_dense_drift_of_a_stack(self):
+        model = bounded_confidence_model(radius=0.15)
+        states = np.random.Generator(np.random.Philox(key=73)).random((4, 9))
+        got = _drift(model, states)
+        for row, f in zip(states, got):
+            assert _same_bits(f, drift(model, ParticleEnsemble(row.copy())))
+
+    def test_single_particle_rejected(self):
+        with pytest.raises(ValueError, match="at least two particles"):
+            _particle_velocity(consensus_model())(np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("table", [[[1.0]], [[1.0, 0.3], [0.2, 0.0]], [[0.5, -1.0, 0.25], [2.0, 0.0, 0.0]]])
+    def test_drift_terms_of_an_array_of_centres(self, table):
+        table = np.array(table)
+        centres = np.array([-1.5, 0.0, 0.37, 2e3])
+        stacked = _drift_terms(table, centres)
+        assert stacked.shape == (centres.size, table.shape[0] + 1, table.shape[1] + 1)
+        for centre, got in zip(centres, stacked):
+            assert _same_bits(got, _drift_terms(table, float(centre)))
+
+
+class TestSharedQuadrature:
+    """Several quantities from one ``_quadrature`` pass equal, bit for bit, their separate mean-field calls."""
+
+    grid = SpaceGrid(-0.2, 1.1, 40)
+    PUBLIC = {"drift": mean_field_drift, "cost_grad": mean_field_cost_grad, "cost": mean_field_cost}
+
+    @pytest.mark.parametrize("name", ["bounded_confidence", "cubic", "consensus", "mixed"])
+    @pytest.mark.parametrize("quantities", [("drift", "cost_grad"), ("drift", "cost", "cost_grad"), ("cost",)])
+    def test_one_pass_equals_separate_calls(self, name, quantities):
+        model = STACK_MODELS[name]()
+        path = _random_path(self.grid, 5, seed=61)
+        weights = _checked_rows(self.grid, path.data) * self.grid.dx
+        for xs in (self.grid.faces(), self.grid.centers(), self.grid.faces() + 1e-3):
+            evaluate = _quadrature(model, quantities, xs, self.grid)
+            for rows in (weights[2:3], weights):
+                got = evaluate(rows)
+                assert len(got) == len(quantities)
+                for quantity, sums in zip(quantities, got):
+                    if rows.shape[0] == 1:
+                        want = self.PUBLIC[quantity](model, xs, path.density(2))[None]
+                    else:
+                        want = self.PUBLIC[quantity](model, xs, path)
+                    assert _same_bits(np.ascontiguousarray(sums), want)
+
+    def test_side_by_side_matrices_are_not_cached(self):
+        model = bounded_confidence_model(radius=0.15)
+        _quadrature(model, ("drift", "cost_grad"), self.grid.faces(), self.grid)
+        assert sorted(key[0] for key in model._quadrature_cache) == ["cost_grad", "drift"]
