@@ -1,12 +1,16 @@
 """Experiment orchestration: strict JSON configs, deterministic sampling, CSV artifacts.
 
 Every run is a pure function of (config, seed) at the byte level: sampling uses
-a counter-based generator (Philox) keyed by the seed, sums run in fixed order,
-and floats are written with 17 significant digits. The manifest written next
-to the results echoes the config and records the code version and wall clock
-(the manifest is the only artifact that may differ between identical runs).
+the stream of a counter-based generator (Philox-4x64-10) keyed by the seed,
+computed with numpy core so that ``numpy.random`` is never imported, sums run
+in fixed order, and floats are written with 17 significant digits. The
+manifest written next to the results echoes the config and records the code
+version, the wall clock and the process (Python and numpy versions, usable
+CPUs, peak resident memory); it is the only artifact that may differ between
+identical runs.
 
 CLI:  ``mfglab run <config.json> [--out DIR] [--seed S] [--jobs K]``
+(``--jobs`` runs at most as many threads as there are particle stacks and usable CPUs);
 exit codes: 0 success, 2 validation failure, 3 solver failure. Every exit
 after the config file is read writes ``manifest.json``, a validation failure
 included.
@@ -14,20 +18,19 @@ included.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.random import Generator, Philox  # numpy loads this lazily; pay for it at import, not in the first run
 
 from . import __version__ as _version
+from ._philox import philox_uniforms
 from .controller import (
     DEFAULT_BLOW_UP_BOUND,
     _march_stack,
@@ -316,28 +319,27 @@ def parse_config(text: str) -> ExperimentConfig:
 def sample_initial(seed: int, n: int, distribution: dict) -> ParticleEnsemble:
     """Draw n sorted initial positions from the named distribution.
 
-    The stream comes from a Philox counter-based generator keyed by the seed,
-    so the same (seed, n) gives identical uniforms on every platform and
-    parallel cells need no stream-splitting discipline. Truncated-normal
-    positions map those uniforms through the normal CDF (``math.erfc``) and
-    Wichura's AS241 rational approximation of its inverse, evaluated with
-    numpy's ``log`` and ``sqrt``; a numpy whose ``log`` rounds differently can
-    move them by a few ulps. Raises ``ConfigError`` naming ``initial`` when a
-    sample is not finite.
+    The uniforms are the stream of ``Generator(Philox(key=seed)).random``,
+    computed in numpy by ``_philox``: the same (seed, n) gives identical
+    uniforms on every platform and parallel cells need no stream-splitting
+    discipline. A two-bump draw takes 2n uniforms, the picks first.
+    Truncated-normal positions map those uniforms through the normal CDF
+    (``math.erfc``) and Wichura's AS241 rational approximation of its inverse,
+    evaluated with numpy's ``log`` and ``sqrt``; a numpy whose ``log`` rounds
+    differently can move them by a few ulps. Raises ``ConfigError`` naming
+    ``initial`` when a sample is not finite.
     """
     if n < 1:
         raise ValueError(f"need at least one particle, got {n}")
     kind = distribution.get("kind")
-    rng = Generator(Philox(key=seed))
     if kind == "uniform":
         a, b = distribution["a"], distribution["b"]
-        xs = a + (b - a) * rng.random(n)
+        xs = a + (b - a) * philox_uniforms(seed, n)
     elif kind == "gaussian":
-        xs = _truncated_normal(rng.random(n), distribution["mu"], distribution["sigma"],
+        xs = _truncated_normal(philox_uniforms(seed, n), distribution["mu"], distribution["sigma"],
                                distribution["lo"], distribution["hi"])
     elif kind == "two_bump":
-        picks = rng.random(n)
-        us = rng.random(n)
+        picks, us = np.split(philox_uniforms(seed, 2 * n), 2)
         lo, hi = distribution["lo"], distribution["hi"]
         first = _truncated_normal(us, distribution["mu1"], distribution["sigma1"], lo, hi)
         second = _truncated_normal(us, distribution["mu2"], distribution["sigma2"], lo, hi)
@@ -576,7 +578,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str | None = None, job
 
 
 def _write_manifest(out: Path, config, code: int, message: str, start: float) -> Path:
-    """Write ``manifest.json``: the config as validated (or as given, when it failed), exit code and message."""
+    """Write ``manifest.json``: the config as validated (or as given, when it failed), exit code and message.
+
+    It also records the process: the Python and numpy versions, the usable CPUs and the peak resident memory so far.
+    """
     manifest = {
         "config": config,
         "version": _version,
@@ -584,11 +589,34 @@ def _write_manifest(out: Path, config, code: int, message: str, start: float) ->
         "exit_code": code,
         "message": message,
         "sweep_initialization": "zero controls",
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "cpu_count": _usable_cpus(),
+        "peak_rss_mb": _peak_rss_mb(),
     }
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest_path
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _peak_rss_mb() -> float | None:
+    """The peak resident set of this process so far, MiB: ``VmHWM`` of ``/proc/self/status``; None without it."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024  # kB
+    except OSError:
+        pass
+    return None
 
 
 def _spot_check_kernels(cfg: ExperimentConfig, model: ModelSpec) -> None:
@@ -624,8 +652,11 @@ def _run_particle_vs_kinetic(cfg: ExperimentConfig, model: ModelSpec, out: Path,
                                 where=lambda row: f"N={n}, seed={stack_seeds[row]}: ")
         return [(n, seed, w1(empirical(ParticleEnsemble(x)), kinetic_final)) for seed, x in zip(stack_seeds, final)]
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(stacks), _usable_cpus())
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only runs with --jobs > 1 pay for the import
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = [cell for cells in pool.map(run_stack, stacks) for cell in cells]
     else:
         results = [cell for stack in stacks for cell in run_stack(stack)]
@@ -762,13 +793,16 @@ def _output_of(raw) -> Path:
 
 
 def main(argv=None) -> int:
+    import argparse  # the command line alone needs it
+
     parser = argparse.ArgumentParser(prog="mfglab", description="Deterministic experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
     run_parser = sub.add_parser("run", help="run one experiment from a JSON config")
     run_parser.add_argument("config", type=Path, help="path to the JSON configuration")
     run_parser.add_argument("--out", type=Path, default=None, help="output directory")
     run_parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    run_parser.add_argument("--jobs", type=int, default=1, help="parallel experiment cells")
+    run_parser.add_argument("--jobs", type=int, default=1,
+                            help="threads for particle_vs_kinetic stacks, at most one per stack and usable CPU")
     args = parser.parse_args(argv)
 
     try:

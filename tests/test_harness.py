@@ -1,7 +1,9 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -198,7 +200,29 @@ ALPHA_PARTICLES = {
 }
 
 
+TWO_BUMP = {"kind": "two_bump", "mu1": 0.25, "sigma1": 0.1, "mu2": 0.75, "sigma2": 0.1, "lo": 0.0, "hi": 1.0}
+
+
 class TestSampleInitial:
+    @pytest.mark.parametrize("distribution", [
+        {"kind": "uniform", "a": -1.0, "b": 2.0},
+        {"kind": "gaussian", "mu": 0.5, "sigma": 0.2, "lo": 0.0, "hi": 1.0},
+        TWO_BUMP,
+    ], ids=lambda d: d["kind"])
+    def test_positions_come_from_the_numpy_philox_stream(self, distribution):
+        # the uniforms of Generator(Philox(key=seed)).random; a two-bump sample draws its picks, then its positions
+        seed, n, d = 2**70 + 3, 257, distribution
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        if d["kind"] == "uniform":
+            want = d["a"] + (d["b"] - d["a"]) * rng.random(n)
+        elif d["kind"] == "gaussian":
+            want = _truncated_normal(rng.random(n), d["mu"], d["sigma"], d["lo"], d["hi"])
+        else:
+            picks, us = rng.random(n), rng.random(n)
+            want = np.where(picks < 0.5, _truncated_normal(us, d["mu1"], d["sigma1"], d["lo"], d["hi"]),
+                            _truncated_normal(us, d["mu2"], d["sigma2"], d["lo"], d["hi"]))
+        assert sample_initial(seed, n, d).positions.tobytes() == np.sort(want).tobytes()
+
     def test_deterministic_for_fixed_seed(self):
         d = {"kind": "uniform", "a": 0.0, "b": 1.0}
         a = sample_initial(42, 100, d)
@@ -281,12 +305,17 @@ class TestNormalHelpers:
             assert np.all(np.isnan(xs))
 
 
-# A fresh interpreter: imports mfglab, runs each config file named on its command line, prints the scipy modules loaded.
-SCIPY_PROBE = """
+# A fresh interpreter with numpy.random blocked: imports mfglab, runs each config file named on its command line,
+# prints the scipy modules loaded.
+IMPORT_PROBE = """
 import sys
+import numpy  # NumPy 1.x imports numpy.random itself; NumPy 2 only on first use
+sys.modules["numpy.random"] = None  # any import of numpy.random by mfglab fails loudly
 import mfglab
 loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert loaded() == [], loaded()
+cli_only = [m for m in ("concurrent.futures", "argparse") if m in sys.modules]
+assert cli_only == [], cli_only
 for path in sys.argv[1:]:
     with open(path) as fh:
         result = mfglab.run_experiment(mfglab.parse_config(fh.read()), path + ".out")
@@ -297,13 +326,17 @@ print(loaded())
 
 class TestImports:
     def test_import_and_runs_load_no_scipy(self, tmp_path):
+        # importing mfglab loads neither scipy nor the modules only --jobs and the CLI use, and a run of every
+        # initial kind (gaussian particles, two-bump particles, uniform Nash players) works without numpy.random
+        configs = {name: HOSTILE_BASES[name] for name in ("particle_vs_kinetic", "mfg_vs_brs", "nash_vs_brs")}
+        configs["two_bump"] = dict(HOSTILE_BASES["particle_vs_kinetic"], initial=TWO_BUMP)
         paths = []
-        for experiment in ("particle_vs_kinetic", "mfg_vs_brs"):
-            paths.append(tmp_path / f"{experiment}.json")
-            paths[-1].write_text(json.dumps(HOSTILE_BASES[experiment]))
+        for name, raw in configs.items():
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(raw))
         src = str(Path(harness.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", SCIPY_PROBE, *map(str, paths)],
+        done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", IMPORT_PROBE, *map(str, paths)],
                               capture_output=True, text=True, env=env, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[]"
@@ -359,8 +392,24 @@ class TestRunExperiment:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config"]["experiment"] == "nash_vs_brs"
         assert "version" in manifest and "wall_clock_seconds" in manifest
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
+        assert manifest["cpu_count"] == harness._usable_cpus() >= 1
+        if Path("/proc/self/status").exists():
+            assert 1.0 < manifest["peak_rss_mb"] < 1e6
+        else:
+            assert manifest["peak_rss_mb"] is None
 
-    def test_particle_cells_parallel_matches_sequential(self, tmp_path):
+    def test_manifest_peak_memory_null_without_proc_status(self, tmp_path, monkeypatch):
+        def no_proc(path, *args, **kwargs):
+            raise FileNotFoundError(path)
+
+        monkeypatch.setattr(harness, "open", no_proc, raising=False)
+        path = harness._write_manifest(tmp_path, None, EXIT_OK, "", 0.0)
+        assert json.loads(path.read_text())["peak_rss_mb"] is None
+
+    def test_particle_cells_parallel_matches_sequential(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)  # a pool on any runner
         raw = {
             "experiment": "particle_vs_kinetic",
             "model": {"kind": "consensus"},
@@ -833,7 +882,8 @@ BOUNDED_PARTICLES = {
 class TestParticleStacks:
     """particle_vs_kinetic integrates the seeds of each N as bounded stacks, with the bytes of per-cell runs."""
 
-    def test_dense_model_cells_equal_per_cell_runs_for_any_job_count(self, tmp_path):
+    def test_dense_model_cells_equal_per_cell_runs_for_any_job_count(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)  # a pool on any runner
         cfg = parse_config(json.dumps(BOUNDED_PARTICLES))
         model = harness.build_model(cfg)
         assert model.drift.table is None and model.cost.table is None
@@ -850,6 +900,40 @@ class TestParticleStacks:
             assert run_experiment(cfg, out_dir=tmp_path / str(jobs), jobs=jobs).exit_code == EXIT_OK
             assert (tmp_path / str(jobs) / "cells.csv").read_bytes() == want
         assert (tmp_path / "1" / "summary.csv").read_bytes() == (tmp_path / "3" / "summary.csv").read_bytes()
+
+    # BOUNDED_PARTICLES runs as 3 stacks: N = 8 with its 3 seeds, N = 150 with 2 seeds and with 1
+    @pytest.mark.parametrize("jobs, cpus, pool", [(10**6, 64, 3), (10**6, 2, 2), (2, 64, 2), (10**6, 1, None),
+                                                  (1, 64, None)])
+    def test_pool_capped_by_stacks_and_usable_cpus(self, tmp_path, monkeypatch, jobs, cpus, pool):
+        sizes = []
+
+        class SerialExecutor:  # records its size and maps in this thread, so no thread starts
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialExecutor)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        cfg = parse_config(json.dumps(BOUNDED_PARTICLES))
+        assert run_experiment(cfg, out_dir=tmp_path, jobs=jobs).exit_code == EXIT_OK
+        assert sizes == ([] if pool is None else [pool])
+
+    def test_usable_cpus_falls_back_to_the_machine_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        assert harness._usable_cpus() == 2
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert harness._usable_cpus() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert harness._usable_cpus() == 1
 
     def test_diverging_seed_named_with_its_step_and_time(self, tmp_path):
         # u = x^3 under phi(x, y) = -x^4 / 4 blows up at t = 1 / (2 x0^2): seeds whose largest x0 exceeds 0.5
