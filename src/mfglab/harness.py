@@ -5,9 +5,9 @@ the stream of a counter-based generator (Philox-4x64-10) keyed by the seed,
 computed with numpy core so that ``numpy.random`` is never imported, sums run
 in fixed order, and floats are written with 17 significant digits. The
 manifest written next to the results echoes the config and records the code
-version, the wall clock and the process (Python and numpy versions, usable
-CPUs, peak resident memory); it is the only artifact that may differ between
-identical runs.
+version, the wall clock, the wall time of each stage and the process (Python
+and numpy versions, usable CPUs, peak resident memory); it is the only
+artifact that may differ between identical runs.
 
 CLI:  ``mfglab run <config.json> [--out DIR] [--seed S] [--jobs K]``
 (``--jobs`` runs at most as many threads as there are particle stacks and usable CPUs);
@@ -547,6 +547,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str | None = None, job
     code 2. Both are reported, not raised, and every exit writes the manifest.
     """
     start = time.monotonic()
+    stages = _Stages()
     out = Path(out_dir) if out_dir is not None else Path(cfg.output or "results")
     out.mkdir(parents=True, exist_ok=True)
     driver = {
@@ -562,7 +563,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str | None = None, job
         except ValueError as exc:
             raise ConfigError([f"model: {exc}"]) from None
         _spot_check_kernels(cfg, model)
-        artifacts, message = driver(cfg, model, out, jobs)
+        stages.lap("model")
+        artifacts, message = driver(cfg, model, out, jobs, stages)
         code = EXIT_OK
     except ConfigError as exc:
         artifacts, message = [], f"validation failed: {exc}"
@@ -573,19 +575,36 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str | None = None, job
     except (DivergenceError, CFLError, NumericalError) as exc:
         artifacts, message = [], f"stage {cfg.experiment!r} failed: {exc}"
         code = EXIT_SOLVER
-    artifacts.append(_write_manifest(out, dataclasses.asdict(cfg), code, message, start))
+    artifacts.append(_write_manifest(out, dataclasses.asdict(cfg), code, message, start, stages.seconds))
     return RunResult(code, artifacts, message)
 
 
-def _write_manifest(out: Path, config, code: int, message: str, start: float) -> Path:
+class _Stages:
+    """Wall time of the finished stages of one run, in seconds by stage name."""
+
+    def __init__(self):
+        self.seconds: dict[str, float] = {}
+        self._last = time.monotonic()
+
+    def lap(self, name: str) -> None:
+        """Book the time since the previous lap, or since the start, to stage ``name``."""
+        now = time.monotonic()
+        self.seconds[name] = self.seconds.get(name, 0.0) + (now - self._last)
+        self._last = now
+
+
+def _write_manifest(out: Path, config, code: int, message: str, start: float, stage_seconds=None) -> Path:
     """Write ``manifest.json``: the config as validated (or as given, when it failed), exit code and message.
 
-    It also records the process: the Python and numpy versions, the usable CPUs and the peak resident memory so far.
+    It also records the wall time of each finished stage (``stage_seconds``, empty when the config
+    failed validation before the run) and the process: the Python and numpy versions, the usable CPUs and the peak
+    resident memory so far.
     """
     manifest = {
         "config": config,
         "version": _version,
         "wall_clock_seconds": time.monotonic() - start,
+        "stage_seconds": stage_seconds or {},
         "exit_code": code,
         "message": message,
         "sweep_initialization": "zero controls",
@@ -630,7 +649,7 @@ def _spot_check_kernels(cfg: ExperimentConfig, model: ModelSpec) -> None:
         raise ConfigError([f"drift kernel is negative on the experiment domain (min {np.min(vals):.3e})"])
 
 
-def _run_particle_vs_kinetic(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: int):
+def _run_particle_vs_kinetic(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: int, stages: _Stages):
     grid = build_grid(cfg)
     m0 = density_of(cfg.initial, grid)
     dt_kin = cfl_time_step(model, m0, cfg.horizon)
@@ -661,17 +680,18 @@ def _run_particle_vs_kinetic(cfg: ExperimentConfig, model: ModelSpec, out: Path,
     else:
         results = [cell for stack in stacks for cell in run_stack(stack)]
     results.sort(key=lambda r: (r[0], r[1]))
-
-    artifacts = [write_csv(out / "cells.csv", ["n", "seed", "w1"], results)]
     summary = []
     for n in cfg.n_particles_list:
         vals = [r[2] for r in results if r[0] == n]
         summary.append((n, float(np.mean(vals))))
-    artifacts.append(write_csv(out / "summary.csv", ["n", "w1_mean"], summary))
+    stages.lap("solve")
+    artifacts = [write_csv(out / "cells.csv", ["n", "seed", "w1"], results),
+                 write_csv(out / "summary.csv", ["n", "w1_mean"], summary)]
+    stages.lap("write")
     return artifacts, f"{len(results)} cells against the kinetic solution (dt_kinetic={dt_kin:.6g})"
 
 
-def _run_mpc_vs_brs(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: int):
+def _run_mpc_vs_brs(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: int, stages: _Stages):
     start = sample_initial(cfg.seed, cfg.n_particles, cfg.initial)
     rows = []
     for dt in cfg.dt_list:
@@ -683,7 +703,9 @@ def _run_mpc_vs_brs(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: in
             float(np.max(np.abs(exact - taylor))),
             float(np.max(np.abs(taylor - myopic))),
         ))
+    stages.lap("solve")
     artifacts = [write_csv(out / "gaps.csv", ["dt", "gap_exact_taylor", "gap_taylor_brs"], rows)]
+    stages.lap("write")
     return artifacts, f"{len(rows)} step sizes compared"
 
 
@@ -695,7 +717,7 @@ def _picard_params(cfg: ExperimentConfig) -> PicardParams:
     )
 
 
-def _run_mfg_vs_brs(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: int):
+def _run_mfg_vs_brs(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: int, stages: _Stages):
     m0 = density_of(cfg.initial, build_grid(cfg))
     result = mfg_fixed_point(model, m0, cfg.horizon, cfg.dt, _picard_params(cfg))
     if not result.converged:
@@ -703,10 +725,13 @@ def _run_mfg_vs_brs(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: in
             f"coupled fixed point did not converge (residual {result.residual:.3e} "
             f"after {result.iterations} iterations)"
         )
+    stages.lap("fixed_point")
     kin = solve_kinetic(model, m0, cfg.horizon, cfg.dt)
+    stages.lap("best_reply")
     dist = w1(result.densities.final, kin.final)
     cost_game = total_running_cost(model, result.densities, feedback_controls_from_value(model, result.value))
     cost_myopic = total_running_cost(model, kin, feedback_controls_best_reply(model, kin))
+    stages.lap("costs")
     artifacts = [
         write_grid_path_csv(out / "value.csv", ["t", "x", "v"], result.value),
         write_grid_path_csv(out / "density_mfg.csv", ["t", "x_center", "m"], result.densities),
@@ -722,18 +747,21 @@ def _run_mfg_vs_brs(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: in
             ("converged", result.converged),
         ]),
     ]
+    stages.lap("write")
     return artifacts, f"fixed point in {_iterations(result)}, W1(final) = {dist:.3e}"
 
 
-def _run_prop2_gap(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: int):
+def _run_prop2_gap(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: int, stages: _Stages):
     m0 = density_of(cfg.initial, build_grid(cfg))
     params = _picard_params(cfg)
     rows = [(dt, proposition2_gap(model, m0, dt, params)) for dt in cfg.dt_list]
+    stages.lap("solve")
     artifacts = [write_csv(out / "gaps.csv", ["dt", "gap"], rows)]
+    stages.lap("write")
     return artifacts, f"{len(rows)} window sizes"
 
 
-def _run_nash_vs_brs(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: int):
+def _run_nash_vs_brs(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: int, stages: _Stages):
     start = sample_initial(cfg.seed, cfg.n_particles, cfg.initial)
     params = SweepParams(
         max_iterations=cfg.solver_max_iterations or 500,
@@ -753,6 +781,7 @@ def _run_nash_vs_brs(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: i
     v_game = _value_along(model, result.trajectory, result.controls)
     v_myopic = _value_along(model, brs_trajectory, brs_profile)
     rows = list(zip(range(cfg.n_particles), u_game, u_myopic, np.abs(u_game - u_myopic), v_game, v_myopic))
+    stages.lap("solve")
     artifacts = [
         write_csv(out / "particles.csv",
                   ["i", "u_nash", "u_brs", "abs_gap", "v_nash", "v_brs"], rows),
@@ -765,6 +794,7 @@ def _run_nash_vs_brs(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: i
             ("converged", result.converged),
         ]),
     ]
+    stages.lap("write")
     return artifacts, f"sweep converged in {_iterations(result)}"
 
 

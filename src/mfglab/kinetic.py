@@ -22,7 +22,10 @@ step checks the CFL restriction with dt * max|c| / dx, moves the row, and
 keeps a new row whose minimum is nonnegative and whose mass is within
 ``MASS_TOL`` of 1. Any other row is clipped or rejected by the checks of
 ``DensityGrid``. The result is bit for bit the loop of ``velocity_field`` and
-``step_upwind`` calls it replaces.
+``step_upwind`` calls it replaces: the steps call numpy's reductions
+directly, with the elementwise operations of those calls in their order. A
+dense quadrature that overflowed leaves inf or nan in the velocity without a
+numpy warning, and the CFL check reports it.
 """
 
 from __future__ import annotations
@@ -72,8 +75,9 @@ def _upwind(grid: SpaceGrid, values: np.ndarray, face_velocity: np.ndarray, dt: 
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if not dt * np.abs(face_velocity).max() / grid.dx <= CFL_NUMBER + 1e-12:  # a NaN velocity fails too
-        courant = dt * np.abs(face_velocity) / grid.dx
+    dx = grid.dx
+    if not dt * np.maximum.reduce(np.abs(face_velocity)) / dx <= CFL_NUMBER + 1e-12:  # a NaN velocity fails too
+        courant = dt * np.abs(face_velocity) / dx
         worst = int(np.argmax(courant))
         raise CFLError(
             f"CFL violated: dt*|c|/dx = {courant[worst]:.4f} > {CFL_NUMBER} at face {worst} "
@@ -82,9 +86,8 @@ def _upwind(grid: SpaceGrid, values: np.ndarray, face_velocity: np.ndarray, dt: 
         )
     flux = np.zeros(grid.cells + 1)
     inner = face_velocity[1:-1]
-    upwind = np.where(inner > 0.0, values[:-1], values[1:])
-    flux[1:-1] = inner * upwind
-    return values - (dt / grid.dx) * (flux[1:] - flux[:-1])
+    np.multiply(inner, np.where(inner > 0.0, values[:-1], values[1:]), out=flux[1:-1])
+    return values - (dt / dx) * (flux[1:] - flux[:-1])
 
 
 def _march(model: ModelSpec, m0: DensityGrid, times: np.ndarray, dt: float,
@@ -94,28 +97,34 @@ def _march(model: ModelSpec, m0: DensityGrid, times: np.ndarray, dt: float,
     Step l moves the density with face velocity F(x, m_l) - S_l / alpha(t_l):
     S_l is row l of ``value_slopes`` when given, and dH/dx (x, m_l) otherwise.
     F and dH/dx come from one quadrature set up for the march
-    (``model._quadrature``), one call per step, bit for bit ``velocity_field``.
+    (``model._quadrature``), one call per step, bit for bit ``velocity_field``;
+    given value slopes are divided by their weights once, for all steps.
     A new row whose minimum is nonnegative and whose mass is within
     ``MASS_TOL`` of 1 is kept as it is; any other row goes through
     ``_checked_rows``, which clips it or raises as ``DensityGrid`` does. A CFL
-    violation raises ``CFLError`` with the step index, its message prefixed
-    by ``where``.
+    violation, an overflowed velocity included, raises ``CFLError`` with the
+    step index, its message prefixed by ``where``.
     """
     grid = m0.grid
+    dx = grid.dx
     quantities = ("drift",) if value_slopes is not None else ("drift", "cost_grad")
     velocity = _quadrature(model, quantities, grid.faces(), grid)
     weights = [alpha_at(model, float(t)) for t in times[:-1]]
+    if value_slopes is not None:
+        value_slopes = value_slopes / np.array(weights)[:, None]
     data = np.empty((times.size, grid.cells))
     data[0] = m0.cell_averages
     for step, weight in enumerate(weights):
-        parts = velocity(data[step][None, :] * grid.dx)
-        slopes = parts[1][0] if value_slopes is None else value_slopes[step]
-        face_velocity = parts[0][0] - slopes / weight
+        parts = velocity(data[step][None, :] * dx)
+        if value_slopes is None:
+            face_velocity = parts[0][0] - parts[1][0] / weight
+        else:
+            face_velocity = parts[0][0] - value_slopes[step]
         try:
             values = _upwind(grid, data[step], face_velocity, dt)
         except CFLError as err:
             raise CFLError(f"{where}step {step}: {err}", step=step, face=err.face) from None
-        if values.min() >= 0.0 and abs(values.sum() * grid.dx - 1.0) <= MASS_TOL:
+        if np.minimum.reduce(values) >= 0.0 and abs(np.add.reduce(values) * dx - 1.0) <= MASS_TOL:
             data[step + 1] = values
         else:
             data[step + 1] = _checked_rows(grid, values)

@@ -13,11 +13,14 @@ viscosity max|d/dx v| / alpha. The forward equation reuses the conservative
 upwind machinery with face velocity F - (1/alpha) * (two-point difference of v).
 
 The backward march, the best-reply feedback and the running cost know their
-whole density path in advance, so they take F and H for all slices from one
-path-level quadrature each (see ``model``), bit for bit the per-slice values.
-The forward march computes each slice from the one before; it is the march of
-``kinetic``, with F's quadrature set up once and the value slopes for all
-slices taken in one difference.
+whole density path in advance, so they take their quadratures for all slices
+at once (see ``model``), bit for bit the per-slice values: the backward march
+F and H together from one quadrature of both, the others one each. The
+backward steps call numpy's reductions directly and keep the elementwise
+operations of the per-slice scheme in their order. The forward march computes
+each slice from the one before; it is the march of ``kinetic``, with F's
+quadrature set up once and the value slopes for all slices taken in one
+difference and divided by alpha once.
 
 The coupled system is solved by damped Picard iteration on the density path,
 accelerated by safeguarded Anderson mixing (``_anderson``).
@@ -37,7 +40,7 @@ from ._anderson import Anderson
 from .errors import CFLError, NumericalError
 from .grids import DensityGrid, DensityTrajectory, SpaceGrid, _checked_rows, time_grid, uniform_dt
 from .kinetic import CFL_NUMBER, _initial_speed, _march, solve_kinetic
-from .model import ModelSpec, _sum_ascending, alpha_at, mean_field_cost, mean_field_cost_grad, mean_field_drift
+from .model import ModelSpec, _quadrature, _rows, _sum_ascending, alpha_at, mean_field_cost, mean_field_cost_grad
 
 
 @dataclass
@@ -88,6 +91,7 @@ class MFGResult:
     rejected_steps: int
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow leaves inf or nan for the checks
 def hjb_backward(model: ModelSpec, m_path: DensityTrajectory) -> ValueGrid:
     """Backward march of the value equation along a given density path.
 
@@ -96,33 +100,32 @@ def hjb_backward(model: ModelSpec, m_path: DensityTrajectory) -> ValueGrid:
         v_l = v_{l+1} + dt * ( F . Dv - LLF((d/dx v)^2 / (2 alpha)) + H ).
 
     The CFL restriction dt (max|F| + viscosity)/dx <= 0.9 is enforced per step.
-    F and H come for every slice of the path at once, from one quadrature each,
-    and so do alpha, max|F| and the upwind direction of F.
+    F and H come for every slice of the path at once, from one quadrature of
+    both, and so do alpha, max|F| and the upwind direction of F. Each step
+    tests every entry of its slice for finiteness only when the slice's sum
+    is not finite.
     """
     times = m_path.times
     dt = uniform_dt(times)
     grid = m_path.grid
     dx = grid.dx
-    centers = grid.centers()
-    drifts = mean_field_drift(model, centers, m_path)
-    sources = mean_field_cost(model, centers, m_path)
+    drifts, sources = _quadrature(model, ("drift", "cost"), grid.centers(), grid)(_rows(m_path) * dx)
     weights = [alpha_at(model, float(t)) for t in times[1:]]  # weights[l] at the later slice l + 1
-    drift_speeds = np.max(np.abs(drifts), axis=1).tolist()
+    drift_speeds = np.maximum.reduce(np.abs(drifts), axis=1).tolist()
     forward = drifts >= 0.0
     n_slices = times.size
     data = np.zeros((n_slices, grid.cells))
-    # backward and forward difference quotients, zero-slope extension at the ends
-    p_minus = np.zeros(grid.cells)
-    p_plus = np.zeros(grid.cells)
-    slopes = p_minus[1:]
+    # backward and forward difference quotients, zero-slope extension at the ends:
+    # two overlapping views of the slopes padded with one zero on each side
+    padded = np.zeros(grid.cells + 1)
+    p_minus, p_plus, slopes = padded[:-1], padded[1:], padded[1:-1]
     for step in range(n_slices - 2, -1, -1):
         weight = weights[step]
         f = drifts[step + 1]
         v_next = data[step + 1]
         np.subtract(v_next[1:], v_next[:-1], out=slopes)
         slopes /= dx
-        p_plus[:-1] = slopes
-        viscosity = np.max(np.abs(slopes)) / weight
+        viscosity = np.maximum.reduce(np.abs(slopes)) / weight
         speed = drift_speeds[step + 1] + viscosity
         if dt * speed / dx > CFL_NUMBER + 1e-12:
             raise CFLError(
@@ -133,8 +136,8 @@ def hjb_backward(model: ModelSpec, m_path: DensityTrajectory) -> ValueGrid:
         transport_slope = np.where(forward[step + 1], p_plus, p_minus)
         p_avg = 0.5 * (p_minus + p_plus)
         hamiltonian = p_avg * p_avg / (2.0 * weight) - 0.5 * viscosity * (p_plus - p_minus)
-        data[step] = v_next + dt * (f * transport_slope - hamiltonian + sources[step + 1])
-        if not np.all(np.isfinite(data[step])):
+        np.add(v_next, dt * (f * transport_slope - hamiltonian + sources[step + 1]), out=data[step])
+        if not math.isfinite(np.add.reduce(data[step])) and not np.isfinite(data[step]).all():
             raise NumericalError(f"non-finite value slice at step {step}")
     return ValueGrid(grid, times.copy(), data)
 

@@ -57,24 +57,34 @@ Reproducibility contract:
   ``dataclasses.replace`` starts an empty one.
 * Each kernel matrix is cell-major: (M, Q) in C order, one row per cell.
   Sums over cells run strictly left to right and form no prefix sums
-  (``_cell_sums``). One density against Q >= 2 points is reduced with
-  ``np.add.reduce(..., axis=0, initial=-0.0)``, which adds whole rows in
-  order; the -0.0 start keeps an all-negative-zero sum negative, as a plain
-  reduce (starting from +0.0) would not. A single query point is never
-  reduced that way: its cell axis is contiguous and numpy sums it pairwise.
-  It goes, like a stack of rows, through an accumulator that adds one cell at
-  a time. ``tests/test_model.py::TestReductionOrder`` pins this numpy loop.
+  (``_cell_sums``): one ``np.einsum("lk,kq->lq", weights, matrix)`` serves a
+  density (L = 1) and a whole density path alike. For Q >= 2 numpy's einsum
+  loop adds ``weights[l, k] * matrix[k, :]`` into each output row one cell at
+  a time, in ascending k, rounding the multiply and the add separately, so
+  each sum is the ascending sum bit for bit except in its sign of zero:
+  einsum starts from +0.0, so a sum whose every product is -0.0 comes back
+  +0.0. ``_cell_sums`` sets such an exact zero back to -0.0, testing the
+  products, since a weight may be -0.0 too.
+* A single query point (Q = 1) is never contracted alone: its cell axis is
+  contiguous and einsum splits it into partial sums. It is summed as the
+  first of two equal columns.
+* einsum raises no floating-point warnings. A dense overflow leaves inf or
+  nan without one, as the structured path does under ``errstate``, and the
+  marches' CFL and finiteness checks report it.
+* ``tests/test_model.py::TestReductionOrder`` pins this einsum loop. A numpy
+  build whose einsum fuses the multiply and the add (FMA in its baseline,
+  as on aarch64) rounds once per cell and fails that test.
 * The three mean-field quadratures take a ``DensityTrajectory`` as well as a
   ``DensityGrid``: the path's rows are checked and clipped once as
   ``DensityGrid`` would, and the result has one row per time slice, bit for
   bit what per-slice calls give. No (M, L, Q) product is formed.
-* The upwind march (``kinetic``) sets its quadratures up once per march
-  (``_quadrature``) and feeds them one density row per step in one call. The
-  dense quantities' cached matrices sit side by side, (M, 2Q), and that row
-  takes the one-row branch of ``_cell_sums``, the same ascending
-  ``np.add.reduce`` as a ``DensityGrid`` query, which reduces each column on
-  its own; the structured quantities share one set of power sums of the row.
-  So the march repeats the per-step calls bit for bit. The side-by-side
+* The upwind march (``kinetic``) and the value march (``mfg.hjb_backward``)
+  set their quadratures up once per march (``_quadrature``): F and dH/dx at
+  the faces, fed one density row per step, and F and H at the centers, fed
+  the whole path at once. The dense quantities' cached matrices sit side by
+  side, (M, 2Q), and one ``_cell_sums`` contraction sums every column on its
+  own; the structured quantities share one set of power sums of each row.
+  So the marches repeat the per-quantity calls bit for bit. The side-by-side
   matrix is built per march and not cached.
 """
 
@@ -388,21 +398,22 @@ def _shaped(out: np.ndarray, x, m: DensityGrid | DensityTrajectory) -> np.ndarra
 def _cell_sums(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum_k weights[l, k] vals[k, q] for every row l and point q, strictly in ascending k.
 
-    ``vals`` is cell-major, (M, Q) in C order. One row against Q >= 2 points
-    reduces its (M, Q) integrand over the cell axis: numpy then adds whole
-    rows in order, from an initial -0.0 that keeps the first term exactly.
-    Otherwise an (L, Q) accumulator adds one cell at a time, because with a
-    single point the reduced axis is contiguous and numpy sums it pairwise.
-    Neither way forms prefix sums or an (M, L, Q) product.
+    ``vals`` is cell-major, (M, Q) in C order, and ``weights`` (L, M) in C
+    order. One einsum contraction adds ``weights[l, k] * vals[k, :]`` into
+    each output row one cell at a time. It starts from +0.0, where the
+    ascending sum starts from its first term, so an exact zero whose every
+    product carries the sign bit is set back to -0.0. A single point is
+    summed as the first of two equal columns, since with Q = 1 the reduced
+    axis is contiguous and einsum splits it. No prefix sums, no (M, L, Q)
+    product and no floating-point warnings.
     """
-    if weights.shape[0] == 1 and vals.shape[1] > 1:
-        return np.add.reduce(vals * weights.T, axis=0, initial=-0.0)[None, :]
-    columns = weights.T
-    out = columns[0][:, None] * vals[0]
-    term = np.empty_like(out)
-    for k in range(1, vals.shape[0]):
-        np.multiply(columns[k][:, None], vals[k], out=term)
-        out += term
+    if vals.shape[1] == 1:
+        return _cell_sums(np.repeat(vals, 2, axis=1), weights)[:, :1]
+    out = np.einsum("lk,kq->lq", weights, vals)
+    if np.count_nonzero(out) < out.size:  # some sum is an exact zero, which is rare
+        rows, cols = np.nonzero(out == 0.0)
+        negative = np.signbit(weights[rows] * vals.T[cols]).all(axis=1)
+        out[rows[negative], cols[negative]] = -0.0
     return out
 
 
@@ -437,11 +448,12 @@ def _quadrature(model: ModelSpec, quantities: tuple[str, ...], xs: np.ndarray,
     an (L, M) stack of weighted cell averages m dx to a list of (L, Q) sums,
     one per quantity, ascending in the cell. Dense quantities set their
     ``_kernel_matrix``es side by side, (M, K Q), and sum them in one
-    ``_cell_sums`` pass, which treats every column alike. Structured
+    ``_cell_sums`` contraction, which treats every column alike. Structured
     quantities evaluate their tables, shifted to the grid midpoint once, from
     one set of power sums of the cell centers about it, taken to the largest
-    degree; there an overflow leaves inf or nan for the CFL and finiteness
-    checks. Either way each quantity gets bit for bit what it gets alone.
+    degree. Either way each quantity gets bit for bit what it gets alone, and
+    an overflow leaves inf or nan, without a warning, for the CFL and
+    finiteness checks.
     """
     slots, matrices, tables = [], [], []
     with np.errstate(over="ignore", invalid="ignore"):

@@ -400,6 +400,18 @@ class TestRunExperiment:
         else:
             assert manifest["peak_rss_mb"] is None
 
+    def test_manifest_stage_seconds(self, tmp_path):
+        # every driver books its model, solve and write stages; mfg_vs_brs books its solve as three
+        for name, raw in HOSTILE_BASES.items():
+            out = tmp_path / name.replace("/", "_")
+            assert run_experiment(parse_config(json.dumps(raw)), out_dir=out).exit_code == EXIT_OK
+            manifest = json.loads((out / "manifest.json").read_text())
+            stages = manifest["stage_seconds"]
+            solve = {"fixed_point", "best_reply", "costs"} if raw["experiment"] == "mfg_vs_brs" else {"solve"}
+            assert set(stages) == {"model", "write"} | solve
+            assert all(seconds >= 0.0 for seconds in stages.values())
+            assert sum(stages.values()) <= manifest["wall_clock_seconds"]
+
     def test_manifest_peak_memory_null_without_proc_status(self, tmp_path, monkeypatch):
         def no_proc(path, *args, **kwargs):
             raise FileNotFoundError(path)
@@ -407,6 +419,7 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "open", no_proc, raising=False)
         path = harness._write_manifest(tmp_path, None, EXIT_OK, "", 0.0)
         assert json.loads(path.read_text())["peak_rss_mb"] is None
+        assert json.loads(path.read_text())["stage_seconds"] == {}
 
     def test_particle_cells_parallel_matches_sequential(self, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)  # a pool on any runner
@@ -482,7 +495,9 @@ class TestRunExperiment:
         result = run_experiment(parse_config(json.dumps(raw)), out_dir=tmp_path)
         assert result.exit_code == EXIT_SOLVER
         assert "did not converge" in result.message
-        assert json.loads((tmp_path / "manifest.json").read_text())["exit_code"] == EXIT_SOLVER
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["exit_code"] == EXIT_SOLVER
+        assert list(manifest["stage_seconds"]) == ["model"]  # the stages that finished
 
 
 class TestCli:
@@ -504,6 +519,7 @@ class TestCli:
         manifest = json.loads((tmp_path / "results" / "manifest.json").read_text())
         assert manifest["exit_code"] == EXIT_CONFIG and "dt must be" in manifest["message"]
         assert manifest["config"]["dt"] == 0
+        assert manifest["stage_seconds"] == {}
 
     @pytest.mark.parametrize("path, value", [
         (("horizon",), INF), (("horizon",), True), (("initial", "a"), -INF), (("initial", "b"), INF),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from mfglab import (
 )
 from mfglab import kinetic
 from mfglab.kinetic import cfl_time_step
+from mfglab.model import ModelSpec, PairKernel
 
 
 def bump_density(grid, center, width):
@@ -54,7 +57,7 @@ class TestStepUpwind:
         grid = SpaceGrid(0.0, 1.0, 32)
         dens = normalized_density(grid, 1.0 + grid.centers())
         out = step_upwind(dens, np.zeros(33), 0.01)
-        assert np.array_equal(out.cell_averages, dens.cell_averages)
+        assert out.cell_averages.tobytes() == dens.cell_averages.tobytes()
 
     def test_mass_conserved_exactly(self):
         grid = SpaceGrid(0.0, 1.0, 64)
@@ -215,7 +218,7 @@ class TestDensityGridStructure:
         path = solve_kinetic(model, dens, 0.1, 0.05)
         assert len(path) == 3
         assert isinstance(path.final, DensityGrid)
-        assert np.array_equal(path.density(0).cell_averages, dens.cell_averages)
+        assert path.density(0).cell_averages.tobytes() == dens.cell_averages.tobytes()
 
 
 class TestMarchRowChecks:
@@ -255,6 +258,27 @@ class TestMarchRowChecks:
         assert (err.value.step, err.value.face) == (1, face) and face == (9 if bad == "nan" else 3)
         assert str(err.value) == (f"step 1: CFL violated: dt*|c|/dx = {courant[face]:.4f} > {kinetic.CFL_NUMBER} "
                                   f"at face {face} (x = {self.grid.faces()[face]:.6g})")
+
+    def test_overflowed_dense_velocity_fails_the_cfl_check_without_a_warning(self):
+        # P = 1e308 on a domain of width 4: the cell terms P (y - x) beyond |y - x| = 1.8 are
+        # infinite, so the dense drift is inf at the end faces and nan between them
+        grid = SpaceGrid(0.0, 4.0, 16)
+        zero = lambda x, y: np.float64(0.0)  # noqa: E731
+        model = ModelSpec(PairKernel(lambda x, y: np.float64(1e308), zero, zero), PairKernel(zero, zero, zero),
+                          lambda t: 1.0)
+        m0 = normalized_density(grid, np.ones(grid.cells))
+        dt = 0.05
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = velocity_field(model, m0, 0.0)
+            with pytest.raises(CFLError) as err:
+                solve_kinetic(model, m0, 2 * dt, dt)
+        assert np.isinf(c[0]) and np.isnan(c[8])
+        courant = dt * np.abs(c) / grid.dx
+        face = int(np.argmax(courant))
+        assert (err.value.step, err.value.face) == (0, face)
+        assert str(err.value) == (f"step 0: CFL violated: dt*|c|/dx = {courant[face]:.4f} > {kinetic.CFL_NUMBER} "
+                                  f"at face {face} (x = {grid.faces()[face]:.6g})")
 
     @pytest.mark.parametrize("defect", ["mass", "negative", "nan", "inf"])
     def test_rejected_rows_raise_the_density_grid_error(self, monkeypatch, defect):

@@ -107,7 +107,7 @@ class TestFpForward:
         v_flat = ValueGrid(self.grid, self.times, flat)
         a = fp_forward(self.model, self.zero_v, self.m0)
         b = fp_forward(self.model, v_flat, self.m0)
-        assert np.array_equal(a.data, b.data)
+        assert a.data.tobytes() == b.data.tobytes()
 
     def test_mass_conserved(self):
         path = fp_forward(self.model, self.zero_v, self.m0)
@@ -173,7 +173,7 @@ class TestClosure:
         dt = cfl_time_step(model, m0, 0.5)
         a = mpc_mfg_closure(model, m0, 0.5, dt)
         b = solve_kinetic(model, m0, 0.5, dt)
-        assert np.array_equal(a.data, b.data)
+        assert a.data.tobytes() == b.data.tobytes()
         assert np.array_equal(a.times, b.times)
 
     def test_constant_cost_reduces_to_pure_transport(self):
@@ -342,12 +342,30 @@ class TestPathEvaluation:
                                 + gaussian_density(grid, 0.6, 0.05).cell_averages)
         path = solve_kinetic(model, m0, 0.2, 0.005)
         value = hjb_backward(model, path)
-        assert np.array_equal(value.data, _hjb_reference(model, path))
+        assert value.data.tobytes() == _hjb_reference(model, path).tobytes()
         assert np.any(value.data != 0.0)
         controls = feedback_controls_best_reply(model, path)
-        assert np.array_equal(controls, _best_reply_reference(model, path))
+        assert controls.tobytes() == _best_reply_reference(model, path).tobytes()
         for u in (controls, feedback_controls_from_value(model, value)):
             assert total_running_cost(model, path, u) == _running_cost_reference(model, path, u)
+
+    def test_backward_march_takes_one_quadrature_of_drift_and_cost(self, monkeypatch):
+        import mfglab.mfg
+        import mfglab.model
+
+        model = bounded_confidence_model(radius=0.15)
+        grid = grid_for_support(0.2, 0.8, 32)
+        path = constant_path(grid, gaussian_density(grid), 0.1, 10)
+        want = hjb_backward(model, path)
+        calls = []
+
+        def recording(model, quantities, xs, grid):
+            calls.append(quantities)
+            return mfglab.model._quadrature(model, quantities, xs, grid)
+
+        monkeypatch.setattr(mfglab.mfg, "_quadrature", recording)
+        assert hjb_backward(model, path).data.tobytes() == want.data.tobytes()
+        assert calls == [("drift", "cost")]
 
     def test_running_cost_weights_clipped_rows(self):
         # a round-off negative that densities clip to 0, under a control large

@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -351,8 +352,8 @@ class TestStackedAdjointInputs:
         jacobians, gradients = _drift_jacobians(m, states), _cost_gradients(m, states)
         assert jacobians.shape == gradients.shape == states.shape + states.shape[-1:]
         for row, jac, grad in zip(states, jacobians, gradients):
-            assert np.array_equal(jac, drift_jacobian(m, ParticleEnsemble(row.copy())))
-            assert np.array_equal(grad, cost_gradient_full(m, ParticleEnsemble(row.copy())))
+            assert _same_bits(jac, drift_jacobian(m, ParticleEnsemble(row.copy())))
+            assert _same_bits(grad, cost_gradient_full(m, ParticleEnsemble(row.copy())))
 
 
 class TestDensityGrid:
@@ -471,9 +472,9 @@ class TestQuadratureCache:
                 ]
                 for fn, ref in zip(MEAN_FIELD, want):
                     first = fn(model, xs, dens)
-                    assert np.array_equal(first, ref)
-                    assert np.array_equal(fn(model, xs.copy(), dens), first)
-                    assert np.array_equal(fn(bounded_confidence_model(radius=0.15), xs, dens), first)
+                    assert _same_bits(first, ref)
+                    assert _same_bits(fn(model, xs.copy(), dens), first)
+                    assert _same_bits(fn(bounded_confidence_model(radius=0.15), xs, dens), first)
         assert len(model._quadrature_cache) == 12
 
     def test_cached_matrices_read_only(self):
@@ -506,7 +507,7 @@ class TestQuadratureCache:
         replaced = dataclasses.replace(model, drift=other.drift)
         assert replaced._quadrature_cache == {}
         got = mean_field_drift(replaced, centers, dens)
-        assert np.array_equal(got, mean_field_drift(other, centers, dens))
+        assert _same_bits(got, mean_field_drift(other, centers, dens))
         assert not np.array_equal(got, mean_field_drift(model, centers, dens))
 
     def test_concurrent_first_calls_agree(self):
@@ -526,7 +527,7 @@ class TestQuadratureCache:
         finally:
             sys.setswitchinterval(interval)
         for got in results:
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            assert all(_same_bits(g, w) for g, w in zip(got, want))
         assert len(model._quadrature_cache) == 6
 
     def test_one_matrix_per_role_grid_and_point_set(self):
@@ -577,15 +578,32 @@ def _same_bits(a, b):
 
 
 class TestReductionOrder:
-    """Pins the numpy reduction loop that the cell-major quadrature relies on."""
+    """Pins the numpy einsum loop that the cell-major quadrature relies on.
 
-    def test_reduce_adds_rows_in_order(self):
-        # a C-order (M, Q >= 2) array reduced over axis 0 adds whole rows one
-        # at a time; starting from -0.0 keeps the first row exactly
+    A numpy build whose einsum fuses the multiply and the add (FMA in its
+    baseline, as on aarch64) rounds once where the reference rounds twice and fails here.
+    """
+
+    def test_einsum_adds_rows_in_order(self):
+        # "lk,kq->lq" with Q >= 2 adds w[l, k] * vals[k, :] into each output row
+        # one cell at a time, from +0.0: bit for bit the ascending sums, except
+        # that an all-negative-zero sum comes back +0.0, which _cell_sums repairs
         rng = np.random.Generator(np.random.Philox(key=41))
+        negative_zeros = 0
         for _ in range(300):
-            a = _mixed(rng, (int(rng.integers(1, 301)), int(rng.integers(2, 301))))
-            assert _same_bits(np.add.reduce(a, axis=0, initial=-0.0), _ascending(a))
+            m, q = int(rng.integers(1, 301)), int(rng.integers(2, 301))
+            vals = _mixed(rng, (m, q))
+            vals[:, rng.integers(q)] = -0.0  # all -0.0 products in the rows without a -0.0 weight
+            weights = np.abs(_mixed(rng, (int(rng.integers(1, 6)), m)))
+            weights[rng.random(weights.shape) < 0.05 / m] = -0.0
+            raw, got = np.einsum("lk,kq->lq", weights, vals), _cell_sums(vals, weights)
+            for row, cells, w in zip(raw, got, weights):
+                want = _ascending(vals * w[:, None])
+                nonzero = want != 0.0
+                negative_zeros += int(np.count_nonzero(np.signbit(want[~nonzero])))
+                assert _same_bits(row[nonzero], want[nonzero])
+                assert _same_bits(cells, want)
+        assert negative_zeros > 0
 
     def test_cell_sums_match_ascending_sums(self):
         rng = np.random.Generator(np.random.Philox(key=43))
@@ -598,24 +616,31 @@ class TestReductionOrder:
                 assert _same_bits(row, _ascending(vals * w[:, None]))
 
     def test_single_point_is_summed_pairwise_by_numpy(self):
-        # the measured exception: with Q = 1 the reduced axis is contiguous,
-        # numpy sums it pairwise and the bits move (60 of these 300 shapes on
-        # numpy 2.4), so a single query point never reaches that reduction
+        # the measured exception: with Q = 1 the reduced axis is contiguous and
+        # einsum, like np.add.reduce, sums it in partial sums, so the bits move
+        # (102 of these 300 shapes on numpy 2.4); _cell_sums sums a single
+        # point as the first of two equal columns
         rng = np.random.Generator(np.random.Philox(key=47))
         moved = 0
         for _ in range(300):
             a = _mixed(rng, (int(rng.integers(1, 301)), 1))
-            moved += not _same_bits(np.add.reduce(a, axis=0, initial=-0.0), _ascending(a))
-            assert _same_bits(_cell_sums(a, np.ones((1, a.shape[0]))), _ascending(a)[None, :])
+            ones = np.ones((1, a.shape[0]))
+            moved += not _same_bits(np.einsum("lk,kq->lq", ones, a), _ascending(a)[None, :])
+            assert _same_bits(_cell_sums(a, ones), _ascending(a)[None, :])
         assert moved > 0
 
     def test_all_negative_zero_column_keeps_its_sign(self):
-        # a plain np.add.reduce starts from +0.0 and returns +0.0 here (numpy 2.4)
-        vals = np.array([[-0.0, 1.0], [-0.0, 2.0], [-0.0, -0.0]])
-        for weights in (np.ones((1, 3)), np.ones((3, 3))):
-            for row in _cell_sums(vals, weights):
-                assert _same_bits(row, _ascending(vals))
-                assert np.signbit(row[0])
+        # einsum starts every sum from +0.0 and returns +0.0 here; a -0.0 weight
+        # makes a -0.0 product of a +0.0 value, and a +0.0 weight a +0.0 product of -0.0
+        vals = np.array([[-0.0, 1.0, 0.0], [-0.0, 2.0, 0.0], [-0.0, -0.0, 0.0]])
+        for weights in (np.ones((1, 3)), np.ones((3, 3)), np.array([[1.0, -0.0, 2.0], [-0.0, -0.0, -0.0]])):
+            for row, w in zip(_cell_sums(vals, weights), weights):
+                want = _ascending(vals * w[:, None])
+                assert _same_bits(row, want)
+                assert np.signbit(row[0]) == (not np.any(np.signbit(w))) and np.signbit(row[2]) == np.all(np.signbit(w))
+            for column in range(3):
+                assert _same_bits(_cell_sums(vals[:, column:column + 1], weights)[:, 0],
+                                  _cell_sums(vals, weights)[:, column])
 
 
 def _cubic_model():
@@ -740,7 +765,8 @@ class TestSharedQuadrature:
     PUBLIC = {"drift": mean_field_drift, "cost_grad": mean_field_cost_grad, "cost": mean_field_cost}
 
     @pytest.mark.parametrize("name", ["bounded_confidence", "cubic", "consensus", "mixed"])
-    @pytest.mark.parametrize("quantities", [("drift", "cost_grad"), ("drift", "cost", "cost_grad"), ("cost",)])
+    @pytest.mark.parametrize("quantities", [("drift", "cost_grad"), ("drift", "cost", "cost_grad"), ("cost",),
+                                            ("drift", "cost")])
     def test_one_pass_equals_separate_calls(self, name, quantities):
         model = STACK_MODELS[name]()
         path = _random_path(self.grid, 5, seed=61)
@@ -761,3 +787,18 @@ class TestSharedQuadrature:
         model = bounded_confidence_model(radius=0.15)
         _quadrature(model, ("drift", "cost_grad"), self.grid.faces(), self.grid)
         assert sorted(key[0] for key in model._quadrature_cache) == ["cost_grad", "drift"]
+
+    def test_dense_overflow_gives_inf_without_a_warning(self):
+        # finite cell terms whose sum exceeds the floats: the sum is inf and numpy does not warn
+        model = ModelSpec(PairKernel(_zero_kernel, _zero_kernel, _zero_kernel),
+                          PairKernel(lambda x, y: np.float64(1e308), _zero_kernel, _zero_kernel), lambda t: 1.0)
+        xs = self.grid.centers()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            drift_part, cost_part = _quadrature(model, ("drift", "cost"), xs, self.grid)(np.ones((2, self.grid.cells)))
+        assert _same_bits(cost_part, np.full((2, xs.size), np.inf))
+        assert _same_bits(drift_part, np.zeros((2, xs.size)))
+
+
+def _zero_kernel(x, y):
+    return np.float64(0.0)
