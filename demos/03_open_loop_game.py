@@ -29,10 +29,10 @@ u = result.controls.values
 print(f"\nmirror antisymmetry |u_0 + u_3|: {np.max(np.abs(u[0] + u[3])):.2e}")
 
 # compare the anticipating controls with the myopic best reply; value gives
-# every player's cost-to-go at once
-_, myopic = integrate_brs(model, start, horizon, dt)
-v_game = value(model, start, result.controls)
-v_myopic = value(model, start, myopic)
+# every player's cost-to-go at once, along the trajectory each profile steers
+myopic_trajectory, myopic = integrate_brs(model, start, horizon, dt)
+v_game = value(model, result.trajectory, result.controls)
+v_myopic = value(model, myopic_trajectory, myopic)
 print("\nplayer   u*(0)        u_brs(0)     V(game)     V(myopic)")
 for i in range(4):
     print(f"{i:4d}   {u[i, 0]:10.6f}  {myopic.values[i, 0]:10.6f}  {v_game[i]:.6f}    {v_myopic[i]:.6f}")

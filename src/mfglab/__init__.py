@@ -44,7 +44,6 @@ from .mfg import (
     fp_forward,
     hjb_backward,
     mfg_fixed_point,
-    mpc_mfg_closure,
     proposition2_gap,
     total_running_cost,
 )
@@ -116,7 +115,6 @@ __all__ = [
     "mean_field_drift",
     "mfg_fixed_point",
     "moments",
-    "mpc_mfg_closure",
     "mpc_step_exact",
     "mpc_step_taylor",
     "nash_sweep",

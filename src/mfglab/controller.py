@@ -65,7 +65,7 @@ class ParticleTrajectory:
 
 def brs_control(model: ModelSpec, ensemble: ParticleEnsemble, t: float) -> np.ndarray:
     """Steepest-descent control u_i = -(1/alpha(t)) d h_i / d x_i."""
-    return -cost_grad_vector(model, ensemble) / alpha_at(model, t)
+    return -cost_grad_vector(model, ensemble.positions) / alpha_at(model, t)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a step that leaves the floats is reported instead

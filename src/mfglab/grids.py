@@ -180,10 +180,14 @@ def time_grid(horizon: float, dt: float) -> tuple[int, np.ndarray]:
 
 
 def uniform_dt(times: np.ndarray) -> float:
-    """The step of a uniform time grid; raises unless all steps agree to 1e-12."""
+    """The step of a uniform time grid; raises unless all steps agree to 1e-12 times max(1, |last time|).
+
+    The slack scales with the last time as ``step_count``'s does with the horizon, so
+    every grid that ``time_grid`` builds is accepted, however long.
+    """
     steps = np.diff(times)
     if steps.size == 0:
         raise ValueError("time grid needs at least two points")
-    if np.max(np.abs(steps - steps[0])) > TIME_TOL:
+    if np.max(np.abs(steps - steps[0])) > TIME_TOL * max(1.0, abs(times[-1])):
         raise ValueError("time grid is not uniform")
     return float(steps[0])

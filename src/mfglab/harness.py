@@ -67,7 +67,7 @@ from .model import (
     consensus_model,
     polynomial_model,
 )
-from .nash import AdjointField, NashResult, SweepParams, _value_along, nash_sweep
+from .nash import AdjointField, NashResult, SweepParams, nash_sweep, value
 
 EXPERIMENTS = ("particle_vs_kinetic", "mpc_vs_brs", "mfg_vs_brs", "prop2_gap", "nash_vs_brs")
 
@@ -777,9 +777,9 @@ def _run_nash_vs_brs(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: i
     brs_trajectory, brs_profile = integrate_brs(model, start, cfg.horizon, cfg.dt, scheme="taylor")
     u_game = result.controls.values[:, 0]
     u_myopic = brs_profile.values[:, 0]
-    # both trajectories are bit for bit what ``value`` would simulate again under their controls
-    v_game = _value_along(model, result.trajectory, result.controls)
-    v_myopic = _value_along(model, brs_trajectory, brs_profile)
+    # both trajectories are bit for bit what ``simulate_state`` gives under their controls
+    v_game = value(model, result.trajectory, result.controls)
+    v_myopic = value(model, brs_trajectory, brs_profile)
     rows = list(zip(range(cfg.n_particles), u_game, u_myopic, np.abs(u_game - u_myopic), v_game, v_myopic))
     stages.lap("solve")
     artifacts = [

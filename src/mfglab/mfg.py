@@ -1,4 +1,4 @@
-"""Coupled mean-field game system and its receding-horizon closure.
+"""Coupled mean-field game system, and the short-horizon gap of its value to the running cost.
 
 The value function v(t, x) and the agent density m(t, x) solve
 
@@ -24,9 +24,6 @@ difference and divided by alpha once.
 
 The coupled system is solved by damped Picard iteration on the density path,
 accelerated by safeguarded Anderson mixing (``_anderson``).
-The receding-horizon closure replaces v on each step by the instantaneous
-mean-field cost, which collapses the system to the best-reply transport
-equation; discretely the two marches coincide bitwise.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ import numpy as np
 from ._anderson import Anderson
 from .errors import CFLError, NumericalError
 from .grids import DensityGrid, DensityTrajectory, SpaceGrid, _checked_rows, time_grid, uniform_dt
-from .kinetic import CFL_NUMBER, _initial_speed, _march, solve_kinetic
+from .kinetic import CFL_NUMBER, _initial_speed, _march
 from .model import ModelSpec, _quadrature, _rows, _sum_ascending, alpha_at, mean_field_cost, mean_field_cost_grad
 
 
@@ -218,17 +215,6 @@ def mfg_fixed_point(
 def _unit_slices(data: np.ndarray, dx: float) -> np.ndarray:
     """Each row of a density path rescaled to unit mass."""
     return data / (np.sum(data, axis=1) * dx)[:, None]
-
-
-def mpc_mfg_closure(model: ModelSpec, m0: DensityGrid, horizon: float, dt: float) -> DensityTrajectory:
-    """Receding-horizon closure of the game system.
-
-    On each step the freshly re-started backward value equation is replaced by
-    its first-order short-horizon limit, the instantaneous mean-field cost, so
-    the density advances with velocity F - (1/alpha) dH/dx. That is exactly the
-    best-reply transport march: the output matches ``solve_kinetic`` bitwise.
-    """
-    return solve_kinetic(model, m0, horizon, dt)
 
 
 def proposition2_gap(

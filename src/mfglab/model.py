@@ -14,13 +14,13 @@ Mean-field counterparts replace the sums by integrals against a density m:
 A ``ModelSpec`` holds only the interaction: the drift and cost kernels, each
 one ``PairKernel`` (its value, both partial derivatives and an optional
 coefficient table), and the control weight. The particle functions read N
-from the ensemble, and the solvers take the horizon as an argument, so one
+from the positions, and the solvers take the horizon as an argument, so one
 model serves the game, every receding window and the best-reply limit. Every
-particle function evaluates all N players at once:
-``drift``, ``cost`` and ``cost_grad_vector`` return length-N vectors, and
-``drift_jacobian`` and ``cost_gradient_full`` the N x N matrices
-J[k, j] = d f_k / d x_j and G[i, j] = d h_i / d x_j, whose diagonal is
-``cost_grad_vector``.
+particle function takes the positions of all N players, (N,) or a stack of
+states (..., N), and evaluates them at once: ``drift``, ``cost`` and
+``cost_grad_vector`` return (..., N), and ``drift_jacobian`` and
+``cost_gradient_full`` the (..., N, N) matrices J[k, j] = d f_k / d x_j and
+G[i, j] = d h_i / d x_j, whose diagonal is ``cost_grad_vector``.
 
 Reproducibility contract:
 
@@ -35,10 +35,9 @@ Reproducibility contract:
   sums to O(N deg^2) and the quadratures to O(M deg^2) per call.
 * A stack of states, (L, N), gives bit for bit the per-state calls:
   ``_pair_eval`` hands the kernel ``x[..., :, None]`` and ``y[..., None, :]``,
-  and ``_drift``, ``_drift_jacobians``, ``_cost_gradients``, ``_peer_mean``
-  and the structured cost slopes work row by row with the same elementwise
+  and every particle function works row by row with the same elementwise
   operations and ascending sums; an array of centres shifts one table per
-  row. ``drift_jacobian`` and ``cost_gradient_full`` are the one-row case.
+  row.
 * ``_particle_velocity`` gives the drift and the cost slopes of a stack from
   one evaluation per step: on the structured path each row is centred once
   and one set of power sums, to the larger degree, serves both tables. A
@@ -271,21 +270,17 @@ def _fill_diagonals(mats: np.ndarray, values) -> None:
 
 
 # ---------------------------------------------------------------------------
-# particle-level evaluations; N is the ensemble size, every function returns all players
+# particle-level evaluations at positions (..., N): every function returns all N
+# players, one result per state of a stack
 
 
-def drift(model: ModelSpec, ensemble: ParticleEnsemble) -> np.ndarray:
-    """Interaction drift f_i(X) = (1/N) sum_j P(x_i, x_j)(x_j - x_i), ascending j.
+@np.errstate(over="ignore", invalid="ignore")
+def drift(model: ModelSpec, x: np.ndarray) -> np.ndarray:
+    """Interaction drift f_i(X) = (1/N) sum_j P(x_i, x_j)(x_j - x_i), ascending j; one row per row of a stack.
 
     A state too wide for floats gives entries that are not finite, with numpy's
     warnings silenced; ``controller.euler_step`` reports them as a divergence.
     """
-    return _drift(model, ensemble.positions)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _drift(model: ModelSpec, x: np.ndarray) -> np.ndarray:
-    """``drift`` at the positions ``x``, without an ensemble; one row per row of a stack of states."""
     if model.drift.table is not None:
         centre, u = _centred(x)
         return _pair_sums(_drift_terms(model.drift.table, centre), u, u) / x.shape[-1]
@@ -313,46 +308,31 @@ def _peer_mean(kernel: Kernel, x: np.ndarray) -> np.ndarray:
     return _sum_ascending(mat, axis=-1, consume=True) / peers
 
 
-def cost(model: ModelSpec, ensemble: ParticleEnsemble) -> np.ndarray:
-    """Running costs h_i(X) = (1/(N-1)) sum_{j != i} phi(x_i, x_j) of all players."""
-    return _peer_mean(model.cost.value, ensemble.positions)
-
-
-def cost_grad_vector(model: ModelSpec, ensemble: ParticleEnsemble) -> np.ndarray:
-    """Own-state cost slopes d h_i / d x_i = (1/(N-1)) sum_{j != i} d_x phi(x_i, x_j) of all players.
-
-    Like ``drift``, a state too wide for floats gives entries that are not finite, without a warning.
-    """
-    return _cost_slopes(model, ensemble.positions)
+def cost(model: ModelSpec, x: np.ndarray) -> np.ndarray:
+    """Running costs h_i(X) = (1/(N-1)) sum_{j != i} phi(x_i, x_j) of all players; one row per row of a stack."""
+    return _peer_mean(model.cost.value, x)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _cost_slopes(model: ModelSpec, x: np.ndarray) -> np.ndarray:
-    """``cost_grad_vector`` at the positions ``x``; one row per row of a stack of states."""
+def cost_grad_vector(model: ModelSpec, x: np.ndarray) -> np.ndarray:
+    """Own-state cost slopes d h_i / d x_i = (1/(N-1)) sum_{j != i} d_x phi(x_i, x_j); one row per row of a stack.
+
+    Like ``drift``, a state too wide for floats gives entries that are not finite, without a warning.
+    """
     if model.cost.table is not None:
         return _slope_sums(model.cost.table, x) / _peers(x)
     return _peer_mean(model.cost.dx, x)
 
 
-def cost_gradient_full(model: ModelSpec, ensemble: ParticleEnsemble) -> np.ndarray:
-    """Cost sensitivities G[i, j] = d h_i / d x_j; the diagonal is ``cost_grad_vector``."""
-    return _cost_gradients(model, ensemble.positions[None])[0]
-
-
-def _cost_gradients(model: ModelSpec, x: np.ndarray) -> np.ndarray:
-    """``cost_gradient_full`` of every row of an (L, N) stack of states, as an (L, N, N) array."""
+def cost_gradient_full(model: ModelSpec, x: np.ndarray) -> np.ndarray:
+    """Cost sensitivities G[i, j] = d h_i / d x_j, (..., N, N); the diagonal is ``cost_grad_vector``."""
     grad = _pair_eval(model.cost.dy, x, x) / _peers(x)
-    _fill_diagonals(grad, _cost_slopes(model, x))
+    _fill_diagonals(grad, cost_grad_vector(model, x))
     return grad
 
 
-def drift_jacobian(model: ModelSpec, ensemble: ParticleEnsemble) -> np.ndarray:
-    """Jacobian J[k, j] = d f_k / d x_j of the interaction drift."""
-    return _drift_jacobians(model, ensemble.positions[None])[0]
-
-
-def _drift_jacobians(model: ModelSpec, x: np.ndarray) -> np.ndarray:
-    """``drift_jacobian`` of every row of an (L, N) stack of states, as an (L, N, N) array."""
+def drift_jacobian(model: ModelSpec, x: np.ndarray) -> np.ndarray:
+    """Jacobian J[k, j] = d f_k / d x_j of the interaction drift, (..., N, N)."""
     n = x.shape[-1]
     diff = x[..., None, :] - x[..., :, None]
     p = _pair_eval(model.drift.value, x, x)
@@ -679,7 +659,7 @@ def _particle_velocity(model: ModelSpec) -> Callable[[np.ndarray], tuple[np.ndar
     and ``cost_grad_vector`` of each row. On the structured path the stack is
     centred once, one set of power sums to the larger of the two degrees
     serves both tables, and the differentiated cost table is taken here, once.
-    On the dense path it is ``_drift`` and the peer mean of ``cost.dx``.
+    On the dense path it is ``drift`` and ``cost_grad_vector``.
     Raises ``ValueError`` for fewer than two particles. The caller silences
     numpy's overflow and invalid-value warnings: a state too wide for floats
     gives entries that are not finite, as in ``drift``.
@@ -694,12 +674,12 @@ def _particle_velocity(model: ModelSpec) -> Callable[[np.ndarray], tuple[np.ndar
             centre, u = _centred(x)
             sums = _power_sums(u, 1.0, degree)
         if drift_table is None:
-            drift_rows = _drift(model, x)
+            drift_rows = drift(model, x)
         else:
             table = _drift_terms(drift_table, centre)
             drift_rows = _moment_eval(table, u, sums[..., :table.shape[-1]]) / x.shape[-1]
         if slope_table is None:
-            return drift_rows, _peer_mean(model.cost.dx, x)
+            return drift_rows, cost_grad_vector(model, x)
         table = _taylor_shift(slope_table, centre)
         return drift_rows, (_moment_eval(table, u, sums[..., :table.shape[-1]]) - _diagonal(table, u)) / peers
 

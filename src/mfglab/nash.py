@@ -38,16 +38,8 @@ from ._anderson import Anderson
 from .controller import DEFAULT_BLOW_UP_BOUND, ParticleTrajectory, euler_step
 from .errors import DivergenceError, NumericalError
 from .grids import time_grid, uniform_dt
-from .model import (
-    ControlProfile,
-    ModelSpec,
-    ParticleEnsemble,
-    _cost_gradients,
-    _drift,
-    _drift_jacobians,
-    _peer_mean,
-    alpha_at,
-)
+from .model import (ControlProfile, ModelSpec, ParticleEnsemble, alpha_at, cost, cost_gradient_full, drift,
+                    drift_jacobian)
 
 GROWTH_LIMIT = 5  # a sweep stops once its residual has grown on this many sweeps in a row
 # Cap on L * N^2, the matrix entries of one batched kernel evaluation over L time steps.
@@ -121,7 +113,7 @@ def simulate_state(
     positions[0] = initial.positions
     for step in range(n_steps):
         now = positions[step]
-        positions[step + 1] = euler_step(now, _drift(model, now), controls.values[:, step], dt)
+        positions[step + 1] = euler_step(now, drift(model, now), controls.values[:, step], dt)
         worst = float(np.max(np.abs(positions[step + 1])))
         if not worst <= blow_up_bound:
             raise DivergenceError(
@@ -154,8 +146,8 @@ def solve_adjoint(model: ModelSpec, trajectory: ParticleTrajectory) -> np.ndarra
         raise ValueError("non-finite particle position")
     phi = np.zeros((n_steps + 1, n, n))
     for start, stop in reversed(_blocks(n_steps, n)):
-        jacobians = _drift_jacobians(model, states[start:stop])
-        sources = _cost_gradients(model, states[start:stop])
+        jacobians = drift_jacobian(model, states[start:stop])
+        sources = cost_gradient_full(model, states[start:stop])
         for step in range(stop - 1, start - 1, -1):
             later = phi[step + 1]
             phi[step] = later + dt * (later @ jacobians[step - start] + sources[step - start])
@@ -164,18 +156,18 @@ def solve_adjoint(model: ModelSpec, trajectory: ParticleTrajectory) -> np.ndarra
     return phi.transpose(1, 2, 0)
 
 
-def value(model: ModelSpec, start: ParticleEnsemble, controls: ControlProfile) -> np.ndarray:
-    """Every player's cost-to-go from ``start`` at time 0: left Riemann sum along ``simulate_state``."""
-    return _value_along(model, simulate_state(model, start, controls), controls)
+def value(model: ModelSpec, trajectory: ParticleTrajectory, controls: ControlProfile) -> np.ndarray:
+    """Every player's cost-to-go at time 0: left Riemann sum along a trajectory simulated under ``controls``.
 
-
-def _value_along(model: ModelSpec, trajectory: ParticleTrajectory, controls: ControlProfile) -> np.ndarray:
-    """``value`` along a trajectory already simulated under ``controls``.
-
-    The running costs of a block of steps come from one batched evaluation and are added in step order.
+    The running costs of a block of steps come from one batched evaluation and
+    are added in step order. Raises ``ValueError`` unless the trajectory has one
+    state per time of the controls' grid and one position per controlled player.
     """
     states, n = trajectory.positions, trajectory.n_particles
-    costs = np.concatenate([_peer_mean(model.cost.value, states[a:b]) for a, b in _blocks(controls.n_steps, n)])
+    if states.shape != (controls.n_steps + 1, controls.values.shape[0]):
+        raise ValueError(f"trajectory of {states.shape[0]} states of {n} players does not match controls "
+                         f"over {controls.n_steps} steps for {controls.values.shape[0]} players")
+    costs = np.concatenate([cost(model, states[a:b]) for a, b in _blocks(controls.n_steps, n)])
     dt = controls.dt
     total = np.zeros(n)
     for weight, u, running in zip(_weights(model, controls.time_grid), controls.values.T, costs):

@@ -121,9 +121,8 @@ class TestIntegrateBrs:
         start = ParticleEnsemble(np.array([-1.0, 0.2, 0.9]))
         traj, profile = integrate_brs(m, start, 0.5, 0.025)
         for step in range(profile.n_steps):
-            state = traj.ensemble(step)
             t = profile.time_grid[step]
-            expected = -cost_grad_vector(m, state) / alpha_at(m, float(t))
+            expected = -cost_grad_vector(m, traj.positions[step]) / alpha_at(m, float(t))
             assert np.array_equal(profile.values[:, step], expected)
 
     def test_divergence_guard(self):
@@ -201,10 +200,9 @@ class TestStackedMarch:
                 t = float(times[step])
                 u, state = step_fn(m, state, t, self.dt)
                 assert _same_bits(u, controls[row, :, step]) and _same_bits(state.positions, path[step + 1, row])
-                ensemble = ParticleEnsemble(x)
                 weight = alpha_at(m, t if scheme == "taylor" else t + self.dt)
-                u = -cost_grad_vector(m, ensemble) / weight
-                x = euler_step(x, drift(m, ensemble), u, self.dt)
+                u = -cost_grad_vector(m, x) / weight
+                x = euler_step(x, drift(m, x), u, self.dt)
                 assert _same_bits(u, controls[row, :, step]) and _same_bits(x, path[step + 1, row])
 
     def test_diverging_row_named_with_step_and_time(self):

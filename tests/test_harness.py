@@ -764,6 +764,12 @@ def _huge_drift(bound: float) -> dict:
                 initial={"kind": "uniform", "a": -bound, "b": bound})
 
 
+def _long_horizon(experiment: str, **fields) -> dict:
+    """A consensus config over the horizon 10^4 in 7 steps, from uniform(0, 1)."""
+    return dict(experiment=experiment, model={"kind": "consensus"}, horizon=10000.0, dt=1428.5714285714287,
+                initial={"kind": "uniform", "a": 0.0, "b": 1.0}, **fields)
+
+
 class TestHostileValues:
     def test_every_value_ends_in_a_documented_exit_with_manifest(self, hostile_runs):
         assert len(hostile_runs) == len(HOSTILE_BASES) + len(HOSTILE_POOL) * sum(
@@ -798,8 +804,12 @@ class TestHostileValues:
         # the initial face speed of the kinetic time step is NaN (moment quadrature) or inf
         (_huge_drift(1e300), EXIT_SOLVER, "initial face speed max |c| is nan"),
         (_huge_drift(1e10), EXIT_SOLVER, "initial face speed max |c| is inf"),
+        # 7 steps of dt = 10^4 / 7 reach the solver: the time grid's steps differ by 1.1e-12, within the
+        # slack of 1e-12 relative to the horizon that ``step_count`` grants
+        (_long_horizon("mfg_vs_brs", grid={"cells": 16}), EXIT_SOLVER, "density march, step 0: CFL violated"),
+        (_long_horizon("nash_vs_brs", n_particles=3), EXIT_SOLVER, "|x| reached 3.492e+08 > bound"),
     ], ids=["radius=1e-308", "initial.b=1e308", "cost_coeffs=1e308", "cost_coeffs=-1e308",
-            "speed=nan", "speed=inf"])
+            "speed=nan", "speed=inf", "horizon=1e4-mfg", "horizon=1e4-nash"])
     def test_overflow_ends_in_a_documented_exit_without_runtime_warning(self, tmp_path, raw, code, needle):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(raw))

@@ -19,7 +19,6 @@ from mfglab import (
     mean_field_cost_grad,
     mean_field_drift,
     mfg_fixed_point,
-    mpc_mfg_closure,
     normalized_density,
     polynomial_model,
     proposition2_gap,
@@ -166,27 +165,17 @@ class TestFixedPoint:
 
 
 class TestClosure:
-    def test_bitwise_identical_to_kinetic(self):
-        model = consensus_model()
-        grid = grid_for_support(0.26, 0.74, 256)
-        m0 = gaussian_density(grid)
-        dt = cfl_time_step(model, m0, 0.5)
-        a = mpc_mfg_closure(model, m0, 0.5, dt)
-        b = solve_kinetic(model, m0, 0.5, dt)
-        assert a.data.tobytes() == b.data.tobytes()
-        assert np.array_equal(a.times, b.times)
-
     def test_constant_cost_reduces_to_pure_transport(self):
         model = polynomial_model([[1.0]], [[2.0]])
         grid = grid_for_support(0.26, 0.74, 64)
         m0 = gaussian_density(grid)
         dt = cfl_time_step(model, m0, 0.25, safety=0.4)
-        closure = mpc_mfg_closure(model, m0, 0.25, dt)
+        kinetic = solve_kinetic(model, m0, 0.25, dt)
         steps = round(0.25 / dt)
         times = dt * np.arange(steps + 1)
         zero_v = ValueGrid(grid, times, np.zeros((steps + 1, grid.cells)))
         transport = fp_forward(model, zero_v, m0)
-        assert np.array_equal(closure.data, transport.data)
+        assert np.array_equal(kinetic.data, transport.data)
 
 
 class TestPropositionGap:

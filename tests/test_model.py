@@ -28,9 +28,6 @@ from mfglab.model import (
     ModelSpec,
     PairKernel,
     _cell_sums,
-    _cost_gradients,
-    _drift,
-    _drift_jacobians,
     _drift_terms,
     _particle_velocity,
     _quadrature,
@@ -40,60 +37,60 @@ from mfglab.model import (
 )
 
 
-def ensemble(*xs):
-    return ParticleEnsemble(np.array(xs, dtype=float))
+def positions(*xs):
+    return np.array(xs, dtype=float)
 
 
 class TestDrift:
     def test_two_particles(self):
         m = consensus_model()
-        assert np.allclose(drift(m, ensemble(0.0, 1.0)), [0.5, -0.5])
+        assert np.allclose(drift(m, positions(0.0, 1.0)), [0.5, -0.5])
 
     def test_equal_positions_give_zero(self):
         m = bounded_confidence_model(radius=0.5)
-        out = drift(m, ensemble(*([0.3] * 5)))
+        out = drift(m, positions(*([0.3] * 5)))
         assert np.all(out == 0.0)
 
     def test_three_particles_mean_reversion(self):
         m = consensus_model()
-        assert np.allclose(drift(m, ensemble(-1.0, 0.0, 1.0)), [1.0, 0.0, -1.0])
+        assert np.allclose(drift(m, positions(-1.0, 0.0, 1.0)), [1.0, 0.0, -1.0])
 
     def test_rejects_empty_ensemble(self):
         with pytest.raises(ValueError, match="at least one particle"):
-            ensemble()
+            ParticleEnsemble(np.array([]))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
-            ensemble(0.0, np.nan)
+            ParticleEnsemble(np.array([0.0, np.nan]))
 
 
 class TestCost:
     def test_pair(self):
         m = consensus_model()
-        assert cost(m, ensemble(0.0, 1.0))[0] == 0.5
+        assert cost(m, positions(0.0, 1.0))[0] == 0.5
 
     def test_diagonal_vanishes(self):
         m = consensus_model()
-        assert cost(m, ensemble(*([0.7] * 4)))[2] == 0.0
+        assert cost(m, positions(*([0.7] * 4)))[2] == 0.0
 
     def test_three_particles(self):
         m = consensus_model()
-        assert cost(m, ensemble(0.0, 1.0, 2.0))[1] == 0.5
+        assert cost(m, positions(0.0, 1.0, 2.0))[1] == 0.5
 
     def test_single_particle_is_domain_error(self):
         m = consensus_model()
         with pytest.raises(ValueError, match="two particles"):
-            cost(m, ensemble(0.0))
+            cost(m, positions(0.0))
 
 
 class TestCostGrad:
     def test_pair(self):
         m = consensus_model()
-        assert cost_grad_vector(m, ensemble(0.0, 1.0))[0] == -1.0
+        assert cost_grad_vector(m, positions(0.0, 1.0))[0] == -1.0
 
     def test_symmetry_center_cancels(self):
         m = consensus_model()
-        assert cost_grad_vector(m, ensemble(0.0, 1.0, 2.0))[1] == 0.0
+        assert cost_grad_vector(m, positions(0.0, 1.0, 2.0))[1] == 0.0
 
     def test_matches_finite_differences(self):
         # relative error <= 1e-6 with central differences of step 1e-6
@@ -110,8 +107,8 @@ class TestCostGrad:
                 hi[i] += step
                 lo = x.copy()
                 lo[i] -= step
-                fd = (cost(m, ParticleEnsemble(hi))[i] - cost(m, ParticleEnsemble(lo))[i]) / (2 * step)
-                got = cost_grad_vector(m, ParticleEnsemble(x))[i]
+                fd = (cost(m, hi)[i] - cost(m, lo)[i]) / (2 * step)
+                got = cost_grad_vector(m, x)[i]
                 assert abs(got - fd) <= 1e-6 * max(1.0, abs(fd))
 
 
@@ -122,12 +119,12 @@ class TestPermutationSymmetry:
         m = bounded_confidence_model(radius=0.8)
         x = rng.normal(size=7)
         peers = np.delete(x, 3)
-        ref_cost = cost(m, ParticleEnsemble(np.concatenate([[x[3]], np.sort(peers)])))[0]
-        ref_drift = drift(m, ParticleEnsemble(np.concatenate([[x[3]], np.sort(peers)])))[0]
+        ref_cost = cost(m, np.concatenate([[x[3]], np.sort(peers)]))[0]
+        ref_drift = drift(m, np.concatenate([[x[3]], np.sort(peers)]))[0]
         for _ in range(10):
             shuffled = np.concatenate([[x[3]], peers[rng.permutation(6)]])
-            assert cost(m, ParticleEnsemble(shuffled))[0] == pytest.approx(ref_cost, abs=1e-13)
-            assert drift(m, ParticleEnsemble(shuffled))[0] == pytest.approx(ref_drift, abs=1e-13)
+            assert cost(m, shuffled)[0] == pytest.approx(ref_cost, abs=1e-13)
+            assert drift(m, shuffled)[0] == pytest.approx(ref_drift, abs=1e-13)
 
 
 class TestMeanField:
@@ -166,7 +163,7 @@ class TestMeanField:
         n = 40
         xs = 0.2 + 0.6 * rng.random(n)
         m = consensus_model()
-        exact = drift(m, ParticleEnsemble(xs))
+        exact = drift(m, xs)
         errs = []
         for cells in (64, 256, 1024):
             grid = SpaceGrid(0.0, 1.0, cells)
@@ -190,14 +187,14 @@ class TestCatalogue:
         m = bounded_confidence_model(radius=0.5)
         rng = np.random.Generator(np.random.Philox(key=21))
         x = 0.5 * rng.normal(size=5)
-        jac = drift_jacobian(m, ParticleEnsemble(x))
+        jac = drift_jacobian(m, x)
         step = 1e-6
         for j in range(5):
             hi = x.copy()
             hi[j] += step
             lo = x.copy()
             lo[j] -= step
-            fd = (drift(m, ParticleEnsemble(hi)) - drift(m, ParticleEnsemble(lo))) / (2 * step)
+            fd = (drift(m, hi) - drift(m, lo)) / (2 * step)
             assert np.max(np.abs(jac[:, j] - fd)) <= 1e-7
 
     def test_polynomial_derivative_tables(self):
@@ -302,58 +299,29 @@ class TestAdjointInputs:
         rng = np.random.Generator(np.random.Philox(key=3))
         x = rng.normal(size=4)
         i = 1
-        grad = cost_gradient_full(m, ParticleEnsemble(x))[i]
+        grad = cost_gradient_full(m, x)[i]
         for j in range(4):
             step = 1e-6
             hi = x.copy()
             hi[j] += step
             lo = x.copy()
             lo[j] -= step
-            fd = (cost(m, ParticleEnsemble(hi))[i] - cost(m, ParticleEnsemble(lo))[i]) / (2 * step)
+            fd = (cost(m, hi)[i] - cost(m, lo)[i]) / (2 * step)
             assert grad[j] == pytest.approx(fd, abs=1e-8)
 
     def test_drift_jacobian_matches_fd(self):
         m = consensus_model()
         rng = np.random.Generator(np.random.Philox(key=4))
         x = rng.normal(size=4)
-        jac = drift_jacobian(m, ParticleEnsemble(x))
+        jac = drift_jacobian(m, x)
         for j in range(4):
             step = 1e-6
             hi = x.copy()
             hi[j] += step
             lo = x.copy()
             lo[j] -= step
-            fd = (drift(m, ParticleEnsemble(hi)) - drift(m, ParticleEnsemble(lo))) / (2 * step)
+            fd = (drift(m, hi) - drift(m, lo)) / (2 * step)
             assert np.max(np.abs(jac[:, j] - fd)) <= 1e-8
-
-
-class TestStackedAdjointInputs:
-    """An (L, N) stack of states gives, bit for bit, the per-ensemble J and G of each row."""
-
-    # Drift kernels of two result shapes that ``_pair_eval`` must copy out to the full mesh:
-    # consensus returns a scalar, and P(x, y) = 1 + x^2 / 4 depends on x only, so it returns (..., N, 1).
-    MODELS = {
-        "scalar_kernel": consensus_model(),
-        "column_kernel": ModelSpec(
-            drift=PairKernel(lambda x, y: 1.0 + 0.25 * x * x, lambda x, y: 0.5 * x, lambda x, y: np.float64(0.0)),
-            cost=PairKernel(lambda x, y: 0.5 * (x - y) ** 2, lambda x, y: x - y, lambda x, y: y - x),
-            alpha=lambda t: 1.0,
-        ),
-    }
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(
-        name=st.sampled_from(sorted(MODELS)),
-        states=arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(2, 12)),
-                      elements=st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)),
-    )
-    def test_stack_matches_per_ensemble_calls(self, name, states):
-        m = self.MODELS[name]
-        jacobians, gradients = _drift_jacobians(m, states), _cost_gradients(m, states)
-        assert jacobians.shape == gradients.shape == states.shape + states.shape[-1:]
-        for row, jac, grad in zip(states, jacobians, gradients):
-            assert _same_bits(jac, drift_jacobian(m, ParticleEnsemble(row.copy())))
-            assert _same_bits(grad, cost_gradient_full(m, ParticleEnsemble(row.copy())))
 
 
 class TestDensityGrid:
@@ -401,7 +369,7 @@ class TestStructuredPath:
             model = consensus_model() if kind == "consensus" else _random_polynomial_model(rng)
             assert model.drift.table is not None and model.cost.table is not None
             dense = _dense(model)
-            x = ParticleEnsemble(rng.random(n) + shift)
+            x = rng.random(n) + shift
             grid = SpaceGrid(shift, shift + 1.0, int(rng.integers(8, 80)))
             dens = normalized_density(grid, rng.random(grid.cells))
             cases = [
@@ -719,6 +687,37 @@ STACK_MODELS = {
 }
 
 
+class TestStackedAdjointInputs:
+    """An (S, N) stack of states gives, bit for bit, every particle function of each row alone."""
+
+    FUNCTIONS = (drift, cost, cost_grad_vector, cost_gradient_full, drift_jacobian)
+    # Drift kernels of two result shapes that ``_pair_eval`` must copy out to the full mesh:
+    # consensus returns a scalar, and P(x, y) = 1 + x^2 / 4 depends on x only, so it returns (..., N, 1).
+    MODELS = {
+        "column_kernel": ModelSpec(
+            drift=PairKernel(lambda x, y: 1.0 + 0.25 * x * x, lambda x, y: 0.5 * x, lambda x, y: np.float64(0.0)),
+            cost=PairKernel(lambda x, y: 0.5 * (x - y) ** 2, lambda x, y: x - y, lambda x, y: y - x),
+            alpha=lambda t: 1.0,
+        ),
+        **{name: make() for name, make in STACK_MODELS.items()},
+    }
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        name=st.sampled_from(sorted(MODELS)),
+        states=arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(2, 12)),
+                      elements=st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)),
+    )
+    def test_stack_matches_per_ensemble_calls(self, name, states):
+        m = self.MODELS[name]
+        n = states.shape[-1]
+        for fn in self.FUNCTIONS:
+            stacked = fn(m, states)
+            assert stacked.shape == states.shape + ((n,) if fn in (cost_gradient_full, drift_jacobian) else ())
+            for row, got in zip(states, stacked):
+                assert _same_bits(got, fn(m, row.copy()))
+
+
 class TestStackedParticleVelocity:
     """One evaluation of an (S, N) stack gives, bit for bit, ``drift`` and ``cost_grad_vector`` of each row."""
 
@@ -732,17 +731,10 @@ class TestStackedParticleVelocity:
             drifts, slopes = velocity(states)
             assert drifts.shape == slopes.shape == shape
             for row, f, s in zip(states, drifts, slopes):
-                assert _same_bits(f, drift(model, ParticleEnsemble(row.copy())))
-                assert _same_bits(s, cost_grad_vector(model, ParticleEnsemble(row.copy())))
+                assert _same_bits(f, drift(model, row.copy()))
+                assert _same_bits(s, cost_grad_vector(model, row.copy()))
             one_drift, one_slopes = velocity(states[0])
             assert _same_bits(one_drift, drifts[0]) and _same_bits(one_slopes, slopes[0])
-
-    def test_dense_drift_of_a_stack(self):
-        model = bounded_confidence_model(radius=0.15)
-        states = np.random.Generator(np.random.Philox(key=73)).random((4, 9))
-        got = _drift(model, states)
-        for row, f in zip(states, got):
-            assert _same_bits(f, drift(model, ParticleEnsemble(row.copy())))
 
     def test_single_particle_rejected(self):
         with pytest.raises(ValueError, match="at least two particles"):

@@ -20,7 +20,7 @@ from mfglab import (
 from mfglab import ParticleTrajectory, cost, drift
 from mfglab.controller import euler_step
 from mfglab.model import alpha_at, cost_gradient_full, drift_jacobian
-from mfglab.nash import _BLOCK_ENTRIES, GROWTH_LIMIT, _blocks, _value_along
+from mfglab.nash import _BLOCK_ENTRIES, GROWTH_LIMIT, _blocks
 
 
 def grid_profile(n, n_steps, horizon, values=None):
@@ -31,6 +31,11 @@ def grid_profile(n, n_steps, horizon, values=None):
 
 def rng(key):
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def simulated_value(m, start, profile):
+    """Every player's cost-to-go along the trajectory that ``profile`` steers ``start`` to."""
+    return value(m, simulate_state(m, start, profile), profile)
 
 
 class TestSimulateState:
@@ -89,7 +94,7 @@ class TestSolveAdjoint:
             ref = np.zeros((5, 21))
             for step in range(19, -1, -1):
                 state = traj.ensemble(step)
-                jac, sources = drift_jacobian(m, state), cost_gradient_full(m, state)
+                jac, sources = drift_jacobian(m, state.positions), cost_gradient_full(m, state.positions)
                 ref[:, step] = ref[:, step + 1] + dt * (jac.T @ ref[:, step + 1] + sources[i])
             assert np.max(np.abs(phi[i] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -111,7 +116,7 @@ class TestValue:
     def test_zero_cost_zero_value(self):
         m = polynomial_model([[0.0]], [[0.0]])
         start = ParticleEnsemble(np.array([0.0, 1.0]))
-        assert np.all(value(m, start, grid_profile(2, 10, 1.0)) == 0.0)
+        assert np.all(simulated_value(m, start, grid_profile(2, 10, 1.0)) == 0.0)
 
     def test_constant_integrand(self):
         # constant control c and constant cost k: V = T (a c^2/2 + k) for every player
@@ -121,10 +126,10 @@ class TestValue:
         profile = grid_profile(2, 40, 1.0, values=np.full((2, 40), c))
         start = ParticleEnsemble(np.array([0.0, 1.0]))
         expected = 1.0 * (2.0 * c * c / 2.0 + kappa)
-        assert value(m, start, profile) == pytest.approx([expected, expected], rel=1e-12)
+        assert simulated_value(m, start, profile) == pytest.approx([expected, expected], rel=1e-12)
         expected_half = 0.5 * (2.0 * c * c / 2.0 + kappa)
         half = grid_profile(2, 20, 0.5, values=np.full((2, 20), c))
-        assert value(m, start, half) == pytest.approx([expected_half, expected_half], rel=1e-12)
+        assert simulated_value(m, start, half) == pytest.approx([expected_half, expected_half], rel=1e-12)
 
     def test_newton_step_on_own_control_descends(self):
         # the map u_i -> V_i is quadratic for the consensus model, so one Newton
@@ -144,8 +149,8 @@ class TestValue:
             hess[:, l] = gradient_via_adjoint(m, start, bumped_profile)[i] * dt - grad
         newton = profile.values.copy()
         newton[i] -= np.linalg.solve(hess, grad)
-        before = value(m, start, profile)[i]
-        after = value(m, start, ControlProfile(newton, profile.time_grid))[i]
+        before = simulated_value(m, start, profile)[i]
+        after = simulated_value(m, start, ControlProfile(newton, profile.time_grid))[i]
         assert after < before
 
     @pytest.mark.parametrize("model", [consensus_model(alpha=lambda t: 1.0 + t), bounded_confidence_model(0.5)],
@@ -155,10 +160,12 @@ class TestValue:
         start = ParticleEnsemble(rng(23).uniform(-1.0, 1.0, size=70))
         trajectory, profile = integrate_brs(model, start, 0.6, 0.02)
         assert len(_blocks(profile.n_steps, start.n)) == 3
-        assert _value_along(model, trajectory, profile).tobytes() == value(model, start, profile).tobytes()
+        assert value(model, trajectory, profile).tobytes() == simulated_value(model, start, profile).tobytes()
         game = nash_sweep(model, ParticleEnsemble(start.positions[:6]), 0.6, 0.02)
-        assert (_value_along(model, game.trajectory, game.controls).tobytes()
-                == value(model, ParticleEnsemble(start.positions[:6]), game.controls).tobytes())
+        with pytest.raises(ValueError, match="does not match controls"):
+            value(model, trajectory, game.controls)
+        assert (value(model, game.trajectory, game.controls).tobytes()
+                == simulated_value(model, ParticleEnsemble(start.positions[:6]), game.controls).tobytes())
 
 
 class TestGradientViaAdjoint:
@@ -184,8 +191,8 @@ class TestGradientViaAdjoint:
                 lo = profile.values.copy()
                 lo[i, l] -= delta
                 fd = (
-                    value(m, start, ControlProfile(hi, profile.time_grid))[i]
-                    - value(m, start, ControlProfile(lo, profile.time_grid))[i]
+                    simulated_value(m, start, ControlProfile(hi, profile.time_grid))[i]
+                    - simulated_value(m, start, ControlProfile(lo, profile.time_grid))[i]
                 ) / (2 * delta * dt)
                 assert abs(grad[i, l] - fd) <= 1e-5 * max(abs(fd), 1e-8)
 
@@ -222,8 +229,8 @@ class TestNashSweep:
         res = nash_sweep(m, start, 1.0, 1.0 / 200)
         assert res.converged and res.residual <= 1e-8
         _, brs_profile = integrate_brs(m, start, 1.0, 1.0 / 200)
-        v_game = value(m, start, res.controls)
-        v_myopic = value(m, start, brs_profile)
+        v_game = simulated_value(m, start, res.controls)
+        v_myopic = simulated_value(m, start, brs_profile)
         assert np.all(v_game <= v_myopic + 1e-6)
 
     def test_merit_decreases_along_sweep(self):
@@ -233,7 +240,7 @@ class TestNashSweep:
         merits = []
         for controls in res.control_history:
             profile = ControlProfile(controls, res.controls.time_grid)
-            merits.append(sum(value(m, start, profile)))
+            merits.append(sum(simulated_value(m, start, profile)))
         assert all(b <= a + 1e-12 for a, b in zip(merits, merits[1:]))
 
     def test_relabeling_equivariance(self):
@@ -351,7 +358,7 @@ class TestSweepBitForBit:
         state = ParticleEnsemble(start.positions.copy())
         positions = [state.positions]
         for step in range(profile.n_steps):
-            new = euler_step(state.positions, drift(m, state), profile.values[:, step], profile.dt)
+            new = euler_step(state.positions, drift(m, state.positions), profile.values[:, step], profile.dt)
             state = ParticleEnsemble(new, time=float(profile.time_grid[step + 1]))
             positions.append(new)
         return np.array(positions)
@@ -363,7 +370,7 @@ class TestSweepBitForBit:
         n_steps, n = len(trajectory) - 1, trajectory.n_particles
         phi = np.zeros((n_steps + 1, n, n))
         for step in range(n_steps - 1, -1, -1):
-            state = trajectory.ensemble(step)
+            state = trajectory.positions[step]
             later = phi[step + 1]
             phi[step] = later + dt * (later @ drift_jacobian(m, state) + cost_gradient_full(m, state))
         return phi.transpose(1, 2, 0)
@@ -373,7 +380,7 @@ class TestSweepBitForBit:
         total = np.zeros(positions.shape[1])
         for step in range(profile.n_steps):
             weight, u = alpha_at(m, float(profile.time_grid[step])), profile.values[:, step]
-            total += profile.dt * (0.5 * weight * u * u + cost(m, ParticleEnsemble(positions[step])))
+            total += profile.dt * (0.5 * weight * u * u + cost(m, positions[step]))
         return total
 
     @pytest.mark.parametrize("name", sorted(MODELS))
@@ -386,7 +393,7 @@ class TestSweepBitForBit:
         trajectory = simulate_state(m, start, profile)
         assert np.array_equal(trajectory.positions, self.per_step_states(m, start, profile))
         assert np.array_equal(solve_adjoint(m, trajectory), self.per_step_costates(m, trajectory, profile.dt))
-        assert np.array_equal(value(m, start, profile), self.per_step_value(m, profile, trajectory.positions))
+        assert np.array_equal(value(m, trajectory, profile), self.per_step_value(m, profile, trajectory.positions))
 
     @pytest.mark.parametrize("n, count", [(2, 1), (8, 1), (96, 4), (181, 13), (256, 25), (300, 25)])
     def test_blocks_cover_the_steps_within_the_cap(self, n, count):

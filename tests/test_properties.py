@@ -8,10 +8,13 @@ their player and state axes) are permuted to round-off. The consensus drift
 and cost slopes depend on differences only, so they are
 unchanged by a common translation. The upwind step conserves mass and keeps
 densities nonnegative under its CFL restriction, and the exact W1 distance
-is a metric that agrees with the order-statistics formula at equal N.
+is a metric that agrees with the order-statistics formula at equal N. Every
+time grid that ``step_count`` admits passes ``uniform_dt``, whatever its
+horizon, while a grid with one step off by 1e-9 of the horizon does not.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +34,7 @@ from mfglab import (
     w1,
     w1_sorted_atoms,
 )
+from mfglab.grids import step_count, time_grid, uniform_dt
 from mfglab.model import cost_gradient_full
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -52,8 +56,8 @@ def test_consensus_translation_leaves_drift_and_slopes_unchanged(xs, shift):
     model = consensus_model()
     moved = x + shift
     for evaluate in (drift, cost_grad_vector):
-        here = evaluate(model, ParticleEnsemble(x))
-        there = evaluate(model, ParticleEnsemble(moved))
+        here = evaluate(model, x)
+        there = evaluate(model, moved)
         assert np.max(np.abs(here - there)) <= tolerance(x, shift)
 
 
@@ -65,8 +69,8 @@ def test_relabeling_permutes_drift_and_slopes(data, xs, kind):
     model = MODELS[kind]
     assert (model.drift.table is not None) == (kind == "consensus")
     for evaluate in (drift, cost_grad_vector):
-        plain = evaluate(model, ParticleEnsemble(x))
-        relabeled = evaluate(model, ParticleEnsemble(x[order]))
+        plain = evaluate(model, x)
+        relabeled = evaluate(model, x[order])
         assert np.max(np.abs(relabeled - plain[order])) <= tolerance(x)
 
 
@@ -82,13 +86,38 @@ def test_relabeling_permutes_costs_sensitivities_and_costates(data, n, steps, ki
     def close(relabeled, permuted):
         return np.max(np.abs(relabeled - permuted)) <= tolerance(path) * (1.0 + np.max(np.abs(permuted)))
 
-    plain, relabeled = ParticleEnsemble(path[0]), ParticleEnsemble(path[0, order])
+    plain, relabeled = path[0], path[0, order]
     assert close(cost(model, relabeled), cost(model, plain)[order])
     assert close(cost_gradient_full(model, relabeled), cost_gradient_full(model, plain)[np.ix_(order, order)])
     times = np.arange(steps + 1) / steps
     costates = solve_adjoint(model, ParticleTrajectory(times, path))
     relabeled_costates = solve_adjoint(model, ParticleTrajectory(times, path[:, order]))
     assert close(relabeled_costates, costates[np.ix_(order, order)])
+
+
+horizons = st.floats(1e-6, 1e9, allow_nan=False, allow_infinity=False)
+
+
+@PROPERTY_SETTINGS
+@given(horizon=horizons, n=st.integers(1, 5000))
+def test_every_admitted_time_grid_is_uniform(horizon, n):
+    dt = horizon / n
+    try:
+        step_count(horizon, dt)
+    except ValueError:
+        assume(False)
+    _, times = time_grid(horizon, dt)
+    assert uniform_dt(times) == times[1] - times[0]
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), horizon=st.floats(1e-2, 1e9, allow_nan=False, allow_infinity=False), n=st.integers(2, 5000))
+def test_time_grid_with_one_step_off_is_refused(data, horizon, n):
+    _, times = time_grid(horizon, horizon / n)
+    point = data.draw(st.integers(1, n))  # moving the last point changes the last step alone
+    times[point] += 1e-9 * horizon
+    with pytest.raises(ValueError, match="not uniform"):
+        uniform_dt(times)
 
 
 cell_values = st.lists(st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False), min_size=8, max_size=64)
