@@ -33,7 +33,7 @@ for n in (64, 256, 1024):
     vals = []
     for seed in range(10):
         start = sample_initial(1000 + seed, n, BUMP)
-        trajectory, _ = integrate_brs(model, start, horizon, 1 / 200, scheme="taylor")
+        trajectory, _ = integrate_brs(model, start, horizon, 1 / 200)
         vals.append(w1(empirical(trajectory.ensemble(len(trajectory) - 1)), kinetic.final))
     print(f"{n:5d}   {np.mean(vals):.6f}    [{np.min(vals):.6f}, {np.max(vals):.6f}]")
 

@@ -14,11 +14,14 @@ alpha(t+dt) as the subproblem states; the "taylor" step uses alpha(t), which
 differs by O(dt) and matches the piecewise-constant discretization of the
 best-reply law.
 
-One loop, ``_march_stack``, integrates an (S, N) stack of states, one row per
-seed: each step evaluates drift and cost slopes of the whole stack once and
-checks it with one max |x|, and every row gets the bits of a separate run.
-``integrate_brs`` is the one-row case, and ``mpc_step_taylor`` and
-``mpc_step_exact`` are one step of it.
+One loop, ``_march_stack``, is the package's only explicit Euler update. It
+integrates an (S, N) stack of states, one row per seed, under a control law
+``law(step, t, x) -> (drift, u)``: each step evaluates the law on the whole
+stack once, moves every row by x + dt (f(X) + u) and checks the stack with one
+max |x|, and every row gets the bits of a separate run. ``_best_reply`` is the
+law above; ``integrate_brs`` is its one-row case, and ``mpc_step_taylor`` and
+``mpc_step_exact`` are one step of it. ``nash.simulate_state`` marches the
+open-loop law of a fixed control profile through the same loop.
 """
 
 from __future__ import annotations
@@ -35,6 +38,9 @@ from .grids import time_grid
 from .model import ControlProfile, ModelSpec, ParticleEnsemble, _particle_velocity, alpha_at, cost_grad_vector
 
 DEFAULT_BLOW_UP_BOUND = 1e6
+
+# law(step, t, x) -> (drift, u) of an (S, N) stack x at step ``step``, time t
+Law = Callable[[int, float, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass
@@ -56,7 +62,7 @@ class ParticleTrajectory:
         return self.times.size
 
     def ensemble(self, step: int) -> ParticleEnsemble:
-        return ParticleEnsemble(self.positions[step].copy(), time=float(self.times[step]))
+        return ParticleEnsemble(self.positions[step].copy())
 
     @property
     def n_particles(self) -> int:
@@ -66,18 +72,6 @@ class ParticleTrajectory:
 def brs_control(model: ModelSpec, ensemble: ParticleEnsemble, t: float) -> np.ndarray:
     """Steepest-descent control u_i = -(1/alpha(t)) d h_i / d x_i."""
     return -cost_grad_vector(model, ensemble.positions) / alpha_at(model, t)
-
-
-@np.errstate(over="ignore", invalid="ignore")  # a step that leaves the floats is reported instead
-def euler_step(positions: np.ndarray, drift_vec: np.ndarray, controls: np.ndarray, dt: float) -> np.ndarray:
-    """Shared explicit Euler update; every integrator, ``_march_stack`` included, uses this exact expression.
-
-    Raises ``DivergenceError`` when a new position is not finite.
-    """
-    new_positions = positions + dt * (drift_vec + controls)
-    if not np.isfinite(new_positions).all():
-        raise DivergenceError(f"an explicit Euler step of size {dt} left the finite numbers")
-    return new_positions
 
 
 def mpc_step_exact(
@@ -110,18 +104,33 @@ def _one_step(model: ModelSpec, ensemble: ParticleEnsemble, t: float, dt: float,
     """One step of ``_march_stack`` from ``ensemble`` at time t; only a non-finite position stops it."""
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    controls, positions = _march_stack(model, ensemble.positions[None], [t], dt, scheme, math.inf)
-    return controls[0], ParticleEnsemble(positions[0], time=t + dt)
+    controls, positions = _march_stack(ensemble.positions[None], [t], dt, _best_reply(model, scheme, dt), math.inf)
+    return controls[0], ParticleEnsemble(positions[0])
 
 
-def _march_stack(model: ModelSpec, x: np.ndarray, starts: Iterable[float], dt: float, scheme: str,
-                 blow_up_bound: float, where: Callable[[int], str] = lambda row: "",
-                 path: np.ndarray | None = None, controls: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Explicit Euler steps of an (S, N) stack of states, one step from each time of ``starts``.
+def _best_reply(model: ModelSpec, scheme: str, dt: float) -> Law:
+    """The best-reply law u = -(d h_i / d x_i) / alpha with alpha at t ("taylor") or t + dt ("exact").
 
-    Each step evaluates drift and cost slopes of the whole stack once
-    (``model._particle_velocity``) and moves every row by the expression of
-    ``euler_step``, all under one ``np.errstate``. It writes the new stack to
+    Drift and slopes of the stack come from one ``model._particle_velocity``
+    evaluation, set up here once per run.
+    """
+    velocity = _particle_velocity(model)
+    exact = scheme == "exact"
+
+    def law(step: int, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        drift_rows, slopes = velocity(x)
+        return drift_rows, -slopes / alpha_at(model, t + dt if exact else t)
+
+    return law
+
+
+def _march_stack(x: np.ndarray, starts: Iterable[float], dt: float, law: Law, blow_up_bound: float,
+                 where: Callable[[int], str] = lambda row: "", path: np.ndarray | None = None,
+                 controls: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Explicit Euler steps x + dt (f + u) of an (S, N) stack of states, one step from each time of ``starts``.
+
+    Each step takes ``(f, u) = law(step, t, x)`` for the whole stack and
+    moves every row, all under one ``np.errstate``. It writes the new stack to
     ``path[step + 1]`` and the controls to ``controls[..., step]`` when they
     are given, and returns the last step's controls and the final stack. Each
     step takes one max |x| over the stack. When it exceeds ``blow_up_bound``
@@ -129,13 +138,10 @@ def _march_stack(model: ModelSpec, x: np.ndarray, starts: Iterable[float], dt: f
     names the step, t and the first row that failed there, its message
     prefixed by ``where(row)``.
     """
-    velocity = _particle_velocity(model)
-    exact = scheme == "exact"
     bound = min(blow_up_bound, sys.float_info.max)  # an infinite position exceeds even an infinite bound
     with np.errstate(over="ignore", invalid="ignore"):
         for step, t in enumerate(starts):
-            drift_rows, slopes = velocity(x)
-            u = -slopes / alpha_at(model, t + dt if exact else t)
+            drift_rows, u = law(step, t, x)
             x = x + dt * (drift_rows + u)
             if not np.abs(x).max() <= bound:
                 raise _divergence(x, bound, dt, step, t, where)
@@ -162,23 +168,18 @@ def integrate_brs(
     initial: ParticleEnsemble,
     horizon: float,
     dt: float,
-    scheme: str = "taylor",
-    blow_up_bound: float = DEFAULT_BLOW_UP_BOUND,
 ) -> tuple[ParticleTrajectory, ControlProfile]:
-    """Run the controlled particle system on [0, horizon] with explicit Euler steps.
+    """Run the best-reply particle system on [0, horizon] with explicit Euler steps.
 
-    ``scheme`` picks the control weight: "taylor" uses alpha(t_l) (the
-    piecewise-constant best-reply discretization), "exact" uses alpha(t_l + dt).
-    The steps are those of ``_march_stack`` on a one-row stack, bit for bit chained
-    ``mpc_step_taylor`` or ``mpc_step_exact`` calls.
-    Raises ``DivergenceError`` as soon as any |x_i| exceeds ``blow_up_bound``.
+    The control weight is alpha(t_l), the piecewise-constant best-reply
+    discretization. The steps are those of ``_march_stack`` on a one-row
+    stack, bit for bit chained ``mpc_step_taylor`` calls. Raises
+    ``DivergenceError`` as soon as any |x_i| exceeds ``DEFAULT_BLOW_UP_BOUND``.
     """
-    if scheme not in ("taylor", "exact"):
-        raise ValueError(f"unknown scheme {scheme!r}, expected 'taylor' or 'exact'")
     n_steps, times = time_grid(horizon, dt)
     positions = np.empty((n_steps + 1, initial.n))
     controls = np.empty((initial.n, n_steps))
     positions[0] = initial.positions
-    _march_stack(model, initial.positions[None], map(float, times[:-1]), dt, scheme, blow_up_bound,
-                 path=positions[:, None], controls=controls[None])
+    _march_stack(initial.positions[None], map(float, times[:-1]), dt, _best_reply(model, "taylor", dt),
+                 DEFAULT_BLOW_UP_BOUND, path=positions[:, None], controls=controls[None])
     return ParticleTrajectory(times, positions), ControlProfile(controls, times)

@@ -33,6 +33,7 @@ from . import __version__ as _version
 from ._philox import philox_uniforms
 from .controller import (
     DEFAULT_BLOW_UP_BOUND,
+    _best_reply,
     _march_stack,
     brs_control,
     integrate_brs,
@@ -348,7 +349,7 @@ def sample_initial(seed: int, n: int, distribution: dict) -> ParticleEnsemble:
         raise ValueError(f"unsupported distribution {kind!r}")
     if not np.all(np.isfinite(xs)):
         raise ConfigError([f"initial {kind} distribution gives non-finite samples"])
-    return ParticleEnsemble(np.sort(xs), time=0.0)
+    return ParticleEnsemble(np.sort(xs))
 
 
 def _truncated_normal(u: np.ndarray, mu: float, sigma: float, lo: float, hi: float) -> np.ndarray:
@@ -667,8 +668,8 @@ def _run_particle_vs_kinetic(cfg: ExperimentConfig, model: ModelSpec, out: Path,
         # only the current state is kept: memory does not grow with the step or seed count
         n, stack_seeds = stack
         start = np.stack([sample_initial(seed, n, cfg.initial).positions for seed in stack_seeds])
-        _, final = _march_stack(model, start, map(float, times[:-1]), cfg.dt, "taylor", DEFAULT_BLOW_UP_BOUND,
-                                where=lambda row: f"N={n}, seed={stack_seeds[row]}: ")
+        _, final = _march_stack(start, map(float, times[:-1]), cfg.dt, _best_reply(model, "taylor", cfg.dt),
+                                DEFAULT_BLOW_UP_BOUND, where=lambda row: f"N={n}, seed={stack_seeds[row]}: ")
         return [(n, seed, w1(empirical(ParticleEnsemble(x)), kinetic_final)) for seed, x in zip(stack_seeds, final)]
 
     workers = min(jobs, len(stacks), _usable_cpus())
@@ -774,7 +775,7 @@ def _run_nash_vs_brs(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: i
             f"sweep did not converge (residual {result.residual:.3e} "
             f"after {result.iterations} iterations)"
         )
-    brs_trajectory, brs_profile = integrate_brs(model, start, cfg.horizon, cfg.dt, scheme="taylor")
+    brs_trajectory, brs_profile = integrate_brs(model, start, cfg.horizon, cfg.dt)
     u_game = result.controls.values[:, 0]
     u_myopic = brs_profile.values[:, 0]
     # both trajectories are bit for bit what ``simulate_state`` gives under their controls

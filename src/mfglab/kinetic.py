@@ -109,12 +109,12 @@ def _march(model: ModelSpec, m0: DensityGrid, times: np.ndarray, dt: float,
     dx = grid.dx
     quantities = ("drift",) if value_slopes is not None else ("drift", "cost_grad")
     velocity = _quadrature(model, quantities, grid.faces(), grid)
-    weights = [alpha_at(model, float(t)) for t in times[:-1]]
+    weights = alpha_at(model, times[:-1])
     if value_slopes is not None:
-        value_slopes = value_slopes / np.array(weights)[:, None]
+        value_slopes = value_slopes / weights[:, None]
     data = np.empty((times.size, grid.cells))
     data[0] = m0.cell_averages
-    for step, weight in enumerate(weights):
+    for step, weight in enumerate(weights.tolist()):
         parts = velocity(data[step][None, :] * dx)
         if value_slopes is None:
             face_velocity = parts[0][0] - parts[1][0] / weight

@@ -107,7 +107,7 @@ def hjb_backward(model: ModelSpec, m_path: DensityTrajectory) -> ValueGrid:
     grid = m_path.grid
     dx = grid.dx
     drifts, sources = _quadrature(model, ("drift", "cost"), grid.centers(), grid)(_rows(m_path) * dx)
-    weights = [alpha_at(model, float(t)) for t in times[1:]]  # weights[l] at the later slice l + 1
+    weights = alpha_at(model, times[1:]).tolist()  # weights[l] at the later slice l + 1
     drift_speeds = np.maximum.reduce(np.abs(drifts), axis=1).tolist()
     forward = drifts >= 0.0
     n_slices = times.size
@@ -253,14 +253,14 @@ def feedback_controls_from_value(model: ModelSpec, value: ValueGrid) -> np.ndarr
     """Game feedback u = -(1/alpha) d/dx v at the nodes (central differences)."""
     dx = value.grid.dx
     slopes = np.gradient(value.data, dx, axis=1)
-    weights = np.array([alpha_at(model, float(t)) for t in value.times])
+    weights = alpha_at(model, value.times)
     return -slopes / weights[:, None]
 
 
 def feedback_controls_best_reply(model: ModelSpec, m_path: DensityTrajectory) -> np.ndarray:
     """Myopic feedback u = -(1/alpha) dH/dx (x, m(t)) at the nodes."""
     slopes = mean_field_cost_grad(model, m_path.grid.centers(), m_path)
-    weights = np.array([alpha_at(model, float(t)) for t in m_path.times])
+    weights = alpha_at(model, m_path.times)
     return -slopes / weights[:, None]
 
 
@@ -278,6 +278,6 @@ def total_running_cost(model: ModelSpec, m_path: DensityTrajectory, controls: np
     dt = uniform_dt(m_path.times)
     masses = _checked_rows(m_path.grid, m_path.data)[:-1] * m_path.grid.dx
     costs = mean_field_cost(model, m_path.grid.centers(), m_path)
-    weights = np.array([alpha_at(model, float(t)) for t in m_path.times[:-1]])
+    weights = alpha_at(model, m_path.times[:-1])
     running = 0.5 * weights[:, None] * controls[:-1] ** 2 + costs[:-1]
     return float(_sum_ascending(dt * np.sum(running * masses, axis=1)))

@@ -181,7 +181,6 @@ class ParticleEnsemble:
     """Positions of the N particles at one time instant."""
 
     positions: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=float)
@@ -191,8 +190,6 @@ class ParticleEnsemble:
             raise ValueError("an ensemble needs at least one particle")
         if not np.all(np.isfinite(self.positions)):
             raise ValueError("non-finite particle position")
-        if self.time < 0:
-            raise ValueError(f"time must be nonnegative, got {self.time}")
 
     @property
     def n(self) -> int:
@@ -230,8 +227,10 @@ class ControlProfile:
         return uniform_dt(self.time_grid)
 
 
-def alpha_at(model: ModelSpec, t: float) -> float:
-    """Evaluate the control weight, insisting on positivity."""
+def alpha_at(model: ModelSpec, t: float | np.ndarray) -> float | np.ndarray:
+    """The control weight alpha(t), or an array of alpha at every time of an array t; each must be positive."""
+    if isinstance(t, np.ndarray):
+        return np.array([alpha_at(model, float(s)) for s in t])
     a = float(model.alpha(t))
     if not a > 0.0:
         raise ConfigError(f"control weight alpha({t}) = {a} must be strictly positive")
@@ -279,7 +278,7 @@ def drift(model: ModelSpec, x: np.ndarray) -> np.ndarray:
     """Interaction drift f_i(X) = (1/N) sum_j P(x_i, x_j)(x_j - x_i), ascending j; one row per row of a stack.
 
     A state too wide for floats gives entries that are not finite, with numpy's
-    warnings silenced; ``controller.euler_step`` reports them as a divergence.
+    warnings silenced; ``controller._march_stack`` reports them as a divergence.
     """
     if model.drift.table is not None:
         centre, u = _centred(x)
@@ -698,21 +697,12 @@ _QUANTITIES = {
 # built-in model catalogue
 
 
-def _ones(x, y):
-    # 0-d result; numpy broadcasting stretches it wherever the kernel is used
-    return np.float64(1.0)
-
-
-def _zeros(x, y):
-    return np.float64(0.0)
-
-
 def consensus_model(alpha: Callable[[float], float] | float = 1.0) -> ModelSpec:
     """All-to-all attraction: P == 1, phi(x, y) = (x - y)^2 / 2; both tables given (structured path)."""
-    # hand-written callables: ones built from the cost table would compute
+    # hand-written cost callables: ones built from the cost table would compute
     # 0.5 x^2 - x y + 0.5 y^2, which loses digits for close pairs
     return ModelSpec(
-        drift=PairKernel(_ones, _zeros, _zeros, table=[[1.0]]),
+        drift=PairKernel.polynomial([[1.0]]),
         cost=PairKernel(lambda x, y: 0.5 * (x - y) ** 2, lambda x, y: x - y, lambda x, y: y - x,
                         table=[[0.0, 0.0, 0.5], [0.0, -1.0, 0.0], [0.5, 0.0, 0.0]]),
         alpha=_as_weight(alpha),

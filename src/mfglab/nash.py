@@ -4,7 +4,8 @@ Player i minimizes the cost-to-go
 
     V_i = sum_l dt * ( (alpha(t_l)/2) u_{i,l}^2 + h_i(X_l) )
 
-subject to the explicit Euler dynamics x_{l+1} = x_l + dt (f(X_l) + u_l).
+subject to the explicit Euler dynamics x_{l+1} = x_l + dt (f(X_l) + u_l),
+marched by ``controller._march_stack`` under the open-loop law of the controls.
 The costates are the exact discrete sensitivities phi^i_j(l) = dV_i / dx_{l,j}.
 Stacked as the N x N matrix Phi(l)[i, j] = phi^i_j(l), all players' costates
 solve one backward recursion
@@ -30,12 +31,12 @@ accelerates the damped map by safeguarded Anderson mixing (``_anderson``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._anderson import Anderson
-from .controller import DEFAULT_BLOW_UP_BOUND, ParticleTrajectory, euler_step
+from .controller import DEFAULT_BLOW_UP_BOUND, ParticleTrajectory, _march_stack
 from .errors import DivergenceError, NumericalError
 from .grids import time_grid, uniform_dt
 from .model import (ControlProfile, ModelSpec, ParticleEnsemble, alpha_at, cost, cost_gradient_full, drift,
@@ -91,34 +92,21 @@ class NashResult:
     residual_history: np.ndarray
     accelerated_steps: int
     rejected_steps: int
-    control_history: list[np.ndarray] = field(default_factory=list)
 
 
-def simulate_state(
-    model: ModelSpec,
-    initial: ParticleEnsemble,
-    controls: ControlProfile,
-    blow_up_bound: float = DEFAULT_BLOW_UP_BOUND,
-) -> ParticleTrajectory:
-    """Forward explicit Euler under a fixed control profile, stepping on the position array.
+def simulate_state(model: ModelSpec, initial: ParticleEnsemble, controls: ControlProfile) -> ParticleTrajectory:
+    """Forward explicit Euler under a fixed control profile: ``_march_stack`` with the law (f(X_l), u_l).
 
-    ``euler_step`` refuses a non-finite state, so no per-step ensemble is built.
+    Raises ``DivergenceError`` as soon as any |x_i| exceeds ``DEFAULT_BLOW_UP_BOUND``.
     """
-    times = controls.time_grid
-    dt = controls.dt
-    n_steps = controls.n_steps
     if initial.n != controls.values.shape[0]:
         raise ValueError(f"ensemble has {initial.n} particles, controls are for {controls.values.shape[0]}")
-    positions = np.empty((n_steps + 1, initial.n))
+    times, values = controls.time_grid, controls.values
+    positions = np.empty((times.size, initial.n))
     positions[0] = initial.positions
-    for step in range(n_steps):
-        now = positions[step]
-        positions[step + 1] = euler_step(now, drift(model, now), controls.values[:, step], dt)
-        worst = float(np.max(np.abs(positions[step + 1])))
-        if not worst <= blow_up_bound:
-            raise DivergenceError(
-                f"|x| reached {worst:.3e} > bound {blow_up_bound:.3e} at step {step + 1}"
-            )
+    _march_stack(initial.positions[None], map(float, times[:-1]), controls.dt,
+                 lambda step, t, x: (drift(model, x), values[:, step]), DEFAULT_BLOW_UP_BOUND,
+                 path=positions[:, None])
     return ParticleTrajectory(times.copy(), positions)
 
 
@@ -170,7 +158,7 @@ def value(model: ModelSpec, trajectory: ParticleTrajectory, controls: ControlPro
     costs = np.concatenate([cost(model, states[a:b]) for a, b in _blocks(controls.n_steps, n)])
     dt = controls.dt
     total = np.zeros(n)
-    for weight, u, running in zip(_weights(model, controls.time_grid), controls.values.T, costs):
+    for weight, u, running in zip(alpha_at(model, controls.time_grid[:-1]), controls.values.T, costs):
         total += dt * (0.5 * weight * u * u + running)
     return total
 
@@ -183,12 +171,7 @@ def gradient_via_adjoint(model: ModelSpec, initial: ParticleEnsemble, controls: 
     exactly (1/dt) dV_i/du_{i,l} for the Euler-discretized cost.
     """
     costates = solve_adjoint(model, simulate_state(model, initial, controls))
-    return _weights(model, controls.time_grid)[None, :] * controls.values + _own(costates)
-
-
-def _weights(model: ModelSpec, times: np.ndarray) -> np.ndarray:
-    """alpha(t_l) at the left end of every step."""
-    return np.array([alpha_at(model, float(t)) for t in times[:-1]])
+    return alpha_at(model, controls.time_grid[:-1])[None, :] * controls.values + _own(costates)
 
 
 def _own(costates: np.ndarray) -> np.ndarray:
@@ -202,7 +185,6 @@ def nash_sweep(
     horizon: float,
     dt: float,
     params: SweepParams = SweepParams(),
-    record_history: bool = False,
 ) -> NashResult:
     """Damped fixed-point iteration with Anderson mixing on the stationarity system of all N players on [0, horizon].
 
@@ -228,11 +210,10 @@ def nash_sweep(
     to report and the error propagates.
     """
     n_steps, times = time_grid(horizon, dt)
-    weights = _weights(model, times)
+    weights = alpha_at(model, times[:-1])
     controls = np.zeros((initial.n, n_steps))
     mixer = Anderson(controls.size)
     history: list[float] = []
-    control_history: list[np.ndarray] = []
     theta = params.relaxation
     converged = False
     iterations = 0
@@ -256,8 +237,6 @@ def nash_sweep(
         residual = float(np.max(np.abs(weights[None, :] * controls + own)))
         growing = growing + 1 if history and residual > history[-1] else 0
         history.append(residual)
-        if record_history:
-            control_history.append(controls.copy())
         if residual <= params.tolerance:
             converged = True
             break
@@ -276,5 +255,4 @@ def nash_sweep(
         residual_history=np.asarray(history),
         accelerated_steps=mixer.accepted,
         rejected_steps=mixer.rejected,
-        control_history=control_history,
     )

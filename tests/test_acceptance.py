@@ -133,7 +133,7 @@ def test_criterion_05_particles_converge_to_kinetic_solution():
         vals = []
         for k in range(10):
             start_state = sample_initial(1000 + k, n, BUMP)
-            trajectory, _ = integrate_brs(model, start_state, horizon, dt_particle, scheme="taylor")
+            trajectory, _ = integrate_brs(model, start_state, horizon, dt_particle)
             vals.append(w1(empirical(trajectory.ensemble(len(trajectory) - 1)), kinetic_final))
         means.append(float(np.mean(vals)))
     exponent = -np.polyfit(np.log([128.0, 512.0, 2048.0]), np.log(means), 1)[0]
@@ -196,7 +196,7 @@ def test_criterion_09_game_controls_beat_myopic_on_own_cost():
     initial = ParticleEnsemble(np.array([0.0, 0.0, 1.0, 1.0]))
     dt = 1.0 / 200
     game = nash_sweep(model, initial, 1.0, dt)
-    _, myopic_profile = integrate_brs(model, initial, 1.0, dt, scheme="taylor")
+    _, myopic_profile = integrate_brs(model, initial, 1.0, dt)
     myopic = value(model, simulate_state(model, initial, myopic_profile), myopic_profile)
     worst = float(np.max(value(model, game.trajectory, game.controls) - myopic))
     ok = game.converged and worst <= 1e-6

@@ -16,7 +16,7 @@ from mfglab import (
     mpc_step_taylor,
     polynomial_model,
 )
-from mfglab.controller import _march_stack, euler_step
+from mfglab.controller import _best_reply, _march_stack
 from mfglab.grids import time_grid
 from mfglab.model import alpha_at
 
@@ -131,25 +131,20 @@ class TestIntegrateBrs:
             [[0.0]],
             np.array([[0.0, 0.0, -0.5], [0.0, 1.0, 0.0], [-0.5, 0.0, 0.0]]),
         )
-        with pytest.raises(DivergenceError, match="bound"):
-            integrate_brs(m, pair(-0.1, 0.1), 40.0, 0.05, blow_up_bound=1e3)
+        with pytest.raises(DivergenceError, match="bound 1.000e[+]06"):
+            integrate_brs(m, pair(-0.1, 0.1), 40.0, 0.05)
 
     def test_dt_must_divide_horizon(self):
         m = consensus_model()
         with pytest.raises(ValueError, match="divide"):
             integrate_brs(m, pair(), 1.0, 0.3)
 
-    def test_unknown_scheme(self):
-        m = consensus_model()
-        with pytest.raises(ValueError, match="scheme"):
-            integrate_brs(m, pair(), 1.0, 0.1, scheme="rk4")
-
     def test_exact_scheme_uses_end_of_step_weight(self):
         m = consensus_model(alpha=lambda t: 1.0 + t)
         dt = 0.125
-        _, exact_profile = integrate_brs(m, pair(), 1.0, dt, scheme="exact")
-        _, taylor_profile = integrate_brs(m, pair(), 1.0, dt, scheme="taylor")
-        assert abs(exact_profile.values[0, 0] - 1.0 / (1.0 + dt)) <= 1e-14
+        exact, _ = mpc_step_exact(m, pair(), 0.0, dt)
+        _, taylor_profile = integrate_brs(m, pair(), 1.0, dt)
+        assert abs(exact[0] - 1.0 / (1.0 + dt)) <= 1e-14
         assert abs(taylor_profile.values[0, 0] - 1.0) <= 1e-14
 
 
@@ -186,14 +181,15 @@ class TestStackedMarch:
         path = np.empty((n_steps + 1, *states.shape))
         controls = np.empty((*states.shape, n_steps))
         path[0] = states
-        last_u, final = _march_stack(m, states, map(float, times[:-1]), self.dt, scheme, 1e6,
+        last_u, final = _march_stack(states, map(float, times[:-1]), self.dt, _best_reply(m, scheme, self.dt), 1e6,
                                      path=path, controls=controls)
         assert _same_bits(final, path[-1]) and _same_bits(last_u, controls[..., -1])
         step_fn = mpc_step_taylor if scheme == "taylor" else mpc_step_exact
         for row, start in enumerate(states):
-            trajectory, profile = integrate_brs(m, ParticleEnsemble(start.copy()), self.horizon, self.dt, scheme)
-            assert _same_bits(trajectory.positions, path[:, row])
-            assert _same_bits(profile.values, controls[row])
+            if scheme == "taylor":
+                trajectory, profile = integrate_brs(m, ParticleEnsemble(start.copy()), self.horizon, self.dt)
+                assert _same_bits(trajectory.positions, path[:, row])
+                assert _same_bits(profile.values, controls[row])
             # chained receding-horizon steps, and the update written out with the public evaluations
             state, x = ParticleEnsemble(start.copy()), start.copy()
             for step in range(n_steps):
@@ -202,7 +198,7 @@ class TestStackedMarch:
                 assert _same_bits(u, controls[row, :, step]) and _same_bits(state.positions, path[step + 1, row])
                 weight = alpha_at(m, t if scheme == "taylor" else t + self.dt)
                 u = -cost_grad_vector(m, x) / weight
-                x = euler_step(x, drift(m, x), u, self.dt)
+                x = x + self.dt * (drift(m, x) + u)
                 assert _same_bits(u, controls[row, :, step]) and _same_bits(x, path[step + 1, row])
 
     def test_diverging_row_named_with_step_and_time(self):
@@ -211,11 +207,12 @@ class TestStackedMarch:
         m = polynomial_model([[0.0]], [[0.0], [0.0], [0.0], [0.0], [-0.25]])
         states = np.array([[0.1, 0.2], [0.3, 3.0], [-0.2, 0.4], [0.5, 3.0]])
         names = ["first", "second", "third", "fourth"]
-        starts = map(float, 0.01 * np.arange(10))
+        starts = (0.01 * np.arange(10)).tolist()
+        law = _best_reply(m, "taylor", 0.01)
         with pytest.raises(DivergenceError) as err:
-            _march_stack(m, states, starts, 0.01, "taylor", 1e3, where=lambda row: f"{names[row]}: ")
+            _march_stack(states, starts, 0.01, law, 1e3, where=lambda row: f"{names[row]}: ")
         with pytest.raises(DivergenceError) as alone:
-            integrate_brs(m, ParticleEnsemble(states[1]), 0.1, 0.01, blow_up_bound=1e3)
+            _march_stack(states[1][None], starts, 0.01, law, 1e3)
         assert str(err.value) == f"second: {alone.value}"
         assert "> bound 1.000e+03 at step" in str(err.value) and "(t=" in str(err.value)
 
@@ -224,8 +221,8 @@ class TestStackedMarch:
         states = np.array([[0.1, 0.2], [0.3, 1e200]])
         with pytest.raises(DivergenceError, match=r"^row 1: an explicit Euler step of size 0.01 left the finite "
                                                   r"numbers at step 1 \(t=0.01\)$"):
-            _march_stack(m, states, [0.0], 0.01, "taylor", 1e300, where=lambda row: f"row {row}: ")
+            _march_stack(states, [0.0], 0.01, _best_reply(m, "taylor", 0.01), 1e300, where=lambda row: f"row {row}: ")
         with pytest.raises(DivergenceError, match="left the finite numbers"):
             mpc_step_taylor(m, ParticleEnsemble(states[1]), 0.0, 0.01)
         with pytest.raises(DivergenceError, match="left the finite numbers at step 2"):
-            integrate_brs(m, ParticleEnsemble(np.array([0.3, 1e100])), 0.1, 0.01, blow_up_bound=math.inf)
+            _march_stack(np.array([[0.3, 1e100]]), [0.0, 0.01], 0.01, _best_reply(m, "taylor", 0.01), math.inf)

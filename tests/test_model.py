@@ -211,6 +211,11 @@ class TestCatalogue:
         assert alpha_at(m, 0.0) == 1.0
         with pytest.raises(ConfigError, match="positive"):
             alpha_at(m, 0.75)
+        # an array of times gives every weight, each checked
+        times = np.array([0.0, 0.1, 0.25])
+        assert alpha_at(m, times).tobytes() == np.array([alpha_at(m, float(t)) for t in times]).tobytes()
+        with pytest.raises(ConfigError, match=r"alpha\(0.75\)"):
+            alpha_at(m, np.array([0.0, 0.75, 0.25]))
 
     def test_model_validation(self):
         with pytest.raises(ValueError, match="radius"):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,9 +20,9 @@ from mfglab import (
     value,
 )
 from mfglab import ParticleTrajectory, cost, drift
-from mfglab.controller import euler_step
 from mfglab.model import alpha_at, cost_gradient_full, drift_jacobian
 from mfglab.nash import _BLOCK_ENTRIES, GROWTH_LIMIT, _blocks
+from test_model import STACK_MODELS
 
 
 def grid_profile(n, n_steps, horizon, values=None):
@@ -153,13 +155,15 @@ class TestValue:
         after = simulated_value(m, start, ControlProfile(newton, profile.time_grid))[i]
         assert after < before
 
-    @pytest.mark.parametrize("model", [consensus_model(alpha=lambda t: 1.0 + t), bounded_confidence_model(0.5)],
-                             ids=["structured", "dense"])
-    def test_sum_along_a_given_trajectory_is_value_bit_for_bit(self, model):
-        # 70 players over 30 steps: the running costs come in blocks of 13 steps
+    @pytest.mark.parametrize("name", sorted(STACK_MODELS))
+    def test_sum_along_a_given_trajectory_is_value_bit_for_bit(self, name):
+        # 70 players over 30 steps: the running costs come in blocks of 13 steps. Best reply and the
+        # open-loop law share one march, so its own controls replay integrate_brs's trajectory bit for bit.
+        model = dataclasses.replace(STACK_MODELS[name](), alpha=lambda t: 1.0 + t)
         start = ParticleEnsemble(rng(23).uniform(-1.0, 1.0, size=70))
         trajectory, profile = integrate_brs(model, start, 0.6, 0.02)
         assert len(_blocks(profile.n_steps, start.n)) == 3
+        assert simulate_state(model, start, profile).positions.tobytes() == trajectory.positions.tobytes()
         assert value(model, trajectory, profile).tobytes() == simulated_value(model, start, profile).tobytes()
         game = nash_sweep(model, ParticleEnsemble(start.positions[:6]), 0.6, 0.02)
         with pytest.raises(ValueError, match="does not match controls"):
@@ -236,11 +240,13 @@ class TestNashSweep:
     def test_merit_decreases_along_sweep(self):
         m = consensus_model()
         start = ParticleEnsemble(np.array([0.0, 1.0]))
-        res = nash_sweep(m, start, 1.0, 1.0 / 200, record_history=True)
+        # iterate k is the result of a sweep stopped after k iterations
+        iterations = nash_sweep(m, start, 1.0, 1.0 / 200).iterations
         merits = []
-        for controls in res.control_history:
-            profile = ControlProfile(controls, res.controls.time_grid)
-            merits.append(sum(simulated_value(m, start, profile)))
+        for k in range(1, iterations + 1):
+            res = nash_sweep(m, start, 1.0, 1.0 / 200, SweepParams(max_iterations=k))
+            assert res.iterations == k
+            merits.append(sum(simulated_value(m, start, res.controls)))
         assert all(b <= a + 1e-12 for a, b in zip(merits, merits[1:]))
 
     def test_relabeling_equivariance(self):
@@ -355,12 +361,11 @@ class TestSweepBitForBit:
 
     @staticmethod
     def per_step_states(m, start, profile):
-        state = ParticleEnsemble(start.positions.copy())
-        positions = [state.positions]
+        x = start.positions.copy()
+        positions = [x]
         for step in range(profile.n_steps):
-            new = euler_step(state.positions, drift(m, state.positions), profile.values[:, step], profile.dt)
-            state = ParticleEnsemble(new, time=float(profile.time_grid[step + 1]))
-            positions.append(new)
+            x = x + profile.dt * (drift(m, x) + profile.values[:, step])
+            positions.append(x)
         return np.array(positions)
 
     @staticmethod
