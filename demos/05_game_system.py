@@ -3,9 +3,9 @@
 
 A continuum of anticipating agents is described by a backward Hamilton-Jacobi
 equation for the value v coupled to a forward continuity equation for the
-density m. The pair is solved by damped Picard iteration on the density path,
-accelerated by safeguarded Anderson mixing, and the resulting feedback -(1/alpha) dv/dx is compared against the myopic
-best-reply feedback on the population cost.
+density m. The pair is solved by Picard iteration on the density path,
+accelerated by safeguarded Anderson mixing of the undamped images, and the resulting feedback -(1/alpha) dv/dx is
+compared against the myopic best-reply feedback on the population cost.
 """
 
 import numpy as np

@@ -1,9 +1,12 @@
-"""Safeguarded Anderson mixing for the two damped fixed-point loops.
+"""Safeguarded Anderson mixing for the two fixed-point loops.
 
-``mfg_fixed_point`` and ``nash_sweep`` iterate a damped map
-g(x) = (1 - theta) x + theta P(x). Anderson mixing of type II (Walker & Ni,
-SIAM J. Numer. Anal. 49, 2011) keeps the last ``MEMORY`` differences of the
-residuals f = g(x) - x and of the images g, and proposes
+``mfg_fixed_point`` and ``nash_sweep`` iterate a map
+g(x) = (1 - theta) x + theta P(x) with mixing weight theta in (0, 1], by
+default ``MIXING`` = 1, so that g is the plain image P(x); a smaller theta
+damps the map for hard problems. Anderson mixing of type II (Walker & Ni,
+SIAM J. Numer. Anal. 49, 2011), which is normally run undamped, keeps the
+last ``MEMORY`` differences of the residuals f = g(x) - x and of the images
+g, and proposes
 
     x+ = g - dG gamma,   gamma = argmin_gamma || f - dF gamma ||_2.
 
@@ -15,7 +18,7 @@ rows make a LAPACK call not worth its import and memory. Safeguards:
   max|R_ii| / min|R_ii| above ``CONDITION_CAP`` is dropped, together with
   every older one.
 - Restart: the history is cleared whenever the caller's residual grows; that
-  step is the plain damped image g.
+  step is the image g itself.
 - Rejection: the caller may refuse a mixed candidate (``reject``) and
   continue from g instead.
 """
@@ -28,6 +31,7 @@ import numpy as np
 
 MEMORY = 5
 CONDITION_CAP = 1e6
+MIXING = 1.0  # default theta of both loops and of the harness's ``solver.damping``
 
 
 class Anderson:
@@ -55,7 +59,7 @@ class Anderson:
         return self._count
 
     def mix(self, x: np.ndarray, g: np.ndarray, residual: float) -> np.ndarray:
-        """Next iterate from the iterate x, its damped image g and the caller's residual of x.
+        """Next iterate from the iterate x, its image g and the caller's residual of x.
 
         Returns g itself when there is nothing to mix: on the first step, after
         a restart, or when every stored difference was dropped.
@@ -79,7 +83,7 @@ class Anderson:
         return candidate.reshape(g.shape)
 
     def reject(self) -> np.ndarray | None:
-        """Refuse the last mixed candidate: its damped image g, or None when nothing is pending."""
+        """Refuse the last mixed candidate: its image g, or None when nothing is pending."""
         g, self._pending = self._pending, None
         if g is not None:
             self.accepted -= 1

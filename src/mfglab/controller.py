@@ -143,7 +143,7 @@ def _march_stack(x: np.ndarray, starts: Iterable[float], dt: float, law: Law, bl
         for step, t in enumerate(starts):
             drift_rows, u = law(step, t, x)
             x = x + dt * (drift_rows + u)
-            if not np.abs(x).max() <= bound:
+            if not np.maximum.reduce(np.abs(x), axis=None) <= bound:
                 raise _divergence(x, bound, dt, step, t, where)
             if path is not None:
                 path[step + 1] = x

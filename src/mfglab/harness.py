@@ -5,9 +5,10 @@ the stream of a counter-based generator (Philox-4x64-10) keyed by the seed,
 computed with numpy core so that ``numpy.random`` is never imported, sums run
 in fixed order, and floats are written with 17 significant digits. The
 manifest written next to the results echoes the config and records the code
-version, the wall clock, the wall time of each stage and the process (Python
-and numpy versions, usable CPUs, peak resident memory); it is the only
-artifact that may differ between identical runs.
+version, the wall clock, the wall time of each stage, the fixed-point counts of
+``mfg_vs_brs`` and ``nash_vs_brs`` (iterations, accepted and rejected Anderson
+steps) and the process (Python and numpy versions, usable CPUs, peak resident
+memory); it is the only artifact that may differ between identical runs.
 
 CLI:  ``mfglab run <config.json> [--out DIR] [--seed S] [--jobs K]``
 (``--jobs`` runs at most as many threads as there are particle stacks and usable CPUs);
@@ -30,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _version
+from ._anderson import MIXING
 from ._philox import philox_uniforms
 from .controller import (
     DEFAULT_BLOW_UP_BOUND,
@@ -95,7 +97,7 @@ class ExperimentConfig:
     grid_cells: int | None = None
     grid_bounds: tuple[float, float] | None = None
     solver_tolerance: float = 1e-8
-    solver_damping: float = 0.5
+    solver_damping: float = MIXING
     solver_max_iterations: int | None = None
     output: str | None = None
 
@@ -173,7 +175,7 @@ _TOP = (
 _GRID = (("cells", *_count(8), None, False), ("x_min", *_FINITE, None, False), ("x_max", *_FINITE, None, False))
 _SOLVER = (
     ("tolerance", *_POSITIVE, 1e-8, False),
-    ("damping", _number, lambda v: 0 < v <= 1, "a number in (0, 1]", 0.5, False),
+    ("damping", _number, lambda v: 0 < v <= 1, "a number in (0, 1]", MIXING, False),
     ("max_iterations", _integer, lambda v: v >= 1, "a positive integer", None, False),
 )
 _TABLE = (_coefficient_table, None, "a nonempty table of finite numbers", None, True)
@@ -576,15 +578,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str | None = None, job
     except (DivergenceError, CFLError, NumericalError) as exc:
         artifacts, message = [], f"stage {cfg.experiment!r} failed: {exc}"
         code = EXIT_SOLVER
-    artifacts.append(_write_manifest(out, dataclasses.asdict(cfg), code, message, start, stages.seconds))
+    artifacts.append(_write_manifest(out, dataclasses.asdict(cfg), code, message, start, stages.seconds,
+                                     stages.counts))
     return RunResult(code, artifacts, message)
 
 
 class _Stages:
-    """Wall time of the finished stages of one run, in seconds by stage name."""
+    """Wall time of the finished stages of one run, in seconds by stage name, and its solver's counts."""
 
     def __init__(self):
         self.seconds: dict[str, float] = {}
+        self.counts: dict[str, int] = {}
         self._last = time.monotonic()
 
     def lap(self, name: str) -> None:
@@ -594,12 +598,13 @@ class _Stages:
         self._last = now
 
 
-def _write_manifest(out: Path, config, code: int, message: str, start: float, stage_seconds=None) -> Path:
+def _write_manifest(out: Path, config, code: int, message: str, start: float, stage_seconds=None,
+                    counts=None) -> Path:
     """Write ``manifest.json``: the config as validated (or as given, when it failed), exit code and message.
 
     It also records the wall time of each finished stage (``stage_seconds``, empty when the config
-    failed validation before the run) and the process: the Python and numpy versions, the usable CPUs and the peak
-    resident memory so far.
+    failed validation before the run), the solver's ``counts`` as top-level keys, and the process: the Python and
+    numpy versions, the usable CPUs and the peak resident memory so far.
     """
     manifest = {
         "config": config,
@@ -613,6 +618,7 @@ def _write_manifest(out: Path, config, code: int, message: str, start: float, st
         "numpy": np.__version__,
         "cpu_count": _usable_cpus(),
         "peak_rss_mb": _peak_rss_mb(),
+        **(counts or {}),
     }
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "manifest.json"
@@ -721,6 +727,7 @@ def _picard_params(cfg: ExperimentConfig) -> PicardParams:
 def _run_mfg_vs_brs(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: int, stages: _Stages):
     m0 = density_of(cfg.initial, build_grid(cfg))
     result = mfg_fixed_point(model, m0, cfg.horizon, cfg.dt, _picard_params(cfg))
+    stages.counts = _fixed_point_counts(result)
     if not result.converged:
         raise NumericalError(
             f"coupled fixed point did not converge (residual {result.residual:.3e} "
@@ -770,6 +777,7 @@ def _run_nash_vs_brs(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: i
         relaxation=cfg.solver_damping,
     )
     result = nash_sweep(model, start, cfg.horizon, cfg.dt, params)
+    stages.counts = _fixed_point_counts(result)
     if not result.converged:
         raise NumericalError(
             f"sweep did not converge (residual {result.residual:.3e} "
@@ -797,6 +805,12 @@ def _run_nash_vs_brs(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: i
     ]
     stages.lap("write")
     return artifacts, f"sweep converged in {_iterations(result)}"
+
+
+def _fixed_point_counts(result: MFGResult | NashResult) -> dict[str, int]:
+    """Iterations and accepted and rejected Anderson steps of a fixed-point result, for the manifest."""
+    return {"iterations": result.iterations, "accelerated_steps": result.accelerated_steps,
+            "rejected_steps": result.rejected_steps}
 
 
 def _iterations(result: MFGResult | NashResult) -> str:

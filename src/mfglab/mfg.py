@@ -22,8 +22,11 @@ each slice from the one before; it is the march of ``kinetic``, with F's
 quadrature set up once and the value slopes for all slices taken in one
 difference and divided by alpha once.
 
-The coupled system is solved by damped Picard iteration on the density path,
-accelerated by safeguarded Anderson mixing (``_anderson``).
+The coupled system is solved by Anderson-mixed Picard iteration on the
+density path: safeguarded Anderson mixing (``_anderson``) of the images
+(1 - theta) m + theta P(m), theta in (0, 1], default 1, where P(m) is the
+density march under the value along m. At theta = 1 the stopping residual is
+the full Picard step sup_t ||P(m) - m||_L1.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._anderson import Anderson
+from ._anderson import MIXING, Anderson
 from .errors import CFLError, NumericalError
 from .grids import DensityGrid, DensityTrajectory, SpaceGrid, _checked_rows, time_grid, uniform_dt
 from .kinetic import CFL_NUMBER, _initial_speed, _march
@@ -63,9 +66,15 @@ class ValueGrid:
 
 @dataclass(frozen=True)
 class PicardParams:
+    """Budget, tolerance and mixing weight theta in (0, 1] of the Anderson-mixed Picard iteration.
+
+    The default theta = 1 mixes plain Picard images; a smaller ``damping``
+    damps them, for problems on which the undamped iteration does not settle.
+    """
+
     max_iterations: int = 200
     tolerance: float = 1e-8
-    damping: float = 0.5
+    damping: float = MIXING
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -158,20 +167,22 @@ def mfg_fixed_point(
     dt: float,
     params: PicardParams = PicardParams(),
 ) -> MFGResult:
-    """Damped Picard iteration with Anderson mixing on the density path of the coupled system on [0, horizon].
+    """Anderson-mixed Picard iteration on the density path of the coupled system on [0, horizon].
 
     Starts from the transport of m0 by F alone. Each iteration solves the value
     backward along the current path and the density forward under that value,
-    and forms the damped image: the two paths mixed slice-wise with the
-    damping factor, each slice renormalized to unit mass. The residual is the
-    largest L1 distance between the current path and its damped image at any
-    time slice; the iteration stops once it is at most the tolerance and
-    returns that damped image, so every returned slice is a density.
+    and forms the image: the two paths mixed slice-wise with the weight
+    theta = ``params.damping`` in (0, 1], default 1, each slice renormalized
+    to unit mass. The residual is the largest L1 distance between the current
+    path and its image at any time slice; at theta = 1 that is the full
+    Picard step, at theta < 1 theta times it. The iteration stops once
+    the residual is at most the tolerance and returns that image, so every
+    returned slice is a density.
 
-    The next iterate is the Anderson mix of the last damped images (memory
+    The next iterate is the Anderson mix of the last images (memory
     ``_anderson.MEMORY``), slice-wise renormalized. A mixed path with a
-    negative entry is rejected for the damped image itself, and the mixing
-    history restarts whenever the residual grows. ``accelerated_steps`` and
+    negative entry is rejected for the image itself, and the mixing history
+    restarts whenever the residual grows. ``accelerated_steps`` and
     ``rejected_steps`` of the result count the mixed paths used and refused.
     Non-convergence is reported through the flag, never raised.
     """

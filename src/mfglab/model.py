@@ -255,7 +255,7 @@ def _pair_eval(kernel: Kernel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     A scalar result, or one of another shape, is copied out to the full mesh.
     """
     xg, yg = x[..., :, None], y[..., None, :]
-    shape = np.broadcast_shapes(xg.shape, yg.shape)
+    shape = np.broadcast(xg, yg).shape
     vals = np.asarray(kernel(xg, yg), dtype=float)
     if vals.shape != shape or vals.base is not None or not vals.flags.writeable:
         vals = np.array(np.broadcast_to(vals, shape))
@@ -724,7 +724,7 @@ def bounded_confidence_model(radius: float, alpha: Callable[[float], float] | fl
 
     def smooth_window(x, y):
         r = np.abs(x - y)
-        theta = np.clip(radius - r, 0.0, eps) / eps  # clipped first, so a tiny eps cannot overflow
+        theta = np.minimum(np.maximum(radius - r, 0.0), eps) / eps  # clipped first, so a tiny eps cannot overflow
         return theta * theta * (3.0 - 2.0 * theta)
 
     def window_slope(x, y):

@@ -24,9 +24,11 @@ of the discrete cost is exact up to round-off:
 
     dV_i / du_{i,l} = dt * ( alpha(t_l) u_{i,l} + phi^i_i(l+1) ).
 
-The sweep damps the fixed-point update u <- -phi^i_i / alpha to tame the strong
-state-costate coupling of the two-point boundary value problem, and
-accelerates the damped map by safeguarded Anderson mixing (``_anderson``).
+The sweep iterates the best-response update u <- -phi^i_i / alpha, relaxed
+with a weight theta in (0, 1], default 1, and accelerates it by safeguarded
+Anderson mixing (``_anderson``); a theta below 1 damps the strong
+state-costate coupling of the two-point boundary value problem on hard
+problems.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._anderson import Anderson
+from ._anderson import MIXING, Anderson
 from .controller import DEFAULT_BLOW_UP_BOUND, ParticleTrajectory, _march_stack
 from .errors import DivergenceError, NumericalError
 from .grids import time_grid, uniform_dt
@@ -68,9 +70,11 @@ class AdjointField:
 
 @dataclass(frozen=True)
 class SweepParams:
+    """Budget, tolerance and relaxation weight theta in (0, 1] of the Anderson-mixed sweep; default theta = 1."""
+
     max_iterations: int = 500
     tolerance: float = 1e-8
-    relaxation: float = 0.5
+    relaxation: float = MIXING
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -139,7 +143,7 @@ def solve_adjoint(model: ModelSpec, trajectory: ParticleTrajectory) -> np.ndarra
         for step in range(stop - 1, start - 1, -1):
             later = phi[step + 1]
             phi[step] = later + dt * (later @ jacobians[step - start] + sources[step - start])
-            if not np.all(np.isfinite(phi[step])):
+            if not np.isfinite(phi[step]).all():
                 raise NumericalError(f"non-finite costate at step {step}")
     return phi.transpose(1, 2, 0)
 
@@ -186,23 +190,25 @@ def nash_sweep(
     dt: float,
     params: SweepParams = SweepParams(),
 ) -> NashResult:
-    """Damped fixed-point iteration with Anderson mixing on the stationarity system of all N players on [0, horizon].
+    """Anderson-mixed best-response iteration on the stationarity system of all N players on [0, horizon].
 
     Each sweep simulates the state forward, solves every player's costate
-    backward, and forms the damped image: the controls relaxed towards
-    u_{i,l} = -phi^i_i(t_{l+1}) / alpha(t_l). The residual max |alpha u + phi^i_i|
-    is the exact sup-norm of the discrete cost gradients, so it vanishes
-    precisely at a stationary (open-loop Nash) point; the sweep stops once it
-    is at most the tolerance.
+    backward, and forms the image: the controls relaxed with the weight
+    theta = ``params.relaxation`` in (0, 1], default 1, towards the best
+    response u_{i,l} = -phi^i_i(t_{l+1}) / alpha(t_l); at theta = 1 the image
+    is the best response itself. The residual max |alpha u + phi^i_i| does not
+    depend on theta: it is the exact sup-norm of the discrete cost gradients,
+    so it vanishes precisely at a stationary (open-loop Nash) point; the
+    sweep stops once it is at most the tolerance.
 
-    The next controls are the Anderson mix of the last damped images (memory
+    The next controls are the Anderson mix of the last images (memory
     ``_anderson.MEMORY``); the mixing history restarts whenever the residual
     grows. ``accelerated_steps`` and ``rejected_steps`` of the result count
     the mixed controls used and refused.
 
     Non-convergence is reported, never raised. When a sweep after the first
     diverges (``DivergenceError`` from the state, ``NumericalError`` from a
-    costate), mixed controls are rejected for their damped image; otherwise
+    costate), mixed controls are rejected for their image; otherwise
     the iteration stops with ``converged=False`` and returns the last finite
     iterate with its residual history. The iteration stops the same way once
     the residual has grown on ``GROWTH_LIMIT`` sweeps in a row. The first

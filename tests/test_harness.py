@@ -46,7 +46,7 @@ class TestParseConfig:
     def test_minimal_config_fills_defaults(self):
         cfg = parse_config(json.dumps(MINIMAL_NASH))
         assert cfg.seed == 0
-        assert cfg.solver_damping == 0.5
+        assert cfg.solver_damping == 1.0
         assert cfg.solver_tolerance == 1e-8
         assert cfg.alpha_kind == "constant" and cfg.alpha_params["value"] == 1.0
 
@@ -411,6 +411,26 @@ class TestRunExperiment:
             assert set(stages) == {"model", "write"} | solve
             assert all(seconds >= 0.0 for seconds in stages.values())
             assert sum(stages.values()) <= manifest["wall_clock_seconds"]
+
+    def test_manifest_fixed_point_counts(self, tmp_path):
+        # the two fixed-point experiments record iterations and Anderson steps, the others none
+        names = ("iterations", "accelerated_steps", "rejected_steps")
+        for name, raw in HOSTILE_BASES.items():
+            out = tmp_path / name.replace("/", "_")
+            assert run_experiment(parse_config(json.dumps(raw)), out_dir=out).exit_code == EXIT_OK
+            manifest = json.loads((out / "manifest.json").read_text())
+            if raw["experiment"] not in ("mfg_vs_brs", "nash_vs_brs"):
+                assert not set(names) & set(manifest), name
+                continue
+            summary = dict(line.split(",") for line in (out / "summary.csv").read_text().splitlines()[1:])
+            iterations, accepted, rejected = (manifest[key] for key in names)
+            assert iterations == int(summary["iterations"]) >= 1
+            assert accepted >= 0 and rejected >= 0 and accepted + rejected < iterations
+        # a run that stops at its budget records the counts with exit 3
+        raw = dict(HOSTILE_BASES["mfg_vs_brs"], solver={"max_iterations": 1})
+        assert run_experiment(parse_config(json.dumps(raw)), out_dir=tmp_path / "budget").exit_code == EXIT_SOLVER
+        manifest = json.loads((tmp_path / "budget" / "manifest.json").read_text())
+        assert [manifest[key] for key in names] == [1, 0, 0]
 
     def test_manifest_peak_memory_null_without_proc_status(self, tmp_path, monkeypatch):
         def no_proc(path, *args, **kwargs):

@@ -28,6 +28,7 @@ from mfglab import (
     velocity_field,
 )
 from mfglab.grids import time_grid
+from mfglab.harness import density_of
 from mfglab.kinetic import cfl_time_step
 from mfglab.errors import NumericalError
 from mfglab.model import alpha_at
@@ -159,7 +160,8 @@ class TestFixedPoint:
         grid = grid_for_support(0.26, 0.74, 64)
         m0 = gaussian_density(grid)
         dt = cfl_time_step(model, m0, 0.5, safety=0.4)
-        res = mfg_fixed_point(model, m0, 0.5, dt, PicardParams(max_iterations=2))
+        # undamped, consensus converges in 2 iterations: one is short of it
+        res = mfg_fixed_point(model, m0, 0.5, dt, PicardParams(max_iterations=1))
         assert not res.converged
         assert res.residual > 1e-8
 
@@ -313,11 +315,11 @@ def _running_cost_reference(model, m_path, controls):
     return total
 
 
-def _cubic_model():
+def _cubic_model(alpha=lambda t: 1.0 + 0.5 * t):
     return polynomial_model(
         [[1.0, 0.3], [0.2, 0.0]],
         [[0.0, 0.0, 0.5, 0.2], [0.0, -1.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0], [-0.2, 0.0, 0.0, 0.0]],
-        alpha=lambda t: 1.0 + 0.5 * t,
+        alpha=alpha,
     )
 
 
@@ -528,3 +530,34 @@ class TestAndersonMixing:
         for path in seen:
             assert np.min(path) >= 0.0
             assert np.max(np.abs(np.sum(path, axis=1) * self.grid.dx - 1.0)) <= 1e-12
+
+
+class TestUndampedDefault:
+    """The default mixing weight 1 against the damped weight 0.5, from the two-bump start of perfbench's game system."""
+
+    TWO_BUMP = {"kind": "two_bump", "mu1": 0.35, "sigma1": 0.06, "mu2": 0.65, "sigma2": 0.06, "lo": 0.15, "hi": 0.85}
+
+    def setup_method(self):
+        self.grid = grid_for_support(0.15, 0.85, 64)
+        self.m0 = density_of(self.TWO_BUMP, self.grid)
+
+    def test_game_system_config_converges_in_five_iterations(self):
+        model = bounded_confidence_model(radius=0.15)
+        default = mfg_fixed_point(model, self.m0, 0.5, 1 / 160)
+        damped = mfg_fixed_point(model, self.m0, 0.5, 1 / 160, PicardParams(damping=0.5))
+        assert default.converged and default.iterations == 5
+        assert damped.converged and damped.iterations == 7
+        gap = np.max(np.sum(np.abs(default.densities.data - damped.densities.data), axis=1) * self.grid.dx)
+        assert gap <= 10 * PicardParams().tolerance
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.1])
+    @pytest.mark.parametrize("kind", ["consensus", "bounded_confidence", "cubic"])
+    def test_default_needs_no_more_iterations_than_damped(self, kind, alpha):
+        model = {"consensus": lambda: consensus_model(alpha=alpha),
+                 "bounded_confidence": lambda: bounded_confidence_model(radius=0.15, alpha=alpha),
+                 "cubic": lambda: _cubic_model(alpha=alpha)}[kind]()
+        # dt 1/320: the cubic model at alpha 0.1 breaks the value march's CFL bound at 1/160
+        default = mfg_fixed_point(model, self.m0, 0.5, 1 / 320)
+        damped = mfg_fixed_point(model, self.m0, 0.5, 1 / 320, PicardParams(damping=0.5))
+        assert default.converged and damped.converged
+        assert default.iterations <= damped.iterations

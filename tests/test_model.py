@@ -230,6 +230,31 @@ class TestCatalogue:
         y = np.array([0.0, 0.5e-300, 0.975e-300, 1.0])  # inside, inside, in the band, far
         slope = m.drift.dx(x, y)
         assert np.all(np.isfinite(slope)) and slope[2] > 1e300 and slope[[0, 1, 3]].tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("radius", [0.15, 0.5, 1e-300])
+    def test_window_matches_the_clip_formula_bit_for_bit(self, radius):
+        # the window clips by np.minimum(np.maximum(...)), which skips np.clip's Python-level wrapper
+        eps = 0.05 * radius
+        inner = radius - eps
+
+        def clipped(x, y):
+            theta = np.clip(radius - np.abs(x - y), 0.0, eps) / eps
+            return theta * theta * (3.0 - 2.0 * theta)
+
+        window = bounded_confidence_model(radius=radius).drift.value
+        g = np.random.Generator(np.random.Philox(key=37))
+        x, y = radius * g.uniform(-2.0, 2.0, (2, 64))
+        mesh_x, mesh_y = x[:, None], y[None, :]
+        assert window(mesh_x, mesh_y).tobytes() == clipped(mesh_x, mesh_y).tobytes()
+        # pairs at r = radius, at both band edges and one float to either side, in both orders; NaN and inf
+        edges = np.array([radius, inner])
+        edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+        x = np.concatenate([np.zeros(12), [np.nan, 0.0, np.inf, 0.0]])
+        y = np.concatenate([edges, -edges, [0.0, np.nan, 0.0, -np.inf]])
+        values = window(x, y)
+        assert values.tobytes() == clipped(x, y).tobytes()
+        assert values[[0, 4]].tolist() == [0.0, 0.0] and 0.0 < values[2] < 1.0 and values[3] == 1.0
+        assert np.isnan(values[12:14]).all() and values[14:].tolist() == [0.0, 0.0]
         with pytest.raises(ValueError, match="coefficient table"):
             polynomial_model(np.zeros((1, 1, 1)), [[0.0]])
 
