@@ -3,7 +3,7 @@
 
 Every player anticipates the others' optimal controls. The stationarity
 system (forward states, backward costates, pointwise control law) is solved
-by a best-response sweep with Anderson mixing; the residual is the exact sup-norm of the
+by a damped fixed-point sweep with Anderson mixing; the residual is the exact sup-norm of the
 discrete cost gradients. Each sweep marches the costates of all players
 backward at once, as one N x N matrix recursion
 

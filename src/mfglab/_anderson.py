@@ -1,12 +1,11 @@
 """Safeguarded Anderson mixing for the two fixed-point loops.
 
 ``mfg_fixed_point`` and ``nash_sweep`` iterate a map
-g(x) = (1 - theta) x + theta P(x) with mixing weight theta in (0, 1], by
-default ``MIXING`` = 1, so that g is the plain image P(x); a smaller theta
-damps the map for hard problems. Anderson mixing of type II (Walker & Ni,
-SIAM J. Numer. Anal. 49, 2011), which is normally run undamped, keeps the
-last ``MEMORY`` differences of the residuals f = g(x) - x and of the images
-g, and proposes
+g(x) = (1 - theta) x + theta P(x) with a mixing weight theta in (0, 1] of
+their own (the Picard loop defaults to 1, so that g is the plain image P(x);
+the Nash sweep to 0.5). Anderson mixing of type II (Walker & Ni, SIAM J.
+Numer. Anal. 49, 2011) keeps the last ``MEMORY`` differences of the
+residuals f = g(x) - x and of the images g, and proposes
 
     x+ = g - dG gamma,   gamma = argmin_gamma || f - dF gamma ||_2.
 
@@ -31,7 +30,6 @@ import numpy as np
 
 MEMORY = 5
 CONDITION_CAP = 1e6
-MIXING = 1.0  # default theta of both loops and of the harness's ``solver.damping``
 
 
 class Anderson:

@@ -31,7 +31,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _version
-from ._anderson import MIXING
 from ._philox import philox_uniforms
 from .controller import (
     DEFAULT_BLOW_UP_BOUND,
@@ -97,7 +96,7 @@ class ExperimentConfig:
     grid_cells: int | None = None
     grid_bounds: tuple[float, float] | None = None
     solver_tolerance: float = 1e-8
-    solver_damping: float = MIXING
+    solver_damping: float | None = None  # None: each solver's own default
     solver_max_iterations: int | None = None
     output: str | None = None
 
@@ -175,7 +174,7 @@ _TOP = (
 _GRID = (("cells", *_count(8), None, False), ("x_min", *_FINITE, None, False), ("x_max", *_FINITE, None, False))
 _SOLVER = (
     ("tolerance", *_POSITIVE, 1e-8, False),
-    ("damping", _number, lambda v: 0 < v <= 1, "a number in (0, 1]", MIXING, False),
+    ("damping", _number, lambda v: 0 < v <= 1, "a number in (0, 1]", None, False),
     ("max_iterations", _integer, lambda v: v >= 1, "a positive integer", None, False),
 )
 _TABLE = (_coefficient_table, None, "a nonempty table of finite numbers", None, True)
@@ -720,7 +719,7 @@ def _picard_params(cfg: ExperimentConfig) -> PicardParams:
     return PicardParams(
         max_iterations=cfg.solver_max_iterations or 200,
         tolerance=cfg.solver_tolerance,
-        damping=cfg.solver_damping,
+        damping=PicardParams.damping if cfg.solver_damping is None else cfg.solver_damping,
     )
 
 
@@ -774,7 +773,7 @@ def _run_nash_vs_brs(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: i
     params = SweepParams(
         max_iterations=cfg.solver_max_iterations or 500,
         tolerance=cfg.solver_tolerance,
-        relaxation=cfg.solver_damping,
+        relaxation=SweepParams.relaxation if cfg.solver_damping is None else cfg.solver_damping,
     )
     result = nash_sweep(model, start, cfg.horizon, cfg.dt, params)
     stages.counts = _fixed_point_counts(result)

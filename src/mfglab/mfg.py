@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._anderson import MIXING, Anderson
+from ._anderson import Anderson
 from .errors import CFLError, NumericalError
 from .grids import DensityGrid, DensityTrajectory, SpaceGrid, _checked_rows, time_grid, uniform_dt
 from .kinetic import CFL_NUMBER, _initial_speed, _march
@@ -74,7 +74,7 @@ class PicardParams:
 
     max_iterations: int = 200
     tolerance: float = 1e-8
-    damping: float = MIXING
+    damping: float = 1.0
 
     def __post_init__(self):
         if self.max_iterations < 1:

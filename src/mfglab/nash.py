@@ -24,11 +24,12 @@ of the discrete cost is exact up to round-off:
 
     dV_i / du_{i,l} = dt * ( alpha(t_l) u_{i,l} + phi^i_i(l+1) ).
 
-The sweep iterates the best-response update u <- -phi^i_i / alpha, relaxed
-with a weight theta in (0, 1], default 1, and accelerates it by safeguarded
-Anderson mixing (``_anderson``); a theta below 1 damps the strong
-state-costate coupling of the two-point boundary value problem on hard
-problems.
+The sweep damps the best-response update u <- -phi^i_i / alpha with a weight
+theta in (0, 1], default 0.5, to tame the strong state-costate coupling of the
+two-point boundary value problem, and accelerates the damped map by
+safeguarded Anderson mixing (``_anderson``). Unlike the Picard loop of
+``mfg``, the sweep keeps damping by default: undamped, bounded confidence
+r = 0.1 with 8 players on [0, 1] settles on fewer starts than at theta = 0.5.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._anderson import MIXING, Anderson
+from ._anderson import Anderson
 from .controller import DEFAULT_BLOW_UP_BOUND, ParticleTrajectory, _march_stack
 from .errors import DivergenceError, NumericalError
 from .grids import time_grid, uniform_dt
@@ -70,11 +71,11 @@ class AdjointField:
 
 @dataclass(frozen=True)
 class SweepParams:
-    """Budget, tolerance and relaxation weight theta in (0, 1] of the Anderson-mixed sweep; default theta = 1."""
+    """Budget, tolerance and relaxation weight theta in (0, 1] of the Anderson-mixed sweep; default theta = 0.5."""
 
     max_iterations: int = 500
     tolerance: float = 1e-8
-    relaxation: float = MIXING
+    relaxation: float = 0.5
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -190,25 +191,25 @@ def nash_sweep(
     dt: float,
     params: SweepParams = SweepParams(),
 ) -> NashResult:
-    """Anderson-mixed best-response iteration on the stationarity system of all N players on [0, horizon].
+    """Damped fixed-point iteration with Anderson mixing on the stationarity system of all N players on [0, horizon].
 
     Each sweep simulates the state forward, solves every player's costate
-    backward, and forms the image: the controls relaxed with the weight
-    theta = ``params.relaxation`` in (0, 1], default 1, towards the best
+    backward, and forms the damped image: the controls relaxed with the weight
+    theta = ``params.relaxation`` in (0, 1], default 0.5, towards the best
     response u_{i,l} = -phi^i_i(t_{l+1}) / alpha(t_l); at theta = 1 the image
     is the best response itself. The residual max |alpha u + phi^i_i| does not
     depend on theta: it is the exact sup-norm of the discrete cost gradients,
     so it vanishes precisely at a stationary (open-loop Nash) point; the
     sweep stops once it is at most the tolerance.
 
-    The next controls are the Anderson mix of the last images (memory
+    The next controls are the Anderson mix of the last damped images (memory
     ``_anderson.MEMORY``); the mixing history restarts whenever the residual
     grows. ``accelerated_steps`` and ``rejected_steps`` of the result count
     the mixed controls used and refused.
 
     Non-convergence is reported, never raised. When a sweep after the first
     diverges (``DivergenceError`` from the state, ``NumericalError`` from a
-    costate), mixed controls are rejected for their image; otherwise
+    costate), mixed controls are rejected for their damped image; otherwise
     the iteration stops with ``converged=False`` and returns the last finite
     iterate with its residual history. The iteration stops the same way once
     the residual has grown on ``GROWTH_LIMIT`` sweeps in a row. The first

@@ -46,7 +46,7 @@ class TestParseConfig:
     def test_minimal_config_fills_defaults(self):
         cfg = parse_config(json.dumps(MINIMAL_NASH))
         assert cfg.seed == 0
-        assert cfg.solver_damping == 1.0
+        assert cfg.solver_damping is None  # each solver keeps its own default
         assert cfg.solver_tolerance == 1e-8
         assert cfg.alpha_kind == "constant" and cfg.alpha_params["value"] == 1.0
 
@@ -518,6 +518,20 @@ class TestRunExperiment:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["exit_code"] == EXIT_SOLVER
         assert list(manifest["stage_seconds"]) == ["model"]  # the stages that finished
+
+    def test_unset_damping_keeps_each_solver_default(self, tmp_path):
+        # Picard defaults to theta 1, the Nash sweep to 0.5; a set solver.damping reaches both
+        raw = dict(MINIMAL_NASH, model={"kind": "bounded_confidence", "radius": 0.1}, horizon=1.0,
+                   dt=0.02, n_particles=8, initial={"kind": "uniform", "a": 0.0, "b": 1.0})
+        assert harness._picard_params(parse_config(json.dumps(raw))).damping == 1.0
+        assert run_experiment(parse_config(json.dumps(raw)), out_dir=tmp_path / "default").exit_code == EXIT_OK
+        for damping, code in ((0.5, EXIT_OK), (1.0, EXIT_SOLVER)):  # undamped, the residual grows
+            cfg = parse_config(json.dumps(dict(raw, solver={"damping": damping})))
+            assert harness._picard_params(cfg).damping == damping
+            assert run_experiment(cfg, out_dir=tmp_path / str(damping)).exit_code == code
+        manifests = [json.loads((tmp_path / name / "manifest.json").read_text()) for name in ("default", "0.5")]
+        assert manifests[0]["iterations"] == manifests[1]["iterations"]
+        assert manifests[0]["config"]["solver_damping"] is None
 
 
 class TestCli:

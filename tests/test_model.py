@@ -230,6 +230,8 @@ class TestCatalogue:
         y = np.array([0.0, 0.5e-300, 0.975e-300, 1.0])  # inside, inside, in the band, far
         slope = m.drift.dx(x, y)
         assert np.all(np.isfinite(slope)) and slope[2] > 1e300 and slope[[0, 1, 3]].tolist() == [0.0, 0.0, 0.0]
+        with pytest.raises(ValueError, match="coefficient table"):
+            polynomial_model(np.zeros((1, 1, 1)), [[0.0]])
 
     @pytest.mark.parametrize("radius", [0.15, 0.5, 1e-300])
     def test_window_matches_the_clip_formula_bit_for_bit(self, radius):
@@ -255,8 +257,6 @@ class TestCatalogue:
         assert values.tobytes() == clipped(x, y).tobytes()
         assert values[[0, 4]].tolist() == [0.0, 0.0] and 0.0 < values[2] < 1.0 and values[3] == 1.0
         assert np.isnan(values[12:14]).all() and values[14:].tolist() == [0.0, 0.0]
-        with pytest.raises(ValueError, match="coefficient table"):
-            polynomial_model(np.zeros((1, 1, 1)), [[0.0]])
 
 
 class TestPairKernel:

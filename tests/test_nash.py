@@ -238,15 +238,13 @@ class TestNashSweep:
         assert np.all(v_game <= v_myopic + 1e-6)
 
     def test_merit_decreases_along_sweep(self):
-        # the damped sweep only: the Nash point is not a social optimum, and undamped sweeps
-        # overshoot it (total costs 0.434, 0.310, 0.324, 0.3236 here)
         m = consensus_model()
         start = ParticleEnsemble(np.array([0.0, 1.0]))
         # iterate k is the result of a sweep stopped after k iterations
-        iterations = nash_sweep(m, start, 1.0, 1.0 / 200, SweepParams(relaxation=0.5)).iterations
+        iterations = nash_sweep(m, start, 1.0, 1.0 / 200).iterations
         merits = []
         for k in range(1, iterations + 1):
-            res = nash_sweep(m, start, 1.0, 1.0 / 200, SweepParams(max_iterations=k, relaxation=0.5))
+            res = nash_sweep(m, start, 1.0, 1.0 / 200, SweepParams(max_iterations=k))
             assert res.iterations == k
             merits.append(sum(simulated_value(m, start, res.controls)))
         assert all(b <= a + 1e-12 for a, b in zip(merits, merits[1:]))
@@ -302,18 +300,6 @@ class TestNashSweep:
         res = nash_sweep(m, start, 1.0, 0.02, SweepParams(relaxation=0.5))
         assert res.converged and res.iterations <= 40
         assert res.accelerated_steps > 0 and res.rejected_steps == 0
-
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_default_needs_no_more_sweeps_than_damped(self, seed):
-        # perfbench's nash config: the default relaxation 1 against 0.5
-        from mfglab.harness import sample_initial
-
-        m = bounded_confidence_model(radius=0.5)
-        start = sample_initial(seed, 8, {"kind": "uniform", "a": 0.0, "b": 0.45})
-        default = nash_sweep(m, start, 0.5, 0.02, SweepParams(tolerance=1.5e-8))
-        damped = nash_sweep(m, start, 0.5, 0.02, SweepParams(tolerance=1.5e-8, relaxation=0.5))
-        assert default.converged and damped.converged
-        assert default.iterations <= damped.iterations
 
     def test_diverging_anderson_candidate_rejected(self, monkeypatch):
         # the third sweep runs the first mixed candidate; its divergence sends the sweep back to
