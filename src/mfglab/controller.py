@@ -111,14 +111,12 @@ def _one_step(model: ModelSpec, ensemble: ParticleEnsemble, t: float, dt: float,
 def _best_reply(model: ModelSpec, scheme: str, dt: float) -> Law:
     """The best-reply law u = -(d h_i / d x_i) / alpha with alpha at t ("taylor") or t + dt ("exact").
 
-    Drift and slopes of the stack come from one ``model._particle_velocity``
-    evaluation, set up here once per run.
+    Drift and slopes of the stack come from one ``model._particle_velocity`` evaluation.
     """
-    velocity = _particle_velocity(model)
     exact = scheme == "exact"
 
     def law(step: int, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        drift_rows, slopes = velocity(x)
+        drift_rows, slopes = _particle_velocity(model, x)
         return drift_rows, -slopes / alpha_at(model, t + dt if exact else t)
 
     return law

@@ -163,12 +163,13 @@ _TOP = (
     ("experiment", _string, lambda v: v in EXPERIMENTS, f"one of {EXPERIMENTS}", None, True),
     ("horizon", *_POSITIVE, None, True),
     ("dt", *_POSITIVE, None, False),
-    ("dt_list", _list_of(_number), lambda v: v > 0, "a nonempty list of positive finite numbers", None, False),
+    ("dt_list", _list_of(_number), lambda v: v > 0, "a nonempty list of distinct positive finite numbers", None,
+     False),
     ("seed", _integer, lambda v: v >= 0, "a nonnegative integer", 0, False),
     ("n_seeds", *_count(1), 1, False),
     ("n_particles", *_count(2), None, False),
-    ("n_particles_list", _list_of(_integer), _count(2)[1], f"a nonempty list of integers in [2, {_MAX_POINTS}]",
-     None, False),
+    ("n_particles_list", _list_of(_integer), _count(2)[1],
+     f"a nonempty list of distinct integers in [2, {_MAX_POINTS}]", None, False),
     ("output", _string, None, "a string path", None, False),
 )
 _GRID = (("cells", *_count(8), None, False), ("x_min", *_FINITE, None, False), ("x_max", *_FINITE, None, False))
@@ -274,6 +275,12 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append(f"experiment {experiment!r} requires {name}")
     if seed is not None and top["n_seeds"] is not None and seed + top["n_seeds"] - 1 >= 2**128:  # Philox keys
         errors.append(f"seed + n_seeds - 1 must be less than 2**128, got {seed + top['n_seeds'] - 1}")
+    for name in ("dt_list", "n_particles_list"):  # a repeated entry would run, and write its rows, twice
+        ordered = sorted(top[name] or ())
+        for value, following in zip(ordered, ordered[1:]):
+            if value == following:
+                errors.append(f"{name} must not repeat an entry, got {value!r} more than once")
+                break
     if experiment == "particle_vs_kinetic" and top["n_particles_list"] and top["n_seeds"] is not None:
         cells = len(top["n_particles_list"]) * top["n_seeds"]  # each cell is one run, listed before the first
         if cells > _MAX_CELLS:

@@ -29,21 +29,23 @@ Reproducibility contract:
   repeats bit for bit.
 * A kernel that is a polynomial ``sum_ab C[a, b] x^a y^b`` may carry its
   coefficient table (``model.drift.table``, ``model.cost.table``). Then
-  ``drift``, ``cost_grad_vector`` and the three mean-field
-  quadratures take the structured path: power moments of the ensemble about
-  its mean, or of the density about the grid midpoint, reduce the O(N^2) pair
-  sums to O(N deg^2) and the quadratures to O(M deg^2) per call.
+  ``drift``, ``cost_grad_vector`` and the three mean-field quadratures take
+  the structured path. Construction compiles each table quantity once into B
+  with value ``sum B[k, p, q] c^k u^p v^q`` at (c + u, c + v), exact from the
+  table's binary values, rounded once, trailing exact-zero k, p and q
+  trimmed (``_compile``): a translation-invariant table needs no centre. A
+  sum over particles or cells is one ascending contraction of B at the
+  centre (ensemble mean or grid midpoint) with the power moments about it
+  and one Horner in u, O(N deg^2) or O(M deg^2) per call.
 * A stack of states, (L, N), gives bit for bit the per-state calls:
   ``_pair_eval`` hands the kernel ``x[..., :, None]`` and ``y[..., None, :]``,
   and every particle function works row by row with the same elementwise
-  operations and ascending sums; an array of centres shifts one table per
-  row.
-* ``_particle_velocity`` gives the drift and the cost slopes of a stack from
-  one evaluation per step: on the structured path each row is centred once
-  and one set of power sums, to the larger degree, serves both tables. A
-  shorter table reads a prefix of those sums, which are the sums it would
-  take alone, so both results are bit for bit ``drift`` and
-  ``cost_grad_vector``.
+  operations and ascending sums; an array of centres gives each row the
+  operator of its own centre (``_at_centre``).
+* ``drift``, ``cost_grad_vector`` and ``_particle_velocity`` read their rows
+  of one evaluation (``_pair_moments``), so they agree bit for bit: one set
+  of power sums and one contraction for both quantities, the self pair of
+  the cost slope folded in as one more moment column, of value 1.
 * The structured and dense paths agree to round-off, not bitwise.
   ``consensus_model`` and ``polynomial_model`` take the structured path;
   ``bounded_confidence_model`` has no table and always takes the dense one.
@@ -82,16 +84,16 @@ Reproducibility contract:
   the faces, fed one density row per step, and F and H at the centers, fed
   the whole path at once. The dense quantities' cached matrices sit side by
   side, (M, 2Q), and one ``_cell_sums`` contraction sums every column on its
-  own; the structured quantities share one set of power sums of each row.
-  So the marches repeat the per-quantity calls bit for bit. The side-by-side
-  matrix is built per march and not cached.
+  own; the structured quantities share one set of power sums of each row,
+  one contraction and one Horner. So the marches repeat the per-quantity
+  calls bit for bit. The side-by-side matrix is built per march, not cached.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -160,7 +162,8 @@ class ModelSpec:
     points to ``DERIVATIVE_RTOL``, and that a present table reproduces all
     three parts there to ``TABLE_RTOL``; it raises ``ValueError`` naming the
     kernel and the part otherwise, so a kernel left stale by
-    ``dataclasses.replace`` fails loudly.
+    ``dataclasses.replace`` fails loudly, as does a table whose compiled
+    coefficients (``_compile``) exceed the floats.
     """
 
     drift: PairKernel
@@ -168,12 +171,15 @@ class ModelSpec:
     alpha: Callable[[float], float]
     # (quantity, SpaceGrid, query point bytes) -> read-only quadrature matrix; see ``_kernel_matrix``
     _quadrature_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # "particles" and "grid" -> ``_Operator`` of the table quantities, compiled at construction
+    _operators: dict = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, kernel in (("drift", self.drift), ("cost", self.cost)):
             if kernel.table is not None:
                 _check_table(name, kernel)
             _check_derivatives(name, kernel)
+        object.__setattr__(self, "_operators", _compile(self.drift.table, self.cost.table))
 
 
 @dataclass
@@ -281,8 +287,7 @@ def drift(model: ModelSpec, x: np.ndarray) -> np.ndarray:
     warnings silenced; ``controller._march_stack`` reports them as a divergence.
     """
     if model.drift.table is not None:
-        centre, u = _centred(x)
-        return _pair_sums(_drift_terms(model.drift.table, centre), u, u) / x.shape[-1]
+        return _pair_moments(model, x)[..., 0, :] / x.shape[-1]
     diff = x[..., None, :] - x[..., :, None]
     terms = np.multiply(_pair_eval(model.drift.value, x, x), diff, out=diff)
     return _sum_ascending(terms, axis=-1, consume=True) / x.shape[-1]
@@ -319,7 +324,7 @@ def cost_grad_vector(model: ModelSpec, x: np.ndarray) -> np.ndarray:
     Like ``drift``, a state too wide for floats gives entries that are not finite, without a warning.
     """
     if model.cost.table is not None:
-        return _slope_sums(model.cost.table, x) / _peers(x)
+        return _pair_moments(model, x)[..., -1, :] / _peers(x)
     return _peer_mean(model.cost.dx, x)
 
 
@@ -428,36 +433,36 @@ def _quadrature(model: ModelSpec, quantities: tuple[str, ...], xs: np.ndarray,
     one per quantity, ascending in the cell. Dense quantities set their
     ``_kernel_matrix``es side by side, (M, K Q), and sum them in one
     ``_cell_sums`` contraction, which treats every column alike. Structured
-    quantities evaluate their tables, shifted to the grid midpoint once, from
-    one set of power sums of the cell centers about it, taken to the largest
-    degree. Either way each quantity gets bit for bit what it gets alone, and
-    an overflow leaves inf or nan, without a warning, for the CFL and
-    finiteness checks.
+    quantities take their rows of the model's "grid" operator at the grid
+    midpoint, once, and share one set of power sums of the cell centres
+    about it, one contraction and one Horner. Either way each quantity gets
+    bit for bit what it gets alone, and an overflow leaves inf or nan,
+    without a warning, for the CFL and finiteness checks.
     """
-    slots, matrices, tables = [], [], []
+    slots, matrices, picks = [], [], []
+    operator = model._operators.get("grid")
     with np.errstate(over="ignore", invalid="ignore"):
         centre = 0.5 * (grid.x_min + grid.x_max)
         u, at = grid.centers() - centre, xs - centre
         for quantity in quantities:
-            kernel_of, dense_part, terms, weight_shift = _QUANTITIES[quantity]
+            kernel_of, dense_part, weight_shift = _QUANTITIES[quantity]
             kernel = kernel_of(model)
             if kernel.table is None:
                 slots.append((False, len(matrices)))
                 matrices.append(_kernel_matrix(model, quantity, dense_part(kernel), xs, grid, weight_shift))
             else:
-                slots.append((True, len(tables)))
-                tables.append(terms(kernel.table, centre))
+                slots.append((True, len(picks)))
+                picks.append(operator.quantities.index(quantity))
+        table = _at_centre(operator.coeffs, centre)[picks] if picks else None
     side_by_side = matrices[0] if len(matrices) == 1 else np.hstack(matrices) if matrices else None
-    degree = max((table.shape[1] - 1 for table in tables), default=0)
     q = xs.size
 
     def evaluate(weights: np.ndarray) -> list[np.ndarray]:
         dense = _cell_sums(side_by_side, weights) if matrices else None
-        if tables:
+        if picks:
             with np.errstate(over="ignore", invalid="ignore"):
-                sums = _power_sums(u, weights, degree)
-                moments = [_moment_eval(table, at, sums[..., :table.shape[1]]) for table in tables]
-        return [moments[k] if structured else dense[:, k * q:(k + 1) * q] for structured, k in slots]
+                moments = _contract(table, _power_sums(u, weights, operator.powers - 1), at)
+        return [moments[:, k] if structured else dense[:, k * q:(k + 1) * q] for structured, k in slots]
 
     return evaluate
 
@@ -537,48 +542,90 @@ def _check_derivatives(name: str, kernel: PairKernel) -> None:
                 )
 
 
-def _taylor_shift(table: np.ndarray, centre) -> np.ndarray:
-    """Table of K(centre + u, centre + v) in powers of u and v; an (L,) array of centres gives (L, ...) tables.
+class _Operator(NamedTuple):
+    """``coeffs[k, s, p, m]`` weighs c^k u^p times moment m of quantity s: sum_j w_j u_j^m below ``powers``, then 1."""
 
-    Repeated synthetic division along each axis: O(deg^2) vector updates, with
-    products and sums only, in a fixed order. Each table of a stack sees the
-    operations of its own centre alone.
-    """
-    c = np.asarray(centre, dtype=float)[..., None]
-    out = np.empty(c.shape[:-1] + table.shape)
-    out[...] = table
-    rows, cols = table.shape
-    for i in range(rows - 1):  # rows shift x
-        for j in range(rows - 2, i - 1, -1):
-            out[..., j, :] += c * out[..., j + 1, :]
-    for i in range(cols - 1):  # columns shift y
-        for j in range(cols - 2, i - 1, -1):
-            out[..., j] += c * out[..., j + 1]
+    coeffs: np.ndarray
+    quantities: tuple[str, ...]
+    powers: int
+
+
+def _expansion(table: np.ndarray) -> tuple[list, int]:
+    """Integer terms ((k, p, q), E) and a power of two d: K(c + u, c + v) = sum E c^k u^p v^q / d, exactly."""
+    ratios = [value.as_integer_ratio() for value in table.ravel().tolist()]
+    scale = max(d for _, d in ratios)
+    terms = []
+    for index, (n, d) in enumerate(ratios):  # (c + u)^a (c + v)^b by binomials
+        a, b = divmod(index, table.shape[1])
+        terms += [((a - p + b - q, p, q), n * (scale // d) * math.comb(a, p) * math.comb(b, q))
+                  for p in range(a + 1) for q in range(b + 1)]
+    return terms, scale
+
+
+def _rounded(terms: list, scale: int, name: str) -> np.ndarray:
+    """The sum of each key's terms over scale, rounded once, in an array that just fits the nonzero ones."""
+    sums = {}
+    for key, n in terms:
+        sums[key] = sums.get(key, 0) + n
+    if any(abs(n) >= (2**1024 - 2**970) * scale for n in sums.values()):  # n / scale would round past the floats
+        raise ValueError(f"{name}.table overflows: a coefficient of its expansion about a centre is not finite")
+    values = {key: n / scale for key, n in sums.items() if n / scale != 0.0}  # integer division rounds correctly
+    out = np.zeros([max((key[axis] + 1 for key in values), default=1) for axis in range(3)])
+    for key, value in values.items():
+        out[key] = value
     return out
 
 
-def _drift_terms(drift_table: np.ndarray, centre) -> np.ndarray:
-    """Table of P(x, y)(y - x) about ``centre``; one table per entry of an array of centres.
+def _compile(drift_table: np.ndarray | None, cost_table: np.ndarray | None) -> dict[str, _Operator]:
+    """The operators of the table quantities P(x, y)(y - x), d_x phi and phi, for "particles" and for the "grid".
 
-    The factor (v - u) is applied after the shift.
+    The particle slopes drop the self pair d_x phi(x, x): its coefficients of u^(p + q) fill one more moment
+    column unless all vanish. Zero padding to one shape lets any subset of the quantities evaluate bit for bit.
     """
-    shifted = _taylor_shift(drift_table, centre)
-    rows, cols = shifted.shape[-2:]
-    out = np.zeros(shifted.shape[:-2] + (rows + 1, cols + 1))
-    out[..., :rows, 1:] += shifted
-    out[..., 1:, :cols] -= shifted
+    parts = {}
+    if drift_table is not None:
+        shifted, scale = _expansion(drift_table)  # times v - u
+        terms = [((k, p, q + 1), n) for (k, p, q), n in shifted] + [((k, p + 1, q), -n) for (k, p, q), n in shifted]
+        parts["drift"] = _rounded(terms, scale, "drift")
+    if cost_table is not None:
+        shifted, scale = _expansion(cost_table)
+        slope = [((k, p - 1, q), p * n) for (k, p, q), n in shifted if p]  # d/du of phi(c + u, c + v)
+        parts.update(cost=_rounded(shifted, scale, "cost"), cost_grad=_rounded(slope, scale, "cost"),
+                     self_pair=_rounded([((k, p + q, 0), -n) for (k, p, q), n in slope], scale, "cost"))
+
+    def stack(names: tuple[str, ...], self_pair: bool = False) -> _Operator:
+        blocks = [parts[name] for name in names] + ([parts["self_pair"]] if self_pair else [])
+        powers = max(parts[name].shape[2] for name in names)
+        k, p = (max(block.shape[axis] for block in blocks) for axis in (0, 1))
+        coeffs = np.zeros((k, len(names), p, powers + self_pair))
+        for index, block in enumerate(blocks):  # the self pair goes into the last quantity's last column
+            column = slice(powers, None) if index == len(names) else slice(block.shape[2])
+            coeffs[:len(block), min(index, len(names) - 1), :block.shape[1], column] = block
+        coeffs.setflags(write=False)
+        return _Operator(coeffs, names, powers)
+
+    return {} if not parts else {
+        "particles": stack(tuple(name for name in ("drift", "cost_grad") if name in parts),
+                           "self_pair" in parts and bool(parts["self_pair"].any())),
+        "grid": stack(tuple(name for name in ("drift", "cost_grad", "cost") if name in parts)),
+    }
+
+
+def _at_centre(coeffs: np.ndarray, centre) -> np.ndarray:
+    """``sum_k coeffs[k] centre^k`` by Horner, each entry of an array of centres alone; one k comes back as it is."""
+    if len(coeffs) == 1:
+        return coeffs[0]
+    c = np.reshape(centre, np.shape(centre) + (1,) * (coeffs.ndim - 1))
+    out = np.broadcast_to(coeffs[-1], np.shape(centre) + coeffs.shape[1:]).copy()
+    for coeff in coeffs[-2::-1]:
+        out *= c
+        out += coeff
     return out
 
 
-def _slope_terms(cost_table: np.ndarray, centre) -> np.ndarray:
-    """Table of d_x phi(x, y) about ``centre``; one table per entry of an array of centres."""
-    return _taylor_shift(_poly_diff_rows(cost_table), centre)
-
-
-def _centred(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ensemble mean (ascending sum) and the positions relative to it; per row of a stack of states."""
-    centre = _sum_ascending(x) / x.shape[-1]
-    return centre, (x.T - centre).T
+def _contract(table: np.ndarray, moments: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """sum_p at^p sum_m table[..., s, p, m] moments[..., m], the sums over m ascending: (..., S, points)."""
+    return _horner(_sum_ascending(table * moments[..., None, None, :], consume=True), at)
 
 
 def _power_sums(u: np.ndarray, weights, degree: int) -> np.ndarray:
@@ -605,91 +652,44 @@ def _horner(coeffs: np.ndarray, at: np.ndarray) -> np.ndarray:
     return out
 
 
-def _moment_eval(table: np.ndarray, at: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """sum_a at^a sum_b table[..., a, b] sums[..., b], the inner sums ascending; one row per row of ``sums``."""
-    return _horner(_sum_ascending(table * sums[..., None, :], axis=-1), at)
-
-
-def _diagonal(table: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """K(at, at) for a table K: the anti-diagonal sums are the coefficients of at^k; per row of a stack."""
-    rows, cols = table.shape[-2:]
-    coeffs = np.zeros(table.shape[:-2] + (rows + cols - 1,))
-    for a in range(rows):
-        coeffs[..., a:a + cols] += table[..., a, :]
-    return _horner(coeffs, at)
-
-
-def _pair_sums(table: np.ndarray, u: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """sum_j K(at_i, u_j) over all particles j, for a centred table K."""
-    return _moment_eval(table, at, _power_sums(u, 1.0, table.shape[-1] - 1))
-
-
-def _slope_sums(cost_table: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_{j != i} d_x phi(x_i, x_j) for every particle i: all pairs minus the self pair."""
-    centre, u = _centred(x)
-    table = _slope_terms(cost_table, centre)
-    return _pair_sums(table, u, u) - _diagonal(table, u)
-
-
-def _velocity_degree(model: ModelSpec) -> int:
-    """The highest power sum ``_particle_velocity`` takes, -1 when neither kernel has a table.
-
-    P(x, y)(y - x) is one degree higher in y than P; d_x phi keeps the degree of phi in y.
-    """
-    return max(-1 if model.drift.table is None else model.drift.table.shape[1],
-               -1 if model.cost.table is None else model.cost.table.shape[1] - 1)
+def _pair_moments(model: ModelSpec, x: np.ndarray) -> np.ndarray:
+    """The particle table quantities summed over j, slopes without the self pair, (..., S, N) drift first: each
+    row centred on its mean (an ascending sum), with one set of power sums and one contraction."""
+    operator = model._operators["particles"]
+    centre = _sum_ascending(x) / x.shape[-1]
+    u = (x.T - centre).T
+    moments = _power_sums(u, 1.0, operator.powers - 1)
+    if operator.coeffs.shape[-1] > operator.powers:  # the self pair's column, moment 1
+        moments = np.concatenate((moments, np.ones_like(moments[..., :1])), axis=-1)
+    return _contract(_at_centre(operator.coeffs, centre), moments, u[..., None, :])
 
 
 def _row_entries(model: ModelSpec, n: int) -> int:
-    """Entries of the largest array ``_particle_velocity`` forms per state row of n particles.
-
-    The N x N pair matrix when either kernel takes the dense path, the power
-    sums' (degree + 1) x N table otherwise.
-    """
+    """Entries of the largest array ``_particle_velocity`` forms per state row of n particles: the N x N pair
+    matrix on the dense path, else N per power sum or per quantity, or the operator at the row's centre."""
     if model.drift.table is None or model.cost.table is None:
         return n * n
-    return n * (_velocity_degree(model) + 1)
+    operator = model._operators["particles"]
+    return max(n * max(operator.powers, len(operator.quantities)), operator.coeffs[0].size)
 
 
-def _particle_velocity(model: ModelSpec) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """The drift and the own-cost slopes of every row of an (S, N) stack of states, set up once per run.
+def _particle_velocity(model: ModelSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The drift and the own-cost slopes of each row of an (S, N) stack, bit for bit ``drift`` and ``cost_grad_vector``.
 
-    The result maps the stack to ``(drift, slopes)``, bit for bit ``drift``
-    and ``cost_grad_vector`` of each row. On the structured path the stack is
-    centred once, one set of power sums to the larger of the two degrees
-    serves both tables, and the differentiated cost table is taken here, once.
-    On the dense path it is ``drift`` and ``cost_grad_vector``.
-    Raises ``ValueError`` for fewer than two particles. The caller silences
-    numpy's overflow and invalid-value warnings: a state too wide for floats
-    gives entries that are not finite, as in ``drift``.
+    With both tables both come from one ``_pair_moments`` evaluation. Raises ``ValueError`` for fewer than two
+    particles. The caller silences numpy's overflow and invalid-value warnings, as ``drift`` does.
     """
-    drift_table = model.drift.table
-    slope_table = None if model.cost.table is None else _poly_diff_rows(model.cost.table)
-    degree = _velocity_degree(model)
-
-    def evaluate(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        peers = _peers(x)
-        if degree >= 0:
-            centre, u = _centred(x)
-            sums = _power_sums(u, 1.0, degree)
-        if drift_table is None:
-            drift_rows = drift(model, x)
-        else:
-            table = _drift_terms(drift_table, centre)
-            drift_rows = _moment_eval(table, u, sums[..., :table.shape[-1]]) / x.shape[-1]
-        if slope_table is None:
-            return drift_rows, cost_grad_vector(model, x)
-        table = _taylor_shift(slope_table, centre)
-        return drift_rows, (_moment_eval(table, u, sums[..., :table.shape[-1]]) - _diagonal(table, u)) / peers
-
-    return evaluate
+    if model.drift.table is None or model.cost.table is None:
+        return drift(model, x), cost_grad_vector(model, x)
+    sums = _pair_moments(model, x)
+    return sums[..., 0, :] / x.shape[-1], sums[..., 1, :] / _peers(x)
 
 
-# quantity -> (kernel, the part the dense path integrates, its integrand's table about a centre, weighted by y - x)
+# quantity -> (kernel, the part the dense path integrates, weighted by y - x)
 _QUANTITIES = {
-    "drift": (lambda model: model.drift, lambda kernel: kernel.value, _drift_terms, True),
-    "cost_grad": (lambda model: model.cost, lambda kernel: kernel.dx, _slope_terms, False),
-    "cost": (lambda model: model.cost, lambda kernel: kernel.value, _taylor_shift, False),
+    "drift": (lambda model: model.drift, lambda kernel: kernel.value, True),
+    "cost_grad": (lambda model: model.cost, lambda kernel: kernel.dx, False),
+    "cost": (lambda model: model.cost, lambda kernel: kernel.value, False),
 }
 
 

@@ -555,6 +555,25 @@ class TestCli:
         assert manifest["config"]["dt"] == 0
         assert manifest["stage_seconds"] == {}
 
+    @pytest.mark.parametrize("name, field, entries, repeated", [
+        ("particle_vs_kinetic", "n_particles_list", [8, 4, 8], "8"),
+        ("mpc_vs_brs", "dt_list", [0.05, 0.05], "0.05"),
+        ("prop2_gap", "dt_list", [0.1, 0.05, 0.1, 0.05], "0.05"),
+    ])
+    def test_repeated_list_entry_exit_two_with_manifest(self, tmp_path, capsys, name, field, entries, repeated):
+        # a repeated N or dt would be integrated twice and its rows written twice
+        raw = dict(HOSTILE_BASES[name], n_seeds=2, output=str(tmp_path / "out"), **{field: entries})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+        message = f"{field} must not repeat an entry, got {repeated} more than once"
+        assert message in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["exit_code"] == EXIT_CONFIG and message in manifest["message"]
+        assert sorted(path.name for path in (tmp_path / "out").iterdir()) == ["manifest.json"]
+        raw[field] = sorted(set(entries))
+        assert getattr(parse_config(json.dumps(raw)), field) == tuple(sorted(set(entries)))
+
     @pytest.mark.parametrize("path, value", [
         (("horizon",), INF), (("horizon",), True), (("initial", "a"), -INF), (("initial", "b"), INF),
         (("solver", "max_iterations"), True), (("dt",), NAN),
@@ -740,11 +759,13 @@ HOSTILE_NAMED = [
     ("nash_vs_brs", ("seed",), 2**128, EXIT_CONFIG, "seed + n_seeds - 1 must be less than 2**128"),
     # an Euler step that overflows is a divergence
     ("mpc_vs_brs", ("model", "drift_coeffs", 0, 0), 1e308, EXIT_SOLVER, "explicit Euler step"),
-    ("mpc_vs_brs", ("initial", "b"), 1e308, EXIT_SOLVER, "explicit Euler step"),
     ("nash_vs_brs", ("initial", "a"), -1e308, EXIT_SOLVER, "explicit Euler step"),
     # still accepted
     ("nash_vs_brs", ("output",), None, EXIT_OK, "sweep converged"),
     ("mpc_vs_brs", ("seed",), 2**64, EXIT_OK, "step sizes compared"),
+    # positions up to 1e308: the cost slopes -(sum_{j != i} x_j) / 3 and the steps stay finite, as the
+    # exact compiled operator computes them (a table shifted in floats overflowed to nan here)
+    ("mpc_vs_brs", ("initial", "b"), 1e308, EXIT_OK, "step sizes compared"),
     ("nash_vs_brs", ("solver", "max_iterations"), 2**64, EXIT_OK, "sweep converged"),
 ]
 

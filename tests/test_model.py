@@ -27,8 +27,8 @@ from mfglab.mfg import fp_forward, hjb_backward
 from mfglab.model import (
     ModelSpec,
     PairKernel,
+    _at_centre,
     _cell_sums,
-    _drift_terms,
     _particle_velocity,
     _quadrature,
     alpha_at,
@@ -399,16 +399,16 @@ class TestStructuredPath:
             model = consensus_model() if kind == "consensus" else _random_polynomial_model(rng)
             assert model.drift.table is not None and model.cost.table is not None
             dense = _dense(model)
-            x = rng.random(n) + shift
             grid = SpaceGrid(shift, shift + 1.0, int(rng.integers(8, 80)))
             dens = normalized_density(grid, rng.random(grid.cells))
             cases = [
-                (drift(model, x), drift(dense, x)),
-                (cost_grad_vector(model, x), cost_grad_vector(dense, x)),
                 (mean_field_drift(model, grid.faces(), dens), mean_field_drift(dense, grid.faces(), dens)),
                 (mean_field_cost_grad(model, grid.faces(), dens), mean_field_cost_grad(dense, grid.faces(), dens)),
                 (mean_field_cost(model, grid.centers(), dens), mean_field_cost(dense, grid.centers(), dens)),
             ]
+            for x in (rng.random(n) + shift, rng.random((int(rng.integers(1, 7)), n)) + shift):
+                cases += [(drift(model, x), drift(dense, x)), (cost_grad_vector(model, x), cost_grad_vector(dense, x))]
+                cases += zip(_particle_velocity(model, x), (drift(dense, x), cost_grad_vector(dense, x)))
             for got, want in cases:
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -435,6 +435,49 @@ class TestStructuredPath:
         wrapped = dataclasses.replace(m, drift=dataclasses.replace(m.drift, value=lambda x, y: m.drift.value(x, y)))
         assert np.array_equal(wrapped.drift.table, m.drift.table)
         assert bounded_confidence_model(radius=0.5).drift.table is None
+
+
+class TestCompiledOperators:
+    """Each table quantity compiles once into exact coefficients of the centre c and the offsets u, v."""
+
+    @pytest.mark.parametrize("table", [[[0.0, 0.0, 1.0], [0.0, -2.0, 0.0], [1.0, 0.0, 0.0]],
+                                       [[0.0, 0.0, 0.0, -0.25], [0.0, 0.0, 0.75, 0.0], [0.0, -0.75, 0.0, 0.0],
+                                        [0.25, 0.0, 0.0, 0.0]]])
+    def test_translation_invariant_tables_are_centre_free(self, table):
+        # (x - y)^2 and (x - y)^3 / 4 as drift and cost
+        for model in (consensus_model(), polynomial_model(table, table)):
+            for operator in model._operators.values():
+                assert operator.coeffs.shape[0] == 1
+
+    def test_consensus_operators_are_exact_and_have_no_self_pair(self):
+        particles = consensus_model()._operators["particles"]
+        assert particles.quantities == ("drift", "cost_grad")
+        assert particles.coeffs.shape[-1] == particles.powers == 2  # d_x phi(x, x) = 0: no self-pair column
+        # P(x, y)(y - x) = v - u and d_x phi = u - v
+        assert particles.coeffs.tolist() == [[[[0.0, 1.0], [-1.0, 0.0]], [[0.0, -1.0], [1.0, 0.0]]]]
+
+    def test_centre_dependent_table_keeps_its_centre_powers(self):
+        model = _cubic_model()
+        particles, grid = model._operators["particles"], model._operators["grid"]
+        assert particles.coeffs.shape[0] == grid.coeffs.shape[0] == 3
+        assert grid.quantities == ("drift", "cost_grad", "cost")
+        # the cubic cost's slope does not vanish on the diagonal: one column past the power sums
+        assert particles.coeffs.shape[-1] == particles.powers + 1
+        # P = 1 + 0.2 x + 0.3 y about c: 1 + 0.5 c + 0.2 u + 0.3 v; the drift's v coefficient is that at u = 0
+        assert particles.coeffs[:2, 0, 0, 1].tolist() == [1.0, 0.5]
+
+    def test_coefficients_past_the_floats_rejected_at_construction(self):
+        # 4e307 x^4 and its derivatives are finite on the samples, but its expansion about c has 6 * 4e307 c^2 u^2
+        quartic = [[0.0, 0.0]] * 4 + [[4e307, 0.0]]
+        with pytest.raises(ValueError, match="drift.table overflows: a coefficient of its expansion"):
+            polynomial_model(quartic, [[0.0]])
+        with pytest.raises(ValueError, match="cost.table overflows: a coefficient of its expansion"):
+            polynomial_model([[1.0]], quartic)
+
+    def test_dense_kernels_compile_nothing(self):
+        assert bounded_confidence_model(radius=0.5)._operators == {}
+        assert list(_mixed_model()._operators) == ["particles", "grid"]
+        assert _mixed_model()._operators["grid"].quantities == ("drift",)
 
 
 MEAN_FIELD = (mean_field_drift, mean_field_cost, mean_field_cost_grad)
@@ -755,29 +798,28 @@ class TestStackedParticleVelocity:
     def test_rows_equal_public_calls(self, name):
         model = STACK_MODELS[name]()
         rng = np.random.Generator(np.random.Philox(key=71))
-        velocity = _particle_velocity(model)
         for shape in ((1, 2), (3, 7), (5, 40)):
             states = rng.normal(size=shape) * 0.6 + rng.normal()
-            drifts, slopes = velocity(states)
+            drifts, slopes = _particle_velocity(model, states)
             assert drifts.shape == slopes.shape == shape
             for row, f, s in zip(states, drifts, slopes):
                 assert _same_bits(f, drift(model, row.copy()))
                 assert _same_bits(s, cost_grad_vector(model, row.copy()))
-            one_drift, one_slopes = velocity(states[0])
+            one_drift, one_slopes = _particle_velocity(model, states[0])
             assert _same_bits(one_drift, drifts[0]) and _same_bits(one_slopes, slopes[0])
 
     def test_single_particle_rejected(self):
         with pytest.raises(ValueError, match="at least two particles"):
-            _particle_velocity(consensus_model())(np.zeros((3, 1)))
+            _particle_velocity(consensus_model(), np.zeros((3, 1)))
 
     @pytest.mark.parametrize("table", [[[1.0]], [[1.0, 0.3], [0.2, 0.0]], [[0.5, -1.0, 0.25], [2.0, 0.0, 0.0]]])
-    def test_drift_terms_of_an_array_of_centres(self, table):
-        table = np.array(table)
+    def test_operator_of_an_array_of_centres(self, table):
+        model = polynomial_model(table, [[0.0, 0.0, 0.2], [0.3, 0.0, 0.0], [0.0, 0.1, 0.0]])
+        coeffs = model._operators["particles"].coeffs
         centres = np.array([-1.5, 0.0, 0.37, 2e3])
-        stacked = _drift_terms(table, centres)
-        assert stacked.shape == (centres.size, table.shape[0] + 1, table.shape[1] + 1)
+        stacked = np.broadcast_to(_at_centre(coeffs, centres), (centres.size, *coeffs.shape[1:]))
         for centre, got in zip(centres, stacked):
-            assert _same_bits(got, _drift_terms(table, float(centre)))
+            assert _same_bits(np.ascontiguousarray(got), _at_centre(coeffs, float(centre)))
 
 
 class TestSharedQuadrature:
