@@ -7,8 +7,9 @@ in fixed order, and floats are written with 17 significant digits. The
 manifest written next to the results echoes the config and records the code
 version, the wall clock, the wall time of each stage, the fixed-point counts of
 ``mfg_vs_brs`` and ``nash_vs_brs`` (iterations, accepted and rejected Anderson
-steps) and the process (Python and numpy versions, usable CPUs, peak resident
-memory); it is the only artifact that may differ between identical runs.
+steps, restarts) and the process (Python and numpy versions, usable CPUs,
+peak resident memory); it is the only artifact that may differ between
+identical runs.
 
 CLI:  ``mfglab run <config.json> [--out DIR] [--seed S] [--jobs K]``
 (``--jobs`` runs at most as many threads as there are particle stacks and usable CPUs);
@@ -814,15 +815,16 @@ def _run_nash_vs_brs(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: i
 
 
 def _fixed_point_counts(result: MFGResult | NashResult) -> dict[str, int]:
-    """Iterations and accepted and rejected Anderson steps of a fixed-point result, for the manifest."""
+    """Iterations, accepted and rejected Anderson steps and restarts of a fixed-point result, for the manifest."""
     return {"iterations": result.iterations, "accelerated_steps": result.accelerated_steps,
-            "rejected_steps": result.rejected_steps}
+            "rejected_steps": result.rejected_steps, "restarts": result.restarts}
 
 
 def _iterations(result: MFGResult | NashResult) -> str:
-    """Iteration count of a fixed-point result with its Anderson steps, for the run message."""
+    """Iteration count of a fixed-point result with its Anderson steps and any restarts, for the run message."""
+    restarts = f", {result.restarts} restart{'s' * (result.restarts > 1)}" if result.restarts else ""
     return (f"{result.iterations} iterations ({result.accelerated_steps} Anderson steps accepted, "
-            f"{result.rejected_steps} rejected)")
+            f"{result.rejected_steps} rejected{restarts})")
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,10 @@ quadrature set up once and the value slopes for all slices taken in one
 difference and divided by alpha once.
 
 The coupled system is solved by Anderson-mixed Picard iteration on the
-density path: safeguarded Anderson mixing (``_anderson``) of the images
-(1 - theta) m + theta P(m), theta in (0, 1], default 1, where P(m) is the
-density march under the value along m. At theta = 1 the stopping residual is
-the full Picard step sup_t ||P(m) - m||_L1.
+density path: ``_anderson.solve``, the loop shared with the Nash sweep, mixes
+the images (1 - theta) m + theta P(m), theta in (0, 1], default 1, where P(m)
+is the density march under the value along m. At theta = 1 the stopping
+residual is the full Picard step sup_t ||P(m) - m||_L1.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._anderson import Anderson
+from ._anderson import solve
 from .errors import CFLError, NumericalError
 from .grids import DensityGrid, DensityTrajectory, SpaceGrid, _checked_rows, time_grid, uniform_dt
 from .kinetic import CFL_NUMBER, _initial_speed, _march
@@ -95,6 +95,7 @@ class MFGResult:
     residual_history: np.ndarray
     accelerated_steps: int
     rejected_steps: int
+    restarts: int
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow leaves inf or nan for the checks
@@ -179,48 +180,25 @@ def mfg_fixed_point(
     the residual is at most the tolerance and returns that image, so every
     returned slice is a density.
 
-    The next iterate is the Anderson mix of the last images (memory
-    ``_anderson.MEMORY``), slice-wise renormalized. A mixed path with a
-    negative entry is rejected for the image itself, and the mixing history
-    restarts whenever the residual grows. ``accelerated_steps`` and
-    ``rejected_steps`` of the result count the mixed paths used and refused.
-    Non-convergence is reported through the flag, never raised.
+    ``_anderson.solve`` runs the iteration, its mixed paths renormalized
+    slice-wise and refused when an entry is negative; ``accelerated_steps``,
+    ``rejected_steps`` and ``restarts`` of the result count the mixed paths
+    used and refused and the growth restarts. Non-convergence is reported
+    through the flag, never raised.
     """
     n_steps, times = time_grid(horizon, dt)
     grid = m0.grid
     zero_value = ValueGrid(grid, times, np.zeros((n_steps + 1, grid.cells)))
-    current = fp_forward(model, zero_value, m0)
-    theta = params.damping
-    mixer = Anderson(current.data.size)
-    history: list[float] = []
-    converged = False
-    iterations = 0
-    while True:
-        iterations += 1
-        value = hjb_backward(model, current)
-        proposal = fp_forward(model, value, m0)
-        mixed = _unit_slices((1.0 - theta) * current.data + theta * proposal.data, grid.dx)
-        residual = float(np.max(np.sum(np.abs(mixed - current.data), axis=1) * grid.dx))
-        history.append(residual)
-        converged = residual <= params.tolerance
-        if converged or iterations == params.max_iterations:
-            current = DensityTrajectory(grid, times.copy(), mixed)
-            break
-        candidate = mixer.mix(current.data, mixed, residual)
-        if candidate is not mixed:
-            candidate = _unit_slices(candidate, grid.dx) if candidate.min() >= 0.0 else mixer.reject()
-        current = DensityTrajectory(grid, times.copy(), candidate)
-    value = hjb_backward(model, current)
-    return MFGResult(
-        value=value,
-        densities=current,
-        residual=residual,
-        converged=converged,
-        iterations=iterations,
-        residual_history=np.asarray(history),
-        accelerated_steps=mixer.accepted,
-        rejected_steps=mixer.rejected,
-    )
+
+    def picard(x: np.ndarray, theta: float) -> tuple[np.ndarray, float, None]:
+        proposal = fp_forward(model, hjb_backward(model, DensityTrajectory(grid, times.copy(), x)), m0)
+        image = _unit_slices((1.0 - theta) * x + theta * proposal.data, grid.dx)
+        return image, float(np.max(np.sum(np.abs(image - x), axis=1) * grid.dx)), None
+
+    (_, image, _), run = solve(picard, fp_forward(model, zero_value, m0).data, params.damping, params.max_iterations,
+                               params.tolerance, admit=lambda x: _unit_slices(x, grid.dx) if x.min() >= 0.0 else None)
+    densities = DensityTrajectory(grid, times.copy(), image)
+    return MFGResult(hjb_backward(model, densities), densities, *run)
 
 
 def _unit_slices(data: np.ndarray, dx: float) -> np.ndarray:

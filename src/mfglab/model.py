@@ -434,10 +434,12 @@ def _quadrature(model: ModelSpec, quantities: tuple[str, ...], xs: np.ndarray,
     ``_kernel_matrix``es side by side, (M, K Q), and sum them in one
     ``_cell_sums`` contraction, which treats every column alike. Structured
     quantities take their rows of the model's "grid" operator at the grid
-    midpoint, once, and share one set of power sums of the cell centres
-    about it, one contraction and one Horner. Either way each quantity gets
-    bit for bit what it gets alone, and an overflow leaves inf or nan,
-    without a warning, for the CFL and finiteness checks.
+    midpoint, once, cut to the u powers and moments those rows use, and
+    share one set of power sums of the cell centres about it, one
+    contraction and one Horner. Either way each quantity gets bit for bit
+    what it gets alone, but for the zero terms of a longer row beside it,
+    which could make +0.0 of a -0.0 or NaN of an inf. An overflow leaves inf
+    or nan, without a warning, for the CFL and finiteness checks.
     """
     slots, matrices, picks = [], [], []
     operator = model._operators.get("grid")
@@ -453,7 +455,9 @@ def _quadrature(model: ModelSpec, quantities: tuple[str, ...], xs: np.ndarray,
             else:
                 slots.append((True, len(picks)))
                 picks.append(operator.quantities.index(quantity))
-        table = _at_centre(operator.coeffs, centre)[picks] if picks else None
+        if picks:
+            _, _, p, m = (max(axis, default=0) + 1 for axis in np.nonzero(operator.coeffs[:, picks]))
+            table = _at_centre(operator.coeffs[:, picks, :p, :m], centre)
     side_by_side = matrices[0] if len(matrices) == 1 else np.hstack(matrices) if matrices else None
     q = xs.size
 
@@ -461,7 +465,7 @@ def _quadrature(model: ModelSpec, quantities: tuple[str, ...], xs: np.ndarray,
         dense = _cell_sums(side_by_side, weights) if matrices else None
         if picks:
             with np.errstate(over="ignore", invalid="ignore"):
-                moments = _contract(table, _power_sums(u, weights, operator.powers - 1), at)
+                moments = _contract(table, _power_sums(u, weights, table.shape[-1] - 1), at)
         return [moments[:, k] if structured else dense[:, k * q:(k + 1) * q] for structured, k in slots]
 
     return evaluate

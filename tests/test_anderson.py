@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
-from mfglab._anderson import CONDITION_CAP, MEMORY, Anderson
+from mfglab import DivergenceError
+from mfglab._anderson import CONDITION_CAP, GROWTH_LIMIT, MEMORY, Anderson, solve
 
 
 def rng(key):
@@ -17,11 +19,13 @@ def test_affine_contraction_converges_in_n_plus_one_steps():
     fixed_point = np.linalg.solve(np.eye(n) - a, b)
     mixer = Anderson(n)
     x = np.zeros(n)
+    mixed = 0
     for _ in range(n + 1):
         g = a @ x + b
         x = mixer.mix(x, g, float(np.linalg.norm(g - x)))
+        mixed += x is not g
     assert np.max(np.abs(x - fixed_point)) <= 1e-12 * np.max(np.abs(fixed_point))
-    assert mixer.accepted == n and mixer.rejected == 0
+    assert mixed == n
 
 
 def test_restart_on_residual_growth():
@@ -51,12 +55,92 @@ def test_ill_conditioned_differences_dropped():
     assert np.all(np.isfinite(candidate))
 
 
-def test_rejected_candidate_gives_the_damped_image():
-    mixer = Anderson(2)
-    x = np.zeros(2)
-    mixer.mix(x, np.array([2.0, 1.0]), 2.0)
-    g = np.array([1.0, 1.5])
-    mixer.mix(x, g, 1.5)
-    assert mixer.reject() is g
-    assert mixer.reject() is None
-    assert (mixer.accepted, mixer.rejected) == (0, 1)
+class Scripted:
+    """A map for ``solve`` that records every (x, theta) it sees and reads its residuals from a script.
+
+    The damped image is (1 - theta) x + theta (x / 2 + 1), of fixed point 2; ``fail`` names the calls
+    that raise ``DivergenceError`` instead.
+    """
+
+    def __init__(self, residuals=None, fail=()):
+        self.residuals, self.fail, self.calls, self.images = residuals, fail, [], []
+
+    def __call__(self, x, theta):
+        self.calls.append((x.copy(), theta))
+        if len(self.calls) in self.fail:
+            raise DivergenceError("scripted")
+        image = (1.0 - theta) * x + theta * (0.5 * x + 1.0)
+        self.images.append(image)
+        residual = float(np.max(np.abs(image - x))) if self.residuals is None else self.residuals[len(self.calls) - 1]
+        return image, residual, len(self.calls)
+
+
+def test_solve_stops_at_the_tolerance():
+    step = Scripted()
+    (_, image, payload), fixed = solve(step, np.zeros(2), 1.0, 100, 1e-12)
+    assert fixed.converged and fixed.residual <= 1e-12 and fixed.residual == fixed.residual_history[-1]
+    assert np.max(np.abs(image - 2.0)) <= 1e-12
+    assert fixed.iterations == len(step.calls) == payload < 100
+    assert fixed.accelerated_steps > 0 and fixed.rejected_steps == 0 and fixed.restarts == 0
+
+
+def test_solve_stops_at_the_budget():
+    step = Scripted(residuals=[3.0, 2.0, 1.0, 0.5])
+    (iterate, image, _), fixed = solve(step, np.zeros(2), 1.0, 3, 1e-12)
+    assert not fixed.converged
+    assert len(step.calls) == fixed.iterations == 3 and fixed.residual == 1.0
+    assert np.array_equal(iterate, step.calls[-1][0]) and image is step.images[-1]
+
+
+@pytest.mark.parametrize("refusal", ["admit", "raise"])
+def test_refused_candidate_continues_from_the_image(refusal):
+    # the map is affine, so the second evaluation yields a mixed candidate: the fixed point itself
+    refused = []
+
+    def admit(x):  # refuses the first mixed candidate only
+        if refusal == "admit" and not refused:
+            refused.append(x)
+            return None
+        return x
+
+    step = Scripted(fail=(3,) if refusal == "raise" else ())
+    _, fixed = solve(step, np.zeros(2), 0.5, 100, 1e-12, admit=admit)
+    candidate = refused[0] if refusal == "admit" else step.calls[2][0]
+    assert np.max(np.abs(candidate - 2.0)) <= 1e-14
+    after = 2 if refusal == "admit" else 3  # the call that evaluates the image behind the refused candidate
+    assert np.array_equal(step.calls[after][0], step.images[1])
+    assert fixed.converged and fixed.rejected_steps == 1
+    assert fixed.iterations == len(step.calls) - (refusal == "raise")
+
+
+def test_first_failure_raises_and_a_later_one_ends_the_run():
+    with pytest.raises(DivergenceError, match="scripted"):
+        solve(Scripted(fail=(1,)), np.zeros(2), 1.0, 100, 1e-12)
+    # the second evaluation is of the plain image, which has no fallback: stop at the first iterate
+    step = Scripted(residuals=[1.0], fail=(2,))
+    (iterate, _, payload), fixed = solve(step, np.zeros(2), 1.0, 100, 1e-12)
+    assert not fixed.converged and fixed.iterations == 1 and payload == 1
+    assert np.array_equal(iterate, np.zeros(2))
+
+
+def test_growth_restarts_from_the_lowest_residual_iterate():
+    # the residual falls once, then grows GROWTH_LIMIT times: back to the second iterate at theta 0.4
+    growth = [2.0 + k for k in range(GROWTH_LIMIT)]
+    step = Scripted(residuals=[3.0, 1.0] + growth + [0.5, 1e-13])
+    _, fixed = solve(step, np.zeros(2), 0.8, 100, 1e-12)
+    assert fixed.converged and fixed.restarts == 1
+    assert fixed.iterations == len(step.calls) == GROWTH_LIMIT + 4
+    restart = GROWTH_LIMIT + 2
+    assert np.array_equal(step.calls[restart][0], step.calls[1][0])
+    assert [theta for _, theta in step.calls] == [0.8] * restart + [0.4, 0.4]
+    # an empty history: the step after the restart is the plain image, not a mix
+    assert np.array_equal(step.calls[restart + 1][0], step.images[restart])
+
+
+def test_growth_restarts_stay_within_the_budget():
+    # every residual grows, the first after a restart too: restarts after evaluations 6 and 11
+    step = Scripted(residuals=[1.0 + k for k in range(20)])
+    _, fixed = solve(step, np.zeros(2), 1.0, 13, 1e-12)
+    assert not fixed.converged and len(step.calls) == fixed.iterations == 13 and fixed.restarts == 2
+    assert [theta for _, theta in step.calls] == [1.0] * 6 + [0.5] * 5 + [0.25] * 2
+    assert all(np.array_equal(step.calls[k][0], np.zeros(2)) for k in (6, 11))

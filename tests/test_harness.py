@@ -413,8 +413,8 @@ class TestRunExperiment:
             assert sum(stages.values()) <= manifest["wall_clock_seconds"]
 
     def test_manifest_fixed_point_counts(self, tmp_path):
-        # the two fixed-point experiments record iterations and Anderson steps, the others none
-        names = ("iterations", "accelerated_steps", "rejected_steps")
+        # the two fixed-point experiments record iterations, Anderson steps and restarts, the others none
+        names = ("iterations", "accelerated_steps", "rejected_steps", "restarts")
         for name, raw in HOSTILE_BASES.items():
             out = tmp_path / name.replace("/", "_")
             assert run_experiment(parse_config(json.dumps(raw)), out_dir=out).exit_code == EXIT_OK
@@ -423,14 +423,22 @@ class TestRunExperiment:
                 assert not set(names) & set(manifest), name
                 continue
             summary = dict(line.split(",") for line in (out / "summary.csv").read_text().splitlines()[1:])
-            iterations, accepted, rejected = (manifest[key] for key in names)
+            iterations, accepted, rejected, restarts = (manifest[key] for key in names)
             assert iterations == int(summary["iterations"]) >= 1
             assert accepted >= 0 and rejected >= 0 and accepted + rejected < iterations
+            assert restarts == 0 and "restart" not in manifest["message"]
         # a run that stops at its budget records the counts with exit 3
         raw = dict(HOSTILE_BASES["mfg_vs_brs"], solver={"max_iterations": 1})
         assert run_experiment(parse_config(json.dumps(raw)), out_dir=tmp_path / "budget").exit_code == EXIT_SOLVER
         manifest = json.loads((tmp_path / "budget" / "manifest.json").read_text())
-        assert [manifest[key] for key in names] == [1, 0, 0]
+        assert [manifest[key] for key in names] == [1, 0, 0, 0]
+        # bounded confidence r 0.1 at seed 1 converges after one growth restart, and the message says so
+        raw = {"experiment": "nash_vs_brs", "model": {"kind": "bounded_confidence", "radius": 0.1}, "horizon": 1.0,
+               "dt": 0.02, "n_particles": 8, "seed": 1, "initial": {"kind": "uniform", "a": 0.0, "b": 1.0}}
+        result = run_experiment(parse_config(json.dumps(raw)), out_dir=tmp_path / "restart")
+        manifest = json.loads((tmp_path / "restart" / "manifest.json").read_text())
+        assert result.exit_code == EXIT_OK and [manifest[key] for key in names] == [48, 32, 0, 1]
+        assert result.message == "sweep converged in 48 iterations (32 Anderson steps accepted, 0 rejected, 1 restart)"
 
     def test_manifest_peak_memory_null_without_proc_status(self, tmp_path, monkeypatch):
         def no_proc(path, *args, **kwargs):
@@ -508,10 +516,10 @@ class TestRunExperiment:
         assert manifest["exit_code"] == EXIT_CONFIG and "model" in manifest["message"]
 
     def test_nash_divergence_exit_three_with_manifest(self, tmp_path):
-        # undamped sweeps diverge after the first; the sweep reports, the harness fails the stage
+        # undamped sweeps whose residual grows until the budget ends; the sweep reports, the harness fails the stage
         raw = dict(MINIMAL_NASH, model={"kind": "bounded_confidence", "radius": 0.1}, horizon=2.0,
                    dt=0.02, n_particles=8, initial={"kind": "uniform", "a": 0.0, "b": 1.0},
-                   solver={"damping": 1.0})
+                   solver={"damping": 1.0, "max_iterations": 5})
         result = run_experiment(parse_config(json.dumps(raw)), out_dir=tmp_path)
         assert result.exit_code == EXIT_SOLVER
         assert "did not converge" in result.message
@@ -525,12 +533,13 @@ class TestRunExperiment:
                    dt=0.02, n_particles=8, initial={"kind": "uniform", "a": 0.0, "b": 1.0})
         assert harness._picard_params(parse_config(json.dumps(raw))).damping == 1.0
         assert run_experiment(parse_config(json.dumps(raw)), out_dir=tmp_path / "default").exit_code == EXIT_OK
-        for damping, code in ((0.5, EXIT_OK), (1.0, EXIT_SOLVER)):  # undamped, the residual grows
+        for damping in (0.5, 1.0):
             cfg = parse_config(json.dumps(dict(raw, solver={"damping": damping})))
             assert harness._picard_params(cfg).damping == damping
-            assert run_experiment(cfg, out_dir=tmp_path / str(damping)).exit_code == code
-        manifests = [json.loads((tmp_path / name / "manifest.json").read_text()) for name in ("default", "0.5")]
-        assert manifests[0]["iterations"] == manifests[1]["iterations"]
+            assert run_experiment(cfg, out_dir=tmp_path / str(damping)).exit_code == EXIT_OK
+        manifests = [json.loads((tmp_path / name / "manifest.json").read_text()) for name in ("default", "0.5", "1.0")]
+        counts = [(manifest["iterations"], manifest["restarts"]) for manifest in manifests]
+        assert counts == [(23, 0), (23, 0), (39, 1)]  # undamped, the residual grows and the sweep restarts once
         assert manifests[0]["config"]["solver_damping"] is None
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -29,7 +30,9 @@ from mfglab.model import (
     PairKernel,
     _at_centre,
     _cell_sums,
+    _contract,
     _particle_velocity,
+    _power_sums,
     _quadrature,
     alpha_at,
     cost_gradient_full,
@@ -846,6 +849,25 @@ class TestSharedQuadrature:
                     else:
                         want = self.PUBLIC[quantity](model, xs, path)
                     assert _same_bits(np.ascontiguousarray(sums), want)
+
+    @pytest.mark.parametrize("name", ["consensus", "cubic"])
+    def test_trimmed_rows_equal_the_padded_operator(self, name):
+        # a subset of the table quantities takes only the u powers and moments of its own rows; the rows
+        # padded to the shape of all three, as the "grid" operator stores them, give the same bits
+        model = consensus_model() if name == "consensus" else polynomial_model(  # the CI's cubic model
+            [[1.0, 0.3], [0.2, 0.0]],
+            [[0.0, 0.0, 0.5, 0.2], [0.0, -1.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0], [-0.2, 0.0, 0.0, 0.0]])
+        operator = model._operators["grid"]
+        weights = _checked_rows(self.grid, _random_path(self.grid, 5, seed=62).data) * self.grid.dx
+        centre = 0.5 * (self.grid.x_min + self.grid.x_max)
+        padded_sums = _power_sums(self.grid.centers() - centre, weights, operator.powers - 1)
+        for xs in (self.grid.faces(), self.grid.centers(), self.grid.faces() + 1e-3):
+            for size in (1, 2, 3):
+                for quantities in itertools.permutations(operator.quantities, size):
+                    picks = [operator.quantities.index(quantity) for quantity in quantities]
+                    padded = _contract(_at_centre(operator.coeffs, centre)[picks], padded_sums, xs - centre)
+                    for k, sums in enumerate(_quadrature(model, quantities, xs, self.grid)(weights)):
+                        assert _same_bits(np.ascontiguousarray(sums), np.ascontiguousarray(padded[:, k]))
 
     def test_side_by_side_matrices_are_not_cached(self):
         model = bounded_confidence_model(radius=0.15)

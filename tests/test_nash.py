@@ -21,7 +21,8 @@ from mfglab import (
 )
 from mfglab import ParticleTrajectory, cost, drift
 from mfglab.model import alpha_at, cost_gradient_full, drift_jacobian
-from mfglab.nash import _BLOCK_ENTRIES, GROWTH_LIMIT, _blocks
+from mfglab._anderson import GROWTH_LIMIT
+from mfglab.nash import _BLOCK_ENTRIES, _blocks
 from test_model import STACK_MODELS
 
 
@@ -265,31 +266,60 @@ class TestNashSweep:
         assert res.iterations == 2
         assert res.residual > 1e-8
 
-    def test_divergence_after_first_sweep_reported_not_raised(self):
-        # undamped sweeps on a narrow window drive the state past the blow-up bound
+    def test_divergence_after_first_sweep_reported_not_raised(self, monkeypatch):
+        # undamped sweeps on a long window: the residual grows from the first sweep on, so every
+        # sweep runs the plain best response; the fourth state march diverges
+        import mfglab.nash
         from mfglab.harness import sample_initial
 
         m = bounded_confidence_model(radius=0.1)
         start = sample_initial(0, 8, {"kind": "uniform", "a": 0.0, "b": 1.0})
-        res = nash_sweep(m, start, 2.0, 0.02, SweepParams(relaxation=1.0))
-        assert not res.converged
-        assert 1 < res.iterations < SweepParams().max_iterations
-        assert res.residual_history.size == res.iterations
+        params = SweepParams(relaxation=1.0, max_iterations=GROWTH_LIMIT)
+        budget = nash_sweep(m, start, 2.0, 0.02, params)
+        assert not budget.converged and budget.iterations == GROWTH_LIMIT and budget.restarts == 0
+        assert np.all(np.diff(budget.residual_history) > 0.0)
+        calls = []
+        original = mfglab.nash.simulate_state
+
+        def failing_fourth(*args):
+            calls.append(None)
+            if len(calls) == 4:
+                raise DivergenceError("injected")
+            return original(*args)
+
+        monkeypatch.setattr(mfglab.nash, "simulate_state", failing_fourth)
+        res = nash_sweep(m, start, 2.0, 0.02, params)
+        assert not res.converged and res.iterations == 3 and len(calls) == 4
+        assert np.array_equal(res.residual_history, budget.residual_history[:3])
         assert res.residual == res.residual_history[-1]
         # the reported iterate is finite and consistent: its controls replay its trajectory
-        replay = simulate_state(m, start, res.controls)
+        replay = original(m, start, res.controls)
         assert np.array_equal(replay.positions, res.trajectory.positions)
 
-    def test_growing_residual_stops_the_sweep(self):
-        # undamped sweeps on a long window: the residual grows from the first sweep on
+    def test_growing_residual_restarts_the_sweep(self):
+        # the same undamped case converges once its growth restarts halve theta three times
         from mfglab.harness import sample_initial
 
         m = bounded_confidence_model(radius=0.1)
         start = sample_initial(0, 8, {"kind": "uniform", "a": 0.0, "b": 1.0})
         res = nash_sweep(m, start, 2.0, 0.02, SweepParams(relaxation=1.0))
-        assert not res.converged
-        assert res.iterations <= 7
-        assert np.all(np.diff(res.residual_history)[-GROWTH_LIMIT:] > 0.0)
+        assert res.converged and res.restarts == 3 and res.iterations == res.residual_history.size == 86
+        history = res.residual_history
+        assert np.all(np.diff(history[:GROWTH_LIMIT + 1]) > 0.0)
+        # the first restart goes back to the lowest-residual iterate, the uncontrolled first sweep
+        assert history[GROWTH_LIMIT + 1] == history[0]
+        first = nash_sweep(m, start, 2.0, 0.02, SweepParams(relaxation=1.0, max_iterations=GROWTH_LIMIT + 2))
+        assert first.restarts == 1 and np.array_equal(first.controls.values, np.zeros_like(first.controls.values))
+
+    @pytest.mark.parametrize("seed, sweeps, restarts", [(0, 23, 0), (1, 48, 1), (2, 25, 0), (3, 40, 1), (4, 23, 0),
+                                                        (5, 40, 1)])
+    def test_restart_converges_every_seed_at_the_default_weight(self, seed, sweeps, restarts):
+        # bounded confidence r 0.1, 8 players, T 1: without the restart seeds 1, 3 and 5 stop unconverged
+        from mfglab.harness import sample_initial
+
+        m = bounded_confidence_model(radius=0.1)
+        res = nash_sweep(m, sample_initial(seed, 8, {"kind": "uniform", "a": 0.0, "b": 1.0}), 1.0, 0.02)
+        assert res.converged and (res.iterations, res.restarts) == (sweeps, restarts)
 
     def test_anderson_converges_where_damping_alone_stalls(self):
         # plain damped sweeps stall at residual 1.674e-3 on this case
