@@ -247,13 +247,22 @@ def _read_kind(block, path: str, kinds: dict, errors: list[str], known=("kind",)
     return (kind if len(errors) == before else None), values
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a JSON experiment config; raises ConfigError with all problems."""
-    errors: list[str] = []
+def _json_value(text: str | bytes):
+    """The JSON value of a config's text, or of its file's bytes in UTF-8; ConfigError if it is not JSON.
+
+    Besides malformed JSON, that covers bytes that are not UTF-8, nesting deeper than the recursion
+    limit and an integer literal longer than Python's limit on digits.
+    """
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise ConfigError([f"malformed JSON: {exc}"]) from None
+
+
+def parse_config(text: str | bytes) -> ExperimentConfig:
+    """Parse and validate a JSON experiment config, text or UTF-8 bytes; raises ConfigError with all problems."""
+    errors: list[str] = []
+    raw = _json_value(text)
     if not isinstance(raw, dict):
         raise ConfigError(["top level must be a JSON object"])
 
@@ -723,12 +732,14 @@ def _run_mpc_vs_brs(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: in
     return artifacts, f"{len(rows)} step sizes compared"
 
 
+def _solver_params(cfg: ExperimentConfig, params_class, weight: str):
+    """The solver's params from the config's solver block; a budget or weight left unset keeps the class default."""
+    given = {"max_iterations": cfg.solver_max_iterations, "tolerance": cfg.solver_tolerance, weight: cfg.solver_damping}
+    return params_class(**{name: value for name, value in given.items() if value is not None})
+
+
 def _picard_params(cfg: ExperimentConfig) -> PicardParams:
-    return PicardParams(
-        max_iterations=cfg.solver_max_iterations or 200,
-        tolerance=cfg.solver_tolerance,
-        damping=PicardParams.damping if cfg.solver_damping is None else cfg.solver_damping,
-    )
+    return _solver_params(cfg, PicardParams, "damping")
 
 
 def _run_mfg_vs_brs(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: int, stages: _Stages):
@@ -778,12 +789,7 @@ def _run_prop2_gap(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: int
 
 def _run_nash_vs_brs(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: int, stages: _Stages):
     start = sample_initial(cfg.seed, cfg.n_particles, cfg.initial)
-    params = SweepParams(
-        max_iterations=cfg.solver_max_iterations or 500,
-        tolerance=cfg.solver_tolerance,
-        relaxation=SweepParams.relaxation if cfg.solver_damping is None else cfg.solver_damping,
-    )
-    result = nash_sweep(model, start, cfg.horizon, cfg.dt, params)
+    result = nash_sweep(model, start, cfg.horizon, cfg.dt, _solver_params(cfg, SweepParams, "relaxation"))
     stages.counts = _fixed_point_counts(result)
     if not result.converged:
         raise NumericalError(
@@ -831,11 +837,11 @@ def _iterations(result: MFGResult | NashResult) -> str:
 # command line
 
 
-def _raw_json(text: str):
+def _raw_json(text: bytes):
     """The config as given, for the manifest of a config that failed validation; None if it is not JSON."""
     try:
-        return json.loads(text)
-    except json.JSONDecodeError:
+        return _json_value(text)
+    except ConfigError:
         return None
 
 
@@ -859,7 +865,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        text = args.config.read_text()
+        text = args.config.read_bytes()
     except OSError as exc:
         print(f"error: cannot read config: {exc}")
         return EXIT_CONFIG

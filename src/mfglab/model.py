@@ -24,9 +24,9 @@ G[i, j] = d h_i / d x_j, whose diagonal is ``cost_grad_vector``.
 
 Reproducibility contract:
 
-* Every sum over particles or grid cells runs in ascending index order
-  (``_sum_ascending``, or ``_cell_sums`` for the dense quadratures), so a run
-  repeats bit for bit.
+* Every kernel sum over particles and every quadrature over grid cells runs
+  in ascending index order (``_sum_ascending``, or ``_cell_sums`` for the
+  dense quadratures), so a run repeats bit for bit.
 * A kernel that is a polynomial ``sum_ab C[a, b] x^a y^b`` may carry its
   coefficient table (``model.drift.table``, ``model.cost.table``). Then
   ``drift``, ``cost_grad_vector`` and the three mean-field quadratures take
@@ -50,14 +50,10 @@ Reproducibility contract:
   ``consensus_model`` and ``polynomial_model`` take the structured path;
   ``bounded_confidence_model`` has no table and always takes the dense one.
   ``cost``, ``cost_gradient_full`` and ``drift_jacobian`` are always dense.
-* On the dense path each mean-field quadrature at a grid's own cell centers
-  or faces uses a kernel matrix built once per model, grid and point set and
-  kept read-only in the model (at most six per grid). The result is bitwise
-  identical to an uncached evaluation; queries at other points are evaluated
-  afresh. The cache is not part of the model's equality, hash or repr, and
-  ``dataclasses.replace`` starts an empty one.
-* Each kernel matrix is cell-major: (M, Q) in C order, one row per cell.
-  Sums over cells run strictly left to right and form no prefix sums
+* On the dense path each mean-field quadrature evaluates its kernel matrix
+  when it is set up: once per call, or once per march (below). The matrix is
+  cell-major, (M, Q) in C order, one row per cell, and its sums over cells
+  run strictly left to right and form no prefix sums
   (``_cell_sums``): one ``np.einsum("lk,kq->lq", weights, matrix)`` serves a
   density (L = 1) and a whole density path alike. For Q >= 2 numpy's einsum
   loop adds ``weights[l, k] * matrix[k, :]`` into each output row one cell at
@@ -82,11 +78,11 @@ Reproducibility contract:
 * The upwind march (``kinetic``) and the value march (``mfg.hjb_backward``)
   set their quadratures up once per march (``_quadrature``): F and dH/dx at
   the faces, fed one density row per step, and F and H at the centers, fed
-  the whole path at once. The dense quantities' cached matrices sit side by
-  side, (M, 2Q), and one ``_cell_sums`` contraction sums every column on its
-  own; the structured quantities share one set of power sums of each row,
-  one contraction and one Horner. So the marches repeat the per-quantity
-  calls bit for bit. The side-by-side matrix is built per march, not cached.
+  the whole path at once. The dense quantities' matrices sit side by side,
+  (M, 2Q), and one ``_cell_sums`` contraction sums every column on its own;
+  the structured quantities share one set of power sums of each row, one
+  contraction and one Horner. So the marches repeat the per-quantity calls
+  bit for bit, with one matrix per point set per march, not per step.
 """
 
 from __future__ import annotations
@@ -169,8 +165,6 @@ class ModelSpec:
     drift: PairKernel
     cost: PairKernel
     alpha: Callable[[float], float]
-    # (quantity, SpaceGrid, query point bytes) -> read-only quadrature matrix; see ``_kernel_matrix``
-    _quadrature_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # "particles" and "grid" -> ``_Operator`` of the table quantities, compiled at construction
     _operators: dict = field(default=None, init=False, repr=False, compare=False)
 
@@ -354,12 +348,6 @@ def drift_jacobian(model: ModelSpec, x: np.ndarray) -> np.ndarray:
 # density or a density path, and a path gives one result row per time slice
 
 
-def _on_grid(xs: np.ndarray, grid: SpaceGrid) -> bool:
-    """Whether ``xs`` are the grid's cell centers or its faces, bit for bit."""
-    data = xs.tobytes()
-    return any(data == points.tobytes() for points in (grid.centers(), grid.faces()))
-
-
 def _rows(m: DensityGrid | DensityTrajectory) -> np.ndarray:
     """Cell averages to integrate against: one row for a density, one row per slice of a path.
 
@@ -401,57 +389,39 @@ def _cell_sums(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kernel_matrix(model: ModelSpec, quantity: str, kernel: Kernel, xs: np.ndarray, grid: SpaceGrid,
-                   weight_shift: bool) -> np.ndarray:
-    """Cell-major (M, Q) matrix of K(x_q, y_k) at the cell centers y_k, times (y_k - x_q) with ``weight_shift``.
-
-    When the query points are the grid's own centers or faces, it is built
-    once and kept read-only in the model's cache; any other query is
-    evaluated afresh. Threads that miss the cache together each build the
-    same matrix, and either copy may stay: they are equal bit for bit.
-    """
-    key = (quantity, grid, xs.tobytes())
-    vals = model._quadrature_cache.get(key)
-    if vals is None:
-        centers = grid.centers()
-        vals = _pair_eval(kernel, xs, centers)
-        if weight_shift:
-            vals *= centers[None, :] - xs[:, None]
-        vals = np.ascontiguousarray(vals.T)
-        if _on_grid(xs, grid):
-            vals.setflags(write=False)
-            model._quadrature_cache[key] = vals
-    return vals
-
-
 def _quadrature(model: ModelSpec, quantities: tuple[str, ...], xs: np.ndarray,
                 grid: SpaceGrid) -> Callable[[np.ndarray], list[np.ndarray]]:
     """The midpoint rules of mean-field quantities at the points ``xs``, set up once for the grid.
 
     Each of ``quantities`` is "drift", "cost_grad" or "cost". The result maps
     an (L, M) stack of weighted cell averages m dx to a list of (L, Q) sums,
-    one per quantity, ascending in the cell. Dense quantities set their
-    ``_kernel_matrix``es side by side, (M, K Q), and sum them in one
-    ``_cell_sums`` contraction, which treats every column alike. Structured
-    quantities take their rows of the model's "grid" operator at the grid
-    midpoint, once, cut to the u powers and moments those rows use, and
-    share one set of power sums of the cell centres about it, one
-    contraction and one Horner. Either way each quantity gets bit for bit
-    what it gets alone, but for the zero terms of a longer row beside it,
-    which could make +0.0 of a -0.0 or NaN of an inf. An overflow leaves inf
-    or nan, without a warning, for the CFL and finiteness checks.
+    one per quantity, ascending in the cell. Each dense quantity evaluates
+    its cell-major (M, Q) matrix of K(x_q, y_k) at the cell centers y_k,
+    times y_k - x_q for the drift, once, at set-up; the matrices sit side by
+    side, (M, K Q) in C order, and one ``_cell_sums`` contraction sums them,
+    which treats every column alike. Structured quantities take their rows
+    of the model's "grid" operator at the grid midpoint, once, cut to the u
+    powers and moments those rows use, and share one set of power sums of
+    the cell centres about it, one contraction and one Horner. Either way
+    each quantity gets bit for bit what it gets alone, but for the zero terms
+    of a longer row beside it, which could make +0.0 of a -0.0 or NaN of an
+    inf. An overflow leaves inf or nan, without a warning, for the CFL and
+    finiteness checks.
     """
     slots, matrices, picks = [], [], []
     operator = model._operators.get("grid")
     with np.errstate(over="ignore", invalid="ignore"):
-        centre = 0.5 * (grid.x_min + grid.x_max)
-        u, at = grid.centers() - centre, xs - centre
+        centers, centre = grid.centers(), 0.5 * (grid.x_min + grid.x_max)
+        u, at = centers - centre, xs - centre
         for quantity in quantities:
             kernel_of, dense_part, weight_shift = _QUANTITIES[quantity]
             kernel = kernel_of(model)
             if kernel.table is None:
                 slots.append((False, len(matrices)))
-                matrices.append(_kernel_matrix(model, quantity, dense_part(kernel), xs, grid, weight_shift))
+                vals = _pair_eval(dense_part(kernel), xs, centers)
+                if weight_shift:
+                    vals *= centers[None, :] - xs[:, None]
+                matrices.append(np.ascontiguousarray(vals.T))  # each C order, so their hstack is too
             else:
                 slots.append((True, len(picks)))
                 picks.append(operator.quantities.index(quantity))

@@ -31,6 +31,16 @@ from mfglab.harness import (
     density_of,
     main,
 )
+from mfglab.mfg import PicardParams
+from mfglab.nash import SweepParams
+
+# config files that are not JSON text, each with a word its error names: bytes that are not UTF-8,
+# nesting deeper than the recursion limit and an integer literal longer than the digit limit
+NOT_JSON = {
+    "not-utf8": (b'{"experiment": "caf\xe9"}', "utf-8"),
+    "deep-nesting": (b"[" * 200000, "recursion"),
+    "long-integer": (b'{"seed": ' + b"1" * 5000 + b"}", "digits"),
+}
 
 MINIMAL_NASH = {
     "experiment": "nash_vs_brs",
@@ -73,6 +83,12 @@ class TestParseConfig:
     def test_malformed_json(self):
         with pytest.raises(ConfigError, match="malformed"):
             parse_config("{not json")
+
+    @pytest.mark.parametrize("name", sorted(NOT_JSON))
+    def test_text_that_is_not_json_is_malformed(self, name):
+        data, needle = NOT_JSON[name]
+        with pytest.raises(ConfigError, match=f"^malformed JSON: .*{needle}"):
+            parse_config(data)
 
     def test_experiment_specific_requirements(self):
         cfg = {
@@ -528,10 +544,16 @@ class TestRunExperiment:
         assert list(manifest["stage_seconds"]) == ["model"]  # the stages that finished
 
     def test_unset_damping_keeps_each_solver_default(self, tmp_path):
-        # Picard defaults to theta 1, the Nash sweep to 0.5; a set solver.damping reaches both
+        # Picard defaults to theta 1, the Nash sweep to 0.5; a set solver.damping reaches both, and so
+        # does a set budget, while an unset one keeps each solver's own
         raw = dict(MINIMAL_NASH, model={"kind": "bounded_confidence", "radius": 0.1}, horizon=1.0,
                    dt=0.02, n_particles=8, initial={"kind": "uniform", "a": 0.0, "b": 1.0})
-        assert harness._picard_params(parse_config(json.dumps(raw))).damping == 1.0
+        unset = parse_config(json.dumps(raw))
+        assert harness._picard_params(unset) == PicardParams()
+        assert harness._solver_params(unset, SweepParams, "relaxation") == SweepParams()
+        budget = parse_config(json.dumps(dict(raw, solver={"max_iterations": 7})))
+        assert harness._picard_params(budget) == PicardParams(max_iterations=7)
+        assert harness._solver_params(budget, SweepParams, "relaxation") == SweepParams(max_iterations=7)
         assert run_experiment(parse_config(json.dumps(raw)), out_dir=tmp_path / "default").exit_code == EXIT_OK
         for damping in (0.5, 1.0):
             cfg = parse_config(json.dumps(dict(raw, solver={"damping": damping})))
@@ -598,6 +620,18 @@ class TestCli:
 
     def test_missing_file_exit_two(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("name", sorted(NOT_JSON))
+    def test_config_that_is_not_json_exit_two_with_manifest(self, tmp_path, capsys, name):
+        data, needle = NOT_JSON[name]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(data)
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--seed", "3"]) == EXIT_CONFIG
+        printed = capsys.readouterr().out
+        assert printed.startswith("config error: malformed JSON: ") and needle in printed
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["exit_code"] == EXIT_CONFIG and manifest["config"] is None
+        assert "malformed JSON" in manifest["message"] and needle in manifest["message"]
 
     @pytest.mark.parametrize("horizon, dt, needle", [
         (1.0, 0.3, "does not divide the horizon"),

@@ -24,7 +24,7 @@ from mfglab import (
     polynomial_model,
 )
 from mfglab.grids import DensityGrid, DensityTrajectory, SpaceGrid, _checked_rows, histogram, normalized_density
-from mfglab.mfg import fp_forward, hjb_backward
+from mfglab.mfg import fp_forward, hjb_backward, mfg_fixed_point
 from mfglab.model import (
     ModelSpec,
     PairKernel,
@@ -500,11 +500,13 @@ def _uncached(kernel, xs, m, weight_shift):
 
 
 class TestQuadratureCache:
+    """Dense kernel matrices: evaluated afresh by every call, and once per point set by every march."""
+
     grid = SpaceGrid(0.0, 1.0, 64)
 
-    def test_cached_results_bitwise_equal(self):
+    def test_grid_points_bitwise_equal_from_scratch(self):
         # one model on two grids, the faces of one bitwise the centers of the
-        # other: each grid gets its own matrices
+        # other: each grid integrates against its own cells
         model = bounded_confidence_model(radius=0.15)
         for grid in (self.grid, SpaceGrid(-1 / 128, 1 + 1 / 128, 65)):
             dens = _bump_density(grid)
@@ -519,43 +521,28 @@ class TestQuadratureCache:
                     assert _same_bits(first, ref)
                     assert _same_bits(fn(model, xs.copy(), dens), first)
                     assert _same_bits(fn(bounded_confidence_model(radius=0.15), xs, dens), first)
-        assert len(model._quadrature_cache) == 12
 
-    def test_cached_matrices_read_only(self):
-        model = bounded_confidence_model(radius=0.15)
-        dens = _bump_density(self.grid)
-        for fn in MEAN_FIELD:
-            fn(model, self.grid.faces(), dens)
-        for matrix in model._quadrature_cache.values():
-            assert not matrix.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                matrix[0, 0] = 1.0
-
-    def test_other_points_not_cached(self):
+    def test_scalar_and_off_grid_points(self):
         model = bounded_confidence_model(radius=0.15)
         dens = _bump_density(self.grid)
         shifted = self.grid.faces() + 1e-3
         for fn in MEAN_FIELD:
             assert isinstance(fn(model, 0.3, dens), float)
             assert np.array_equal(fn(model, shifted, dens), fn(model, shifted, dens))
-        assert model._quadrature_cache == {}
 
-    def test_replace_starts_an_empty_cache(self):
+    def test_replace_keeps_equality_and_takes_the_new_drift(self):
         model = bounded_confidence_model(radius=0.15)
         dens = _bump_density(self.grid)
         centers = self.grid.centers()
-        mean_field_drift(model, centers, dens)
-        assert model._quadrature_cache
         assert model == dataclasses.replace(model) and hash(model) == hash(dataclasses.replace(model))
         other = bounded_confidence_model(radius=0.3)
         replaced = dataclasses.replace(model, drift=other.drift)
-        assert replaced._quadrature_cache == {}
         got = mean_field_drift(replaced, centers, dens)
         assert _same_bits(got, mean_field_drift(other, centers, dens))
         assert not np.array_equal(got, mean_field_drift(model, centers, dens))
 
-    def test_concurrent_first_calls_agree(self):
-        # threads racing to fill the cache see the same results as one thread
+    def test_concurrent_calls_agree(self):
+        # threads sharing one model see the same results as one thread
         dens = _bump_density(self.grid)
         points = (self.grid.centers(), self.grid.faces())
         reference = bounded_confidence_model(radius=0.15)
@@ -572,7 +559,6 @@ class TestQuadratureCache:
             sys.setswitchinterval(interval)
         for got in results:
             assert all(_same_bits(g, w) for g, w in zip(got, want))
-        assert len(model._quadrature_cache) == 6
 
     def test_one_matrix_per_role_grid_and_point_set(self):
         # a value and a density march evaluate each kernel once per point set,
@@ -599,6 +585,15 @@ class TestQuadratureCache:
         fp_forward(model, hjb_backward(model, path), m0)
         cells = self.grid.cells
         assert evals == {"drift.value": cells * cells + (cells + 1) * cells, "cost.value": cells * cells}
+        # the Picard loop: one density march from the start, then one value and one density march per
+        # iteration, and a last value march; no Anderson candidate refused, so none evaluated twice
+        evals.clear()
+        result = mfg_fixed_point(model, m0, 0.5, 0.005)
+        assert result.converged and result.rejected_steps == 0 and result.restarts == 0
+        assert result.iterations == 5 and result.accelerated_steps == 3
+        marches = result.iterations + 1
+        assert evals == {"drift.value": marches * (cells * cells + (cells + 1) * cells),
+                         "cost.value": marches * cells * cells}
 
 
 def _mixed(rng, shape):
@@ -868,11 +863,6 @@ class TestSharedQuadrature:
                     padded = _contract(_at_centre(operator.coeffs, centre)[picks], padded_sums, xs - centre)
                     for k, sums in enumerate(_quadrature(model, quantities, xs, self.grid)(weights)):
                         assert _same_bits(np.ascontiguousarray(sums), np.ascontiguousarray(padded[:, k]))
-
-    def test_side_by_side_matrices_are_not_cached(self):
-        model = bounded_confidence_model(radius=0.15)
-        _quadrature(model, ("drift", "cost_grad"), self.grid.faces(), self.grid)
-        assert sorted(key[0] for key in model._quadrature_cache) == ["cost_grad", "drift"]
 
     def test_dense_overflow_gives_inf_without_a_warning(self):
         # finite cell terms whose sum exceeds the floats: the sum is inf and numpy does not warn
