@@ -72,66 +72,3 @@ from .nash import (
     solve_adjoint,
     value,
 )
-
-__all__ = [
-    "AdjointField",
-    "CFLError",
-    "ConfigError",
-    "ControlProfile",
-    "DensityGrid",
-    "DensityTrajectory",
-    "DivergenceError",
-    "EmpiricalMeasure",
-    "ExperimentConfig",
-    "MFGResult",
-    "ModelSpec",
-    "NashResult",
-    "NumericalError",
-    "PairKernel",
-    "ParticleEnsemble",
-    "ParticleTrajectory",
-    "PicardParams",
-    "SpaceGrid",
-    "SweepParams",
-    "ValueGrid",
-    "bounded_confidence_model",
-    "brs_control",
-    "cfl_time_step",
-    "consensus_model",
-    "cost",
-    "cost_grad_vector",
-    "drift",
-    "empirical",
-    "feedback_controls_best_reply",
-    "feedback_controls_from_value",
-    "fp_forward",
-    "grid_for_support",
-    "gradient_via_adjoint",
-    "histogram",
-    "hjb_backward",
-    "integrate_brs",
-    "mean_field_cost",
-    "mean_field_cost_grad",
-    "mean_field_drift",
-    "mfg_fixed_point",
-    "moments",
-    "mpc_step_exact",
-    "mpc_step_taylor",
-    "nash_sweep",
-    "normalized_density",
-    "parse_config",
-    "polynomial_model",
-    "proposition2_gap",
-    "run_experiment",
-    "sample_initial",
-    "simulate_state",
-    "solve_adjoint",
-    "solve_kinetic",
-    "step_upwind",
-    "time_grid",
-    "total_running_cost",
-    "value",
-    "velocity_field",
-    "w1",
-    "w1_sorted_atoms",
-]

@@ -1,10 +1,13 @@
 """Safeguarded Anderson mixing, and ``solve``, the one fixed-point loop that uses it.
 
 ``mfg_fixed_point`` and ``nash_sweep`` hand ``solve`` a map that gives the
-image g(x) = (1 - theta) x + theta P(x) and a residual of x, with a mixing
-weight theta in (0, 1] of their own. Anderson mixing of type II (Walker &
-Ni, SIAM J. Numer. Anal. 49, 2011) keeps the last ``MEMORY`` differences of
-the residuals f = g(x) - x and of the images g, and proposes
+image g(x) = (1 - theta) x + theta P(x), a residual of x and a payload, what
+the evaluation computed on the way, with a mixing weight theta in (0, 1] of
+their own. ``solve`` returns the iterate it stopped on with that iterate's
+payload, so the caller's result describes one evaluated path. Anderson
+mixing of type II (Walker & Ni, SIAM J. Numer. Anal. 49, 2011) keeps the
+last ``MEMORY`` differences of the residuals f = g(x) - x and of the images
+g, and proposes
 
     x+ = g - dG gamma,   gamma = argmin_gamma || f - dF gamma ||_2.
 
@@ -126,19 +129,20 @@ class FixedPoint(NamedTuple):
 
 def solve(step: Callable[[np.ndarray, float], tuple[np.ndarray, float, Any]], x: np.ndarray, theta: float,
           max_iterations: int, tolerance: float, admit: Callable[[np.ndarray], np.ndarray | None] = lambda x: x
-          ) -> tuple[tuple[np.ndarray, np.ndarray, Any], FixedPoint]:
+          ) -> tuple[tuple[np.ndarray, Any], FixedPoint]:
     """Anderson-mixed iteration of ``step(x, theta) -> (image, residual, payload)`` from x.
 
-    Returns the last evaluated iterate with its image and payload, and how the
-    iteration ended. Stops once the residual is at most ``tolerance`` or after
-    ``max_iterations`` evaluations. The next iterate is the Anderson mix of the
-    images, passed through ``admit``; a candidate that ``admit`` refuses
-    (returns None), or whose evaluation raises ``DivergenceError`` or
-    ``NumericalError``, is replaced by the image behind it. Such an error from
-    the evaluation of an image ends the iteration unconverged; from the first
-    evaluation it propagates. Once the residual has grown on ``GROWTH_LIMIT``
-    evaluations in a row, the iteration restarts from the lowest-residual
-    iterate with theta halved and an empty mixing history, in the same budget.
+    Returns the last evaluated iterate with its payload, and how the iteration
+    ended; the images stay inside, for the mixing and the fallback. Stops once
+    the residual is at most ``tolerance`` or after ``max_iterations``
+    evaluations. The next iterate is the Anderson mix of the images, passed
+    through ``admit``; a candidate that ``admit`` refuses (returns None), or
+    whose evaluation raises ``DivergenceError`` or ``NumericalError``, is
+    replaced by the image behind it. Such an error from the evaluation of an
+    image ends the iteration unconverged; from the first evaluation it
+    propagates. Once the residual has grown on ``GROWTH_LIMIT`` evaluations in
+    a row, the iteration restarts from the lowest-residual iterate with theta
+    halved and an empty mixing history, in the same budget.
     """
     mixer = Anderson(x.size)
     history: list[float] = []
@@ -159,7 +163,7 @@ def solve(step: Callable[[np.ndarray, float], tuple[np.ndarray, float, Any]], x:
         if not history or residual < min(history):
             best = x
         history.append(residual)
-        last = x, image, payload
+        last = x, payload
         if residual <= tolerance or len(history) == max_iterations:
             break
         if growing == GROWTH_LIMIT:

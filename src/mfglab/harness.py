@@ -745,12 +745,7 @@ def _picard_params(cfg: ExperimentConfig) -> PicardParams:
 def _run_mfg_vs_brs(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: int, stages: _Stages):
     m0 = density_of(cfg.initial, build_grid(cfg))
     result = mfg_fixed_point(model, m0, cfg.horizon, cfg.dt, _picard_params(cfg))
-    stages.counts = _fixed_point_counts(result)
-    if not result.converged:
-        raise NumericalError(
-            f"coupled fixed point did not converge (residual {result.residual:.3e} "
-            f"after {result.iterations} iterations)"
-        )
+    _require_converged(result, stages, "coupled fixed point")
     stages.lap("fixed_point")
     kin = solve_kinetic(model, m0, cfg.horizon, cfg.dt)
     stages.lap("best_reply")
@@ -790,12 +785,7 @@ def _run_prop2_gap(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: int
 def _run_nash_vs_brs(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: int, stages: _Stages):
     start = sample_initial(cfg.seed, cfg.n_particles, cfg.initial)
     result = nash_sweep(model, start, cfg.horizon, cfg.dt, _solver_params(cfg, SweepParams, "relaxation"))
-    stages.counts = _fixed_point_counts(result)
-    if not result.converged:
-        raise NumericalError(
-            f"sweep did not converge (residual {result.residual:.3e} "
-            f"after {result.iterations} iterations)"
-        )
+    _require_converged(result, stages, "sweep")
     brs_trajectory, brs_profile = integrate_brs(model, start, cfg.horizon, cfg.dt)
     u_game = result.controls.values[:, 0]
     u_myopic = brs_profile.values[:, 0]
@@ -820,10 +810,13 @@ def _run_nash_vs_brs(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: i
     return artifacts, f"sweep converged in {_iterations(result)}"
 
 
-def _fixed_point_counts(result: MFGResult | NashResult) -> dict[str, int]:
-    """Iterations, accepted and rejected Anderson steps and restarts of a fixed-point result, for the manifest."""
-    return {"iterations": result.iterations, "accelerated_steps": result.accelerated_steps,
-            "rejected_steps": result.rejected_steps, "restarts": result.restarts}
+def _require_converged(result: MFGResult | NashResult, stages: _Stages, solver: str) -> None:
+    """Book a fixed-point result's counts for the manifest; raise unless it converged."""
+    stages.counts = {"iterations": result.iterations, "accelerated_steps": result.accelerated_steps,
+                     "rejected_steps": result.rejected_steps, "restarts": result.restarts}
+    if not result.converged:
+        raise NumericalError(f"{solver} did not converge (residual {result.residual:.3e} "
+                             f"after {result.iterations} iterations)")
 
 
 def _iterations(result: MFGResult | NashResult) -> str:

@@ -26,7 +26,9 @@ The coupled system is solved by Anderson-mixed Picard iteration on the
 density path: ``_anderson.solve``, the loop shared with the Nash sweep, mixes
 the images (1 - theta) m + theta P(m), theta in (0, 1], default 1, where P(m)
 is the density march under the value along m. At theta = 1 the stopping
-residual is the full Picard step sup_t ||P(m) - m||_L1.
+residual is the full Picard step sup_t ||P(m) - m||_L1. The solve returns the
+path m it stopped on with the value its Picard map marched along it: E
+evaluations cost E value marches and E + 1 density marches.
 """
 
 from __future__ import annotations
@@ -177,28 +179,29 @@ def mfg_fixed_point(
     to unit mass. The residual is the largest L1 distance between the current
     path and its image at any time slice; at theta = 1 that is the full
     Picard step, at theta < 1 theta times it. The iteration stops once
-    the residual is at most the tolerance and returns that image, so every
-    returned slice is a density.
+    the residual is at most the tolerance and returns the path it stopped on,
+    with the value its iteration marched along that path and the path's own
+    residual; no march is repeated.
 
     ``_anderson.solve`` runs the iteration, its mixed paths renormalized
-    slice-wise and refused when an entry is negative; ``accelerated_steps``,
-    ``rejected_steps`` and ``restarts`` of the result count the mixed paths
-    used and refused and the growth restarts. Non-convergence is reported
-    through the flag, never raised.
+    slice-wise and refused when an entry is negative, so every evaluated path
+    has nonnegative unit-mass slices; ``accelerated_steps``, ``rejected_steps``
+    and ``restarts`` of the result count the mixed paths used and refused and
+    the growth restarts. Non-convergence is reported through the flag, never
+    raised: a ``NumericalError`` along an image ends the iteration unconverged.
     """
     n_steps, times = time_grid(horizon, dt)
     grid = m0.grid
     zero_value = ValueGrid(grid, times, np.zeros((n_steps + 1, grid.cells)))
 
-    def picard(x: np.ndarray, theta: float) -> tuple[np.ndarray, float, None]:
-        proposal = fp_forward(model, hjb_backward(model, DensityTrajectory(grid, times.copy(), x)), m0)
-        image = _unit_slices((1.0 - theta) * x + theta * proposal.data, grid.dx)
-        return image, float(np.max(np.sum(np.abs(image - x), axis=1) * grid.dx)), None
+    def picard(x: np.ndarray, theta: float) -> tuple[np.ndarray, float, ValueGrid]:
+        value = hjb_backward(model, DensityTrajectory(grid, times.copy(), x))
+        image = _unit_slices((1.0 - theta) * x + theta * fp_forward(model, value, m0).data, grid.dx)
+        return image, float(np.max(np.sum(np.abs(image - x), axis=1) * grid.dx)), value
 
-    (_, image, _), run = solve(picard, fp_forward(model, zero_value, m0).data, params.damping, params.max_iterations,
-                               params.tolerance, admit=lambda x: _unit_slices(x, grid.dx) if x.min() >= 0.0 else None)
-    densities = DensityTrajectory(grid, times.copy(), image)
-    return MFGResult(hjb_backward(model, densities), densities, *run)
+    (x, value), run = solve(picard, fp_forward(model, zero_value, m0).data, params.damping, params.max_iterations,
+                            params.tolerance, admit=lambda x: _unit_slices(x, grid.dx) if x.min() >= 0.0 else None)
+    return MFGResult(value, DensityTrajectory(grid, times.copy(), x), *run)
 
 
 def _unit_slices(data: np.ndarray, dx: float) -> np.ndarray:

@@ -223,6 +223,6 @@ def nash_sweep(
         residual = float(np.max(np.abs(weights[None, :] * controls + own)))
         return (1.0 - theta) * controls + theta * (-own / weights[None, :]), residual, (profile, trajectory, costates)
 
-    (_, _, (profile, trajectory, costates)), run = solve(
+    (_, (profile, trajectory, costates)), run = solve(
         sweep, np.zeros((initial.n, n_steps)), params.relaxation, params.max_iterations, params.tolerance)
     return NashResult(profile, trajectory, AdjointField(costates, times), *run)

@@ -77,19 +77,20 @@ class Scripted:
 
 def test_solve_stops_at_the_tolerance():
     step = Scripted()
-    (_, image, payload), fixed = solve(step, np.zeros(2), 1.0, 100, 1e-12)
+    (iterate, payload), fixed = solve(step, np.zeros(2), 1.0, 100, 1e-12)
     assert fixed.converged and fixed.residual <= 1e-12 and fixed.residual == fixed.residual_history[-1]
-    assert np.max(np.abs(image - 2.0)) <= 1e-12
+    # x - 2 = 2 (g(x) - x) for the map x / 2 + 1
+    assert np.array_equal(iterate, step.calls[-1][0]) and np.max(np.abs(iterate - 2.0)) <= 2e-12
     assert fixed.iterations == len(step.calls) == payload < 100
     assert fixed.accelerated_steps > 0 and fixed.rejected_steps == 0 and fixed.restarts == 0
 
 
 def test_solve_stops_at_the_budget():
     step = Scripted(residuals=[3.0, 2.0, 1.0, 0.5])
-    (iterate, image, _), fixed = solve(step, np.zeros(2), 1.0, 3, 1e-12)
+    (iterate, payload), fixed = solve(step, np.zeros(2), 1.0, 3, 1e-12)
     assert not fixed.converged
-    assert len(step.calls) == fixed.iterations == 3 and fixed.residual == 1.0
-    assert np.array_equal(iterate, step.calls[-1][0]) and image is step.images[-1]
+    assert len(step.calls) == fixed.iterations == payload == 3 and fixed.residual == 1.0
+    assert np.array_equal(iterate, step.calls[-1][0])
 
 
 @pytest.mark.parametrize("refusal", ["admit", "raise"])
@@ -118,7 +119,7 @@ def test_first_failure_raises_and_a_later_one_ends_the_run():
         solve(Scripted(fail=(1,)), np.zeros(2), 1.0, 100, 1e-12)
     # the second evaluation is of the plain image, which has no fallback: stop at the first iterate
     step = Scripted(residuals=[1.0], fail=(2,))
-    (iterate, _, payload), fixed = solve(step, np.zeros(2), 1.0, 100, 1e-12)
+    (iterate, payload), fixed = solve(step, np.zeros(2), 1.0, 100, 1e-12)
     assert not fixed.converged and fixed.iterations == 1 and payload == 1
     assert np.array_equal(iterate, np.zeros(2))
 

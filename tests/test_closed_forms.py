@@ -1,0 +1,145 @@
+"""Closed forms of the linear consensus model, against the particle, Nash, kinetic and game solvers.
+
+Under ``consensus_model(alpha)`` the drift is mu - x_i and the best-reply
+control -(N / ((N - 1) alpha)) (x_i - mu), so every solver moves each
+deviation x - mu from the mean mu by one common factor s and leaves mu where
+it is:
+
+* explicit Euler best reply, N players: s = (1 - dt (1 + N / ((N - 1) alpha)))^(T / dt);
+* the kinetic limit: s = exp(-T (1 + 1 / alpha));
+* the mean-field game: the value is P(T - t) (x - mu)^2 / 2 with the Riccati
+  equation dP/dtau = 1 - 2 P - P^2 / alpha, P(0) = 0, so the feedback is
+  -(P / alpha) (x - mu) and s = exp(-T - int_0^T P / alpha).
+
+A factor s carries a cell-average density m0 on [a, b] to m0 / s on the
+grid scaled by s about its mean, itself a ``DensityGrid``, which ``w1``
+compares exactly with a solver's final density. The open-loop N-player game
+is linear-quadratic, so its discrete stationarity system is affine in the
+controls and a dense solve gives its Nash point.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from mfglab import (
+    ControlProfile,
+    DensityGrid,
+    ParticleEnsemble,
+    PicardParams,
+    SpaceGrid,
+    SweepParams,
+    consensus_model,
+    gradient_via_adjoint,
+    integrate_brs,
+    mfg_fixed_point,
+    nash_sweep,
+    solve_kinetic,
+    time_grid,
+    w1,
+)
+from mfglab.harness import density_of, sample_initial
+
+
+@pytest.mark.parametrize("n, dt, horizon, alpha", [(7, 0.01, 0.5, 1.0), (12, 0.02, 1.0, 0.3)])
+def test_best_reply_particles_contract_by_the_discrete_factor(n, dt, horizon, alpha):
+    x = sample_initial(n, n, {"kind": "uniform", "a": -1.0, "b": 2.0}).positions
+    mu = x.mean()
+    trajectory, _ = integrate_brs(consensus_model(alpha), ParticleEnsemble(x), horizon, dt)
+    steps = round(horizon / dt)
+    s = (1.0 - dt * (1.0 + n / ((n - 1) * alpha))) ** steps
+    scale = np.max(np.abs(x - mu))
+    final = trajectory.positions[-1]
+    assert np.max(np.abs(final - (mu + s * (x - mu)))) <= 1e-12 * scale
+    assert abs(final.mean() - mu) <= 1e-12 * scale
+
+
+def test_nash_sweep_solves_the_affine_stationarity_system():
+    model = consensus_model()
+    n, horizon, dt = 8, 0.5, 0.02
+    initial = sample_initial(3, n, {"kind": "uniform", "a": 0.0, "b": 1.0})
+    _, times = time_grid(horizon, dt)
+    shape = (n, times.size - 1)
+
+    def gradient(u):
+        return gradient_via_adjoint(model, initial, ControlProfile(u.reshape(shape), times)).ravel()
+
+    offset = gradient(np.zeros(shape))
+    columns = np.empty((offset.size, offset.size))
+    for k in range(offset.size):
+        unit = np.zeros(offset.size)
+        unit[k] = 1.0
+        columns[:, k] = gradient(unit) - offset
+    nash = np.linalg.solve(columns, -offset).reshape(shape)
+    result = nash_sweep(model, initial, horizon, dt, SweepParams(tolerance=1e-12))
+    assert result.converged
+    assert np.max(np.abs(result.controls.values - nash)) <= 1e-11
+
+
+# ---------------------------------------------------------------------------
+# convergence of the grid solvers to the continuum factors
+
+
+HORIZON = 0.5
+CELLS = (48, 96, 192)
+GAUSSIAN = {"kind": "gaussian", "mu": 0.5, "sigma": 0.1, "lo": 0.0, "hi": 1.0}
+
+
+def _riccati_factor(horizon, alpha):
+    """exp(-T - int_0^T P / alpha) for dP/dtau = 1 - 2 P - P^2 / alpha, P(0) = 0.
+
+    With the roots p1 > 0 > p2 of P^2 + 2 alpha P - alpha, P = p2 + (p1 - p2) / (1 - c e^(-k tau)),
+    c = p1 / p2 and k = (p1 - p2) / alpha, whose integral is elementary.
+    """
+    root = math.sqrt(1.0 + 1.0 / alpha)
+    p1, p2 = alpha * (root - 1.0), -alpha * (root + 1.0)
+    c, k = p1 / p2, 2.0 * root
+    integral = p2 * horizon / alpha + math.log((math.exp(k * horizon) - c) / (1.0 - c))
+    return math.exp(-horizon - integral)
+
+
+def _scaled(m0, s):
+    """m0 carried by x -> mu + s (x - mu) about its discrete mean mu: again a cell-average density."""
+    grid = m0.grid
+    mu = float(np.sum(grid.centers() * m0.cell_averages) * grid.dx)
+    scaled = SpaceGrid(mu + s * (grid.x_min - mu), mu + s * (grid.x_max - mu), grid.cells)
+    return DensityGrid(scaled, m0.cell_averages / s)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.3])
+def test_riccati_factor_matches_a_runge_kutta_march(alpha):
+    def rates(p):  # (P, int_0^tau P / alpha)
+        return np.array([1.0 - 2.0 * p[0] - p[0] * p[0] / alpha, p[0] / alpha])
+
+    p, h = np.zeros(2), HORIZON / 1000
+    for _ in range(1000):
+        k1 = rates(p)
+        k2 = rates(p + 0.5 * h * k1)
+        k3 = rates(p + 0.5 * h * k2)
+        k4 = rates(p + h * k3)
+        p = p + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    assert abs(_riccati_factor(HORIZON, alpha) - math.exp(-HORIZON - p[1])) <= 1e-12
+    if alpha == 1.0:
+        assert abs(_riccati_factor(HORIZON, alpha) - 0.554535) <= 1e-6
+
+
+def test_kinetic_and_game_converge_to_their_closed_forms():
+    alpha = 1.0
+    model = consensus_model(alpha)
+    brs_factor = math.exp(-HORIZON * (1.0 + 1.0 / alpha))
+    game_factor = _riccati_factor(HORIZON, alpha)
+    brs_errors, game_errors = [], []
+    for cells in CELLS:
+        m0 = density_of(GAUSSIAN, SpaceGrid(0.0, 1.0, cells))
+        dt = HORIZON / round(HORIZON * cells / 0.6)
+        brs_errors.append(w1(solve_kinetic(model, m0, HORIZON, dt).final, _scaled(m0, brs_factor)))
+        game = mfg_fixed_point(model, m0, HORIZON, dt, PicardParams(tolerance=1e-12))
+        assert game.converged
+        game_errors.append(w1(game.densities.final, _scaled(m0, game_factor)))
+    for errors in (brs_errors, game_errors):
+        orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+        assert np.all(orders >= 0.9), (errors, orders)
+    assert all(g < b for g, b in zip(game_errors, brs_errors)), (game_errors, brs_errors)

@@ -7,6 +7,7 @@ from mfglab import (
     CFLError,
     DensityTrajectory,
     PicardParams,
+    SpaceGrid,
     ValueGrid,
     consensus_model,
     feedback_controls_best_reply,
@@ -526,10 +527,50 @@ class TestAndersonMixing:
         monkeypatch.setattr(mfglab.mfg, "hjb_backward", recording)
         res = mfg_fixed_point(bounded_confidence_model(radius=0.1), self.m0, 1.0, 1 / 160, self.PARAMS)
         assert res.converged and res.rejected_steps > 0
-        assert len(seen) == res.iterations + 1
+        assert len(seen) == res.iterations  # one value march per evaluation, none after the loop
         for path in seen:
             assert np.min(path) >= 0.0
             assert np.max(np.abs(np.sum(path, axis=1) * self.grid.dx - 1.0)) <= 1e-12
+
+
+class TestReturnedPath:
+    """The result is the iterate the loop stopped on, with the value and residual of its own evaluation."""
+
+    def test_value_and_residual_are_the_returned_paths(self):
+        model = bounded_confidence_model(radius=0.15)
+        m0 = density_of(TestUndampedDefault.TWO_BUMP, grid_for_support(0.15, 0.85, 64))
+        res = mfg_fixed_point(model, m0, 0.5, 1 / 160)
+        assert res.converged and res.restarts == 0
+        value = hjb_backward(model, res.densities)
+        assert value.data.tobytes() == res.value.data.tobytes()
+        image = fp_forward(model, res.value, m0).data
+        image = image / (np.sum(image, axis=1) * m0.grid.dx)[:, None]
+        step = np.max(np.sum(np.abs(image - res.densities.data), axis=1) * m0.grid.dx)
+        assert float(step) == res.residual
+
+    def test_failed_image_march_ends_the_solve_unconverged(self, monkeypatch):
+        # value marches 1 and 2 succeed; march 3, along the first mixed path, falls back to the
+        # image behind it, and march 4, along that image, ends the loop at the second iterate
+        import mfglab.mfg
+
+        calls = []
+        original = mfglab.mfg.hjb_backward
+
+        def failing(model, m_path):
+            calls.append(m_path.data.copy())
+            if len(calls) >= 3:
+                raise NumericalError("injected")
+            return original(model, m_path)
+
+        monkeypatch.setattr(mfglab.mfg, "hjb_backward", failing)
+        model = bounded_confidence_model(radius=0.15)
+        grid = SpaceGrid(0.0, 1.0, 32)
+        m0 = normalized_density(grid, np.ones(grid.cells))
+        res = mfg_fixed_point(model, m0, 0.25, 1 / 80)
+        assert not res.converged and res.iterations == 2 and len(calls) == 4
+        assert res.rejected_steps == 1 and res.accelerated_steps == 0
+        assert np.array_equal(res.densities.data, calls[1])
+        assert res.value.data.tobytes() == original(model, res.densities).data.tobytes()
 
 
 class TestUndampedDefault:
