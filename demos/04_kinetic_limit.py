@@ -12,7 +12,7 @@ in the exact 1D Wasserstein-1 metric.
 
 import numpy as np
 
-from mfglab import consensus_model, empirical, grid_for_support, integrate_brs, moments, solve_kinetic, w1
+from mfglab import consensus_model, grid_for_support, integrate_brs, moments, solve_kinetic, w1
 from mfglab.harness import density_of, sample_initial
 from mfglab.kinetic import cfl_time_step
 
@@ -34,7 +34,7 @@ for n in (64, 256, 1024):
     for seed in range(10):
         start = sample_initial(1000 + seed, n, BUMP)
         trajectory, _ = integrate_brs(model, start, horizon, 1 / 200)
-        vals.append(w1(empirical(trajectory.ensemble(len(trajectory) - 1)), kinetic.final))
+        vals.append(w1(trajectory.ensemble(len(trajectory) - 1), kinetic.final))
     print(f"{n:5d}   {np.mean(vals):.6f}    [{np.min(vals):.6f}, {np.max(vals):.6f}]")
 
 print(

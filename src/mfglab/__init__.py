@@ -15,6 +15,7 @@ certified against each other with exact 1D optimal-transport distances
 
 __version__ = "0.1.0"
 
+from ._anderson import FixedPoint, FixedPointParams
 from .controller import (
     ParticleTrajectory,
     brs_control,
@@ -34,10 +35,9 @@ from .grids import (
 )
 from .harness import ExperimentConfig, parse_config, run_experiment, sample_initial
 from .kinetic import cfl_time_step, solve_kinetic, step_upwind, velocity_field
-from .measures import EmpiricalMeasure, empirical, moments, w1, w1_sorted_atoms
+from .measures import moments, w1, w1_sorted_atoms
 from .mfg import (
     MFGResult,
-    PicardParams,
     ValueGrid,
     feedback_controls_best_reply,
     feedback_controls_from_value,
@@ -65,7 +65,6 @@ from .model import (
 from .nash import (
     AdjointField,
     NashResult,
-    SweepParams,
     gradient_via_adjoint,
     nash_sweep,
     simulate_state,

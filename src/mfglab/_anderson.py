@@ -2,9 +2,10 @@
 
 ``mfg_fixed_point`` and ``nash_sweep`` hand ``solve`` a map that gives the
 image g(x) = (1 - theta) x + theta P(x), a residual of x and a payload, what
-the evaluation computed on the way, with a mixing weight theta in (0, 1] of
-their own. ``solve`` returns the iterate it stopped on with that iterate's
-payload, so the caller's result describes one evaluated path. Anderson
+the evaluation computed on the way, and ``FixedPointParams`` of their own:
+``mfg.PICARD`` and ``nash.SWEEP`` hold each solver's defaults. ``solve``
+returns the iterate it stopped on with that iterate's payload, so the
+caller's result, a ``FixedPoint``, describes one evaluated path. Anderson
 mixing of type II (Walker & Ni, SIAM J. Numer. Anal. 49, 2011) keeps the
 last ``MEMORY`` differences of the residuals f = g(x) - x and of the images
 g, and proposes
@@ -30,7 +31,8 @@ rows make a LAPACK call not worth its import and memory. Safeguards:
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, NamedTuple
+from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
@@ -42,13 +44,11 @@ GROWTH_LIMIT = 5  # the iteration restarts once its residual has grown on this m
 
 
 class Anderson:
-    """Mixing state of one fixed-point loop on arrays of a fixed shape."""
+    """Mixing state of one fixed-point loop."""
 
-    def __init__(self, size: int):
-        self._df = np.empty((MEMORY, size))  # residual differences, newest in row 0
-        self._dg = np.empty((MEMORY, size))  # image differences, same order
-        self._q = np.empty((MEMORY, size))  # Gram-Schmidt basis of the kept rows of _df
-        self._count = 0
+    def __init__(self):
+        self._df: list[np.ndarray] = []  # residual differences, newest first
+        self._dg: list[np.ndarray] = []  # image differences, same order
         self._f = None  # residual and image of the previous step, flat
         self._g = None
         self._residual = math.inf
@@ -56,7 +56,7 @@ class Anderson:
     @property
     def depth(self) -> int:
         """Number of stored differences."""
-        return self._count
+        return len(self._df)
 
     def mix(self, x: np.ndarray, g: np.ndarray, residual: float) -> np.ndarray:
         """Next iterate from the iterate x, its image g and the caller's residual of x.
@@ -67,34 +67,25 @@ class Anderson:
         f = (g - x).ravel()
         flat_g = g.ravel()
         if residual > self._residual:
-            self._count = 0
+            self._df, self._dg = [], []
         elif self._f is not None:
-            self._push(f - self._f, flat_g - self._g)
+            self._df = [f - self._f, *self._df[:MEMORY - 1]]
+            self._dg = [flat_g - self._g, *self._dg[:MEMORY - 1]]
         self._f, self._g, self._residual = f, flat_g, residual
         gamma = self._coefficients(f)
         if gamma is None:
             return g
         candidate = flat_g.copy()
-        for i, weight in enumerate(gamma):
-            candidate -= weight * self._dg[i]
+        for weight, dg in zip(gamma, self._dg):
+            candidate -= weight * dg
         return candidate.reshape(g.shape)
-
-    def _push(self, df: np.ndarray, dg: np.ndarray) -> None:
-        kept = min(self._count, MEMORY - 1)
-        self._df[1 : kept + 1] = self._df[:kept]
-        self._dg[1 : kept + 1] = self._dg[:kept]
-        self._df[0] = df
-        self._dg[0] = dg
-        self._count = kept + 1
 
     def _coefficients(self, f: np.ndarray) -> np.ndarray | None:
         """gamma for the well-conditioned newest rows; drops the rest from the history."""
-        q = self._q
-        r = np.zeros((self._count, self._count))
-        kept = 0
-        for j in range(self._count):
-            row = q[j]
-            row[:] = self._df[j]
+        q: list[np.ndarray] = []  # Gram-Schmidt basis of the kept rows of _df
+        r = np.zeros((self.depth, self.depth))
+        for j, df in enumerate(self._df):
+            row = df.copy()
             for i in range(j):
                 r[i, j] = np.dot(q[i], row)
                 row -= r[i, j] * q[i]
@@ -104,8 +95,9 @@ class Anderson:
                 break
             r[j, j] = pivot
             row /= pivot
-            kept = j + 1
-        self._count = kept
+            q.append(row)
+        kept = len(q)
+        del self._df[kept:], self._dg[kept:]
         if kept == 0:
             return None
         rhs = np.array([np.dot(q[i], f) for i in range(kept)])
@@ -115,8 +107,26 @@ class Anderson:
         return gamma
 
 
-class FixedPoint(NamedTuple):
-    """How ``solve`` ended, field for field the tail of ``MFGResult`` and ``NashResult``."""
+@dataclass(frozen=True)
+class FixedPointParams:
+    """Budget, stopping tolerance and mixing weight theta in (0, 1] of one fixed-point loop."""
+
+    max_iterations: int
+    tolerance: float
+    theta: float
+
+    def __post_init__(self):
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
+        if not self.tolerance > 0:
+            raise ValueError("tolerance must be positive")
+        if not 0 < self.theta <= 1:
+            raise ValueError("theta must lie in (0, 1]")
+
+
+@dataclass
+class FixedPoint:
+    """How ``solve`` ended; ``MFGResult`` and ``NashResult`` add what the iterate they stopped on carries."""
 
     residual: float
     converged: bool
@@ -126,16 +136,29 @@ class FixedPoint(NamedTuple):
     rejected_steps: int  # mixed candidates refused
     restarts: int
 
+    def require(self, solver: str) -> None:
+        """Raise ``NumericalError`` naming ``solver`` unless the iteration converged."""
+        if not self.converged:
+            raise NumericalError(f"{solver} did not converge (residual {self.residual:.3e} "
+                                 f"after {self.iterations} iterations)")
 
-def solve(step: Callable[[np.ndarray, float], tuple[np.ndarray, float, Any]], x: np.ndarray, theta: float,
-          max_iterations: int, tolerance: float, admit: Callable[[np.ndarray], np.ndarray | None] = lambda x: x
+    def summary(self) -> str:
+        """The iteration count with the Anderson steps and any restarts, for a run message."""
+        restarts = f", {self.restarts} restart{'s' * (self.restarts > 1)}" if self.restarts else ""
+        return (f"{self.iterations} iterations ({self.accelerated_steps} Anderson steps accepted, "
+                f"{self.rejected_steps} rejected{restarts})")
+
+
+def solve(step: Callable[[np.ndarray, float], tuple[np.ndarray, float, Any]], x: np.ndarray,
+          params: FixedPointParams, admit: Callable[[np.ndarray], np.ndarray | None] = lambda x: x
           ) -> tuple[tuple[np.ndarray, Any], FixedPoint]:
     """Anderson-mixed iteration of ``step(x, theta) -> (image, residual, payload)`` from x.
 
     Returns the last evaluated iterate with its payload, and how the iteration
     ended; the images stay inside, for the mixing and the fallback. Stops once
-    the residual is at most ``tolerance`` or after ``max_iterations``
-    evaluations. The next iterate is the Anderson mix of the images, passed
+    the residual is at most ``params.tolerance`` or after
+    ``params.max_iterations`` evaluations, and starts at theta =
+    ``params.theta``. The next iterate is the Anderson mix of the images, passed
     through ``admit``; a candidate that ``admit`` refuses (returns None), or
     whose evaluation raises ``DivergenceError`` or ``NumericalError``, is
     replaced by the image behind it. Such an error from the evaluation of an
@@ -144,7 +167,8 @@ def solve(step: Callable[[np.ndarray, float], tuple[np.ndarray, float, Any]], x:
     a row, the iteration restarts from the lowest-residual iterate with theta
     halved and an empty mixing history, in the same budget.
     """
-    mixer = Anderson(x.size)
+    theta = params.theta
+    mixer = Anderson()
     history: list[float] = []
     accepted = rejected = restarts = growing = 0
     pending = None  # the image behind the mixed candidate x
@@ -164,15 +188,15 @@ def solve(step: Callable[[np.ndarray, float], tuple[np.ndarray, float, Any]], x:
             best = x
         history.append(residual)
         last = x, payload
-        if residual <= tolerance or len(history) == max_iterations:
+        if residual <= params.tolerance or len(history) == params.max_iterations:
             break
         if growing == GROWTH_LIMIT:
-            x, theta, mixer, growing, restarts = best, 0.5 * theta, Anderson(x.size), 0, restarts + 1
+            x, theta, mixer, growing, restarts = best, 0.5 * theta, Anderson(), 0, restarts + 1
             continue
         x = mixer.mix(x, image, residual)
         if x is not image:
             x, pending = admit(x), image
             if x is None:
                 x, pending, rejected = image, None, rejected + 1
-    return last, FixedPoint(history[-1], history[-1] <= tolerance, len(history), np.asarray(history), accepted,
+    return last, FixedPoint(history[-1], history[-1] <= params.tolerance, len(history), np.asarray(history), accepted,
                             rejected, restarts)

@@ -7,9 +7,9 @@ in fixed order, and floats are written with 17 significant digits. The
 manifest written next to the results echoes the config and records the code
 version, the wall clock, the wall time of each stage, the fixed-point counts of
 ``mfg_vs_brs`` and ``nash_vs_brs`` (iterations, accepted and rejected Anderson
-steps, restarts) and the process (Python and numpy versions, usable CPUs,
-peak resident memory); it is the only artifact that may differ between
-identical runs.
+steps, restarts; for the Nash sweep also the controls it starts from) and the
+process (Python and numpy versions, usable CPUs, peak resident memory); it is
+the only artifact that may differ between identical runs.
 
 CLI:  ``mfglab run <config.json> [--out DIR] [--seed S] [--jobs K]``
 (``--jobs`` runs at most as many threads as there are particle stacks and usable CPUs);
@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _version
+from ._anderson import FixedPoint, FixedPointParams
 from ._philox import philox_uniforms
 from .controller import (
     DEFAULT_BLOW_UP_BOUND,
@@ -48,10 +49,9 @@ from .grids import (
     time_grid,
 )
 from .kinetic import cfl_time_step, solve_kinetic
-from .measures import empirical, w1
+from .measures import w1
 from .mfg import (
-    MFGResult,
-    PicardParams,
+    PICARD,
     ValueGrid,
     feedback_controls_best_reply,
     feedback_controls_from_value,
@@ -70,7 +70,7 @@ from .model import (
     consensus_model,
     polynomial_model,
 )
-from .nash import AdjointField, NashResult, SweepParams, nash_sweep, value
+from .nash import SWEEP, AdjointField, nash_sweep, value
 
 EXPERIMENTS = ("particle_vs_kinetic", "mpc_vs_brs", "mfg_vs_brs", "prop2_gap", "nash_vs_brs")
 
@@ -96,8 +96,8 @@ class ExperimentConfig:
     n_particles_list: tuple[int, ...] | None = None
     grid_cells: int | None = None
     grid_bounds: tuple[float, float] | None = None
-    solver_tolerance: float = 1e-8
-    solver_damping: float | None = None  # None: each solver's own default
+    solver_tolerance: float | None = None  # None: each solver's own default, as for the next two
+    solver_damping: float | None = None
     solver_max_iterations: int | None = None
     output: str | None = None
 
@@ -175,7 +175,7 @@ _TOP = (
 )
 _GRID = (("cells", *_count(8), None, False), ("x_min", *_FINITE, None, False), ("x_max", *_FINITE, None, False))
 _SOLVER = (
-    ("tolerance", *_POSITIVE, 1e-8, False),
+    ("tolerance", *_POSITIVE, None, False),
     ("damping", _number, lambda v: 0 < v <= 1, "a number in (0, 1]", None, False),
     ("max_iterations", _integer, lambda v: v >= 1, "a positive integer", None, False),
 )
@@ -604,7 +604,7 @@ class _Stages:
 
     def __init__(self):
         self.seconds: dict[str, float] = {}
-        self.counts: dict[str, int] = {}
+        self.counts: dict[str, int | str] = {}
         self._last = time.monotonic()
 
     def lap(self, name: str) -> None:
@@ -629,7 +629,6 @@ def _write_manifest(out: Path, config, code: int, message: str, start: float, st
         "stage_seconds": stage_seconds or {},
         "exit_code": code,
         "message": message,
-        "sweep_initialization": "zero controls",
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "cpu_count": _usable_cpus(),
@@ -692,7 +691,7 @@ def _run_particle_vs_kinetic(cfg: ExperimentConfig, model: ModelSpec, out: Path,
         start = np.stack([sample_initial(seed, n, cfg.initial).positions for seed in stack_seeds])
         _, final = _march_stack(start, map(float, times[:-1]), cfg.dt, _best_reply(model, "taylor", cfg.dt),
                                 DEFAULT_BLOW_UP_BOUND, where=lambda row: f"N={n}, seed={stack_seeds[row]}: ")
-        return [(n, seed, w1(empirical(ParticleEnsemble(x)), kinetic_final)) for seed, x in zip(stack_seeds, final)]
+        return [(n, seed, w1(ParticleEnsemble(x), kinetic_final)) for seed, x in zip(stack_seeds, final)]
 
     workers = min(jobs, len(stacks), _usable_cpus())
     if workers > 1:
@@ -732,20 +731,24 @@ def _run_mpc_vs_brs(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: in
     return artifacts, f"{len(rows)} step sizes compared"
 
 
-def _solver_params(cfg: ExperimentConfig, params_class, weight: str):
-    """The solver's params from the config's solver block; a budget or weight left unset keeps the class default."""
-    given = {"max_iterations": cfg.solver_max_iterations, "tolerance": cfg.solver_tolerance, weight: cfg.solver_damping}
-    return params_class(**{name: value for name, value in given.items() if value is not None})
+def _solver_params(cfg: ExperimentConfig, default: FixedPointParams) -> FixedPointParams:
+    """The solver's params from the config's solver block; a field left unset keeps the solver's ``default``."""
+    given = {"max_iterations": cfg.solver_max_iterations, "tolerance": cfg.solver_tolerance,
+             "theta": cfg.solver_damping}
+    return dataclasses.replace(default, **{name: value for name, value in given.items() if value is not None})
 
 
-def _picard_params(cfg: ExperimentConfig) -> PicardParams:
-    return _solver_params(cfg, PicardParams, "damping")
+def _counts(result: FixedPoint) -> dict[str, int]:
+    """A fixed-point result's counts, for the manifest."""
+    return {"iterations": result.iterations, "accelerated_steps": result.accelerated_steps,
+            "rejected_steps": result.rejected_steps, "restarts": result.restarts}
 
 
 def _run_mfg_vs_brs(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: int, stages: _Stages):
     m0 = density_of(cfg.initial, build_grid(cfg))
-    result = mfg_fixed_point(model, m0, cfg.horizon, cfg.dt, _picard_params(cfg))
-    _require_converged(result, stages, "coupled fixed point")
+    result = mfg_fixed_point(model, m0, cfg.horizon, cfg.dt, _solver_params(cfg, PICARD))
+    stages.counts = _counts(result)
+    result.require("coupled fixed point")
     stages.lap("fixed_point")
     kin = solve_kinetic(model, m0, cfg.horizon, cfg.dt)
     stages.lap("best_reply")
@@ -769,12 +772,12 @@ def _run_mfg_vs_brs(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: in
         ]),
     ]
     stages.lap("write")
-    return artifacts, f"fixed point in {_iterations(result)}, W1(final) = {dist:.3e}"
+    return artifacts, f"fixed point in {result.summary()}, W1(final) = {dist:.3e}"
 
 
 def _run_prop2_gap(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: int, stages: _Stages):
     m0 = density_of(cfg.initial, build_grid(cfg))
-    params = _picard_params(cfg)
+    params = _solver_params(cfg, PICARD)
     rows = [(dt, proposition2_gap(model, m0, dt, params)) for dt in cfg.dt_list]
     stages.lap("solve")
     artifacts = [write_csv(out / "gaps.csv", ["dt", "gap"], rows)]
@@ -784,8 +787,9 @@ def _run_prop2_gap(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: int
 
 def _run_nash_vs_brs(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: int, stages: _Stages):
     start = sample_initial(cfg.seed, cfg.n_particles, cfg.initial)
-    result = nash_sweep(model, start, cfg.horizon, cfg.dt, _solver_params(cfg, SweepParams, "relaxation"))
-    _require_converged(result, stages, "sweep")
+    result = nash_sweep(model, start, cfg.horizon, cfg.dt, _solver_params(cfg, SWEEP))
+    stages.counts = {**_counts(result), "sweep_initialization": "zero controls"}
+    result.require("sweep")
     brs_trajectory, brs_profile = integrate_brs(model, start, cfg.horizon, cfg.dt)
     u_game = result.controls.values[:, 0]
     u_myopic = brs_profile.values[:, 0]
@@ -807,23 +811,7 @@ def _run_nash_vs_brs(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: i
         ]),
     ]
     stages.lap("write")
-    return artifacts, f"sweep converged in {_iterations(result)}"
-
-
-def _require_converged(result: MFGResult | NashResult, stages: _Stages, solver: str) -> None:
-    """Book a fixed-point result's counts for the manifest; raise unless it converged."""
-    stages.counts = {"iterations": result.iterations, "accelerated_steps": result.accelerated_steps,
-                     "rejected_steps": result.rejected_steps, "restarts": result.restarts}
-    if not result.converged:
-        raise NumericalError(f"{solver} did not converge (residual {result.residual:.3e} "
-                             f"after {result.iterations} iterations)")
-
-
-def _iterations(result: MFGResult | NashResult) -> str:
-    """Iteration count of a fixed-point result with its Anderson steps and any restarts, for the run message."""
-    restarts = f", {result.restarts} restart{'s' * (result.restarts > 1)}" if result.restarts else ""
-    return (f"{result.iterations} iterations ({result.accelerated_steps} Anderson steps accepted, "
-            f"{result.rejected_steps} rejected{restarts})")
+    return artifacts, f"sweep converged in {result.summary()}"
 
 
 # ---------------------------------------------------------------------------

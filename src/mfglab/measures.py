@@ -1,44 +1,19 @@
-"""Empirical measures, the 1D Wasserstein-1 distance, and moment diagnostics.
+"""The 1D Wasserstein-1 distance and moment diagnostics of particle ensembles and densities.
 
 In one dimension the Wasserstein-1 distance equals the L1 distance between
-cumulative distribution functions. Both supported representations (uniform
-atoms, cell-averaged densities) have CDFs that are linear or constant between
-breakpoints, so the integral is evaluated exactly on the merged breakpoint set
-and no tolerance enters the convergence experiments through the metric.
+cumulative distribution functions. Both supported representations (a
+``ParticleEnsemble``, read as weight 1/N on each position, and cell-averaged
+densities) have CDFs that are linear or constant between breakpoints, so the
+integral is evaluated exactly on the merged breakpoint set and no tolerance
+enters the convergence experiments through the metric.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .grids import MASS_TOL, DensityGrid
 from .model import ParticleEnsemble
-
-
-@dataclass
-class EmpiricalMeasure:
-    """Uniform atomic probability measure: weight 1/N on each atom."""
-
-    atoms: np.ndarray
-
-    def __post_init__(self):
-        atoms = np.asarray(self.atoms, dtype=float)
-        if atoms.ndim != 1 or atoms.size < 1:
-            raise ValueError("atoms must be a nonempty 1D array")
-        if not np.all(np.isfinite(atoms)):
-            raise ValueError("non-finite atom")
-        self.atoms = np.sort(atoms)
-
-    @property
-    def n(self) -> int:
-        return self.atoms.size
-
-
-def empirical(ensemble: ParticleEnsemble) -> EmpiricalMeasure:
-    """Empirical measure of an ensemble: sorted copy of the positions."""
-    return EmpiricalMeasure(ensemble.positions.copy())
 
 
 class _PiecewiseCdf:
@@ -55,8 +30,8 @@ class _PiecewiseCdf:
 
     @classmethod
     def of(cls, measure) -> "_PiecewiseCdf":
-        if isinstance(measure, EmpiricalMeasure):
-            pts = measure.atoms
+        if isinstance(measure, ParticleEnsemble):
+            pts = np.sort(measure.positions)
             left = np.searchsorted(pts, pts, side="left") / measure.n
             right = np.searchsorted(pts, pts, side="right") / measure.n
             return cls(pts, left, right)
@@ -85,7 +60,7 @@ class _PiecewiseCdf:
 def w1(a, b) -> float:
     """Wasserstein-1 distance: exact L1 distance between the two CDFs.
 
-    Accepts any mix of ``EmpiricalMeasure`` and ``DensityGrid``. On each
+    Accepts any mix of ``ParticleEnsemble`` and ``DensityGrid``. On each
     interval of the merged breakpoint set the CDF difference is linear, so its
     absolute integral is a trapezoid, split in two where the sign changes.
     """
@@ -106,11 +81,11 @@ def w1(a, b) -> float:
     return float(np.sum(np.where(c * d >= 0.0, trapezoid, crossing)))
 
 
-def w1_sorted_atoms(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
-    """Order-statistics form for equal-size empirical measures: mean |x_(k) - y_(k)|."""
+def w1_sorted_atoms(a: ParticleEnsemble, b: ParticleEnsemble) -> float:
+    """Order-statistics form for equal-size ensembles: mean |x_(k) - y_(k)|."""
     if a.n != b.n:
         raise ValueError("order-statistics identity needs equal atom counts")
-    return float(np.mean(np.abs(a.atoms - b.atoms)))
+    return float(np.mean(np.abs(np.sort(a.positions) - np.sort(b.positions))))
 
 
 def moments(measure) -> tuple[float, float, float]:
@@ -119,9 +94,10 @@ def moments(measure) -> tuple[float, float, float]:
     A density is constant on each cell, so its variance is the spread of the
     cell centers plus the intra-cell variance dx^2 / 12.
     """
-    if isinstance(measure, EmpiricalMeasure):
-        mean = float(np.mean(measure.atoms))
-        var = float(np.mean((measure.atoms - mean) ** 2))
+    if isinstance(measure, ParticleEnsemble):
+        atoms = np.sort(measure.positions)  # the sums run in ascending order
+        mean = float(np.mean(atoms))
+        var = float(np.mean((atoms - mean) ** 2))
         return 1.0, mean, var
     if isinstance(measure, DensityGrid):
         centers = measure.grid.centers()

@@ -24,11 +24,11 @@ difference and divided by alpha once.
 
 The coupled system is solved by Anderson-mixed Picard iteration on the
 density path: ``_anderson.solve``, the loop shared with the Nash sweep, mixes
-the images (1 - theta) m + theta P(m), theta in (0, 1], default 1, where P(m)
-is the density march under the value along m. At theta = 1 the stopping
-residual is the full Picard step sup_t ||P(m) - m||_L1. The solve returns the
-path m it stopped on with the value its Picard map marched along it: E
-evaluations cost E value marches and E + 1 density marches.
+the images (1 - theta) m + theta P(m), theta in (0, 1], 1 in ``PICARD``,
+where P(m) is the density march under the value along m. At theta = 1 the
+stopping residual is the full Picard step sup_t ||P(m) - m||_L1. The solve
+returns the path m it stopped on with the value its Picard map marched along
+it: E evaluations cost E value marches and E + 1 density marches.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._anderson import solve
+from ._anderson import FixedPoint, FixedPointParams, solve
 from .errors import CFLError, NumericalError
 from .grids import DensityGrid, DensityTrajectory, SpaceGrid, _checked_rows, time_grid, uniform_dt
 from .kinetic import CFL_NUMBER, _initial_speed, _march
@@ -66,38 +66,13 @@ class ValueGrid:
             raise ValueError("terminal value slice must vanish")
 
 
-@dataclass(frozen=True)
-class PicardParams:
-    """Budget, tolerance and mixing weight theta in (0, 1] of the Anderson-mixed Picard iteration.
-
-    The default theta = 1 mixes plain Picard images; a smaller ``damping``
-    damps them, for problems on which the undamped iteration does not settle.
-    """
-
-    max_iterations: int = 200
-    tolerance: float = 1e-8
-    damping: float = 1.0
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
-        if not 0 < self.damping <= 1:
-            raise ValueError("damping must lie in (0, 1]")
+PICARD = FixedPointParams(max_iterations=200, tolerance=1e-8, theta=1.0)  # theta 1: plain Picard images
 
 
 @dataclass
-class MFGResult:
+class MFGResult(FixedPoint):
     value: ValueGrid
     densities: DensityTrajectory
-    residual: float
-    converged: bool
-    iterations: int
-    residual_history: np.ndarray
-    accelerated_steps: int
-    rejected_steps: int
-    restarts: int
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow leaves inf or nan for the checks
@@ -168,14 +143,14 @@ def mfg_fixed_point(
     m0: DensityGrid,
     horizon: float,
     dt: float,
-    params: PicardParams = PicardParams(),
+    params: FixedPointParams = PICARD,
 ) -> MFGResult:
     """Anderson-mixed Picard iteration on the density path of the coupled system on [0, horizon].
 
     Starts from the transport of m0 by F alone. Each iteration solves the value
     backward along the current path and the density forward under that value,
     and forms the image: the two paths mixed slice-wise with the weight
-    theta = ``params.damping`` in (0, 1], default 1, each slice renormalized
+    theta = ``params.theta`` in (0, 1], 1 in ``PICARD``, each slice renormalized
     to unit mass. The residual is the largest L1 distance between the current
     path and its image at any time slice; at theta = 1 that is the full
     Picard step, at theta < 1 theta times it. The iteration stops once
@@ -199,9 +174,9 @@ def mfg_fixed_point(
         image = _unit_slices((1.0 - theta) * x + theta * fp_forward(model, value, m0).data, grid.dx)
         return image, float(np.max(np.sum(np.abs(image - x), axis=1) * grid.dx)), value
 
-    (x, value), run = solve(picard, fp_forward(model, zero_value, m0).data, params.damping, params.max_iterations,
-                            params.tolerance, admit=lambda x: _unit_slices(x, grid.dx) if x.min() >= 0.0 else None)
-    return MFGResult(value, DensityTrajectory(grid, times.copy(), x), *run)
+    (x, value), run = solve(picard, fp_forward(model, zero_value, m0).data, params,
+                            admit=lambda x: _unit_slices(x, grid.dx) if x.min() >= 0.0 else None)
+    return MFGResult(**vars(run), value=value, densities=DensityTrajectory(grid, times.copy(), x))
 
 
 def _unit_slices(data: np.ndarray, dx: float) -> np.ndarray:
@@ -213,7 +188,7 @@ def proposition2_gap(
     model: ModelSpec,
     m0: DensityGrid,
     dt: float,
-    params: PicardParams = PicardParams(),
+    params: FixedPointParams = PICARD,
 ) -> float:
     """Distance between the one-window game value and its short-horizon surrogate.
 
@@ -223,16 +198,13 @@ def proposition2_gap(
     window time, the scale on which the short-horizon expansion
     v(0, .) ~ dt * H(., m0) lives; the gap is O(dt) down to the spatial
     discretization floor. Raises ``CFLError`` when the initial speed is not
-    finite, as ``cfl_time_step`` does.
+    finite, as ``cfl_time_step`` does, and ``NumericalError`` when the solve
+    does not converge.
     """
     vmax = _initial_speed(model, m0)
     n_sub = max(2, math.ceil(dt * vmax / (0.45 * m0.grid.dx))) if vmax > 0 else 2
     result = mfg_fixed_point(model, m0, dt, dt / n_sub, params)
-    if not result.converged:
-        raise NumericalError(
-            f"coupled solve on the window [0, {dt}] did not converge "
-            f"(residual {result.residual:.3e} after {result.iterations} iterations)"
-        )
+    result.require(f"coupled solve on the window [0, {dt}]")
     surrogate = np.asarray(mean_field_cost(model, m0.grid.centers(), m0))
     return float(np.max(np.abs(result.value.data[0] / dt - surrogate)))
 

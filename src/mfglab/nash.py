@@ -25,8 +25,8 @@ of the discrete cost is exact up to round-off:
     dV_i / du_{i,l} = dt * ( alpha(t_l) u_{i,l} + phi^i_i(l+1) ).
 
 The sweep damps the best-response update u <- -phi^i_i / alpha with a weight
-theta in (0, 1], default 0.5, to tame the strong state-costate coupling of the
-two-point boundary value problem, and accelerates the damped map by
+theta in (0, 1], 0.5 in ``SWEEP``, to tame the strong state-costate coupling
+of the two-point boundary value problem, and accelerates the damped map by
 safeguarded Anderson mixing in ``_anderson.solve``, the loop it shares with
 the Picard loop of ``mfg``. Unlike that loop, the sweep keeps damping by
 default: undamped, bounded confidence r = 0.1 with 8 players on [0, 1] needs
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._anderson import solve
+from ._anderson import FixedPoint, FixedPointParams, solve
 from .controller import DEFAULT_BLOW_UP_BOUND, ParticleTrajectory, _march_stack
 from .errors import NumericalError
 from .grids import time_grid, uniform_dt
@@ -69,35 +69,14 @@ class AdjointField:
             raise ValueError("terminal costate slice must vanish")
 
 
-@dataclass(frozen=True)
-class SweepParams:
-    """Budget, tolerance and relaxation weight theta in (0, 1] of the Anderson-mixed sweep; default theta = 0.5."""
-
-    max_iterations: int = 500
-    tolerance: float = 1e-8
-    relaxation: float = 0.5
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
-        if not 0 < self.relaxation <= 1:
-            raise ValueError("relaxation must lie in (0, 1]")
+SWEEP = FixedPointParams(max_iterations=500, tolerance=1e-8, theta=0.5)
 
 
 @dataclass
-class NashResult:
+class NashResult(FixedPoint):
     controls: ControlProfile
     trajectory: ParticleTrajectory
     adjoints: AdjointField
-    residual: float
-    converged: bool
-    iterations: int
-    residual_history: np.ndarray
-    accelerated_steps: int
-    rejected_steps: int
-    restarts: int
 
 
 def simulate_state(model: ModelSpec, initial: ParticleEnsemble, controls: ControlProfile) -> ParticleTrajectory:
@@ -190,13 +169,13 @@ def nash_sweep(
     initial: ParticleEnsemble,
     horizon: float,
     dt: float,
-    params: SweepParams = SweepParams(),
+    params: FixedPointParams = SWEEP,
 ) -> NashResult:
     """Damped fixed-point iteration with Anderson mixing on the stationarity system of all N players on [0, horizon].
 
     Each sweep simulates the state forward, solves every player's costate
     backward, and forms the damped image: the controls relaxed with the weight
-    theta = ``params.relaxation`` in (0, 1], default 0.5, towards the best
+    theta = ``params.theta`` in (0, 1], 0.5 in ``SWEEP``, towards the best
     response u_{i,l} = -phi^i_i(t_{l+1}) / alpha(t_l); at theta = 1 the image
     is the best response itself. The residual max |alpha u + phi^i_i| does not
     depend on theta: it is the exact sup-norm of the discrete cost gradients,
@@ -223,6 +202,5 @@ def nash_sweep(
         residual = float(np.max(np.abs(weights[None, :] * controls + own)))
         return (1.0 - theta) * controls + theta * (-own / weights[None, :]), residual, (profile, trajectory, costates)
 
-    (_, (profile, trajectory, costates)), run = solve(
-        sweep, np.zeros((initial.n, n_steps)), params.relaxation, params.max_iterations, params.tolerance)
-    return NashResult(profile, trajectory, AdjointField(costates, times), *run)
+    (_, (profile, trajectory, costates)), run = solve(sweep, np.zeros((initial.n, n_steps)), params)
+    return NashResult(**vars(run), controls=profile, trajectory=trajectory, adjoints=AdjointField(costates, times))

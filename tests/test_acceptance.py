@@ -11,11 +11,9 @@ import numpy as np
 
 from mfglab import (
     ControlProfile,
-    EmpiricalMeasure,
     ParticleEnsemble,
     brs_control,
     consensus_model,
-    empirical,
     gradient_via_adjoint,
     grid_for_support,
     hjb_backward,
@@ -134,7 +132,7 @@ def test_criterion_05_particles_converge_to_kinetic_solution():
         for k in range(10):
             start_state = sample_initial(1000 + k, n, BUMP)
             trajectory, _ = integrate_brs(model, start_state, horizon, dt_particle)
-            vals.append(w1(empirical(trajectory.ensemble(len(trajectory) - 1)), kinetic_final))
+            vals.append(w1(trajectory.ensemble(len(trajectory) - 1), kinetic_final))
         means.append(float(np.mean(vals)))
     exponent = -np.polyfit(np.log([128.0, 512.0, 2048.0]), np.log(means), 1)[0]
     monotone = means[0] > means[1] > means[2]
@@ -225,8 +223,8 @@ def test_criterion_11_transport_metric_identities_agree():
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(1, 60))
-        a = EmpiricalMeasure(rng.normal(size=n))
-        b = EmpiricalMeasure(rng.normal(size=n))
+        a = ParticleEnsemble(rng.normal(size=n))
+        b = ParticleEnsemble(rng.normal(size=n))
         worst = max(worst, abs(w1(a, b) - w1_sorted_atoms(a, b)))
     elapsed = time.monotonic() - start
     report(11, worst <= 1e-12, elapsed, 1.0,

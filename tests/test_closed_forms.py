@@ -15,23 +15,26 @@ A factor s carries a cell-average density m0 on [a, b] to m0 / s on the
 grid scaled by s about its mean, itself a ``DensityGrid``, which ``w1``
 compares exactly with a solver's final density. The open-loop N-player game
 is linear-quadratic, so its discrete stationarity system is affine in the
-controls and a dense solve gives its Nash point.
+controls and a dense solve gives its Nash point. Its equilibrium is linear in
+the deviations and symmetric in the players, so it too moves every deviation
+by one factor s_N, which depends on N alone; hypothesis draws the starts.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfglab import (
     ControlProfile,
     DensityGrid,
     ParticleEnsemble,
-    PicardParams,
     SpaceGrid,
-    SweepParams,
     consensus_model,
     gradient_via_adjoint,
     integrate_brs,
@@ -42,6 +45,8 @@ from mfglab import (
     w1,
 )
 from mfglab.harness import density_of, sample_initial
+from mfglab.mfg import PICARD
+from mfglab.nash import SWEEP
 
 
 @pytest.mark.parametrize("n, dt, horizon, alpha", [(7, 0.01, 0.5, 1.0), (12, 0.02, 1.0, 0.3)])
@@ -74,9 +79,59 @@ def test_nash_sweep_solves_the_affine_stationarity_system():
         unit[k] = 1.0
         columns[:, k] = gradient(unit) - offset
     nash = np.linalg.solve(columns, -offset).reshape(shape)
-    result = nash_sweep(model, initial, horizon, dt, SweepParams(tolerance=1e-12))
+    result = nash_sweep(model, initial, horizon, dt, replace(SWEEP, tolerance=1e-12))
     assert result.converged
     assert np.max(np.abs(result.controls.values - nash)) <= 1e-11
+
+
+NASH_DRAWS = settings(max_examples=10, deadline=None, derandomize=True)
+
+
+def _starts(n):
+    """n positions in (-1, 2), at least 0.1 apart at the ends, so round-off stays small against max|x - mu|."""
+    return st.lists(st.floats(-1.0, 2.0, exclude_min=True, exclude_max=True), min_size=n, max_size=n).filter(
+        lambda xs: max(xs) - min(xs) >= 0.1)
+
+
+def _nash_factor(x):
+    """The factor s with x_i(T) - mu = s (x_i(0) - mu) at the sweep's Nash point (T 0.5, dt 0.02).
+
+    Also returns the spread: the largest miss of that law over the players and of the conserved
+    mean, per max|x - mu|.
+    """
+    x = np.asarray(x)
+    mu = x.mean()
+    result = nash_sweep(consensus_model(), ParticleEnsemble(x), 0.5, 0.02, replace(SWEEP, tolerance=1e-12))
+    assert result.converged
+    final = result.trajectory.positions[-1]
+    far = np.argmax(np.abs(x - mu))
+    s = (final[far] - mu) / (x[far] - mu)
+    scale = np.abs(x[far] - mu)
+    return s, max(np.max(np.abs(final - mu - s * (x - mu))), abs(final.mean() - mu)) / scale
+
+
+@settings(NASH_DRAWS, max_examples=30)
+@given(data=st.data(), n=st.integers(3, 12))
+def test_nash_point_moves_every_deviation_by_one_factor(data, n):
+    _, spread = _nash_factor(data.draw(_starts(n)))
+    assert spread <= 1e-12
+
+
+@NASH_DRAWS
+@given(data=st.data(), n=st.integers(3, 12))
+def test_nash_factor_depends_on_n_alone(data, n):
+    first, _ = _nash_factor(data.draw(_starts(n)))
+    second, _ = _nash_factor(data.draw(_starts(n)))
+    assert abs(first - second) <= 1e-12
+
+
+@NASH_DRAWS
+@given(data=st.data(), n=st.integers(3, 11), more=st.integers(1, 9))
+def test_nash_factor_rises_with_n(data, n, more):
+    # measured: s_3 = 0.529634, s_12 = 0.548303
+    fewer, _ = _nash_factor(data.draw(_starts(n)))
+    larger, _ = _nash_factor(data.draw(_starts(min(n + more, 12))))
+    assert 0.5296 < fewer < larger < 0.5484
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +191,7 @@ def test_kinetic_and_game_converge_to_their_closed_forms():
         m0 = density_of(GAUSSIAN, SpaceGrid(0.0, 1.0, cells))
         dt = HORIZON / round(HORIZON * cells / 0.6)
         brs_errors.append(w1(solve_kinetic(model, m0, HORIZON, dt).final, _scaled(m0, brs_factor)))
-        game = mfg_fixed_point(model, m0, HORIZON, dt, PicardParams(tolerance=1e-12))
+        game = mfg_fixed_point(model, m0, HORIZON, dt, replace(PICARD, tolerance=1e-12))
         assert game.converged
         game_errors.append(w1(game.densities.final, _scaled(m0, game_factor)))
     for errors in (brs_errors, game_errors):

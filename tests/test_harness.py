@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfglab import ConfigError, DivergenceError, parse_config, run_experiment, sample_initial
-from mfglab import cfl_time_step, empirical, integrate_brs, solve_kinetic, w1
+from mfglab import cfl_time_step, integrate_brs, solve_kinetic, w1
 from mfglab import harness
 from mfglab.grids import SpaceGrid
 from mfglab.harness import (
@@ -31,8 +31,8 @@ from mfglab.harness import (
     density_of,
     main,
 )
-from mfglab.mfg import PicardParams
-from mfglab.nash import SweepParams
+from mfglab.mfg import PICARD
+from mfglab.nash import SWEEP
 
 # config files that are not JSON text, each with a word its error names: bytes that are not UTF-8,
 # nesting deeper than the recursion limit and an integer literal longer than the digit limit
@@ -57,7 +57,7 @@ class TestParseConfig:
         cfg = parse_config(json.dumps(MINIMAL_NASH))
         assert cfg.seed == 0
         assert cfg.solver_damping is None  # each solver keeps its own default
-        assert cfg.solver_tolerance == 1e-8
+        assert cfg.solver_tolerance is None and cfg.solver_max_iterations is None
         assert cfg.alpha_kind == "constant" and cfg.alpha_params["value"] == 1.0
 
     def test_zero_dt_names_the_field(self):
@@ -456,6 +456,25 @@ class TestRunExperiment:
         assert result.exit_code == EXIT_OK and [manifest[key] for key in names] == [48, 32, 0, 1]
         assert result.message == "sweep converged in 48 iterations (32 Anderson steps accepted, 0 rejected, 1 restart)"
 
+    def test_manifest_records_the_sweep_start_for_nash_runs_only(self, tmp_path, capsys):
+        # the Nash sweep starts from zero controls, and its manifest says so whether it converges or
+        # stops at a budget of one sweep; no other experiment runs a sweep, nor does a refused config
+        for name, raw in HOSTILE_BASES.items():
+            for budget in (None, 1):
+                out = tmp_path / f"{name.replace('/', '_')}-{budget}"
+                cfg = parse_config(json.dumps(dict(raw, solver={**raw.get("solver", {}), "max_iterations": budget})))
+                code = run_experiment(cfg, out_dir=out).exit_code
+                manifest = json.loads((out / "manifest.json").read_text())
+                nash = raw["experiment"] == "nash_vs_brs"
+                assert manifest.get("sweep_initialization") == ("zero controls" if nash else None), (name, budget)
+                assert "sweep_initialization" in manifest or not nash
+                if nash:
+                    assert code == (EXIT_OK if budget is None else EXIT_SOLVER)
+        path = tmp_path / "refused.json"
+        path.write_text(json.dumps(dict(HOSTILE_BASES["nash_vs_brs"], dt=0)))
+        assert main(["run", str(path), "--out", str(tmp_path / "refused")]) == EXIT_CONFIG
+        assert "sweep_initialization" not in json.loads((tmp_path / "refused" / "manifest.json").read_text())
+
     def test_manifest_peak_memory_null_without_proc_status(self, tmp_path, monkeypatch):
         def no_proc(path, *args, **kwargs):
             raise FileNotFoundError(path)
@@ -549,15 +568,15 @@ class TestRunExperiment:
         raw = dict(MINIMAL_NASH, model={"kind": "bounded_confidence", "radius": 0.1}, horizon=1.0,
                    dt=0.02, n_particles=8, initial={"kind": "uniform", "a": 0.0, "b": 1.0})
         unset = parse_config(json.dumps(raw))
-        assert harness._picard_params(unset) == PicardParams()
-        assert harness._solver_params(unset, SweepParams, "relaxation") == SweepParams()
+        assert harness._solver_params(unset, PICARD) == PICARD
+        assert harness._solver_params(unset, SWEEP) == SWEEP
         budget = parse_config(json.dumps(dict(raw, solver={"max_iterations": 7})))
-        assert harness._picard_params(budget) == PicardParams(max_iterations=7)
-        assert harness._solver_params(budget, SweepParams, "relaxation") == SweepParams(max_iterations=7)
+        assert harness._solver_params(budget, PICARD) == dataclasses.replace(PICARD, max_iterations=7)
+        assert harness._solver_params(budget, SWEEP) == dataclasses.replace(SWEEP, max_iterations=7)
         assert run_experiment(parse_config(json.dumps(raw)), out_dir=tmp_path / "default").exit_code == EXIT_OK
         for damping in (0.5, 1.0):
             cfg = parse_config(json.dumps(dict(raw, solver={"damping": damping})))
-            assert harness._picard_params(cfg).damping == damping
+            assert harness._solver_params(cfg, PICARD).theta == damping
             assert run_experiment(cfg, out_dir=tmp_path / str(damping)).exit_code == EXIT_OK
         manifests = [json.loads((tmp_path / name / "manifest.json").read_text()) for name in ("default", "0.5", "1.0")]
         counts = [(manifest["iterations"], manifest["restarts"]) for manifest in manifests]
@@ -1018,7 +1037,7 @@ class TestParticleStacks:
         for n in cfg.n_particles_list:
             for seed in range(cfg.seed, cfg.seed + cfg.n_seeds):
                 trajectory, _ = integrate_brs(model, sample_initial(seed, n, cfg.initial), cfg.horizon, cfg.dt)
-                rows.append((n, seed, w1(empirical(trajectory.ensemble(len(trajectory) - 1)), final)))
+                rows.append((n, seed, w1(trajectory.ensemble(len(trajectory) - 1), final)))
         want = harness.write_csv(tmp_path / "reference.csv", ["n", "seed", "w1"], rows).read_bytes()
         for jobs in (1, 3):
             assert run_experiment(cfg, out_dir=tmp_path / str(jobs), jobs=jobs).exit_code == EXIT_OK

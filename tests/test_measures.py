@@ -3,10 +3,8 @@ import pytest
 
 from mfglab import (
     DensityGrid,
-    EmpiricalMeasure,
     ParticleEnsemble,
     SpaceGrid,
-    empirical,
     histogram,
     moments,
     normalized_density,
@@ -21,31 +19,43 @@ def rng(key=0):
 
 
 class TestEmpirical:
+    """A ``ParticleEnsemble`` as a measure: weight 1/N on each position, sorted where it is read."""
+
     def test_duplicates_kept(self):
-        e = empirical(ParticleEnsemble(np.array([1.0, 1.0])))
-        assert np.array_equal(e.atoms, [1.0, 1.0])
+        cdf = _PiecewiseCdf.of(ParticleEnsemble(np.array([1.0, 1.0])))
+        assert np.array_equal(cdf.points, [1.0, 1.0])
+        assert np.array_equal(cdf.left, [0.0, 0.0]) and np.array_equal(cdf.right, [1.0, 1.0])
 
     def test_sorted(self):
-        e = empirical(ParticleEnsemble(np.array([3.0, 1.0, 2.0])))
-        assert np.array_equal(e.atoms, [1.0, 2.0, 3.0])
+        unsorted = ParticleEnsemble(np.array([3.0, 1.0, 2.0]))
+        ordered = ParticleEnsemble(np.array([1.0, 2.0, 3.0]))
+        assert np.array_equal(_PiecewiseCdf.of(unsorted).points, [1.0, 2.0, 3.0])
+        assert w1(unsorted, ordered) == 0.0 and w1_sorted_atoms(unsorted, ordered) == 0.0
+        assert moments(unsorted) == moments(ordered)
+        assert np.array_equal(unsorted.positions, [3.0, 1.0, 2.0])  # read, never reordered in place
 
     def test_leave_one_out_size(self):
         x = np.array([0.1, 0.5, 0.9])
-        e = EmpiricalMeasure(np.delete(x, 1))
+        e = ParticleEnsemble(np.delete(x, 1))
         assert e.n == 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_atom_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            ParticleEnsemble(np.array([0.5, bad]))
 
 
 class TestW1:
     def test_identical_inputs(self):
-        e = EmpiricalMeasure(np.array([0.2, 0.8]))
+        e = ParticleEnsemble(np.array([0.2, 0.8]))
         assert w1(e, e) == 0.0
 
     def test_point_masses(self):
-        assert w1(EmpiricalMeasure(np.array([0.0])), EmpiricalMeasure(np.array([1.0]))) == 1.0
+        assert w1(ParticleEnsemble(np.array([0.0])), ParticleEnsemble(np.array([1.0]))) == 1.0
 
     def test_sorted_matching(self):
-        a = EmpiricalMeasure(np.array([0.0, 1.0]))
-        b = EmpiricalMeasure(np.array([0.5, 0.5]))
+        a = ParticleEnsemble(np.array([0.0, 1.0]))
+        b = ParticleEnsemble(np.array([0.5, 0.5]))
         assert w1(a, b) == pytest.approx(0.5, abs=1e-15)
 
     def test_order_statistics_identity(self):
@@ -53,8 +63,8 @@ class TestW1:
         worst = 0.0
         for _ in range(100):
             n = int(g.integers(1, 50))
-            a = EmpiricalMeasure(g.normal(size=n))
-            b = EmpiricalMeasure(g.normal(size=n))
+            a = ParticleEnsemble(g.normal(size=n))
+            b = ParticleEnsemble(g.normal(size=n))
             worst = max(worst, abs(w1(a, b) - w1_sorted_atoms(a, b)))
         assert worst <= 1e-12
 
@@ -62,8 +72,8 @@ class TestW1:
         g = rng(13)
         grid = SpaceGrid(-3.0, 3.0, 64)
         for _ in range(25):
-            a = EmpiricalMeasure(g.normal(size=int(g.integers(1, 20))))
-            b = EmpiricalMeasure(g.normal(size=int(g.integers(1, 20))))
+            a = ParticleEnsemble(g.normal(size=int(g.integers(1, 20))))
+            b = ParticleEnsemble(g.normal(size=int(g.integers(1, 20))))
             c = normalized_density(grid, np.exp(-((grid.centers() - g.normal()) ** 2)))
             dab, dba = w1(a, b), w1(b, a)
             assert dab == dba  # symmetry, exactly
@@ -76,7 +86,7 @@ class TestW1:
         grid = SpaceGrid(0.0, 1.0, 128)
         for _ in range(20):
             xs = g.random(40)
-            assert w1(EmpiricalMeasure(xs), histogram(xs, grid)) <= grid.dx + 1e-15
+            assert w1(ParticleEnsemble(xs), histogram(xs, grid)) <= grid.dx + 1e-15
 
     def test_unnormalized_density_rejected(self):
         grid = SpaceGrid(0.0, 1.0, 16)
@@ -85,7 +95,7 @@ class TestW1:
         bad.cell_averages = np.full(16, 0.5)
         bad.clipped_mass = 0.0
         with pytest.raises(ValueError, match="mass"):
-            w1(bad, EmpiricalMeasure(np.array([0.5])))
+            w1(bad, ParticleEnsemble(np.array([0.5])))
 
     def test_density_vs_density_shifted_uniform(self):
         # uniform on [0,1] vs uniform on [0.25, 1.25]: transport distance is the shift
@@ -123,7 +133,7 @@ class TestW1TiedAtoms:
         ([0.2] * 7 + [0.9], [0.2, 0.9] * 4),
     ])
     def test_bitwise_equal_to_unique(self, xs, ys):
-        a, b = EmpiricalMeasure(np.array(xs)), EmpiricalMeasure(np.array(ys))
+        a, b = ParticleEnsemble(np.array(xs)), ParticleEnsemble(np.array(ys))
         for first, second in ((a, b), (b, a), (a, a)):
             assert w1(first, second) == w1_with_unique(first, second)
 
@@ -133,15 +143,15 @@ class TestW1TiedAtoms:
         density = normalized_density(grid, np.ones(16))
         for _ in range(50):
             # atoms on a coarse lattice tie with each other and with the grid's faces
-            a = EmpiricalMeasure(gen.integers(0, 9, size=gen.integers(1, 12)) / 8.0)
-            b = EmpiricalMeasure(gen.integers(0, 17, size=gen.integers(1, 12)) / 16.0)
+            a = ParticleEnsemble(gen.integers(0, 9, size=gen.integers(1, 12)) / 8.0)
+            b = ParticleEnsemble(gen.integers(0, 17, size=gen.integers(1, 12)) / 16.0)
             for first, second in ((a, b), (a, density), (density, b)):
                 assert w1(first, second) == w1_with_unique(first, second)
 
 
 class TestMoments:
     def test_point_mass(self):
-        mass, mean, var = moments(EmpiricalMeasure(np.array([2.5])))
+        mass, mean, var = moments(ParticleEnsemble(np.array([2.5])))
         assert (mass, mean, var) == (1.0, 2.5, 0.0)
 
     def test_symmetric_grid_density(self):

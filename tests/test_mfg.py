@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from mfglab import (
     CFLError,
     DensityTrajectory,
-    PicardParams,
     SpaceGrid,
     ValueGrid,
     consensus_model,
@@ -32,6 +32,7 @@ from mfglab.grids import time_grid
 from mfglab.harness import density_of
 from mfglab.kinetic import cfl_time_step
 from mfglab.errors import NumericalError
+from mfglab.mfg import PICARD
 from mfglab.model import alpha_at
 
 
@@ -149,7 +150,7 @@ class TestFixedPoint:
         dt = cfl_time_step(model, m0, 0.25, safety=0.4)
         paths = {}
         for theta in (1.0, 0.5, 0.25):
-            res = mfg_fixed_point(model, m0, 0.25, dt, PicardParams(damping=theta))
+            res = mfg_fixed_point(model, m0, 0.25, dt, replace(PICARD, theta=theta))
             assert res.converged, f"theta={theta}"
             paths[theta] = res.densities.data
         for theta in (1.0, 0.25):
@@ -162,7 +163,7 @@ class TestFixedPoint:
         m0 = gaussian_density(grid)
         dt = cfl_time_step(model, m0, 0.5, safety=0.4)
         # undamped, consensus converges in 2 iterations: one is short of it
-        res = mfg_fixed_point(model, m0, 0.5, dt, PicardParams(max_iterations=1))
+        res = mfg_fixed_point(model, m0, 0.5, dt, replace(PICARD, max_iterations=1))
         assert not res.converged
         assert res.residual > 1e-8
 
@@ -217,14 +218,6 @@ class TestFeedbackCosts:
         cost_game = total_running_cost(model, res.densities, feedback_controls_from_value(model, res.value))
         cost_myopic = total_running_cost(model, kin, feedback_controls_best_reply(model, kin))
         assert cost_game <= cost_myopic + 1e-6
-
-    def test_params_validation(self):
-        with pytest.raises(ValueError):
-            PicardParams(damping=0.0)
-        with pytest.raises(ValueError):
-            PicardParams(tolerance=-1.0)
-        with pytest.raises(ValueError):
-            PicardParams(max_iterations=0)
 
 
 # Per-slice references: each time slice as its own density, one quadrature call
@@ -486,7 +479,7 @@ def _plain_picard(model, m0, horizon, dt, params):
     current = fp_forward(model, ValueGrid(grid, times, np.zeros((times.size, grid.cells))), m0)
     for iteration in range(1, params.max_iterations + 1):
         proposal = fp_forward(model, hjb_backward(model, current), m0)
-        mixed = (1.0 - params.damping) * current.data + params.damping * proposal.data
+        mixed = (1.0 - params.theta) * current.data + params.theta * proposal.data
         mixed = mixed / (np.sum(mixed, axis=1) * grid.dx)[:, None]
         residual = np.max(np.sum(np.abs(mixed - current.data), axis=1) * grid.dx)
         current = DensityTrajectory(grid, times, mixed)
@@ -498,7 +491,7 @@ def _plain_picard(model, m0, horizon, dt, params):
 class TestAndersonMixing:
     """Anderson mixing in mfg_fixed_point: same fixed point, fewer iterations, valid densities."""
 
-    PARAMS = PicardParams(tolerance=1e-10, damping=0.5)
+    PARAMS = replace(PICARD, tolerance=1e-10, theta=0.5)
 
     def setup_method(self):
         self.grid = grid_for_support(0.26, 0.74, 128)
@@ -585,11 +578,11 @@ class TestUndampedDefault:
     def test_game_system_config_converges_in_five_iterations(self):
         model = bounded_confidence_model(radius=0.15)
         default = mfg_fixed_point(model, self.m0, 0.5, 1 / 160)
-        damped = mfg_fixed_point(model, self.m0, 0.5, 1 / 160, PicardParams(damping=0.5))
+        damped = mfg_fixed_point(model, self.m0, 0.5, 1 / 160, replace(PICARD, theta=0.5))
         assert default.converged and default.iterations == 5
         assert damped.converged and damped.iterations == 7
         gap = np.max(np.sum(np.abs(default.densities.data - damped.densities.data), axis=1) * self.grid.dx)
-        assert gap <= 10 * PicardParams().tolerance
+        assert gap <= 10 * PICARD.tolerance
 
     @pytest.mark.parametrize("alpha", [1.0, 0.1])
     @pytest.mark.parametrize("kind", ["consensus", "bounded_confidence", "cubic"])
@@ -599,6 +592,6 @@ class TestUndampedDefault:
                  "cubic": lambda: _cubic_model(alpha=alpha)}[kind]()
         # dt 1/320: the cubic model at alpha 0.1 breaks the value march's CFL bound at 1/160
         default = mfg_fixed_point(model, self.m0, 0.5, 1 / 320)
-        damped = mfg_fixed_point(model, self.m0, 0.5, 1 / 320, PicardParams(damping=0.5))
+        damped = mfg_fixed_point(model, self.m0, 0.5, 1 / 320, replace(PICARD, theta=0.5))
         assert default.converged and damped.converged
         assert default.iterations <= damped.iterations

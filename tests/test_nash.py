@@ -8,7 +8,6 @@ from mfglab import (
     DivergenceError,
     NumericalError,
     ParticleEnsemble,
-    SweepParams,
     bounded_confidence_model,
     consensus_model,
     gradient_via_adjoint,
@@ -22,7 +21,7 @@ from mfglab import (
 from mfglab import ParticleTrajectory, cost, drift
 from mfglab.model import alpha_at, cost_gradient_full, drift_jacobian
 from mfglab._anderson import GROWTH_LIMIT
-from mfglab.nash import _BLOCK_ENTRIES, _blocks
+from mfglab.nash import _BLOCK_ENTRIES, SWEEP, _blocks
 from test_model import STACK_MODELS
 
 
@@ -245,7 +244,7 @@ class TestNashSweep:
         iterations = nash_sweep(m, start, 1.0, 1.0 / 200).iterations
         merits = []
         for k in range(1, iterations + 1):
-            res = nash_sweep(m, start, 1.0, 1.0 / 200, SweepParams(max_iterations=k))
+            res = nash_sweep(m, start, 1.0, 1.0 / 200, dataclasses.replace(SWEEP, max_iterations=k))
             assert res.iterations == k
             merits.append(sum(simulated_value(m, start, res.controls)))
         assert all(b <= a + 1e-12 for a, b in zip(merits, merits[1:]))
@@ -261,7 +260,7 @@ class TestNashSweep:
     def test_non_convergence_reported_not_raised(self):
         m = consensus_model()
         start = ParticleEnsemble(np.array([0.0, 1.0]))
-        res = nash_sweep(m, start, 1.0, 1.0 / 100, SweepParams(max_iterations=2))
+        res = nash_sweep(m, start, 1.0, 1.0 / 100, dataclasses.replace(SWEEP, max_iterations=2))
         assert not res.converged
         assert res.iterations == 2
         assert res.residual > 1e-8
@@ -274,7 +273,7 @@ class TestNashSweep:
 
         m = bounded_confidence_model(radius=0.1)
         start = sample_initial(0, 8, {"kind": "uniform", "a": 0.0, "b": 1.0})
-        params = SweepParams(relaxation=1.0, max_iterations=GROWTH_LIMIT)
+        params = dataclasses.replace(SWEEP, theta=1.0, max_iterations=GROWTH_LIMIT)
         budget = nash_sweep(m, start, 2.0, 0.02, params)
         assert not budget.converged and budget.iterations == GROWTH_LIMIT and budget.restarts == 0
         assert np.all(np.diff(budget.residual_history) > 0.0)
@@ -302,13 +301,13 @@ class TestNashSweep:
 
         m = bounded_confidence_model(radius=0.1)
         start = sample_initial(0, 8, {"kind": "uniform", "a": 0.0, "b": 1.0})
-        res = nash_sweep(m, start, 2.0, 0.02, SweepParams(relaxation=1.0))
+        res = nash_sweep(m, start, 2.0, 0.02, dataclasses.replace(SWEEP, theta=1.0))
         assert res.converged and res.restarts == 3 and res.iterations == res.residual_history.size == 86
         history = res.residual_history
         assert np.all(np.diff(history[:GROWTH_LIMIT + 1]) > 0.0)
         # the first restart goes back to the lowest-residual iterate, the uncontrolled first sweep
         assert history[GROWTH_LIMIT + 1] == history[0]
-        first = nash_sweep(m, start, 2.0, 0.02, SweepParams(relaxation=1.0, max_iterations=GROWTH_LIMIT + 2))
+        first = nash_sweep(m, start, 2.0, 0.02, dataclasses.replace(SWEEP, theta=1.0, max_iterations=GROWTH_LIMIT + 2))
         assert first.restarts == 1 and np.array_equal(first.controls.values, np.zeros_like(first.controls.values))
 
     @pytest.mark.parametrize("seed, sweeps, restarts", [(0, 23, 0), (1, 48, 1), (2, 25, 0), (3, 40, 1), (4, 23, 0),
@@ -327,7 +326,7 @@ class TestNashSweep:
 
         m = bounded_confidence_model(radius=0.1)
         start = sample_initial(0, 8, {"kind": "uniform", "a": 0.0, "b": 1.0})
-        res = nash_sweep(m, start, 1.0, 0.02, SweepParams(relaxation=0.5))
+        res = nash_sweep(m, start, 1.0, 0.02, dataclasses.replace(SWEEP, theta=0.5))
         assert res.converged and res.iterations <= 40
         assert res.accelerated_steps > 0 and res.rejected_steps == 0
 
@@ -362,14 +361,6 @@ class TestNashSweep:
         m = consensus_model()
         res = nash_sweep(m, ParticleEnsemble(np.array([-0.3, 0.1, 0.6])), 1.0, 0.025)
         assert np.all(res.adjoints.values[:, :, -1] == 0.0)
-
-    def test_sweep_params_validation(self):
-        with pytest.raises(ValueError):
-            SweepParams(tolerance=0.0)
-        with pytest.raises(ValueError):
-            SweepParams(relaxation=1.5)
-        with pytest.raises(ValueError):
-            SweepParams(max_iterations=0)
 
 
 class TestSweepBitForBit:

@@ -19,7 +19,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mfglab import (
-    EmpiricalMeasure,
     ParticleEnsemble,
     ParticleTrajectory,
     SpaceGrid,
@@ -131,9 +130,9 @@ def density(values):
 
 @st.composite
 def measures(draw):
-    """An empirical measure or a density on a grid that straddles the atoms' range."""
+    """A particle ensemble or a density on a grid that straddles the atoms' range."""
     if draw(st.booleans()):
-        return EmpiricalMeasure(draw(atom_lists))
+        return ParticleEnsemble(draw(atom_lists))
     return density(draw(cell_values))
 
 
@@ -168,5 +167,5 @@ def test_w1_is_a_metric(a, b, c):
 @given(data=st.data(), n=st.integers(1, 30))
 def test_w1_matches_order_statistics_at_equal_n(data, n):
     atoms = st.lists(st.floats(-5.0, 5.0, allow_nan=False), min_size=n, max_size=n)
-    a, b = EmpiricalMeasure(data.draw(atoms)), EmpiricalMeasure(data.draw(atoms))
+    a, b = ParticleEnsemble(data.draw(atoms)), ParticleEnsemble(data.draw(atoms))
     assert abs(w1(a, b) - w1_sorted_atoms(a, b)) <= 1e-12
