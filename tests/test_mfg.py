@@ -219,6 +219,15 @@ class TestFeedbackCosts:
         cost_myopic = total_running_cost(model, kin, feedback_controls_best_reply(model, kin))
         assert cost_game <= cost_myopic + 1e-6
 
+    def test_params_validation(self):
+        # the Picard defaults are a FixedPointParams: a replaced field is validated again
+        with pytest.raises(ValueError):
+            replace(PICARD, theta=0.0)
+        with pytest.raises(ValueError):
+            replace(PICARD, tolerance=-1.0)
+        with pytest.raises(ValueError):
+            replace(PICARD, max_iterations=0)
+
 
 # Per-slice references: each time slice as its own density, one quadrature call
 # per slice, in the operations the path evaluation must reproduce bit for bit.

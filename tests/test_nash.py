@@ -362,6 +362,15 @@ class TestNashSweep:
         res = nash_sweep(m, ParticleEnsemble(np.array([-0.3, 0.1, 0.6])), 1.0, 0.025)
         assert np.all(res.adjoints.values[:, :, -1] == 0.0)
 
+    def test_sweep_params_validation(self):
+        # the sweep defaults are a FixedPointParams: a replaced field is validated again
+        with pytest.raises(ValueError):
+            dataclasses.replace(SWEEP, tolerance=0.0)
+        with pytest.raises(ValueError):
+            dataclasses.replace(SWEEP, theta=1.5)
+        with pytest.raises(ValueError):
+            dataclasses.replace(SWEEP, max_iterations=0)
+
 
 class TestSweepBitForBit:
     """``simulate_state``, ``solve_adjoint`` and ``value`` repeat their per-step loops bit for bit.
