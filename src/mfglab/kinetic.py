@@ -63,6 +63,8 @@ def step_upwind(m: DensityGrid, face_velocity: np.ndarray, dt: float) -> Density
     face_velocity = np.asarray(face_velocity, dtype=float)
     if face_velocity.shape != (grid.cells + 1,):
         raise ValueError(f"expected {grid.cells + 1} face velocities, got {face_velocity.shape}")
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     return DensityGrid(grid, _upwind(grid, m.cell_averages, face_velocity, dt))
 
 
@@ -73,8 +75,6 @@ def _upwind(grid: SpaceGrid, values: np.ndarray, face_velocity: np.ndarray, dt: 
     bit for bit, since rounding is monotone; the Courant array is built only
     to name the face of a violation.
     """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
     dx = grid.dx
     if not dt * np.maximum.reduce(np.abs(face_velocity)) / dx <= CFL_NUMBER + 1e-12:  # a NaN velocity fails too
         courant = dt * np.abs(face_velocity) / dx
@@ -103,8 +103,11 @@ def _march(model: ModelSpec, m0: DensityGrid, times: np.ndarray, dt: float,
     ``MASS_TOL`` of 1 is kept as it is; any other row goes through
     ``_checked_rows``, which clips it or raises as ``DensityGrid`` does. A CFL
     violation, an overflowed velocity included, raises ``CFLError`` with the
-    step index, its message prefixed by ``where``.
+    step index, its message prefixed by ``where``; a dt that is not positive
+    raises ``ValueError`` before the first step.
     """
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     grid = m0.grid
     dx = grid.dx
     quantities = ("drift",) if value_slopes is not None else ("drift", "cost_grad")
@@ -142,21 +145,16 @@ def solve_kinetic(model: ModelSpec, m0: DensityGrid, horizon: float, dt: float) 
     return DensityTrajectory(m0.grid, times, _march(model, m0, times, dt))
 
 
-def _initial_speed(model: ModelSpec, m0: DensityGrid) -> float:
-    """max |c| over the faces at time 0; raises ``CFLError`` when it is not finite, as no dt can resolve it."""
-    vmax = float(np.max(np.abs(velocity_field(model, m0, 0.0))))
-    if not math.isfinite(vmax):
-        raise CFLError(f"the initial face speed max |c| is {vmax}, so no time step meets the CFL restriction")
-    return vmax
-
-
 def cfl_time_step(model: ModelSpec, m0: DensityGrid, horizon: float, safety: float = 0.85) -> float:
     """Largest dt dividing the horizon with initial Courant number <= safety.
 
     The per-step check in the solvers still guards against velocity growth
-    along the run. Raises ``CFLError`` when the initial speed is not finite.
+    along the run. Raises ``CFLError`` when the initial speed max |c| is not
+    finite, as no dt can resolve it.
     """
-    vmax = _initial_speed(model, m0)
+    vmax = float(np.max(np.abs(velocity_field(model, m0, 0.0))))
+    if not math.isfinite(vmax):
+        raise CFLError(f"the initial face speed max |c| is {vmax}, so no time step meets the CFL restriction")
     if vmax == 0.0:
         return horizon
     n_steps = max(1, math.ceil(horizon * vmax / (safety * m0.grid.dx)))

@@ -41,7 +41,7 @@ import numpy as np
 from ._anderson import FixedPoint, FixedPointParams, solve
 from .errors import CFLError, NumericalError
 from .grids import DensityGrid, DensityTrajectory, SpaceGrid, _checked_rows, time_grid, uniform_dt
-from .kinetic import CFL_NUMBER, _initial_speed, _march
+from .kinetic import CFL_NUMBER, _march, cfl_time_step
 from .model import ModelSpec, _quadrature, _rows, _sum_ascending, alpha_at, mean_field_cost, mean_field_cost_grad
 
 
@@ -197,12 +197,12 @@ def proposition2_gap(
     sup_x | v(0, x)/dt - H(x, m0) |. The value is normalized per unit of
     window time, the scale on which the short-horizon expansion
     v(0, .) ~ dt * H(., m0) lives; the gap is O(dt) down to the spatial
-    discretization floor. Raises ``CFLError`` when the initial speed is not
-    finite, as ``cfl_time_step`` does, and ``NumericalError`` when the solve
-    does not converge.
+    discretization floor. The window takes the steps of ``cfl_time_step`` at
+    safety 0.45, two at least. Raises ``CFLError`` when the initial speed is
+    not finite, as ``cfl_time_step`` does, and ``NumericalError`` when the
+    solve does not converge.
     """
-    vmax = _initial_speed(model, m0)
-    n_sub = max(2, math.ceil(dt * vmax / (0.45 * m0.grid.dx))) if vmax > 0 else 2
+    n_sub = max(2, round(dt / cfl_time_step(model, m0, dt, safety=0.45)))
     result = mfg_fixed_point(model, m0, dt, dt / n_sub, params)
     result.require(f"coupled solve on the window [0, {dt}]")
     surrogate = np.asarray(mean_field_cost(model, m0.grid.centers(), m0))

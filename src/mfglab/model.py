@@ -142,8 +142,8 @@ class PairKernel:
     def polynomial(cls, coeffs) -> PairKernel:
         """The kernel of a coefficient table, its derivatives from the differentiated tables."""
         table = np.array(coeffs, dtype=float, ndmin=2)
-        return cls(_poly_kernel(table), _poly_kernel(_poly_diff_rows(table)),
-                   _poly_kernel(_poly_diff_cols(table)), table)
+        return cls(_poly_kernel(table), _poly_kernel(_poly_diff(table, 0)),
+                   _poly_kernel(_poly_diff(table, 1)), table)
 
 
 @dataclass(frozen=True)
@@ -638,6 +638,16 @@ def _pair_moments(model: ModelSpec, x: np.ndarray) -> np.ndarray:
     return _contract(_at_centre(operator.coeffs, centre), moments, u[..., None, :])
 
 
+_BATCH_ENTRIES = 2**16  # working entries of one batch: a block of Nash steps, or a stack of particle seeds
+
+
+def _batches(count: int, entries: int) -> list[tuple[int, int]]:
+    """Consecutive [start, stop) ranges over ``count`` items of ``entries`` working entries each: at most
+    ``_BATCH_ENTRIES`` entries per range, one item at least."""
+    size = max(1, _BATCH_ENTRIES // max(1, entries))
+    return [(start, min(start + size, count)) for start in range(0, count, size)]
+
+
 def _row_entries(model: ModelSpec, n: int) -> int:
     """Entries of the largest array ``_particle_velocity`` forms per state row of n particles: the N x N pair
     matrix on the dense path, else N per power sum or per quantity, or the operator at the row's centre."""
@@ -743,19 +753,10 @@ def _poly_kernel(coeffs: np.ndarray) -> Kernel:
     return kernel
 
 
-def _poly_diff_rows(coeffs: np.ndarray) -> np.ndarray:
-    """Coefficient table of d/dx."""
-    if coeffs.shape[0] == 1:
-        return np.zeros((1, coeffs.shape[1]))
-    rows = np.arange(1, coeffs.shape[0])
+def _poly_diff(coeffs: np.ndarray, axis: int) -> np.ndarray:
+    """Coefficient table of d/dx (axis 0) or d/dy (axis 1)."""
+    table = np.swapaxes(coeffs, 0, axis)
+    if table.shape[0] == 1:
+        return np.zeros_like(coeffs)
     with np.errstate(over="ignore"):  # an overflow leaves inf, which the construction check names
-        return coeffs[1:, :] * rows[:, None]
-
-
-def _poly_diff_cols(coeffs: np.ndarray) -> np.ndarray:
-    """Coefficient table of d/dy."""
-    if coeffs.shape[1] == 1:
-        return np.zeros((coeffs.shape[0], 1))
-    cols = np.arange(1, coeffs.shape[1])
-    with np.errstate(over="ignore"):  # an overflow leaves inf, which the construction check names
-        return coeffs[:, 1:] * cols[None, :]
+        return np.swapaxes(table[1:] * np.arange(1, table.shape[0])[:, None], 0, axis)

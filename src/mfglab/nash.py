@@ -17,7 +17,7 @@ with J[k, j] = d f_k / d x_j the drift Jacobian and G[i, j] = d h_i / d x_j
 the cost sensitivities; row i is player i's recursion
 phi^i(l) = phi^i(l+1) + dt * ( J^T phi^i(l+1) + grad_x h_i ). J and G serve
 every player, and come from one batched kernel evaluation per block of time
-steps (at most ``_BLOCK_ENTRIES`` matrix entries, one step at least), bit for
+steps (at most ``_BATCH_ENTRIES`` matrix entries, one step at least), bit for
 bit what per-step evaluations give; the recursion itself runs step by step.
 Because the adjoint runs on the same grid as the state, the per-step gradient
 of the discrete cost is exact up to round-off:
@@ -43,11 +43,8 @@ from ._anderson import FixedPoint, FixedPointParams, solve
 from .controller import DEFAULT_BLOW_UP_BOUND, ParticleTrajectory, _march_stack
 from .errors import NumericalError
 from .grids import time_grid, uniform_dt
-from .model import (ControlProfile, ModelSpec, ParticleEnsemble, alpha_at, cost, cost_gradient_full, drift,
-                    drift_jacobian)
-
-# Cap on L * N^2, the matrix entries of one batched kernel evaluation over L time steps.
-_BLOCK_ENTRIES = 2**16
+from .model import (ControlProfile, ModelSpec, ParticleEnsemble, _batches, alpha_at, cost, cost_gradient_full,
+                    drift, drift_jacobian)
 
 
 @dataclass
@@ -95,12 +92,6 @@ def simulate_state(model: ModelSpec, initial: ParticleEnsemble, controls: Contro
     return ParticleTrajectory(times.copy(), positions)
 
 
-def _blocks(n_steps: int, n: int) -> list[tuple[int, int]]:
-    """Consecutive [start, stop) step ranges of at most ``_BLOCK_ENTRIES`` // N^2 steps, one step at least."""
-    size = max(1, _BLOCK_ENTRIES // max(1, n * n))
-    return [(start, min(start + size, n_steps)) for start in range(0, n_steps, size)]
-
-
 def solve_adjoint(model: ModelSpec, trajectory: ParticleTrajectory) -> np.ndarray:
     """Backward costate march of all players at once; returns phi^i_j(t_l) as an (N, N, N_T+1) array.
 
@@ -118,7 +109,7 @@ def solve_adjoint(model: ModelSpec, trajectory: ParticleTrajectory) -> np.ndarra
     if not np.all(np.isfinite(states[:n_steps])):
         raise ValueError("non-finite particle position")
     phi = np.zeros((n_steps + 1, n, n))
-    for start, stop in reversed(_blocks(n_steps, n)):
+    for start, stop in reversed(_batches(n_steps, n * n)):
         jacobians = drift_jacobian(model, states[start:stop])
         sources = cost_gradient_full(model, states[start:stop])
         for step in range(stop - 1, start - 1, -1):
@@ -140,7 +131,7 @@ def value(model: ModelSpec, trajectory: ParticleTrajectory, controls: ControlPro
     if states.shape != (controls.n_steps + 1, controls.values.shape[0]):
         raise ValueError(f"trajectory of {states.shape[0]} states of {n} players does not match controls "
                          f"over {controls.n_steps} steps for {controls.values.shape[0]} players")
-    costs = np.concatenate([cost(model, states[a:b]) for a, b in _blocks(controls.n_steps, n)])
+    costs = np.concatenate([cost(model, states[a:b]) for a, b in _batches(controls.n_steps, n * n)])
     dt = controls.dt
     total = np.zeros(n)
     for weight, u, running in zip(alpha_at(model, controls.time_grid[:-1]), controls.values.T, costs):

@@ -32,6 +32,7 @@ from mfglab.harness import (
     main,
 )
 from mfglab.mfg import PICARD
+from mfglab.model import _BATCH_ENTRIES
 from mfglab.nash import SWEEP
 
 # config files that are not JSON text, each with a word its error names: bytes that are not UTF-8,
@@ -504,6 +505,27 @@ class TestRunExperiment:
         rows = (tmp_path / "seq" / "summary.csv").read_text().strip().splitlines()
         assert rows[0] == "n,w1_mean" and len(rows) == 3
 
+    def test_unsorted_particle_list_writes_both_files_in_ascending_n(self, tmp_path):
+        # cells.csv is sorted by (n, seed), and summary.csv follows it rather than the order of the config
+        base = dict(HOSTILE_BASES["particle_vs_kinetic"], n_seeds=2)
+        for order in ([8, 4], [4, 8]):
+            cfg = parse_config(json.dumps(dict(base, n_particles_list=order)))
+            assert run_experiment(cfg, out_dir=tmp_path / str(order[0])).exit_code == EXIT_OK
+        cells = (tmp_path / "8" / "cells.csv").read_text().splitlines()
+        summary = (tmp_path / "8" / "summary.csv").read_text().splitlines()
+        assert [row.split(",")[:2] for row in cells[1:]] == [["4", "0"], ["4", "1"], ["8", "0"], ["8", "1"]]
+        assert [row.split(",")[0] for row in summary[1:]] == ["4", "8"]
+        for name in ("cells.csv", "summary.csv"):
+            assert (tmp_path / "8" / name).read_bytes() == (tmp_path / "4" / name).read_bytes()
+
+    def test_mpc_gaps_file_has_one_gap_column(self, tmp_path):
+        # the Taylor step's control is brs_control's bit for bit, so only the exact step leaves a gap
+        cfg = parse_config(json.dumps(HOSTILE_BASES["mpc_vs_brs"]))
+        assert run_experiment(cfg, out_dir=tmp_path).exit_code == EXIT_OK
+        lines = (tmp_path / "gaps.csv").read_text().splitlines()
+        assert lines[0] == "dt,gap_exact_taylor"
+        assert [len(line.split(",")) for line in lines] == [2, 2, 2]
+
     def test_solver_failure_exit_code(self, tmp_path):
         raw = {
             "experiment": "mfg_vs_brs",
@@ -605,18 +627,18 @@ class TestCli:
         assert manifest["config"]["dt"] == 0
         assert manifest["stage_seconds"] == {}
 
-    @pytest.mark.parametrize("name, field, entries, repeated", [
-        ("particle_vs_kinetic", "n_particles_list", [8, 4, 8], "8"),
-        ("mpc_vs_brs", "dt_list", [0.05, 0.05], "0.05"),
-        ("prop2_gap", "dt_list", [0.1, 0.05, 0.1, 0.05], "0.05"),
+    @pytest.mark.parametrize("name, field, entries, requirement", [
+        ("particle_vs_kinetic", "n_particles_list", [8, 4, 8], "distinct integers in [2, 1152921504606846975]"),
+        ("mpc_vs_brs", "dt_list", [0.05, 0.05], "distinct positive finite numbers"),
+        ("prop2_gap", "dt_list", [0.1, 0.05, 0.1, 0.05], "distinct positive finite numbers"),
     ])
-    def test_repeated_list_entry_exit_two_with_manifest(self, tmp_path, capsys, name, field, entries, repeated):
+    def test_repeated_list_entry_exit_two_with_manifest(self, tmp_path, capsys, name, field, entries, requirement):
         # a repeated N or dt would be integrated twice and its rows written twice
         raw = dict(HOSTILE_BASES[name], n_seeds=2, output=str(tmp_path / "out"), **{field: entries})
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(raw))
         assert main(["run", str(cfg_path)]) == EXIT_CONFIG
-        message = f"{field} must not repeat an entry, got {repeated} more than once"
+        message = f"{field} must be a nonempty list of {requirement}, got {entries!r}"
         assert message in capsys.readouterr().out
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["exit_code"] == EXIT_CONFIG and message in manifest["message"]
@@ -873,9 +895,11 @@ def hostile_runs(tmp_path_factory):
     return runs
 
 
-def _huge_drift(bound: float) -> dict:
-    """A particle_vs_kinetic config with drift P = 1e300 and the grid and initial support on [-bound, bound]."""
-    return dict(HOSTILE_BASES["particle_vs_kinetic"], n_particles_list=[4],
+def _huge_drift(bound: float, experiment: str = "particle_vs_kinetic") -> dict:
+    """A particle_vs_kinetic (one N, of 4) or prop2_gap config with drift P = 1e300 on [-bound, bound]: the grid
+    and the initial support."""
+    sizes = {"n_particles_list": [4]} if experiment == "particle_vs_kinetic" else {}
+    return dict(HOSTILE_BASES[experiment], **sizes,
                 model={"kind": "polynomial", "drift_coeffs": [[1e300]], "cost_coeffs": [[0.0]]},
                 grid={"cells": 16, "x_min": -bound, "x_max": bound},
                 initial={"kind": "uniform", "a": -bound, "b": bound})
@@ -918,15 +942,17 @@ class TestHostileValues:
          EXIT_OK, "fixed point"),
         (_mutated(HOSTILE_BASES["mfg_vs_brs/polynomial"], ("model", "cost_coeffs"), [[-1e308, 0.5]]),
          EXIT_OK, "fixed point"),
-        # the initial face speed of the kinetic time step is NaN (moment quadrature) or inf
+        # the initial face speed of the kinetic time step, or of the window's, is NaN (moment quadrature) or inf
         (_huge_drift(1e300), EXIT_SOLVER, "initial face speed max |c| is nan"),
         (_huge_drift(1e10), EXIT_SOLVER, "initial face speed max |c| is inf"),
+        (_huge_drift(1e300, "prop2_gap"), EXIT_SOLVER, "initial face speed max |c| is nan"),
+        (_huge_drift(1e10, "prop2_gap"), EXIT_SOLVER, "initial face speed max |c| is inf"),
         # 7 steps of dt = 10^4 / 7 reach the solver: the time grid's steps differ by 1.1e-12, within the
         # slack of 1e-12 relative to the horizon that ``step_count`` grants
         (_long_horizon("mfg_vs_brs", grid={"cells": 16}), EXIT_SOLVER, "density march, step 0: CFL violated"),
         (_long_horizon("nash_vs_brs", n_particles=3), EXIT_SOLVER, "|x| reached 3.492e+08 > bound"),
     ], ids=["radius=1e-308", "initial.b=1e308", "cost_coeffs=1e308", "cost_coeffs=-1e308",
-            "speed=nan", "speed=inf", "horizon=1e4-mfg", "horizon=1e4-nash"])
+            "speed=nan", "speed=inf", "speed=nan-prop2", "speed=inf-prop2", "horizon=1e4-mfg", "horizon=1e4-nash"])
     def test_overflow_ends_in_a_documented_exit_without_runtime_warning(self, tmp_path, raw, code, needle):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(raw))
@@ -1030,7 +1056,7 @@ class TestParticleStacks:
         cfg = parse_config(json.dumps(BOUNDED_PARTICLES))
         model = harness.build_model(cfg)
         assert model.drift.table is None and model.cost.table is None
-        assert harness._STACK_ENTRIES // harness._row_entries(model, 150) == 2
+        assert _BATCH_ENTRIES // harness._row_entries(model, 150) == 2
         m0 = density_of(cfg.initial, harness.build_grid(cfg))
         final = solve_kinetic(model, m0, cfg.horizon, cfl_time_step(model, m0, cfg.horizon)).final
         rows = []

@@ -19,6 +19,7 @@ from mfglab import (
 )
 from mfglab import kinetic
 from mfglab.kinetic import cfl_time_step
+from mfglab.mfg import ValueGrid, fp_forward
 from mfglab.model import ModelSpec, PairKernel
 
 
@@ -279,6 +280,19 @@ class TestMarchRowChecks:
         assert (err.value.step, err.value.face) == (0, face)
         assert str(err.value) == (f"step 0: CFL violated: dt*|c|/dx = {courant[face]:.4f} > {kinetic.CFL_NUMBER} "
                                   f"at face {face} (x = {grid.faces()[face]:.6g})")
+
+    def test_nonpositive_dt_refused_before_any_step(self, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(kinetic, "_upwind", no_step)
+        m0 = normalized_density(self.grid, np.ones(self.grid.cells))
+        with pytest.raises(ValueError, match="dt must be positive, got 0.0"):
+            step_upwind(m0, np.zeros(self.grid.cells + 1), 0.0)
+        # times that decrease give the density march a negative step
+        value = ValueGrid(self.grid, self.dt * np.arange(4, -1, -1), np.zeros((5, self.grid.cells)))
+        with pytest.raises(ValueError, match=f"dt must be positive, got {-self.dt}"):
+            fp_forward(self.model, value, m0)
 
     @pytest.mark.parametrize("defect", ["mass", "negative", "nan", "inf"])
     def test_rejected_rows_raise_the_density_grid_error(self, monkeypatch, defect):

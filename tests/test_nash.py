@@ -19,9 +19,9 @@ from mfglab import (
     value,
 )
 from mfglab import ParticleTrajectory, cost, drift
-from mfglab.model import alpha_at, cost_gradient_full, drift_jacobian
+from mfglab.model import _BATCH_ENTRIES, _batches, alpha_at, cost_gradient_full, drift_jacobian
 from mfglab._anderson import GROWTH_LIMIT
-from mfglab.nash import _BLOCK_ENTRIES, SWEEP, _blocks
+from mfglab.nash import SWEEP
 from test_model import STACK_MODELS
 
 
@@ -162,7 +162,7 @@ class TestValue:
         model = dataclasses.replace(STACK_MODELS[name](), alpha=lambda t: 1.0 + t)
         start = ParticleEnsemble(rng(23).uniform(-1.0, 1.0, size=70))
         trajectory, profile = integrate_brs(model, start, 0.6, 0.02)
-        assert len(_blocks(profile.n_steps, start.n)) == 3
+        assert len(_batches(profile.n_steps, start.n**2)) == 3
         assert simulate_state(model, start, profile).positions.tobytes() == trajectory.positions.tobytes()
         assert value(model, trajectory, profile).tobytes() == simulated_value(model, start, profile).tobytes()
         game = nash_sweep(model, ParticleEnsemble(start.positions[:6]), 0.6, 0.02)
@@ -433,10 +433,10 @@ class TestSweepBitForBit:
     @pytest.mark.parametrize("n, count", [(2, 1), (8, 1), (96, 4), (181, 13), (256, 25), (300, 25)])
     def test_blocks_cover_the_steps_within_the_cap(self, n, count):
         # one block for the whole trajectory at N = 8, one step per block from N = 256 on
-        blocks = _blocks(25, n)
+        blocks = _batches(25, n * n)
         assert len(blocks) == count
         assert [a for a, _ in blocks] == [0] + [b for _, b in blocks[:-1]] and blocks[-1][1] == 25
-        assert all((b - a) * n * n <= _BLOCK_ENTRIES or b - a == 1 for a, b in blocks)
+        assert all((b - a) * n * n <= _BATCH_ENTRIES or b - a == 1 for a, b in blocks)
 
     def test_non_finite_state_is_refused_as_input(self):
         # the state of step 4 is NaN: the costate march would turn it into a NumericalError
