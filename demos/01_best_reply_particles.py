@@ -25,6 +25,6 @@ trajectory, controls = integrate_brs(model, start, 1.0, 1 / 200)
 means = trajectory.positions.mean(axis=1)
 print(f"\nmean drift over the run: {np.max(np.abs(means - 0.5)):.2e}")
 
-# the control profile records the per-step best-reply controls
-print("\nfirst three controls of agent 0:", np.round(controls.values[0, :3], 6))
-print("first three controls of agent 1:", np.round(controls.values[1, :3], 6))
+# the control profile records the per-step best-reply controls, one row per step
+print("\nfirst three controls of agent 0:", np.round(controls.values[:3, 0], 6))
+print("first three controls of agent 1:", np.round(controls.values[:3, 1], 6))

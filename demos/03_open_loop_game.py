@@ -24,9 +24,9 @@ result = nash_sweep(model, start, horizon, dt)
 print(f"converged: {result.converged} after {result.iterations} sweeps, residual {result.residual:.2e}")
 print("residual history:", " ".join(f"{r:.1e}" for r in result.residual_history[:8]), "...")
 
-# mirror-symmetric start: the equilibrium controls are antisymmetric
+# mirror-symmetric start: the equilibrium controls are antisymmetric; u[l, i] is player i's at step l
 u = result.controls.values
-print(f"\nmirror antisymmetry |u_0 + u_3|: {np.max(np.abs(u[0] + u[3])):.2e}")
+print(f"\nmirror antisymmetry |u_0 + u_3|: {np.max(np.abs(u[:, 0] + u[:, 3])):.2e}")
 
 # compare the anticipating controls with the myopic best reply; value gives
 # every player's cost-to-go at once, along the trajectory each profile steers
@@ -35,7 +35,7 @@ v_game = value(model, result.trajectory, result.controls)
 v_myopic = value(model, myopic_trajectory, myopic)
 print("\nplayer   u*(0)        u_brs(0)     V(game)     V(myopic)")
 for i in range(4):
-    print(f"{i:4d}   {u[i, 0]:10.6f}  {myopic.values[i, 0]:10.6f}  {v_game[i]:.6f}    {v_myopic[i]:.6f}")
+    print(f"{i:4d}   {u[0, i]:10.6f}  {myopic.values[0, i]:10.6f}  {v_game[i]:.6f}    {v_myopic[i]:.6f}")
 
 print(
     "\nnote: the outer players gain from anticipation while the inner ones lose the\n"

@@ -63,7 +63,6 @@ from .model import (
     polynomial_model,
 )
 from .nash import (
-    AdjointField,
     NashResult,
     gradient_via_adjoint,
     nash_sweep,

@@ -21,7 +21,10 @@ stack once, moves every row by x + dt (f(X) + u) and checks the stack with one
 max |x|, and every row gets the bits of a separate run. ``_best_reply`` is the
 law above; ``integrate_brs`` is its one-row case, and ``mpc_step_taylor`` and
 ``mpc_step_exact`` are one step of it. ``nash.simulate_state`` marches the
-open-loop law of a fixed control profile through the same loop.
+open-loop law of a fixed control profile through the same loop. Paths are
+time first: the loop writes step l's controls to row l as it writes the
+state after it to row l + 1, so a ``ControlProfile`` holds values[l, i] and a
+``ParticleTrajectory`` positions[l, i].
 """
 
 from __future__ import annotations
@@ -129,8 +132,8 @@ def _march_stack(x: np.ndarray, starts: Iterable[float], dt: float, law: Law, bl
 
     Each step takes ``(f, u) = law(step, t, x)`` for the whole stack and
     moves every row, all under one ``np.errstate``. It writes the new stack to
-    ``path[step + 1]`` and the controls to ``controls[..., step]`` when they
-    are given, and returns the last step's controls and the final stack. Each
+    ``path[step + 1]`` and the controls to ``controls[step]`` when they are
+    given, and returns the last step's controls and the final stack. Each
     step takes one max |x| over the stack. When it exceeds ``blow_up_bound``
     or is not finite (an infinite bound stops only that), ``DivergenceError``
     names the step, t and the first row that failed there, its message
@@ -146,7 +149,7 @@ def _march_stack(x: np.ndarray, starts: Iterable[float], dt: float, law: Law, bl
             if path is not None:
                 path[step + 1] = x
             if controls is not None:
-                controls[..., step] = u
+                controls[step] = u
     return u, x
 
 
@@ -176,8 +179,8 @@ def integrate_brs(
     """
     n_steps, times = time_grid(horizon, dt)
     positions = np.empty((n_steps + 1, initial.n))
-    controls = np.empty((initial.n, n_steps))
+    controls = np.empty((n_steps, initial.n))
     positions[0] = initial.positions
     _march_stack(initial.positions[None], map(float, times[:-1]), dt, _best_reply(model, "taylor", dt),
-                 DEFAULT_BLOW_UP_BOUND, path=positions[:, None], controls=controls[None])
+                 DEFAULT_BLOW_UP_BOUND, path=positions[:, None], controls=controls[:, None])
     return ParticleTrajectory(times, positions), ControlProfile(controls, times)

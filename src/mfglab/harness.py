@@ -70,7 +70,7 @@ from .model import (
     consensus_model,
     polynomial_model,
 )
-from .nash import SWEEP, AdjointField, nash_sweep, value
+from .nash import SWEEP, nash_sweep, value
 
 EXPERIMENTS = ("particle_vs_kinetic", "mpc_vs_brs", "mfg_vs_brs", "prop2_gap", "nash_vs_brs")
 
@@ -279,9 +279,9 @@ def parse_config(text: str | bytes) -> ExperimentConfig:
 
     # cross-field rules
     experiment, horizon, dt, seed = top["experiment"], top["horizon"], top["dt"], top["seed"]
-    have = {**top, "grid.cells": grid["cells"]}
+    given = {**raw, "grid.cells": grid_block.get("cells") if isinstance(grid_block, dict) else None}
     for name in _REQUIRES.get(experiment, ()):
-        if have[name] is None:
+        if given.get(name) is None:  # a field given but invalid is already reported
             errors.append(f"experiment {experiment!r} requires {name}")
     if seed is not None and top["n_seeds"] is not None and seed + top["n_seeds"] - 1 >= 2**128:  # Philox keys
         errors.append(f"seed + n_seeds - 1 must be less than 2**128, got {seed + top['n_seeds'] - 1}")
@@ -526,16 +526,14 @@ def write_grid_path_csv(path: Path, header: list[str], values: DensityTrajectory
 
 def write_controls_csv(path: Path, controls: ControlProfile) -> Path:
     """Rows (t, i, u), one per step and player."""
-    players = [str(i) for i in range(controls.values.shape[0])]
-    return _write_keyed_csv(path, ["t", "i", "u"], controls.time_grid[:-1], players, controls.values.T)
+    players = [str(i) for i in range(controls.values.shape[1])]
+    return _write_keyed_csv(path, ["t", "i", "u"], controls.times[:-1], players, controls.values)
 
 
-def write_adjoints_csv(path: Path, adjoints: AdjointField) -> Path:
-    """Rows (t, i, j, phi), one per time and costate phi^i_j."""
-    n = adjoints.values.shape[0]
-    pairs = [f"{i},{j}" for i in range(n) for j in range(n)]
-    costates = adjoints.values.reshape(n * n, -1).T  # row l: phi^i_j(t_l) for i, then j, ascending
-    return _write_keyed_csv(path, ["t", "i", "j", "phi"], adjoints.time_grid, pairs, costates)
+def write_adjoints_csv(path: Path, times: np.ndarray, costates: np.ndarray) -> Path:
+    """Rows (t, i, j, phi), one per time and costate phi^i_j = costates[l, i, j], as ``solve_adjoint`` gives them."""
+    pairs = [f"{i},{j}" for i in range(costates.shape[1]) for j in range(costates.shape[2])]
+    return _write_keyed_csv(path, ["t", "i", "j", "phi"], times, pairs, costates.reshape(len(times), -1))
 
 
 # ---------------------------------------------------------------------------
@@ -772,8 +770,8 @@ def _run_nash_vs_brs(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: i
     stages.counts = {**_counts(result), "sweep_initialization": "zero controls"}
     result.require("sweep")
     brs_trajectory, brs_profile = integrate_brs(model, start, cfg.horizon, cfg.dt)
-    u_game = result.controls.values[:, 0]
-    u_myopic = brs_profile.values[:, 0]
+    u_game = result.controls.values[0]
+    u_myopic = brs_profile.values[0]
     # both trajectories are bit for bit what ``simulate_state`` gives under their controls
     v_game = value(model, result.trajectory, result.controls)
     v_myopic = value(model, brs_trajectory, brs_profile)
@@ -783,7 +781,7 @@ def _run_nash_vs_brs(cfg: ExperimentConfig, model: ModelSpec, out: Path, jobs: i
         write_csv(out / "particles.csv",
                   ["i", "u_nash", "u_brs", "abs_gap", "v_nash", "v_brs"], rows),
         write_controls_csv(out / "controls.csv", result.controls),
-        write_adjoints_csv(out / "adjoints.csv", result.adjoints),
+        write_adjoints_csv(out / "adjoints.csv", result.controls.times, result.costates),
         write_csv(out / "summary.csv", ["metric", "value"], [
             ("max_abs_gap", max(r[3] for r in rows)),
             ("residual", result.residual),

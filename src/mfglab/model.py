@@ -94,7 +94,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .grids import DensityGrid, DensityTrajectory, SpaceGrid, _checked_rows, uniform_dt
+from .grids import TIME_TOL, DensityGrid, DensityTrajectory, SpaceGrid, _checked_rows, uniform_dt
 
 Kernel = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -198,33 +198,32 @@ class ParticleEnsemble:
 
 @dataclass
 class ControlProfile:
-    """Piecewise-constant controls: values[i, l] acts on [time_grid[l], time_grid[l+1])."""
+    """Piecewise-constant controls: values[l, i] is player i's control on [times[l], times[l+1])."""
 
     values: np.ndarray
-    time_grid: np.ndarray
+    times: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        self.time_grid = np.asarray(self.time_grid, dtype=float)
-        if self.time_grid.ndim != 1 or self.time_grid.size < 2:
+        self.times = np.asarray(self.times, dtype=float)
+        if self.times.ndim != 1 or self.times.size < 2:
             raise ValueError("time grid needs at least two points")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("non-finite control value")
-        if not np.all(np.diff(self.time_grid) > 0):
+        if not np.all(np.diff(self.times) > 0):
             raise ValueError("time grid must be strictly increasing")
-        if abs(self.time_grid[0]) > 1e-12:
-            raise ValueError(f"time grid must start at 0, got {self.time_grid[0]}")
-        n_steps = self.time_grid.size - 1
-        if self.values.ndim != 2 or self.values.shape[1] != n_steps:
-            raise ValueError(f"values must have shape (N, {n_steps}), got {self.values.shape}")
+        if abs(self.times[0]) > TIME_TOL:
+            raise ValueError(f"time grid must start at 0, got {self.times[0]}")
+        if self.values.ndim != 2 or self.values.shape[0] != self.n_steps:
+            raise ValueError(f"values must have shape ({self.n_steps}, N), got {self.values.shape}")
 
     @property
     def n_steps(self) -> int:
-        return self.time_grid.size - 1
+        return self.times.size - 1
 
     @property
     def dt(self) -> float:
-        return uniform_dt(self.time_grid)
+        return uniform_dt(self.times)
 
 
 def alpha_at(model: ModelSpec, t: float | np.ndarray) -> float | np.ndarray:

@@ -2,7 +2,7 @@
 
 Player i minimizes the cost-to-go
 
-    V_i = sum_l dt * ( (alpha(t_l)/2) u_{i,l}^2 + h_i(X_l) )
+    V_i = sum_l dt * ( (alpha(t_l)/2) u_{l,i}^2 + h_i(X_l) )
 
 subject to the explicit Euler dynamics x_{l+1} = x_l + dt (f(X_l) + u_l),
 marched by ``controller._march_stack`` under the open-loop law of the controls.
@@ -19,10 +19,13 @@ phi^i(l) = phi^i(l+1) + dt * ( J^T phi^i(l+1) + grad_x h_i ). J and G serve
 every player, and come from one batched kernel evaluation per block of time
 steps (at most ``_BATCH_ENTRIES`` matrix entries, one step at least), bit for
 bit what per-step evaluations give; the recursion itself runs step by step.
-Because the adjoint runs on the same grid as the state, the per-step gradient
-of the discrete cost is exact up to round-off:
+Like every path of the lab the costates are time first: ``solve_adjoint``
+returns the (N_T+1, N, N) array of the Phi(l), and controls and per-step
+gradients are (N_T, N) arrays indexed [l, i]. Because the adjoint runs on
+the same grid as the state, the per-step gradient of the discrete cost is
+exact up to round-off:
 
-    dV_i / du_{i,l} = dt * ( alpha(t_l) u_{i,l} + phi^i_i(l+1) ).
+    dV_i / du_{l,i} = dt * ( alpha(t_l) u_{l,i} + phi^i_i(l+1) ).
 
 The sweep damps the best-response update u <- -phi^i_i / alpha with a weight
 theta in (0, 1], 0.5 in ``SWEEP``, to tame the strong state-costate coupling
@@ -46,26 +49,6 @@ from .grids import time_grid, uniform_dt
 from .model import (ControlProfile, ModelSpec, ParticleEnsemble, _batches, alpha_at, cost, cost_gradient_full,
                     drift, drift_jacobian)
 
-
-@dataclass
-class AdjointField:
-    """Costates phi^i_j(t_l) stored as values[i, j, l]; the terminal slice is zero."""
-
-    values: np.ndarray
-    time_grid: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        self.time_grid = np.asarray(self.time_grid, dtype=float)
-        n = self.values.shape[0]
-        if self.values.ndim != 3 or self.values.shape[1] != n or self.values.shape[2] != self.time_grid.size:
-            raise ValueError(f"expected (N, N, len(time_grid)) values, got {self.values.shape}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("non-finite costate")
-        if np.any(self.values[:, :, -1] != 0.0):
-            raise ValueError("terminal costate slice must vanish")
-
-
 SWEEP = FixedPointParams(max_iterations=500, tolerance=1e-8, theta=0.5)
 
 
@@ -73,7 +56,7 @@ SWEEP = FixedPointParams(max_iterations=500, tolerance=1e-8, theta=0.5)
 class NashResult(FixedPoint):
     controls: ControlProfile
     trajectory: ParticleTrajectory
-    adjoints: AdjointField
+    costates: np.ndarray  # solve_adjoint of the trajectory: costates[l, i, j] = phi^i_j(t_l)
 
 
 def simulate_state(model: ModelSpec, initial: ParticleEnsemble, controls: ControlProfile) -> ParticleTrajectory:
@@ -81,25 +64,25 @@ def simulate_state(model: ModelSpec, initial: ParticleEnsemble, controls: Contro
 
     Raises ``DivergenceError`` as soon as any |x_i| exceeds ``DEFAULT_BLOW_UP_BOUND``.
     """
-    if initial.n != controls.values.shape[0]:
-        raise ValueError(f"ensemble has {initial.n} particles, controls are for {controls.values.shape[0]}")
-    times, values = controls.time_grid, controls.values
+    if initial.n != controls.values.shape[1]:
+        raise ValueError(f"ensemble has {initial.n} particles, controls are for {controls.values.shape[1]}")
+    times, values = controls.times, controls.values
     positions = np.empty((times.size, initial.n))
     positions[0] = initial.positions
     _march_stack(initial.positions[None], map(float, times[:-1]), controls.dt,
-                 lambda step, t, x: (drift(model, x), values[:, step]), DEFAULT_BLOW_UP_BOUND,
+                 lambda step, t, x: (drift(model, x), values[step]), DEFAULT_BLOW_UP_BOUND,
                  path=positions[:, None])
     return ParticleTrajectory(times.copy(), positions)
 
 
 def solve_adjoint(model: ModelSpec, trajectory: ParticleTrajectory) -> np.ndarray:
-    """Backward costate march of all players at once; returns phi^i_j(t_l) as an (N, N, N_T+1) array.
+    """Backward costate march of all players at once; returns Phi[l, i, j] = phi^i_j(t_l), an (N_T+1, N, N) array.
 
     The drift Jacobians and cost sensitivities G of a block of steps come
     from one batched evaluation; the march runs step by step, latest block
-    first, in a time-first buffer whose (N, N, N_T+1) transpose is returned.
-    Raises ``ValueError`` for a non-finite state and ``NumericalError`` for
-    a non-finite costate, naming its step.
+    first. The terminal slice Phi[N_T] is zero. Raises ``ValueError`` for a
+    non-finite state and ``NumericalError`` for a non-finite costate, naming
+    its step.
     """
     times = trajectory.times
     dt = uniform_dt(times)
@@ -117,7 +100,7 @@ def solve_adjoint(model: ModelSpec, trajectory: ParticleTrajectory) -> np.ndarra
             phi[step] = later + dt * (later @ jacobians[step - start] + sources[step - start])
             if not np.isfinite(phi[step]).all():
                 raise NumericalError(f"non-finite costate at step {step}")
-    return phi.transpose(1, 2, 0)
+    return phi
 
 
 def value(model: ModelSpec, trajectory: ParticleTrajectory, controls: ControlProfile) -> np.ndarray:
@@ -128,31 +111,31 @@ def value(model: ModelSpec, trajectory: ParticleTrajectory, controls: ControlPro
     state per time of the controls' grid and one position per controlled player.
     """
     states, n = trajectory.positions, trajectory.n_particles
-    if states.shape != (controls.n_steps + 1, controls.values.shape[0]):
+    if states.shape != (controls.n_steps + 1, controls.values.shape[1]):
         raise ValueError(f"trajectory of {states.shape[0]} states of {n} players does not match controls "
-                         f"over {controls.n_steps} steps for {controls.values.shape[0]} players")
+                         f"over {controls.n_steps} steps for {controls.values.shape[1]} players")
     costs = np.concatenate([cost(model, states[a:b]) for a, b in _batches(controls.n_steps, n * n)])
     dt = controls.dt
     total = np.zeros(n)
-    for weight, u, running in zip(alpha_at(model, controls.time_grid[:-1]), controls.values.T, costs):
+    for weight, u, running in zip(alpha_at(model, controls.times[:-1]), controls.values, costs):
         total += dt * (0.5 * weight * u * u + running)
     return total
 
 
 def gradient_via_adjoint(model: ModelSpec, initial: ParticleEnsemble, controls: ControlProfile) -> np.ndarray:
-    """Per-step gradient of every player's discrete cost in its own control, as an (N, N_T) array.
+    """Per-step gradient of every player's discrete cost in its own control, as an (N_T, N) array.
 
-    Returns g[i, l] = alpha(t_l) u_{i,l} + phi^i_i(t_{l+1}). Pairing the step-l
+    Returns g[l, i] = alpha(t_l) u_{l,i} + phi^i_i(t_{l+1}). Pairing the step-l
     control with the costate at the step's right endpoint is what makes g
-    exactly (1/dt) dV_i/du_{i,l} for the Euler-discretized cost.
+    exactly (1/dt) dV_i/du_{l,i} for the Euler-discretized cost.
     """
     costates = solve_adjoint(model, simulate_state(model, initial, controls))
-    return alpha_at(model, controls.time_grid[:-1])[None, :] * controls.values + _own(costates)
+    return alpha_at(model, controls.times[:-1])[:, None] * controls.values + _own(costates)
 
 
 def _own(costates: np.ndarray) -> np.ndarray:
-    """phi^i_i(t_{l+1}) as an (N, N_T) array: each player's costate of its own state."""
-    return np.diagonal(costates)[1:].T
+    """phi^i_i(t_{l+1}) as an (N_T, N) array: each player's costate of its own state."""
+    return np.diagonal(costates, axis1=1, axis2=2)[1:]
 
 
 def nash_sweep(
@@ -167,7 +150,7 @@ def nash_sweep(
     Each sweep simulates the state forward, solves every player's costate
     backward, and forms the damped image: the controls relaxed with the weight
     theta = ``params.theta`` in (0, 1], 0.5 in ``SWEEP``, towards the best
-    response u_{i,l} = -phi^i_i(t_{l+1}) / alpha(t_l); at theta = 1 the image
+    response u_{l,i} = -phi^i_i(t_{l+1}) / alpha(t_l); at theta = 1 the image
     is the best response itself. The residual max |alpha u + phi^i_i| does not
     depend on theta: it is the exact sup-norm of the discrete cost gradients,
     so it vanishes precisely at a stationary (open-loop Nash) point; the
@@ -183,15 +166,17 @@ def nash_sweep(
     that diverges there is no iterate to report and the error propagates.
     """
     n_steps, times = time_grid(horizon, dt)
-    weights = alpha_at(model, times[:-1])
+    weights = alpha_at(model, times[:-1])[:, None]
 
-    def sweep(controls: np.ndarray, theta: float) -> tuple[np.ndarray, float, tuple]:
-        profile = ControlProfile(controls, times)
+    # the mixer gets the iterate player-major: its Gram-Schmidt dot products sum in flattening order
+    def sweep(iterate: np.ndarray, theta: float) -> tuple[np.ndarray, float, tuple]:
+        profile = ControlProfile(iterate.T, times)
         trajectory = simulate_state(model, initial, profile)
         costates = solve_adjoint(model, trajectory)
-        own = _own(costates)
-        residual = float(np.max(np.abs(weights[None, :] * controls + own)))
-        return (1.0 - theta) * controls + theta * (-own / weights[None, :]), residual, (profile, trajectory, costates)
+        controls, own = profile.values, _own(costates)
+        residual = float(np.max(np.abs(weights * controls + own)))
+        image = (1.0 - theta) * controls + theta * (-own / weights)
+        return image.T, residual, (profile, trajectory, costates)
 
     (_, (profile, trajectory, costates)), run = solve(sweep, np.zeros((initial.n, n_steps)), params)
-    return NashResult(**vars(run), controls=profile, trajectory=trajectory, adjoints=AdjointField(costates, times))
+    return NashResult(**vars(run), controls=profile, trajectory=trajectory, costates=costates)

@@ -80,7 +80,7 @@ def test_criterion_03_adjoint_gradient_matches_finite_differences():
     model = consensus_model()
     rng = np.random.Generator(np.random.Philox(key=123))
     times = (horizon / n_steps) * np.arange(n_steps + 1)
-    profile = ControlProfile(rng.normal(size=(n, n_steps)), times)
+    profile = ControlProfile(rng.normal(size=(n, n_steps)).T, times)
     initial = ParticleEnsemble(rng.normal(size=n))
     dt = horizon / n_steps
     delta = 1e-5
@@ -93,13 +93,13 @@ def test_criterion_03_adjoint_gradient_matches_finite_differences():
     for i in range(n):
         for step in range(n_steps):
             hi = profile.values.copy()
-            hi[i, step] += delta
+            hi[step, i] += delta
             lo = profile.values.copy()
-            lo[i, step] -= delta
+            lo[step, i] -= delta
             fd = (
                 cost_to_go(ControlProfile(hi, times))[i] - cost_to_go(ControlProfile(lo, times))[i]
             ) / (2 * delta * dt)
-            worst = max(worst, abs(grad[i, step] - fd) / max(abs(fd), 1e-8))
+            worst = max(worst, abs(grad[step, i] - fd) / max(abs(fd), 1e-8))
     elapsed = time.monotonic() - start
     report(3, worst <= 1e-5, elapsed, 5.0, f"max relative gradient error {worst:.2e} <= 1e-5")
 

@@ -17,7 +17,8 @@ Malhame, IEEE TAC 2007, give the linear-quadratic game's Riccati equation).
 
 A factor s carries a cell-average density m0 on [a, b] to m0 / s on the
 grid scaled by s about its mean, itself a ``DensityGrid``, which ``w1``
-compares exactly with a solver's final density. The open-loop N-player game
+compares exactly with a solver's final density; best-reply particles started
+at the N quantiles of m0 reach it at first order in 1/N. The open-loop N-player game
 is linear-quadratic, so its discrete stationarity system is affine in the
 controls and a dense solve gives its Nash point. Its equilibrium is linear in
 the deviations and symmetric in the players, so it too moves every deviation
@@ -41,6 +42,7 @@ from mfglab import (
     SpaceGrid,
     consensus_model,
     gradient_via_adjoint,
+    grid_for_support,
     integrate_brs,
     mfg_fixed_point,
     nash_sweep,
@@ -81,7 +83,7 @@ def _dense_nash_gap(alpha):
     n, horizon, dt = 8, 0.5, 0.02
     initial = sample_initial(3, n, {"kind": "uniform", "a": 0.0, "b": 1.0})
     _, times = time_grid(horizon, dt)
-    shape = (n, times.size - 1)
+    shape = (times.size - 1, n)
 
     def gradient(u):
         return gradient_via_adjoint(model, initial, ControlProfile(u.reshape(shape), times)).ravel()
@@ -237,3 +239,22 @@ def test_kinetic_and_game_converge_to_their_closed_forms_under_a_rising_weight()
     # int_0^T dt / (1 + 2 t) = ln(1 + 2 T) / 2; measured W1 from 5.58e-3 (best reply) and 4.19e-3 (game) at 48
     # cells to 6.92e-4 and 5.19e-4 at 384, order 1.00 at every refinement
     _first_order(rising, math.exp(-HORIZON - 0.5 * math.log(1.0 + 2.0 * HORIZON)), _riccati_march(HORIZON, rising))
+
+
+# criterion 05's bump and grid; its particles are sampled, these are the quantiles of m0
+BUMP = {"kind": "gaussian", "mu": 0.5, "sigma": 0.12, "lo": 0.26, "hi": 0.74}
+
+
+def test_quantile_particles_converge_to_the_pushed_density_at_first_order():
+    # measured W1 3.42e-4, 8.58e-5 and 2.15e-5 at N = 128, 512 and 2048: order 0.999
+    horizon, dt = 0.5, 1.0 / 200
+    m0 = density_of(BUMP, grid_for_support(BUMP["lo"], BUMP["hi"], 512))
+    cdf = np.concatenate([[0.0], np.cumsum(m0.cell_averages) * m0.grid.dx])
+    sizes, errors = (128, 512, 2048), []
+    for n in sizes:
+        quantiles = np.interp((np.arange(n) + 0.5) / n, cdf, m0.grid.faces())
+        trajectory, _ = integrate_brs(consensus_model(), ParticleEnsemble(quantiles), horizon, dt)
+        s = (1.0 - dt * (1.0 + n / (n - 1))) ** round(horizon / dt)
+        errors.append(w1(trajectory.ensemble(len(trajectory) - 1), _scaled(m0, s)))
+    order = -np.polyfit(np.log(sizes), np.log(errors), 1)[0]
+    assert order >= 0.9, (errors, order)

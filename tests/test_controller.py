@@ -6,6 +6,7 @@ import pytest
 from mfglab import (
     DivergenceError,
     ParticleEnsemble,
+    ParticleTrajectory,
     bounded_confidence_model,
     brs_control,
     consensus_model,
@@ -121,9 +122,9 @@ class TestIntegrateBrs:
         start = ParticleEnsemble(np.array([-1.0, 0.2, 0.9]))
         traj, profile = integrate_brs(m, start, 0.5, 0.025)
         for step in range(profile.n_steps):
-            t = profile.time_grid[step]
+            t = profile.times[step]
             expected = -cost_grad_vector(m, traj.positions[step]) / alpha_at(m, float(t))
-            assert np.array_equal(profile.values[:, step], expected)
+            assert np.array_equal(profile.values[step], expected)
 
     def test_divergence_guard(self):
         # repulsive quadratic cost pushes particles apart exponentially
@@ -133,6 +134,12 @@ class TestIntegrateBrs:
         )
         with pytest.raises(DivergenceError, match="bound 1.000e[+]06"):
             integrate_brs(m, pair(-0.1, 0.1), 40.0, 0.05)
+
+    def test_trajectory_needs_one_state_per_time(self):
+        with pytest.raises(ValueError, match=r"positions shape \(2, 4\) does not match 3 time points"):
+            ParticleTrajectory(np.linspace(0.0, 1.0, 3), np.zeros((2, 4)))
+        with pytest.raises(ValueError, match=r"positions shape \(3,\) does not match 3 time points"):
+            ParticleTrajectory(np.linspace(0.0, 1.0, 3), np.zeros(3))
 
     def test_dt_must_divide_horizon(self):
         m = consensus_model()
@@ -179,27 +186,27 @@ class TestStackedMarch:
         states = self.stack()
         n_steps, times = time_grid(self.horizon, self.dt)
         path = np.empty((n_steps + 1, *states.shape))
-        controls = np.empty((*states.shape, n_steps))
+        controls = np.empty((n_steps, *states.shape))
         path[0] = states
         last_u, final = _march_stack(states, map(float, times[:-1]), self.dt, _best_reply(m, scheme, self.dt), 1e6,
                                      path=path, controls=controls)
-        assert _same_bits(final, path[-1]) and _same_bits(last_u, controls[..., -1])
+        assert _same_bits(final, path[-1]) and _same_bits(last_u, controls[-1])
         step_fn = mpc_step_taylor if scheme == "taylor" else mpc_step_exact
         for row, start in enumerate(states):
             if scheme == "taylor":
                 trajectory, profile = integrate_brs(m, ParticleEnsemble(start.copy()), self.horizon, self.dt)
                 assert _same_bits(trajectory.positions, path[:, row])
-                assert _same_bits(profile.values, controls[row])
+                assert _same_bits(profile.values, controls[:, row])
             # chained receding-horizon steps, and the update written out with the public evaluations
             state, x = ParticleEnsemble(start.copy()), start.copy()
             for step in range(n_steps):
                 t = float(times[step])
                 u, state = step_fn(m, state, t, self.dt)
-                assert _same_bits(u, controls[row, :, step]) and _same_bits(state.positions, path[step + 1, row])
+                assert _same_bits(u, controls[step, row]) and _same_bits(state.positions, path[step + 1, row])
                 weight = alpha_at(m, t if scheme == "taylor" else t + self.dt)
                 u = -cost_grad_vector(m, x) / weight
                 x = x + self.dt * (drift(m, x) + u)
-                assert _same_bits(u, controls[row, :, step]) and _same_bits(x, path[step + 1, row])
+                assert _same_bits(u, controls[step, row]) and _same_bits(x, path[step + 1, row])
 
     def test_diverging_row_named_with_step_and_time(self):
         # u = x^3 under phi(x, y) = -x^4 / 4 blows up at t = 1 / (2 x0^2): the two rows holding 3.0 pass 1e3

@@ -103,6 +103,24 @@ class TestParseConfig:
         text = "\n".join(err.value.errors)
         assert "dt_list" in text and "grid.cells" in text
 
+    @pytest.mark.parametrize("experiment, field, given, message", [
+        ("mpc_vs_brs", "dt_list", [0.05, 0.05],
+         "dt_list must be a nonempty list of distinct positive finite numbers, got [0.05, 0.05]"),
+        ("nash_vs_brs", "dt", 0, "dt must be a positive finite number, got 0"),
+    ])
+    def test_invalid_required_field_is_reported_once(self, experiment, field, given, message):
+        # a field given but invalid is not also missing; an absent one is
+        raw = {"experiment": experiment, "model": {"kind": "consensus"}, "horizon": 0.5, "n_particles": 3,
+               "initial": {"kind": "uniform", "a": 0.0, "b": 1.0}, field: given}
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(raw))
+        assert err.value.errors == [message]
+        missing = {key: value for key, value in raw.items() if key != field}
+        for config in (missing, dict(raw, **{field: None})):  # a JSON null counts as absent
+            with pytest.raises(ConfigError) as err:
+                parse_config(json.dumps(config))
+            assert err.value.errors == [f"experiment {experiment!r} requires {field}"]
+
     def test_grid_bounds_must_cover_initial_support(self):
         bad = dict(MINIMAL_NASH)
         bad["experiment"] = "prop2_gap"
@@ -751,7 +769,7 @@ def _floats(data, shape):
 @given(n=st.sampled_from([1, 2, 3]), cells=st.sampled_from([8, 9, 13]), steps=st.integers(1, 4), data=st.data())
 def test_keyed_writers_equal_write_csv_of_the_row_tuples(n, cells, steps, data):
     """The keyed writers write the bytes of ``write_csv`` on the (time, key..., value) tuples, one per row."""
-    from mfglab import AdjointField, ControlProfile, DensityTrajectory
+    from mfglab import ControlProfile, DensityTrajectory
     from mfglab.harness import write_adjoints_csv, write_controls_csv, write_csv, write_grid_path_csv
 
     grid = SpaceGrid(*sorted(data.draw(st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=2, unique=True))),
@@ -759,16 +777,15 @@ def test_keyed_writers_equal_write_csv_of_the_row_tuples(n, cells, steps, data):
     path = DensityTrajectory(grid, _floats(data, (steps + 1,)), _floats(data, (steps + 1, cells)))
     times = [0.0, *sorted(data.draw(st.lists(st.floats(5e-324, 1.7976931348623157e308), min_size=steps,
                                              max_size=steps, unique=True)))]
-    controls = ControlProfile(_floats(data, (n, steps)), times)
-    costates = np.concatenate([_floats(data, (n, n, steps)), np.zeros((n, n, 1))], axis=2)
-    adjoints = AdjointField(costates, times)
+    controls = ControlProfile(_floats(data, (steps, n)), times)
+    costates = _floats(data, (steps + 1, n, n))
     cases = [
         (lambda out: write_grid_path_csv(out, ["t", "x", "m"], path), ["t", "x", "m"],
          [(t, x, path.data[step, k]) for step, t in enumerate(path.times) for k, x in enumerate(grid.centers())]),
         (lambda out: write_controls_csv(out, controls), ["t", "i", "u"],
-         [(controls.time_grid[step], i, controls.values[i, step]) for step in range(steps) for i in range(n)]),
-        (lambda out: write_adjoints_csv(out, adjoints), ["t", "i", "j", "phi"],
-         [(adjoints.time_grid[step], i, j, adjoints.values[i, j, step])
+         [(controls.times[step], i, controls.values[step, i]) for step in range(steps) for i in range(n)]),
+        (lambda out: write_adjoints_csv(out, controls.times, costates), ["t", "i", "j", "phi"],
+         [(controls.times[step], i, j, costates[step, i, j])
           for step in range(steps + 1) for i in range(n) for j in range(n)]),
     ]
     with tempfile.TemporaryDirectory() as tmp:

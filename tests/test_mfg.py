@@ -92,6 +92,16 @@ class TestHjbBackward:
         with pytest.raises(ValueError, match="terminal"):
             ValueGrid(grid, times, data)
 
+    def test_value_grid_rejects_a_wrong_shape_and_non_finite_entries(self):
+        grid = grid_for_support(0.2, 0.8, 64)
+        times = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ValueError, match=r"data shape \(64, 5\) does not match 5 times x 64 cells"):
+            ValueGrid(grid, times, np.zeros((64, 5)))
+        data = np.zeros((5, 64))
+        data[2, 7] = np.nan
+        with pytest.raises(ValueError, match="non-finite value entry"):
+            ValueGrid(grid, times, data)
+
 
 class TestFpForward:
     def setup_method(self):
@@ -218,6 +228,12 @@ class TestFeedbackCosts:
         cost_game = total_running_cost(model, res.densities, feedback_controls_from_value(model, res.value))
         cost_myopic = total_running_cost(model, kin, feedback_controls_best_reply(model, kin))
         assert cost_game <= cost_myopic + 1e-6
+
+    def test_controls_off_the_nodes_are_refused(self):
+        grid = grid_for_support(0.2, 0.8, 16)
+        path = constant_path(grid, gaussian_density(grid), 0.5, 10)
+        with pytest.raises(ValueError, match="controls must be given at every"):
+            total_running_cost(consensus_model(), path, np.zeros((10, 16)))
 
     def test_params_validation(self):
         # the Picard defaults are a FixedPointParams: a replaced field is validated again

@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from mfglab import (
     ConfigError,
+    ControlProfile,
     ParticleEnsemble,
     bounded_confidence_model,
     consensus_model,
@@ -23,7 +24,8 @@ from mfglab import (
     mean_field_drift,
     polynomial_model,
 )
-from mfglab.grids import DensityGrid, DensityTrajectory, SpaceGrid, _checked_rows, histogram, normalized_density
+from mfglab.grids import (TIME_TOL, DensityGrid, DensityTrajectory, SpaceGrid, _checked_rows, histogram,
+                          normalized_density)
 from mfglab.mfg import fp_forward, hjb_backward, mfg_fixed_point
 from mfglab.model import (
     ModelSpec,
@@ -377,6 +379,28 @@ class TestDensityGrid:
         values = values / (np.sum(values) / 16)
         d = DensityGrid(grid, values)
         assert d.cell_averages.min() >= 0.0
+
+
+class TestControlProfile:
+    """Controls are time first: values[l, i] for 4 steps of 3 players on t = 0, 0.25, ..., 1."""
+
+    TIMES = np.linspace(0.0, 1.0, 5)
+
+    def test_time_first_values(self):
+        profile = ControlProfile(np.zeros((4, 3)), self.TIMES + 0.5 * TIME_TOL)
+        assert profile.n_steps == 4 and profile.dt == pytest.approx(0.25, abs=1e-15)
+
+    @pytest.mark.parametrize("values, times, needle", [
+        (np.zeros((0, 3)), TIMES[:1], "at least two points"),
+        (np.full((4, 3), np.inf), TIMES, "non-finite control value"),
+        (np.zeros((4, 3)), TIMES[[0, 2, 1, 3, 4]], "strictly increasing"),
+        (np.zeros((4, 3)), TIMES + 2.0 * TIME_TOL, "must start at 0"),
+        (np.zeros((3, 4)), TIMES, r"values must have shape \(4, N\), got \(3, 4\)"),  # player-major
+        (np.zeros(4), TIMES, r"values must have shape \(4, N\), got \(4,\)"),
+    ], ids=["one-time", "non-finite", "not-increasing", "late-start", "player-major", "one-dimensional"])
+    def test_refusals(self, values, times, needle):
+        with pytest.raises(ValueError, match=needle):
+            ControlProfile(values, times)
 
 
 def _dense(model):

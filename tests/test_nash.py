@@ -27,7 +27,7 @@ from test_model import STACK_MODELS
 
 def grid_profile(n, n_steps, horizon, values=None):
     times = (horizon / n_steps) * np.arange(n_steps + 1)
-    vals = np.zeros((n, n_steps)) if values is None else values
+    vals = np.zeros((n_steps, n)) if values is None else values
     return ControlProfile(vals, times)
 
 
@@ -54,6 +54,11 @@ class TestSimulateState:
         gap = traj.positions[-1, 1] - traj.positions[-1, 0]
         assert abs(gap - np.exp(-1.0)) <= 2e-3
 
+    def test_player_count_must_match_the_controls(self):
+        m = consensus_model()
+        with pytest.raises(ValueError, match="ensemble has 2 particles, controls are for 3"):
+            simulate_state(m, ParticleEnsemble(np.array([0.0, 1.0])), grid_profile(3, 10, 1.0))
+
     def test_reproduces_integrator_bitwise(self):
         m = consensus_model(alpha=lambda t: 1.0 + t)
         start = ParticleEnsemble(np.array([-0.4, 0.3, 1.0]))
@@ -72,11 +77,11 @@ class TestSolveAdjoint:
         n_steps = 50
         profile = grid_profile(2, n_steps, 1.0)
         traj = simulate_state(m, ParticleEnsemble(np.array([0.0, 1.0])), profile)
-        phi = solve_adjoint(m, traj)[0]
-        times = profile.time_grid
-        assert np.allclose(phi[0], -(1.0 - times), atol=1e-12)
-        assert np.allclose(phi[1], +(1.0 - times), atol=1e-12)
-        assert np.all(phi[:, -1] == 0.0)
+        phi = solve_adjoint(m, traj)[:, 0]
+        times = profile.times
+        assert np.allclose(phi[:, 0], -(1.0 - times), atol=1e-12)
+        assert np.allclose(phi[:, 1], +(1.0 - times), atol=1e-12)
+        assert np.all(phi[-1] == 0.0)
 
     def test_constant_cost_zero_adjoint(self):
         m = polynomial_model([[1.0]], [[4.0]])
@@ -88,17 +93,17 @@ class TestSolveAdjoint:
         # reference: player i alone, phi^i(l) = phi^i(l+1) + dt (J^T phi^i(l+1) + G[i]);
         # the joint march reorders the matrix products, so agreement is to round-off
         m = bounded_confidence_model(radius=0.5)
-        profile = grid_profile(5, 20, 1.0, values=rng(7).normal(size=(5, 20)))
+        profile = grid_profile(5, 20, 1.0, values=rng(7).normal(size=(5, 20)).T)
         traj = simulate_state(m, ParticleEnsemble(rng(8).random(5)), profile)
         phi = solve_adjoint(m, traj)
         dt = 1.0 / 20
         for i in range(5):
-            ref = np.zeros((5, 21))
+            ref = np.zeros((21, 5))
             for step in range(19, -1, -1):
                 state = traj.ensemble(step)
                 jac, sources = drift_jacobian(m, state.positions), cost_gradient_full(m, state.positions)
-                ref[:, step] = ref[:, step + 1] + dt * (jac.T @ ref[:, step + 1] + sources[i])
-            assert np.max(np.abs(phi[i] - ref)) <= 1e-13 * np.max(np.abs(ref))
+                ref[step] = ref[step + 1] + dt * (jac.T @ ref[step + 1] + sources[i])
+            assert np.max(np.abs(phi[:, i] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_permuted_labels_give_permuted_adjoint(self):
         m = consensus_model()
@@ -109,9 +114,9 @@ class TestSolveAdjoint:
         t2 = simulate_state(m, ParticleEnsemble(x[perm]), profile)
         i = 2
         i_permuted = int(np.where(perm == i)[0][0])
-        phi = solve_adjoint(m, t1)[i]
-        phi_relabelled = solve_adjoint(m, t2)[i_permuted]
-        assert np.allclose(phi[perm], phi_relabelled, atol=1e-12)
+        phi = solve_adjoint(m, t1)[:, i]
+        phi_relabelled = solve_adjoint(m, t2)[:, i_permuted]
+        assert np.allclose(phi[:, perm], phi_relabelled, atol=1e-12)
 
 
 class TestValue:
@@ -125,12 +130,12 @@ class TestValue:
         kappa = 0.7
         m = polynomial_model([[0.0]], [[kappa]], alpha=2.0)
         c = 0.3
-        profile = grid_profile(2, 40, 1.0, values=np.full((2, 40), c))
+        profile = grid_profile(2, 40, 1.0, values=np.full((40, 2), c))
         start = ParticleEnsemble(np.array([0.0, 1.0]))
         expected = 1.0 * (2.0 * c * c / 2.0 + kappa)
         assert simulated_value(m, start, profile) == pytest.approx([expected, expected], rel=1e-12)
         expected_half = 0.5 * (2.0 * c * c / 2.0 + kappa)
-        half = grid_profile(2, 20, 0.5, values=np.full((2, 20), c))
+        half = grid_profile(2, 20, 0.5, values=np.full((20, 2), c))
         assert simulated_value(m, start, half) == pytest.approx([expected_half, expected_half], rel=1e-12)
 
     def test_newton_step_on_own_control_descends(self):
@@ -140,19 +145,19 @@ class TestValue:
         start = ParticleEnsemble(np.array([0.0, 1.0]))
         n_steps = 20
         g = rng(17)
-        profile = grid_profile(2, n_steps, 1.0, values=g.normal(size=(2, n_steps)))
+        profile = grid_profile(2, n_steps, 1.0, values=g.normal(size=(2, n_steps)).T)
         i, dt = 0, 1.0 / n_steps
-        grad = gradient_via_adjoint(m, start, profile)[i] * dt
+        grad = gradient_via_adjoint(m, start, profile)[:, i] * dt
         hess = np.empty((n_steps, n_steps))
         for l in range(n_steps):
             bumped = profile.values.copy()
-            bumped[i, l] += 1.0
-            bumped_profile = ControlProfile(bumped, profile.time_grid)
-            hess[:, l] = gradient_via_adjoint(m, start, bumped_profile)[i] * dt - grad
+            bumped[l, i] += 1.0
+            bumped_profile = ControlProfile(bumped, profile.times)
+            hess[:, l] = gradient_via_adjoint(m, start, bumped_profile)[:, i] * dt - grad
         newton = profile.values.copy()
-        newton[i] -= np.linalg.solve(hess, grad)
+        newton[:, i] -= np.linalg.solve(hess, grad)
         before = simulated_value(m, start, profile)[i]
-        after = simulated_value(m, start, ControlProfile(newton, profile.time_grid))[i]
+        after = simulated_value(m, start, ControlProfile(newton, profile.times))[i]
         assert after < before
 
     @pytest.mark.parametrize("name", sorted(STACK_MODELS))
@@ -183,7 +188,7 @@ class TestGradientViaAdjoint:
         n, n_steps, horizon = 4, 50, 1.0
         m = consensus_model()
         g = rng(123)
-        profile = grid_profile(n, n_steps, horizon, values=g.normal(size=(n, n_steps)))
+        profile = grid_profile(n, n_steps, horizon, values=g.normal(size=(n, n_steps)).T)
         start = ParticleEnsemble(g.normal(size=n))
         dt = horizon / n_steps
         delta = 1e-5
@@ -191,14 +196,14 @@ class TestGradientViaAdjoint:
         for i in range(n):
             for l in range(0, n_steps, 7):
                 hi = profile.values.copy()
-                hi[i, l] += delta
+                hi[l, i] += delta
                 lo = profile.values.copy()
-                lo[i, l] -= delta
+                lo[l, i] -= delta
                 fd = (
-                    simulated_value(m, start, ControlProfile(hi, profile.time_grid))[i]
-                    - simulated_value(m, start, ControlProfile(lo, profile.time_grid))[i]
+                    simulated_value(m, start, ControlProfile(hi, profile.times))[i]
+                    - simulated_value(m, start, ControlProfile(lo, profile.times))[i]
                 ) / (2 * delta * dt)
-                assert abs(grad[i, l] - fd) <= 1e-5 * max(abs(fd), 1e-8)
+                assert abs(grad[l, i] - fd) <= 1e-5 * max(abs(fd), 1e-8)
 
     def test_converged_sweep_has_small_gradient(self):
         m = consensus_model()
@@ -224,8 +229,8 @@ class TestNashSweep:
         res = nash_sweep(m, start, 1.0, 1.0 / 100)
         assert res.converged
         u = res.controls.values
-        assert np.max(np.abs(u[0] + u[3])) <= 1e-6
-        assert np.max(np.abs(u[1] + u[2])) <= 1e-6
+        assert np.max(np.abs(u[:, 0] + u[:, 3])) <= 1e-6
+        assert np.max(np.abs(u[:, 1] + u[:, 2])) <= 1e-6
 
     def test_consensus_pair_fixture(self):
         m = consensus_model()
@@ -255,7 +260,7 @@ class TestNashSweep:
         perm = np.array([2, 0, 3, 1])
         r1 = nash_sweep(m, ParticleEnsemble(x), 1.0, 1.0 / 100)
         r2 = nash_sweep(m, ParticleEnsemble(x[perm]), 1.0, 1.0 / 100)
-        assert np.max(np.abs(r1.controls.values[perm] - r2.controls.values)) <= 1e-12
+        assert np.max(np.abs(r1.controls.values[:, perm] - r2.controls.values)) <= 1e-12
 
     def test_non_convergence_reported_not_raised(self):
         m = consensus_model()
@@ -360,7 +365,9 @@ class TestNashSweep:
     def test_adjoint_terminal_slice_zero(self):
         m = consensus_model()
         res = nash_sweep(m, ParticleEnsemble(np.array([-0.3, 0.1, 0.6])), 1.0, 0.025)
-        assert np.all(res.adjoints.values[:, :, -1] == 0.0)
+        assert res.costates.shape == (41, 3, 3) and np.all(np.isfinite(res.costates))
+        assert np.all(res.costates[-1] == 0.0)
+        assert np.array_equal(res.costates, solve_adjoint(m, res.trajectory))
 
     def test_sweep_params_validation(self):
         # the sweep defaults are a FixedPointParams: a replaced field is validated again
@@ -394,7 +401,7 @@ class TestSweepBitForBit:
         x = start.positions.copy()
         positions = [x]
         for step in range(profile.n_steps):
-            x = x + profile.dt * (drift(m, x) + profile.values[:, step])
+            x = x + profile.dt * (drift(m, x) + profile.values[step])
             positions.append(x)
         return np.array(positions)
 
@@ -408,13 +415,13 @@ class TestSweepBitForBit:
             state = trajectory.positions[step]
             later = phi[step + 1]
             phi[step] = later + dt * (later @ drift_jacobian(m, state) + cost_gradient_full(m, state))
-        return phi.transpose(1, 2, 0)
+        return phi
 
     @staticmethod
     def per_step_value(m, profile, positions):
         total = np.zeros(positions.shape[1])
         for step in range(profile.n_steps):
-            weight, u = alpha_at(m, float(profile.time_grid[step])), profile.values[:, step]
+            weight, u = alpha_at(m, float(profile.times[step])), profile.values[step]
             total += profile.dt * (0.5 * weight * u * u + cost(m, positions[step]))
         return total
 
@@ -424,7 +431,7 @@ class TestSweepBitForBit:
         m = self.MODELS[name]()
         g = rng(100 + n)
         start = ParticleEnsemble(g.random(n))
-        profile = grid_profile(n, 25, 0.5, values=0.5 * g.normal(size=(n, 25)))
+        profile = grid_profile(n, 25, 0.5, values=0.5 * g.normal(size=(n, 25)).T)
         trajectory = simulate_state(m, start, profile)
         assert np.array_equal(trajectory.positions, self.per_step_states(m, start, profile))
         assert np.array_equal(solve_adjoint(m, trajectory), self.per_step_costates(m, trajectory, profile.dt))
