@@ -2,8 +2,9 @@
 
 Every run is a pure function of (config, seed) at the byte level: sampling uses
 the stream of a counter-based generator (Philox-4x64-10) keyed by the seed,
-computed with numpy core so that ``numpy.random`` is never imported, sums run
-in fixed order, and floats are written with 17 significant digits. The
+computed with numpy core so that ``numpy.random`` is never imported, and
+normal quantiles from ``statistics.NormalDist.inv_cdf``; sums run in fixed
+order, and floats are written with 17 significant digits. The
 manifest written next to the results echoes the config and records the code
 version, the wall clock, the wall time of each stage, the fixed-point counts of
 ``mfg_vs_brs`` and ``nash_vs_brs`` (iterations, accepted and rejected Anderson
@@ -28,6 +29,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 
@@ -63,7 +65,6 @@ from .model import (
     ModelSpec,
     ParticleEnsemble,
     _batches,
-    _horner,
     _pair_eval,
     _row_entries,
     bounded_confidence_model,
@@ -337,10 +338,8 @@ def sample_initial(seed: int, n: int, distribution: dict) -> ParticleEnsemble:
     uniforms on every platform and parallel cells need no stream-splitting
     discipline. A two-bump draw takes 2n uniforms, the picks first.
     Truncated-normal positions map those uniforms through the normal CDF
-    (``math.erfc``) and Wichura's AS241 rational approximation of its inverse,
-    evaluated with numpy's ``log`` and ``sqrt``; a numpy whose ``log`` rounds
-    differently can move them by a few ulps. Raises ``ConfigError`` naming
-    ``initial`` when a sample is not finite.
+    (``math.erfc``) and its inverse, ``statistics.NormalDist.inv_cdf``.
+    Raises ``ConfigError`` naming ``initial`` when a sample is not finite.
     """
     if n < 1:
         raise ValueError(f"need at least one particle, got {n}")
@@ -382,44 +381,15 @@ def _ndtr(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2))
 
 
-# Wichura's AS241 (PPND16; Applied Statistics 37, 1988), the coefficients of ``statistics.NormalDist.inv_cdf``:
-# numerator and denominator of each rational branch, lowest power first.
-_AS241_CENTRAL = np.array((
-    (3.3871328727963666080e+0, 1.3314166789178437745e+2, 1.9715909503065514427e+3, 1.3731693765509461125e+4,
-     4.5921953931549871457e+4, 6.7265770927008700853e+4, 3.3430575583588128105e+4, 2.5090809287301226727e+3),
-    (1.0, 4.2313330701600911252e+1, 6.8718700749205790830e+2, 5.3941960214247511077e+3,
-     2.1213794301586595867e+4, 3.9307895800092710610e+4, 2.8729085735721942674e+4, 5.2264952788528545610e+3),
-))
-_AS241_NEAR = np.array((  # tail, sqrt(-log(min(p, 1 - p))) <= 5
-    (1.42343711074968357734e+0, 4.63033784615654529590e+0, 5.76949722146069140550e+0, 3.64784832476320460504e+0,
-     1.27045825245236838258e+0, 2.41780725177450611770e-1, 2.27238449892691845833e-2, 7.74545014278341407640e-4),
-    (1.0, 2.05319162663775882187e+0, 1.67638483018380384940e+0, 6.89767334985100004550e-1,
-     1.48103976427480074590e-1, 1.51986665636164571966e-2, 5.47593808499534494600e-4, 1.05075007164441684324e-9),
-))
-_AS241_FAR = np.array((  # tail, beyond 5
-    (6.65790464350110377720e+0, 5.46378491116411436990e+0, 1.78482653991729133580e+0, 2.96560571828504891230e-1,
-     2.65321895265761230930e-2, 1.24266094738807843860e-3, 2.71155556874348757815e-5, 2.01033439929228813265e-7),
-    (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.48753612908506148525e-2,
-     7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7, 2.04426310338993978564e-15),
-))
-
-
 def _ndtri(p: np.ndarray) -> np.ndarray:
-    """Standard normal quantile of a 1D array: AS241 with numpy's ``log`` and ``sqrt``; 0 and 1 map to -inf and +inf.
+    """Standard normal quantile of a 1D array, entry by entry ``statistics.NormalDist().inv_cdf``.
 
-    The operations run in the order of ``statistics.NormalDist.inv_cdf``, so both agree to the bit except where
-    numpy's ``log`` rounds differently from the C library's: then by a few ulps.
+    0 and 1 map to -inf and +inf, anything else outside (0, 1), NaN included, to NaN.
     """
-    p = np.asarray(p, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = p - 0.5
-        num, den = _horner(_AS241_CENTRAL, 0.180625 - q * q)
-        central = num * q / den
-        s = np.sqrt(-np.log(np.where(q <= 0.0, p, 1.0 - p)))
-        (near_num, near_den), (far_num, far_den) = _horner(_AS241_NEAR, s - 1.6), _horner(_AS241_FAR, s - 5.0)
-        tail = np.where(s <= 5.0, near_num / near_den, far_num / far_den)
-        x = np.where(np.abs(q) <= 0.425, central, np.where(q < 0.0, -tail, tail))
-    return np.where(p == 0.0, -np.inf, np.where(p == 1.0, np.inf, x))
+    quantile = NormalDist().inv_cdf
+    edges = {0.0: -math.inf, 1.0: math.inf}
+    levels = np.asarray(p, dtype=float).tolist()
+    return np.array([quantile(q) if 0.0 < q < 1.0 else edges.get(q, math.nan) for q in levels], dtype=float)
 
 
 def _support_of(distribution: dict) -> tuple[float, float]:
@@ -645,6 +615,7 @@ def _peak_rss_mb() -> float | None:
     return None
 
 
+@np.errstate(all="ignore")  # a domain or kernel value a float cannot hold is reported below
 def _spot_check_kernels(cfg: ExperimentConfig, model: ModelSpec) -> None:
     """Sample the drift kernel on the experiment domain: bounded and nonnegative."""
     lo, hi = _support_of(cfg.initial)

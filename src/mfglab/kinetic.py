@@ -155,7 +155,5 @@ def cfl_time_step(model: ModelSpec, m0: DensityGrid, horizon: float, safety: flo
     vmax = float(np.max(np.abs(velocity_field(model, m0, 0.0))))
     if not math.isfinite(vmax):
         raise CFLError(f"the initial face speed max |c| is {vmax}, so no time step meets the CFL restriction")
-    if vmax == 0.0:
-        return horizon
     n_steps = max(1, math.ceil(horizon * vmax / (safety * m0.grid.dx)))
     return horizon / n_steps

@@ -153,6 +153,11 @@ class TestSolveKinetic:
         with pytest.raises(CFLError, match="step 0"):
             solve_kinetic(self.model, self.m0, self.horizon, 0.05)
 
+    def test_zero_speed_takes_the_horizon_in_one_step(self):
+        grid = SpaceGrid(0.0, 1.0, 64)
+        dens = normalized_density(grid, np.ones(64))
+        assert cfl_time_step(polynomial_model([[0.0]], [[0.0]]), dens, 0.7) == 0.7
+
     def test_dt_must_divide_horizon(self):
         with pytest.raises(ValueError, match="divide"):
             solve_kinetic(self.model, self.m0, self.horizon, 0.5 / 100.5)

@@ -33,7 +33,7 @@ from mfglab.harness import density_of
 from mfglab.kinetic import cfl_time_step
 from mfglab.errors import NumericalError
 from mfglab.mfg import PICARD
-from mfglab.model import alpha_at
+from mfglab.model import PairKernel, alpha_at
 
 
 def gaussian_density(grid, center=0.5, width=0.12):
@@ -84,6 +84,16 @@ class TestHjbBackward:
         path = constant_path(grid, gaussian_density(grid), 0.5, 64)
         v = hjb_backward(model, path)
         assert np.all(v.data[-1] == 0.0)
+
+    def test_overflowed_value_slice_raises(self):
+        # a running cost of 1e300 (x - y)^2 on [-1e5, 1e5] leaves the floats in the first step back
+        cost = PairKernel(lambda x, y: 1e300 * (x - y) ** 2, lambda x, y: 2e300 * (x - y),
+                          lambda x, y: -2e300 * (x - y))
+        model = replace(bounded_confidence_model(0.5), cost=cost)
+        grid = SpaceGrid(-1e5, 1e5, 16)
+        path = constant_path(grid, normalized_density(grid, np.ones(16)), 0.1, 2)
+        with pytest.raises(NumericalError, match="non-finite value slice at step 1"):
+            hjb_backward(model, path)
 
     def test_value_grid_rejects_nonzero_terminal(self):
         grid = grid_for_support(0.2, 0.8, 64)
